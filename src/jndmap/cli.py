@@ -1,10 +1,13 @@
 """Command-line pipeline around the library modules.
 
 Every stage reads and writes the documented interchange files, so partial
-re-runs are possible: ``simulate`` produces a corpus, ``run`` chains
-screen -> classify -> decompose -> fit (-> evaluate when truth rows exist),
-and the single-stage subcommands re-run any step from its inputs.  ``render``
-turns curve samples into a standalone SVG.
+re-runs are possible: ``simulate`` produces a corpus, and the single-stage
+subcommands ``screen``, ``classify``, ``decompose``, ``fit`` and ``evaluate``
+re-run any step from its inputs.  ``run`` is that stage chain: it loads the
+corpus, calls the same stage functions in that order (``evaluate`` only when
+truth rows exist) and writes ``run_manifest.json``, so its artifacts are the
+bytes the single-stage commands write.  ``render`` turns curve samples into a
+standalone SVG.
 
 Configuration comes from an optional JSON file (see :mod:`jndmap.config`);
 command-line flags override file values, and the ``JNDMAP_SEED`` environment
@@ -25,7 +28,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__, config as config_mod, corpus as corpus_mod
+from . import __version__, config as config_mod, corpus as corpus_mod, tableio
 from . import evaluate as evaluate_mod
 from . import mapping as mapping_mod
 from . import predict as predict_mod
@@ -46,7 +49,7 @@ def main(argv: list[str] | None = None) -> int:
     written: list[str] = []
     try:
         args.func(args, written)
-    except (JndmapError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (JndmapError, ValueError, KeyError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, KeyError) and message.startswith("'") and message.endswith("'"):
             message = message[1:-1]
@@ -97,29 +100,118 @@ def _resolve_config(args: argparse.Namespace) -> config_mod.RunConfig:
     return cfg
 
 
-def _build_decomposition(
-    cfg: config_mod.RunConfig, corpus: corpus_mod.Corpus
-) -> ranges_mod.Decomposition:
-    dc = cfg.decomposition
-    if dc.strategy == "balanced":
-        return ranges_mod.decompose_balanced(corpus, dc.k, dc.balance)
-    if dc.strategy == "fixed_width":
-        return ranges_mod.decompose_fixed(dc.width, corpus)
-    return ranges_mod.decompose_explicit(list(dc.bounds))
-
-
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write(path: Path, text: str, written: list[str]) -> None:
+def _write(path: Path, artifact: str | dict, written: list[str]) -> None:
+    """Write one artifact: a dict as canonical JSON, text as it is."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8", newline="")
+    if isinstance(artifact, str):
+        path.write_text(artifact, encoding="utf-8", newline="")
+    else:
+        tableio.write_json(path, artifact)
     written.append(path.name)
 
 
-def _stage(label: str, started: float) -> None:
-    print(f"[{label}] done in {time.perf_counter() - started:.2f}s")
+# -- stages ------------------------------------------------------------------
+#
+# One function per pipeline stage, shared by ``run`` and the single-stage
+# subcommands: each takes the resolved config and its inputs, writes its
+# artifacts, prints one status line and returns its result.
+
+
+def _screen(
+    cfg: config_mod.RunConfig, corpus: corpus_mod.Corpus, out: Path, written: list[str]
+) -> corpus_mod.Corpus:
+    """Write the screening report; returns the corpus without removed observers."""
+    report = screening_mod.screen(corpus, cfg.screening)
+    _write(out, report.to_json_dict(), written)
+    print(f"[screen] removed: {sorted(report.removed_observers) or 'nobody'}")
+    return screening_mod.apply_screening(corpus, report)
+
+
+def _classify(
+    cfg: config_mod.RunConfig, corpus: corpus_mod.Corpus, out: Path, written: list[str]
+) -> list[significance_mod.RatedPair]:
+    pairs = significance_mod.classify_pairs(corpus, cfg.alpha, cfg.test)
+    _write(out, significance_mod.pairs_csv_text(pairs), written)
+    print(f"[classify] {len(pairs)} pairs, {sum(p.sig for p in pairs)} significant")
+    return pairs
+
+
+def _decompose(
+    cfg: config_mod.RunConfig,
+    corpus: corpus_mod.Corpus,
+    pairs: list[significance_mod.RatedPair],
+    out: Path,
+    written: list[str],
+) -> ranges_mod.Decomposition:
+    dc = cfg.decomposition
+    if dc.strategy == "balanced":
+        decomp = ranges_mod.decompose_balanced(corpus, dc.k, dc.balance)
+    elif dc.strategy == "fixed_width":
+        decomp = ranges_mod.decompose_fixed(dc.width, corpus)
+    else:
+        decomp = ranges_mod.decompose_explicit(list(dc.bounds))
+    decomp = ranges_mod.assign_pairs(pairs, decomp, corpus)
+    _write(out, ranges_mod.decomposition_to_json_dict(decomp), written)
+    print(f"[decompose] {len(decomp.ranges)} ranges ({decomp.strategy})")
+    return decomp
+
+
+def _fit(
+    cfg: config_mod.RunConfig,
+    decomp: ranges_mod.Decomposition,
+    pairs: list[significance_mod.RatedPair],
+    out_dir: Path,
+    written: list[str],
+) -> dict[str, dict[str, mapping_mod.MappingFunction]]:
+    codists, models = mapping_mod.fit_all(
+        decomp, pairs, cfg.families, cfg.bin_width, cfg.glm_mode
+    )
+    _write(out_dir / "codist.csv", mapping_mod.codist_csv_text(codists), written)
+    _write(out_dir / "mf_params.json", mapping_mod.models_to_json_dict(models), written)
+    _write(out_dir / "curve_samples.csv", mapping_mod.curve_samples_csv_text(models), written)
+    print(f"[fit] {sum(len(f) for f in models.values())} fits over {len(codists)} ranges")
+    return models
+
+
+def _evaluate(
+    cfg: config_mod.RunConfig,
+    corpus: corpus_mod.Corpus,
+    models: dict[str, dict[str, mapping_mod.MappingFunction]],
+    decomp: ranges_mod.Decomposition,
+    out: Path,
+    predictions: Path | None,
+    written: list[str],
+    orders: tuple[int, ...] | None = None,
+) -> evaluate_mod.EvalGrid:
+    """Write the grid metrics (and optionally every prediction), print the
+    tables; raises ValueError when no grid cell scored a prediction."""
+    grid = evaluate_mod.evaluate_grid(
+        corpus,
+        models,
+        decomp,
+        evaluate_mod.EvalGridSpec(
+            thresholds=cfg.thresholds,
+            families=cfg.families,
+            chain_orders=cfg.chain_orders,
+            orders=orders,
+        ),
+    )
+    _write(out, evaluate_mod.metrics_json_dict(grid), written)
+    if predictions is not None:
+        _write(predictions, predict_mod.predictions_csv_text(list(grid.predictions)), written)
+    for direction in sorted({t.direction for t in corpus.truths}):
+        print()
+        print(evaluate_mod.format_grid_table(grid, direction))
+    key, best = grid.best_cell()
+    print(
+        f"[evaluate] best cell: direction={key[0]} family={key[1]} thr={key[2]:g} "
+        f"mae={best.mae:.4f} rmse={best.rmse:.4f} (n={best.n}, clamped={best.clamped})"
+    )
+    return grid
 
 
 # -- subcommands -------------------------------------------------------------
@@ -128,7 +220,6 @@ def _stage(label: str, started: float) -> None:
 def cmd_run(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     inputs = {Path(p).name: _sha256(Path(p)) for p in
               [args.vmaf, args.ratings] + ([args.truth] if args.truth else [])}
 
@@ -138,83 +229,29 @@ def cmd_run(args: argparse.Namespace, written: list[str]) -> None:
         f"[load] {len(corpus.stimuli)} stimuli, {len(corpus.ratings)} ratings, "
         f"{len(corpus.truths)} truth rows"
     )
-
-    report = screening_mod.screen(corpus, cfg.screening)
-    screening_mod.write_report(report, out / "screening.json")
-    written.append("screening.json")
-    corpus = screening_mod.apply_screening(corpus, report)
-    print(f"[screen] removed {len(report.removed_observers)} observer(s)")
-
-    pairs = significance_mod.classify_pairs(corpus, cfg.alpha, cfg.test, jobs=args.jobs)
-    _write(out / "pairs.csv", significance_mod.pairs_csv_text(pairs), written)
-    print(f"[classify] {len(pairs)} pairs, {sum(p.sig for p in pairs)} significant")
-
-    decomp = _build_decomposition(cfg, corpus)
-    decomp = ranges_mod.assign_pairs(pairs, decomp, corpus)
-    _write(
-        out / "ranges.json",
-        json.dumps(ranges_mod.decomposition_to_json_dict(decomp), indent=2, sort_keys=True) + "\n",
-        written,
-    )
-    print(f"[decompose] {len(decomp.ranges)} ranges ({decomp.strategy})")
-
-    codists, models = mapping_mod.fit_all(
-        decomp, pairs, cfg.families, cfg.bin_width, cfg.glm_mode, jobs=args.jobs
-    )
-    _write(out / "codist.csv", mapping_mod.codist_csv_text(codists), written)
-    _write(
-        out / "mf_params.json",
-        json.dumps(mapping_mod.models_to_json_dict(models), indent=2, sort_keys=True) + "\n",
-        written,
-    )
-    _write(out / "curve_samples.csv", mapping_mod.curve_samples_csv_text(models), written)
-    n_fits = sum(len(f) for f in models.values())
-    print(f"[fit] {n_fits} fits over {len(codists)} ranges")
-
+    corpus = _screen(cfg, corpus, out / "screening.json", written)
+    pairs = _classify(cfg, corpus, out / "pairs.csv", written)
+    decomp = _decompose(cfg, corpus, pairs, out / "ranges.json", written)
+    models = _fit(cfg, decomp, pairs, out, written)
     if corpus.truths:
-        grid = evaluate_mod.evaluate_grid(
-            corpus,
-            models,
-            decomp,
-            evaluate_mod.EvalGridSpec(
-                thresholds=cfg.thresholds,
-                families=cfg.families,
-                chain_orders=cfg.chain_orders,
-            ),
-        )
-        _write(
-            out / "predictions.csv",
-            predict_mod.predictions_csv_text(list(grid.predictions)),
-            written,
-        )
-        _write(
-            out / "metrics.json",
-            json.dumps(evaluate_mod.metrics_json_dict(grid), indent=2, sort_keys=True) + "\n",
-            written,
-        )
-        for direction in sorted({t.direction for t in corpus.truths}):
-            print()
-            print(evaluate_mod.format_grid_table(grid, direction))
-        key, best = grid.best_cell()
-        print(
-            f"[evaluate] best cell: direction={key[0]} family={key[1]} thr={key[2]:g} "
-            f"mae={best.mae:.4f} rmse={best.rmse:.4f} (n={best.n}, clamped={best.clamped})"
+        _evaluate(
+            cfg, corpus, models, decomp, out / "metrics.json", out / "predictions.csv", written
         )
     else:
         print("[evaluate] skipped: no truth rows")
 
-    config_text = config_mod.config_json_text(cfg)
+    config = cfg.to_json_dict()
     manifest = {
         "tool": "jndmap",
         "version": __version__,
-        "config": cfg.to_json_dict(),
-        "config_sha256": hashlib.sha256(config_text.encode()).hexdigest(),
+        "config": config,
+        "config_sha256": hashlib.sha256(tableio.json_text(config).encode()).hexdigest(),
         "inputs": inputs,
         "artifacts": sorted(set(written)),
         "seed": cfg.seed,
     }
-    _write(out / "run_manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n", written)
-    _stage("run", t0)
+    _write(out / "run_manifest.json", manifest, written)
+    print(f"[run] done in {time.perf_counter() - t0:.2f}s")
 
 
 def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
@@ -230,15 +267,10 @@ def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
         spec = dataclasses.replace(spec, seed=args.seed)
     corpus, info = simulate_mod.simulate_corpus(spec)
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     _write(out / "vmaf_scores.csv", corpus_mod.vmaf_csv_text(corpus), written)
     _write(out / "dcr_ratings.csv", corpus_mod.ratings_csv_text(corpus), written)
     _write(out / "jnd_truth.csv", corpus_mod.truth_csv_text(corpus), written)
-    _write(
-        out / "sim_truth.json",
-        json.dumps(simulate_mod.truth_info_json_dict(info), indent=2, sort_keys=True) + "\n",
-        written,
-    )
+    _write(out / "sim_truth.json", simulate_mod.truth_info_json_dict(info), written)
     print(
         f"[simulate] seed={spec.seed}: {len(corpus.stimuli)} stimuli, "
         f"{len(corpus.ratings)} ratings, {len(corpus.truths)} truths -> {out}"
@@ -248,10 +280,7 @@ def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
 def cmd_screen(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
     corpus = corpus_mod.load_corpus(args.vmaf, args.ratings)
-    report = screening_mod.screen(corpus, cfg.screening)
-    screening_mod.write_report(report, Path(args.out))
-    written.append(Path(args.out).name)
-    print(f"[screen] removed: {sorted(report.removed_observers) or 'nobody'}")
+    _screen(cfg, corpus, Path(args.out), written)
 
 
 def cmd_classify(args: argparse.Namespace, written: list[str]) -> None:
@@ -260,42 +289,21 @@ def cmd_classify(args: argparse.Namespace, written: list[str]) -> None:
     if args.screening_report:
         report = screening_mod.read_report(args.screening_report)
         corpus = screening_mod.apply_screening(corpus, report)
-    pairs = significance_mod.classify_pairs(corpus, cfg.alpha, cfg.test, jobs=args.jobs)
-    _write(Path(args.out), significance_mod.pairs_csv_text(pairs), written)
-    print(f"[classify] {len(pairs)} pairs, {sum(p.sig for p in pairs)} significant")
+    _classify(cfg, corpus, Path(args.out), written)
 
 
 def cmd_decompose(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
     corpus = corpus_mod.load_corpus(args.vmaf, None)
-    decomp = _build_decomposition(cfg, corpus)
     pairs = significance_mod.read_pairs_csv(args.pairs)
-    decomp = ranges_mod.assign_pairs(pairs, decomp, corpus)
-    _write(
-        Path(args.out),
-        json.dumps(ranges_mod.decomposition_to_json_dict(decomp), indent=2, sort_keys=True) + "\n",
-        written,
-    )
-    print(f"[decompose] {decomp.strategy}: {', '.join(decomp.range_ids())}")
+    _decompose(cfg, corpus, pairs, Path(args.out), written)
 
 
 def cmd_fit(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
     pairs = significance_mod.read_pairs_csv(args.pairs)
     decomp = ranges_mod.read_ranges_json(args.ranges)
-    codists, models = mapping_mod.fit_all(
-        decomp, pairs, cfg.families, cfg.bin_width, cfg.glm_mode, jobs=args.jobs
-    )
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "codist.csv", mapping_mod.codist_csv_text(codists), written)
-    _write(
-        out / "mf_params.json",
-        json.dumps(mapping_mod.models_to_json_dict(models), indent=2, sort_keys=True) + "\n",
-        written,
-    )
-    _write(out / "curve_samples.csv", mapping_mod.curve_samples_csv_text(models), written)
-    print(f"[fit] {sum(len(f) for f in models.values())} fits over {len(codists)} ranges")
+    _fit(cfg, decomp, pairs, Path(args.out_dir), written)
 
 
 def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
@@ -340,38 +348,14 @@ def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
     orders = tuple(int(o) for o in args.orders.split(",")) if args.orders else None
-    grid = evaluate_mod.evaluate_grid(
-        corpus,
-        models,
-        decomp,
-        evaluate_mod.EvalGridSpec(
-            thresholds=cfg.thresholds,
-            families=cfg.families,
-            chain_orders=cfg.chain_orders,
-            orders=orders,
-        ),
-    )
-    _write(
-        Path(args.out),
-        json.dumps(evaluate_mod.metrics_json_dict(grid), indent=2, sort_keys=True) + "\n",
-        written,
-    )
-    if args.predictions:
-        _write(
-            Path(args.predictions),
-            predict_mod.predictions_csv_text(list(grid.predictions)),
-            written,
-        )
-    for direction in sorted({t.direction for t in corpus.truths}):
-        print(evaluate_mod.format_grid_table(grid, direction))
+    predictions = Path(args.predictions) if args.predictions else None
+    _evaluate(cfg, corpus, models, decomp, Path(args.out), predictions, written, orders)
 
 
 def cmd_render(args: argparse.Namespace, written: list[str]) -> None:
     curves = mapping_mod.read_curve_samples_csv(args.curves)
     codists = mapping_mod.read_codist_csv(args.codist) if args.codist else None
-    svg = render_mod.render_svg(curves, codists)
-    render_mod.write_svg(svg, Path(args.out))
-    written.append(Path(args.out).name)
+    _write(Path(args.out), render_mod.render_svg(curves, codists), written)
     print(f"[render] wrote {args.out}")
 
 
@@ -386,7 +370,7 @@ def _add_config_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--bin-width", dest="bin_width", type=float, help="|dVMAF| histogram bin width")
     sub.add_argument("--families", help="comma-separated curve families")
     sub.add_argument("--thresholds", help="comma-separated decision thresholds")
-    sub.add_argument("--glm-mode", dest="glm_mode", choices=("pairwise", "points"))
+    sub.add_argument("--glm-mode", dest="glm_mode", choices=mapping_mod.GLM_MODES)
     sub.add_argument("--no-chain", dest="no_chain", action="store_true",
                      help="score higher-order truths without chaining")
     sub.add_argument("--seed", type=int, help="seed override (beats JNDMAP_SEED)")
@@ -410,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("ratings", help="dcr_ratings.csv")
     run.add_argument("--truth", help="jnd_truth.csv (enables evaluation)")
     run.add_argument("--out-dir", required=True)
-    run.add_argument("--jobs", type=int, default=1)
+    run.add_argument("--jobs", type=int, default=1,
+                     help="accepted for compatibility; has no effect")
     _add_config_flags(run)
     run.set_defaults(func=cmd_run)
 
@@ -433,7 +418,6 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--screening-report", dest="screening_report",
                           help="screening.json to apply before pairing")
     classify.add_argument("--out", required=True)
-    classify.add_argument("--jobs", type=int, default=1)
     _add_config_flags(classify)
     classify.set_defaults(func=cmd_classify)
 
@@ -448,7 +432,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--pairs", required=True)
     fit.add_argument("--ranges", required=True)
     fit.add_argument("--out-dir", required=True)
-    fit.add_argument("--jobs", type=int, default=1)
     _add_config_flags(fit)
     fit.set_defaults(func=cmd_fit)
 

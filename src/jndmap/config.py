@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .mapping import FAMILIES
+from . import tableio
+from .mapping import FAMILIES, GLM_MODES
+from .ranges import STRATEGIES
 from .screening import METHODS as SCREENING_METHODS
 from .significance import TESTS
 
@@ -42,7 +43,7 @@ class RunConfig:
             raise ValueError(
                 f"screening must be one of {SCREENING_METHODS}, got {self.screening!r}"
             )
-        if self.decomposition.strategy not in ("balanced", "fixed_width", "explicit"):
+        if self.decomposition.strategy not in STRATEGIES:
             raise ValueError(f"unknown decomposition strategy {self.decomposition.strategy!r}")
         if self.decomposition.strategy == "explicit" and not self.decomposition.bounds:
             raise ValueError("explicit decomposition needs bounds")
@@ -54,8 +55,8 @@ class RunConfig:
         for thr in self.thresholds:
             if not 0.0 < thr < 1.0:
                 raise ValueError(f"thresholds must be in (0, 1), got {thr}")
-        if self.glm_mode not in ("pairwise", "points"):
-            raise ValueError(f"glm_mode must be 'pairwise' or 'points', got {self.glm_mode!r}")
+        if self.glm_mode not in GLM_MODES:
+            raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {self.glm_mode!r}")
 
     def to_json_dict(self) -> dict:
         data = asdict(self)
@@ -81,20 +82,8 @@ class RunConfig:
             kwargs["thresholds"] = tuple(float(t) for t in kwargs["thresholds"])
         return cls(**kwargs)
 
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        decomp_keys = {k: v for k, v in kwargs.items() if k in ("strategy", "k", "width", "bounds", "balance")}
-        top = {k: v for k, v in kwargs.items() if k not in decomp_keys}
-        cfg = replace(self, **top) if top else self
-        if decomp_keys:
-            cfg = replace(cfg, decomposition=replace(cfg.decomposition, **decomp_keys))
-        return cfg
-
 
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return RunConfig.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def config_json_text(config: RunConfig) -> str:
-    return json.dumps(config.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return RunConfig.from_json_dict(tableio.read_json(path))

@@ -26,9 +26,6 @@ VMAF_COLUMNS = ["content_id", "recipe_id", "resolution", "level", "vmaf"]
 RATING_COLUMNS = ["content_id", "recipe_id", "observer_id", "score"]
 TRUTH_COLUMNS = ["content_id", "anchor_recipe_id", "direction", "jnd_recipe_id", "order"]
 
-#: Resolutions with dedicated handling in reports; anything else is kept verbatim.
-KNOWN_RESOLUTIONS = frozenset({"540p", "720p", "1080p", "2160p"})
-
 DIRECTIONS = ("inc", "dec")
 
 

@@ -14,15 +14,13 @@ be disabled, in which case every truth is scored like a first JND.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .corpus import Corpus, JndTruth, Stimulus
 from .errors import FitError
-from .mapping import FAMILY_LABELS, MappingFunction
+from .mapping import FAMILIES, FAMILY_LABELS, MappingFunction
 from .predict import JndPrediction, predict_jnd
 from .ranges import Decomposition
 
@@ -32,7 +30,7 @@ log = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class EvalGridSpec:
     thresholds: tuple[float, ...] = (0.75, 0.8, 0.85, 0.9, 0.95)
-    families: tuple[str, ...] = ("logistic5", "cubic4", "logistic2", "glm")
+    families: tuple[str, ...] = FAMILIES
     chain_orders: bool = True
     orders: tuple[int, ...] | None = None  # restrict to these truth orders
 
@@ -177,13 +175,6 @@ def metrics_json_dict(grid: EvalGrid) -> dict:
             "skipped": cell.skipped,
         }
     return out
-
-
-def write_metrics_json(grid: EvalGrid, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(metrics_json_dict(grid), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
 
 
 def format_grid_table(grid: EvalGrid, direction: str) -> str:

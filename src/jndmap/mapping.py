@@ -22,7 +22,6 @@ families that fail get refitted with a hinge penalty on the negative slope
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -40,6 +39,8 @@ from .significance import RatedPair
 log = logging.getLogger(__name__)
 
 FAMILIES = ("logistic5", "cubic4", "logistic2", "glm")
+#: How ``fit_all`` feeds the GLM: every assigned pair, or the binned p_sd points.
+GLM_MODES = ("pairwise", "points")
 N_PARAMS = {"logistic5": 5, "cubic4": 4, "logistic2": 2, "glm": 2}
 
 #: Human-facing labels used in report tables.
@@ -572,17 +573,16 @@ def fit_all(
     families: tuple[str, ...] = FAMILIES,
     bin_width: float = 2.0,
     glm_mode: str = "pairwise",
-    jobs: int = 1,
 ) -> tuple[dict[str, CoDistribution], dict[str, dict[str, MappingFunction]]]:
     """Build co-distributions and fit every requested family per range."""
-    if glm_mode not in ("pairwise", "points"):
-        raise ValueError(f"glm_mode must be 'pairwise' or 'points', got {glm_mode!r}")
+    if glm_mode not in GLM_MODES:
+        raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {glm_mode!r}")
     for family in families:
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     codists: dict[str, CoDistribution] = {}
-    tasks = []
+    results = []
     for srange in decomp.ranges:
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
@@ -593,26 +593,14 @@ def fit_all(
         in_range = decomp.pairs_in_range(srange.range_id, pairs)
         glm_pairs = in_range if glm_mode == "pairwise" else None
         for family in families:
-            tasks.append((srange.range_id, family, points, glm_pairs))
-
-    def run(task):
-        range_id, family, points, glm_pairs = task
-        try:
-            mf = fit_mapping(
-                points, family, pairs_for_glm=glm_pairs if family == "glm" else None
-            )
-        except FitError as exc:
-            log.warning("fit failed for %s/%s: %s", range_id, family, exc)
-            return None
-        return range_id, family, mf
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = [r for r in pool.map(run, tasks) if r is not None]
-    else:
-        results = [r for t in tasks if (r := run(t)) is not None]
+            try:
+                mf = fit_mapping(
+                    points, family, pairs_for_glm=glm_pairs if family == "glm" else None
+                )
+            except FitError as exc:
+                log.warning("fit failed for %s/%s: %s", srange.range_id, family, exc)
+                continue
+            results.append((srange.range_id, family, mf))
 
     models: dict[str, dict[str, MappingFunction]] = {}
     for range_id, family, mf in sorted(results, key=lambda r: (r[0], r[1])):
@@ -634,10 +622,6 @@ def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
                 (range_id, cd.bin_edges[i], cd.bin_edges[i + 1], cd.f_dif[i], cd.f_sim[i], p_sd)
             )
     return tableio.rows_to_csv_text(CODIST_COLUMNS, rows)
-
-
-def write_codist_csv(codists: dict[str, CoDistribution], path: str | Path) -> None:
-    tableio.write_csv_text(path, codist_csv_text(codists))
 
 
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
@@ -684,15 +668,8 @@ def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
     return models
 
 
-def write_mf_params_json(models: dict[str, dict[str, MappingFunction]], path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(models_to_json_dict(models), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def read_mf_params_json(path: str | Path) -> dict[str, dict[str, MappingFunction]]:
-    return models_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return models_from_json_dict(tableio.read_json(path))
 
 
 def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str:
@@ -703,12 +680,6 @@ def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str
             for d in np.linspace(mf.domain[0], mf.domain[1], CURVE_SAMPLES):
                 rows.append((range_id, family, float(d), evaluate_mf(mf, float(d))))
     return tableio.rows_to_csv_text(CURVE_COLUMNS, rows)
-
-
-def write_curve_samples_csv(
-    models: dict[str, dict[str, MappingFunction]], path: str | Path
-) -> None:
-    tableio.write_csv_text(path, curve_samples_csv_text(models))
 
 
 def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple[float, float]]]:

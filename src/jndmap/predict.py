@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 
 from . import tableio
 from .corpus import Stimulus
@@ -151,7 +150,3 @@ def predictions_csv_text(predictions: list[JndPrediction]) -> str:
         for p in predictions
     ]
     return tableio.rows_to_csv_text(PREDICTION_COLUMNS, rows)
-
-
-def write_predictions_csv(predictions: list[JndPrediction], path: str | Path) -> None:
-    tableio.write_csv_text(path, predictions_csv_text(predictions))

@@ -17,7 +17,6 @@ lies between n_pairs and 2*n_pairs).
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import warnings
@@ -25,6 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from . import tableio
 from .corpus import Corpus
 from .significance import RatedPair
 
@@ -243,12 +243,5 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
     return Decomposition(strategy=decomp.strategy, ranges=tuple(ranges))
 
 
-def write_ranges_json(decomp: Decomposition, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(decomposition_to_json_dict(decomp), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def read_ranges_json(path: str | Path) -> Decomposition:
-    return decomposition_from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return decomposition_from_json_dict(tableio.read_json(path))

@@ -7,8 +7,6 @@ package stays free of plotting dependencies.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .mapping import CoDistribution, psd_points
 
 WIDTH, HEIGHT = 640, 420
@@ -103,7 +101,3 @@ def render_svg(
 
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
-def write_svg(svg_text: str, path: str | Path) -> None:
-    Path(path).write_text(svg_text, encoding="utf-8")

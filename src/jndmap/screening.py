@@ -14,7 +14,6 @@ collapses both bounds onto the mean, so any deviating score counts.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass
@@ -22,13 +21,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tableio
 from .corpus import Corpus
 
 log = logging.getLogger(__name__)
 
-#: Methods accepted by :func:`screen`.  Only BT.500 is implemented; the other
-#: two are recognized no-ops kept so configs can name them explicitly.
-METHODS = ("bt500", "vqeg_hdtv_annex_i", "bt1788", "none")
+#: Methods accepted by :func:`screen`; ``"none"`` keeps every observer.
+METHODS = ("bt500", "none")
 
 REJECT_FREQUENCY = 0.05  # minimum fraction of deviating judgements
 REJECT_BALANCE = 0.3  # |P-Q|/(P+Q) must be below this (deviations both ways)
@@ -82,13 +81,11 @@ class ScreeningReport:
 
 
 def screen(corpus: Corpus, method: str = "bt500") -> ScreeningReport:
-    """Dispatch on ``method``; unimplemented methods return an empty report."""
+    """Dispatch on ``method``; ``"none"`` returns a report that removes nobody."""
     if method not in METHODS:
         raise ValueError(f"unknown screening method {method!r}; expected one of {METHODS}")
     if method == "bt500":
         return screen_bt500(corpus)
-    if method != "none":
-        log.warning("screening method %r is a recognized no-op; nobody removed", method)
     stats = {obs: ObserverStats(0, 0, 0.0, 0.0) for obs in corpus.observers()}
     return ScreeningReport(method=method, removed_observers=frozenset(), per_observer_stats=stats)
 
@@ -154,11 +151,5 @@ def apply_screening(corpus: Corpus, report: ScreeningReport) -> Corpus:
     return Corpus(stimuli=corpus.stimuli, ratings=kept, truths=corpus.truths)
 
 
-def write_report(report: ScreeningReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
 def read_report(path: str | Path) -> ScreeningReport:
-    return ScreeningReport.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return ScreeningReport.from_json_dict(tableio.read_json(path))

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -151,9 +150,7 @@ def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
     return list(itertools.combinations(rated, 2))
 
 
-def classify_pairs(
-    corpus: Corpus, alpha: float = 0.05, test: str = "welch", jobs: int = 1
-) -> list[RatedPair]:
+def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> list[RatedPair]:
     """Label every within-content pair with |dVMAF|, p-value, and sig bit."""
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
@@ -161,16 +158,7 @@ def classify_pairs(
     if not contents:
         raise ValueError("no content has two or more rated stimuli")
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = pool.map(
-                lambda c: _classify_content(corpus, c, alpha, test), contents
-            )
-            pairs = [p for chunk in chunks for p in chunk]
-    else:
-        pairs = [
-            p for c in contents for p in _classify_content(corpus, c, alpha, test)
-        ]
+    pairs = [p for c in contents for p in _classify_content(corpus, c, alpha, test)]
     pairs.sort(key=lambda p: (p.content_id, p.recipe_x, p.recipe_y))
     n_sig = sum(p.sig for p in pairs)
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
@@ -229,10 +217,6 @@ def pairs_csv_text(pairs: list[RatedPair]) -> str:
         for p in pairs
     ]
     return tableio.rows_to_csv_text(PAIR_COLUMNS, rows)
-
-
-def write_pairs_csv(pairs: list[RatedPair], path: str | Path) -> None:
-    tableio.write_csv_text(path, pairs_csv_text(pairs))
 
 
 def read_pairs_csv(path: str | Path) -> list[RatedPair]:

@@ -19,7 +19,6 @@ and the whole corpus is a pure function of the ``SimSpec``.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Callable, Sequence
@@ -28,6 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import tableio
 from .corpus import Corpus, DcrRating, JndTruth, Recipe, Stimulus
 
 log = logging.getLogger(__name__)
@@ -268,18 +268,5 @@ def truth_info_json_dict(info: dict) -> dict:
     }
 
 
-def write_sim_truth_json(info: dict, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(truth_info_json_dict(info), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-
-
 def read_sim_spec_json(path: str | Path) -> SimSpec:
-    return SimSpec.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-def write_sim_spec_json(spec: SimSpec, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(spec.to_json_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    return SimSpec.from_json_dict(tableio.read_json(path))

@@ -1,15 +1,17 @@
-"""Small strict-CSV helpers used by every table reader/writer in the package.
+"""Strict CSV and JSON helpers used by every artifact reader/writer in the package.
 
 All interchange tables are plain comma-separated files with an exact header
 row.  Readers reject unknown or missing columns up front and report the file,
 line, and column of the first bad cell; writers format floats with ``repr`` so
-a value survives a write/read round trip bit-for-bit.
+a value survives a write/read round trip bit-for-bit.  JSON artifacts and
+inputs go through :func:`write_json` / :func:`read_json` only.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 
@@ -96,3 +98,24 @@ def rows_to_csv_text(columns: list[str], rows: Iterable[Iterable[object]]) -> st
 
 def write_csv_text(path: str | Path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="")
+
+
+def json_text(obj: object) -> str:
+    """Canonical JSON text: 2-space indent, sorted keys, trailing newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path: str | Path, obj: object) -> None:
+    Path(path).write_text(json_text(obj), encoding="utf-8", newline="")
+
+
+def read_json(path: str | Path) -> object:
+    """Parse a JSON file; a malformed one raises :class:`CorpusError` naming
+    the file, line and column."""
+    path = Path(path)
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise CorpusError(
+            exc.msg, path=path.name, line=exc.lineno, column=f"column {exc.colno}"
+        ) from None

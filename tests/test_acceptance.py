@@ -246,9 +246,9 @@ def test_criterion_5_end_to_end_accuracy():
     corpus, info = simulate_corpus(SimSpec())
     report = screen_bt500(corpus)
     corpus = apply_screening(corpus, report)
-    pairs = classify_pairs(corpus, alpha=0.05, test="welch", jobs=4)
+    pairs = classify_pairs(corpus, alpha=0.05, test="welch")
     decomp = assign_pairs(pairs, decompose_balanced(corpus, 5), corpus)
-    _, models = fit_all(decomp, pairs, FAMILIES, bin_width=2.0, jobs=4)
+    _, models = fit_all(decomp, pairs, FAMILIES, bin_width=2.0)
     grid = evaluate_grid(corpus, models, decomp, EvalGridSpec())
     key, best = grid.best_cell()
     elapsed = time.perf_counter() - started
@@ -307,9 +307,9 @@ def test_criterion_7_parallel_runs_byte_identical(tmp_path):
     sim = tmp_path / "sim"
     spec = SimSpec(n_contents=10)
     spec_path = tmp_path / "spec.json"
-    from jndmap.simulate import write_sim_spec_json
+    from jndmap.tableio import write_json
 
-    write_sim_spec_json(spec, spec_path)
+    write_json(spec_path, spec.to_json_dict())
     subprocess.run(
         cli_command() + ["simulate", "--spec", str(spec_path), "--out-dir", str(sim)],
         check=True,

@@ -8,7 +8,7 @@ import subprocess
 
 import pytest
 
-from jndmap.simulate import write_sim_spec_json
+from jndmap.tableio import write_json
 
 from conftest import SMALL_SPEC, cli_command
 
@@ -49,7 +49,7 @@ def sim_dir(tmp_path_factory):
     """A small simulated corpus written once for the whole module."""
     out = tmp_path_factory.mktemp("sim")
     spec_path = out / "spec.json"
-    write_sim_spec_json(SMALL_SPEC, spec_path)
+    write_json(spec_path, SMALL_SPEC.to_json_dict())
     run_cli(["simulate", "--spec", spec_path, "--out-dir", out])
     return out
 
@@ -142,8 +142,31 @@ def test_seed_precedence(tmp_path):
     assert (both / "dcr_ratings.csv").read_bytes() == reference
 
 
+def test_truncated_json_input_names_file_and_line(run_dir, tmp_path):
+    ranges = tmp_path / "ranges.json"
+    head = (run_dir / "ranges.json").read_text().splitlines()[:2]
+    ranges.write_text("\n".join(head) + "\n")
+    proc = run_cli(
+        [
+            "fit",
+            "--pairs",
+            run_dir / "pairs.csv",
+            "--ranges",
+            ranges,
+            "--out-dir",
+            tmp_path / "out",
+        ],
+        check=False,
+    )
+    assert proc.returncode == 2
+    record = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert record["error"] == "CorpusError"
+    assert record["message"].startswith("ranges.json:line 3:column 1: ")
+
+
 def test_staged_pipeline_matches_run(sim_dir, run_dir, tmp_path):
-    """screen/classify/decompose/fit, chained by hand, reproduce `run`."""
+    """screen/classify/decompose/fit/evaluate, chained by hand, reproduce
+    every artifact `run` writes besides its manifest."""
     vmaf = sim_dir / "vmaf_scores.csv"
     ratings = sim_dir / "dcr_ratings.csv"
     screening = tmp_path / "screening.json"
@@ -163,10 +186,28 @@ def test_staged_pipeline_matches_run(sim_dir, run_dir, tmp_path):
     )
     run_cli(["decompose", vmaf, "--pairs", pairs, "--out", ranges, "--k", "2"])
     run_cli(["fit", "--pairs", pairs, "--ranges", ranges, "--out-dir", tmp_path])
-    assert (tmp_path / "mf_params.json").read_text() == (
-        run_dir / "mf_params.json"
-    ).read_text()
-    assert pairs.read_text() == (run_dir / "pairs.csv").read_text()
+    run_cli(
+        [
+            "evaluate",
+            "--vmaf",
+            vmaf,
+            "--ratings",
+            ratings,
+            "--truth",
+            sim_dir / "jnd_truth.csv",
+            "--models",
+            tmp_path / "mf_params.json",
+            "--ranges",
+            ranges,
+            "--out",
+            tmp_path / "metrics.json",
+            "--predictions",
+            tmp_path / "predictions.csv",
+        ]
+    )
+    for name in RUN_ARTIFACTS:
+        if name != "run_manifest.json":
+            assert (tmp_path / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_predict_prints_json(run_dir):

@@ -16,8 +16,8 @@ from jndmap.evaluate import (
     format_grid_table,
     ground_truth_delta,
     metrics_json_dict,
-    write_metrics_json,
 )
+from jndmap.tableio import write_json
 
 from conftest import DSTAR, LADDER_VMAFS, make_stimuli
 
@@ -155,7 +155,7 @@ def test_metrics_json_structure(tmp_path, single_range_models):
     cell = data["dec"]["logistic2"]["0.75"]
     assert set(cell) == {"mae", "rmse", "n", "clamped", "skipped"}
     path = tmp_path / "metrics.json"
-    write_metrics_json(grid, path)
+    write_json(path, data)
     assert json.loads(path.read_text()) == data
 
 

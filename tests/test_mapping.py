@@ -29,10 +29,10 @@ from jndmap.mapping import (
     read_codist_csv,
     read_curve_samples_csv,
     read_mf_params_json,
-    write_mf_params_json,
 )
 from jndmap.ranges import assign_pairs, decompose_explicit
 from jndmap.significance import RatedPair
+from jndmap.tableio import write_json
 
 # Ground-truth parameter sets used by the recovery tests: all four produce
 # curves inside (0, 1) on x in [0.5, 14.5], so a noiseless refit is exact.
@@ -239,7 +239,7 @@ def test_fit_all_and_serialization(tmp_path):
     restored = models_from_json_dict(data)
     assert restored == models
     path = tmp_path / "mf_params.json"
-    write_mf_params_json(models, path)
+    write_json(path, data)
     assert read_mf_params_json(path) == models
 
 

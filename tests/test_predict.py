@@ -17,9 +17,9 @@ from jndmap.predict import (
     predict_jnd,
     predictions_csv_text,
     select_range,
-    write_predictions_csv,
 )
 from jndmap.ranges import decompose_explicit
+from jndmap.tableio import write_csv_text
 
 from conftest import DSTAR
 
@@ -149,7 +149,7 @@ def test_predictions_csv(tmp_path, ladder_stimuli, single_range_models):
     assert row.startswith("c1,r1,dec,")
     assert row.endswith(",0")  # clamped flag serializes as 0/1
     path = tmp_path / "predictions.csv"
-    write_predictions_csv([pred], path)
+    write_csv_text(path, text)
     assert path.read_text() == text
 
 

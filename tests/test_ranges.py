@@ -15,9 +15,9 @@ from jndmap.ranges import (
     decomposition_from_json_dict,
     decomposition_to_json_dict,
     read_ranges_json,
-    write_ranges_json,
 )
 from jndmap.significance import RatedPair
+from jndmap.tableio import write_json
 
 from conftest import make_stimuli
 
@@ -165,7 +165,7 @@ def test_json_round_trip(tmp_path):
     data = decomposition_to_json_dict(decomp)
     assert decomposition_from_json_dict(data) == decomp
     path = tmp_path / "ranges.json"
-    write_ranges_json(decomp, path)
+    write_json(path, data)
     assert read_ranges_json(path) == decomp
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import logging
-
 import pytest
 
 from jndmap.corpus import Corpus, DcrRating
@@ -13,8 +11,8 @@ from jndmap.screening import (
     read_report,
     screen,
     screen_bt500,
-    write_report,
 )
+from jndmap.tableio import write_json
 
 from conftest import make_stimuli
 
@@ -90,12 +88,13 @@ def test_apply_screening_strips_ratings(inverted_observer_corpus):
     assert cleaned.stimuli == inverted_observer_corpus.stimuli
 
 
-def test_noop_methods(inverted_observer_corpus, caplog):
-    for method in ("vqeg_hdtv_annex_i", "bt1788", "none"):
-        with caplog.at_level(logging.WARNING):
-            report = screen(inverted_observer_corpus, method)
-        assert report.method == method
-        assert report.removed_observers == frozenset()
+def test_noop_methods(inverted_observer_corpus):
+    report = screen(inverted_observer_corpus, "none")
+    assert report.method == "none"
+    assert report.removed_observers == frozenset()
+    for retired in ("vqeg_hdtv_annex_i", "bt1788"):
+        with pytest.raises(ValueError, match="unknown screening method"):
+            screen(inverted_observer_corpus, retired)
 
 
 def test_unknown_method():
@@ -107,7 +106,7 @@ def test_unknown_method():
 def test_report_round_trip(tmp_path, inverted_observer_corpus):
     report = screen_bt500(inverted_observer_corpus)
     path = tmp_path / "screening.json"
-    write_report(report, path)
+    write_json(path, report.to_json_dict())
     loaded = read_report(path)
     assert loaded.method == report.method
     assert loaded.removed_observers == report.removed_observers

@@ -14,9 +14,8 @@ from jndmap.simulate import (
     read_sim_spec_json,
     simulate_corpus,
     truth_info_json_dict,
-    write_sim_spec_json,
-    write_sim_truth_json,
 )
+from jndmap.tableio import write_json
 
 
 LADDER12 = list(range(12))
@@ -73,7 +72,7 @@ def test_spec_validation():
 def test_spec_json_round_trip(tmp_path):
     spec = SimSpec(n_contents=5, seed=99)
     path = tmp_path / "spec.json"
-    write_sim_spec_json(spec, path)
+    write_json(path, spec.to_json_dict())
     assert read_sim_spec_json(path) == spec
 
 
@@ -164,5 +163,5 @@ def test_truth_info_json(tmp_path, small_spec):
         content_id, direction = key.split(":")
         assert direction in ("inc", "dec")
     path = tmp_path / "truth.json"
-    write_sim_truth_json(info, path)
+    write_json(path, data)
     assert path.exists()
