@@ -9,9 +9,10 @@ truth rows exist) and writes ``run_manifest.json``, so its artifacts are the
 bytes the single-stage commands write.  ``render`` turns curve samples into a
 standalone SVG.
 
-Configuration comes from an optional JSON file (see :mod:`jndmap.config`);
-command-line flags override file values, and the ``JNDMAP_SEED`` environment
-variable overrides the configured seed (but not an explicit ``--seed``).
+Configuration comes from an optional JSON file (see :mod:`jndmap.config`); a
+flag replaces the file's value, and each stage command takes only the flags of
+the settings it reads.  ``--seed`` and the ``JNDMAP_SEED`` environment variable
+seed ``simulate`` only, and an explicit ``--seed`` beats the variable.
 Failures exit with status 2 and a one-line JSON error record on stderr naming
 the failure and any artifacts already written.
 """
@@ -38,8 +39,6 @@ from . import screening as screening_mod
 from . import significance as significance_mod
 from . import simulate as simulate_mod
 from .errors import JndmapError
-
-log = logging.getLogger(__name__)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,34 +67,13 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> config_mod.RunConfig:
-    """Config file -> JNDMAP_SEED env -> explicit flags, later wins."""
-    cfg = config_mod.load_config(getattr(args, "config", None))
-    env_seed = os.environ.get("JNDMAP_SEED")
-    if env_seed is not None:
-        cfg = dataclasses.replace(cfg, seed=int(env_seed))
-    simple = {}
-    for name in ("alpha", "test", "screening", "bin_width", "glm_mode", "seed"):
-        value = getattr(args, name, None)
-        if value is not None:
-            simple[name] = value
-    if getattr(args, "families", None):
-        simple["families"] = tuple(args.families.split(","))
-    if getattr(args, "thresholds", None):
-        simple["thresholds"] = tuple(float(t) for t in args.thresholds.split(","))
-    if getattr(args, "no_chain", False):
-        simple["chain_orders"] = False
-    cfg = dataclasses.replace(cfg, **simple) if simple else cfg
-    decomp = {}
-    for name in ("strategy", "k", "width", "balance"):
-        value = getattr(args, name, None)
-        if value is not None:
-            decomp[name] = value
-    if getattr(args, "bounds", None):
-        decomp["bounds"] = tuple(float(b) for b in args.bounds.split(","))
-    if decomp:
-        cfg = dataclasses.replace(
-            cfg, decomposition=dataclasses.replace(cfg.decomposition, **decomp)
-        )
+    """The ``--config`` file's settings, each replaced by its flag when given."""
+    cfg = config_mod.load_config(args.config)
+    given = {d: getattr(args, d) for d in CONFIG_FLAGS if getattr(args, d, None) is not None}
+    decomp = {d: given.pop(d) for d in list(given) if hasattr(cfg.decomposition, d)}
+    cfg = dataclasses.replace(
+        cfg, decomposition=dataclasses.replace(cfg.decomposition, **decomp), **given
+    )
     cfg.validate()
     return cfg
 
@@ -248,7 +226,6 @@ def cmd_run(args: argparse.Namespace, written: list[str]) -> None:
         "config_sha256": hashlib.sha256(tableio.json_text(config).encode()).hexdigest(),
         "inputs": inputs,
         "artifacts": sorted(set(written)),
-        "seed": cfg.seed,
     }
     _write(out / "run_manifest.json", manifest, written)
     print(f"[run] done in {time.perf_counter() - t0:.2f}s")
@@ -260,9 +237,6 @@ def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
         if args.spec
         else simulate_mod.SimSpec()
     )
-    env_seed = os.environ.get("JNDMAP_SEED")
-    if env_seed is not None:
-        spec = dataclasses.replace(spec, seed=int(env_seed))
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     corpus, info = simulate_mod.simulate_corpus(spec)
@@ -362,23 +336,40 @@ def cmd_render(args: argparse.Namespace, written: list[str]) -> None:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_config_flags(sub: argparse.ArgumentParser) -> None:
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(t) for t in text.split(","))
+
+
+def _str_list(text: str) -> tuple[str, ...]:
+    return tuple(text.split(","))
+
+
+#: One entry per config setting: its dest, its flag and its argparse options.
+#: A dest that names a ``DecompositionConfig`` field sets that field.
+CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
+    "alpha": ("--alpha", dict(type=float, help="significance level")),
+    "test": ("--test", dict(choices=significance_mod.TESTS, help="two-sample test")),
+    "screening": ("--screening", dict(choices=screening_mod.METHODS, help="screening method")),
+    "bin_width": ("--bin-width", dict(type=float, help="|dVMAF| histogram bin width")),
+    "families": ("--families", dict(type=_str_list, help="comma-separated curve families")),
+    "thresholds": ("--thresholds", dict(type=_float_list, help="comma-separated thresholds")),
+    "glm_mode": ("--glm-mode", dict(choices=mapping_mod.GLM_MODES)),
+    "chain_orders": ("--no-chain", dict(action="store_false", default=None,
+                                        help="score higher-order truths without chaining")),
+    "strategy": ("--strategy", dict(choices=ranges_mod.STRATEGIES, help="range strategy")),
+    "k": ("--k", dict(type=int, help="balanced range count")),
+    "width": ("--width", dict(type=float, help="fixed range width")),
+    "bounds": ("--bounds", dict(type=_float_list, help="comma-separated explicit bounds")),
+    "balance": ("--balance", dict(choices=("stimuli", "pairs"), help="balanced target")),
+}
+
+
+def _add_config_flags(sub: argparse.ArgumentParser, *dests: str) -> None:
+    """``--config`` plus the flags of the settings ``dests``."""
     sub.add_argument("--config", help="JSON config file (flags override its values)")
-    sub.add_argument("--alpha", type=float, help="significance level")
-    sub.add_argument("--test", choices=significance_mod.TESTS, help="two-sample test")
-    sub.add_argument("--screening", choices=screening_mod.METHODS, help="observer screening method")
-    sub.add_argument("--bin-width", dest="bin_width", type=float, help="|dVMAF| histogram bin width")
-    sub.add_argument("--families", help="comma-separated curve families")
-    sub.add_argument("--thresholds", help="comma-separated decision thresholds")
-    sub.add_argument("--glm-mode", dest="glm_mode", choices=mapping_mod.GLM_MODES)
-    sub.add_argument("--no-chain", dest="no_chain", action="store_true",
-                     help="score higher-order truths without chaining")
-    sub.add_argument("--seed", type=int, help="seed override (beats JNDMAP_SEED)")
-    sub.add_argument("--strategy", choices=ranges_mod.STRATEGIES, help="decomposition strategy")
-    sub.add_argument("--k", type=int, help="balanced range count")
-    sub.add_argument("--width", type=float, help="fixed range width")
-    sub.add_argument("--bounds", help="comma-separated explicit bounds")
-    sub.add_argument("--balance", choices=("stimuli", "pairs"), help="balanced target")
+    for dest in dests:
+        flag, options = CONFIG_FLAGS[dest]
+        sub.add_argument(flag, dest=dest, **options)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -396,20 +387,21 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out-dir", required=True)
     run.add_argument("--jobs", type=int, default=1,
                      help="accepted for compatibility; has no effect")
-    _add_config_flags(run)
+    _add_config_flags(run, *CONFIG_FLAGS)
     run.set_defaults(func=cmd_run)
 
     sim = subs.add_parser("simulate", help="generate a synthetic corpus")
     sim.add_argument("--spec", help="simulator spec JSON (defaults built in)")
     sim.add_argument("--out-dir", required=True)
-    sim.add_argument("--seed", type=int, help="seed override (beats JNDMAP_SEED)")
+    sim.add_argument("--seed", type=int, default=os.environ.get("JNDMAP_SEED"),
+                     help="seed override (default: $JNDMAP_SEED, else the spec's seed)")
     sim.set_defaults(func=cmd_simulate)
 
     screen = subs.add_parser("screen", help="observer screening report")
     screen.add_argument("vmaf")
     screen.add_argument("ratings")
     screen.add_argument("--out", required=True)
-    _add_config_flags(screen)
+    _add_config_flags(screen, "screening")
     screen.set_defaults(func=cmd_screen)
 
     classify = subs.add_parser("classify", help="pair significance labels")
@@ -418,21 +410,21 @@ def _build_parser() -> argparse.ArgumentParser:
     classify.add_argument("--screening-report", dest="screening_report",
                           help="screening.json to apply before pairing")
     classify.add_argument("--out", required=True)
-    _add_config_flags(classify)
+    _add_config_flags(classify, "alpha", "test")
     classify.set_defaults(func=cmd_classify)
 
     decompose = subs.add_parser("decompose", help="sub-quality ranges + assignment")
     decompose.add_argument("vmaf")
     decompose.add_argument("--pairs", required=True)
     decompose.add_argument("--out", required=True)
-    _add_config_flags(decompose)
+    _add_config_flags(decompose, "strategy", "k", "width", "bounds", "balance")
     decompose.set_defaults(func=cmd_decompose)
 
     fit = subs.add_parser("fit", help="co-distributions and curve fits")
     fit.add_argument("--pairs", required=True)
     fit.add_argument("--ranges", required=True)
     fit.add_argument("--out-dir", required=True)
-    _add_config_flags(fit)
+    _add_config_flags(fit, "bin_width", "families", "glm_mode")
     fit.set_defaults(func=cmd_fit)
 
     predict = subs.add_parser("predict", help="one JND prediction from fitted curves")
@@ -457,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--out", required=True, help="metrics.json")
     evaluate.add_argument("--predictions", help="optional predictions.csv")
     evaluate.add_argument("--orders", help="comma-separated truth orders to keep")
-    _add_config_flags(evaluate)
+    _add_config_flags(evaluate, "families", "thresholds", "chain_orders")
     evaluate.set_defaults(func=cmd_evaluate)
 
     render = subs.add_parser("render", help="SVG from curve samples")
@@ -466,6 +458,8 @@ def _build_parser() -> argparse.ArgumentParser:
     render.add_argument("--out", required=True, help="curves.svg")
     render.set_defaults(func=cmd_render)
 
+    for sub in subs.choices.values():
+        sub.allow_abbrev = False  # so that no flag passes for a longer one
     return parser
 
 

@@ -32,7 +32,6 @@ class RunConfig:
     thresholds: tuple[float, ...] = (0.75, 0.8, 0.85, 0.9, 0.95)
     glm_mode: str = "pairwise"
     chain_orders: bool = True
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -59,31 +58,24 @@ class RunConfig:
             raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {self.glm_mode!r}")
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["families"] = list(self.families)
-        data["thresholds"] = list(self.thresholds)
-        decomp = data["decomposition"]
-        decomp["bounds"] = None if self.decomposition.bounds is None else list(
-            self.decomposition.bounds
-        )
-        return data
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RunConfig":
-        kwargs = dict(data)
-        if "decomposition" in kwargs:
-            dk = dict(kwargs["decomposition"])
-            if dk.get("bounds") is not None:
-                dk["bounds"] = tuple(float(b) for b in dk["bounds"])
-            kwargs["decomposition"] = DecompositionConfig(**dk)
-        if "families" in kwargs:
-            kwargs["families"] = tuple(kwargs["families"])
-        if "thresholds" in kwargs:
-            kwargs["thresholds"] = tuple(float(t) for t in kwargs["thresholds"])
-        return cls(**kwargs)
+        return tableio.dataclass_from_json(
+            cls,
+            data,
+            decomposition=lambda dk: tableio.dataclass_from_json(
+                DecompositionConfig,
+                dk,
+                bounds=lambda bs: None if bs is None else tuple(float(b) for b in bs),
+            ),
+            families=tuple,
+            thresholds=lambda ts: tuple(float(t) for t in ts),
+        )
 
 
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return RunConfig.from_json_dict(tableio.read_json(path))
+    return tableio.read_json(path, RunConfig.from_json_dict)

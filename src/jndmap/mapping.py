@@ -123,7 +123,8 @@ def _eval_raw(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _eval_slope(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Analytic d p / d delta, used by the hinge penalty."""
+    """Analytic d p / d delta, used by the hinge penalty of the least-squares
+    fits (``glm`` is fitted by IRLS instead)."""
     if family == "logistic5":
         b1, b2, b3, b4, _ = params
         s = _sigmoid(-b2 * (x - b3))
@@ -134,10 +135,6 @@ def _eval_slope(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
     if family == "logistic2":
         b1, b2 = params
         s = _sigmoid(b1 * (x - b2))
-        return b1 * s * (1.0 - s)
-    if family == "glm":
-        b0, b1 = params
-        s = _sigmoid(b0 + b1 * x)
         return b1 * s * (1.0 - s)
     raise ValueError(f"unknown family {family!r}")
 
@@ -157,11 +154,6 @@ def _jacobian(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         s = _sigmoid(b1 * (x - b2))
         ss = s * (1.0 - s)
         return np.column_stack([ss * (x - b2), -b1 * ss])
-    if family == "glm":
-        b0, b1 = params
-        s = _sigmoid(b0 + b1 * x)
-        ss = s * (1.0 - s)
-        return np.column_stack([ss, ss * x])
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -251,8 +243,6 @@ def _initial_guesses(family: str, x: np.ndarray, y: np.ndarray) -> list[np.ndarr
     centers = [x_mid, float(np.median(x))]
     if family == "logistic2":
         return [np.array([s, c]) for s in slopes for c in centers]
-    if family == "glm":
-        return [np.array([-s * c, s]) for s in slopes for c in centers]
     if family == "logistic5":
         guesses = []
         for s in slopes[:2]:
@@ -582,7 +572,7 @@ def fit_all(
             raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
 
     codists: dict[str, CoDistribution] = {}
-    results = []
+    models: dict[str, dict[str, MappingFunction]] = {}
     for srange in decomp.ranges:
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
@@ -600,11 +590,7 @@ def fit_all(
             except FitError as exc:
                 log.warning("fit failed for %s/%s: %s", srange.range_id, family, exc)
                 continue
-            results.append((srange.range_id, family, mf))
-
-    models: dict[str, dict[str, MappingFunction]] = {}
-    for range_id, family, mf in sorted(results, key=lambda r: (r[0], r[1])):
-        models.setdefault(range_id, {})[family] = mf
+            models.setdefault(srange.range_id, {})[family] = mf
     return codists, models
 
 
@@ -669,7 +655,7 @@ def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
 
 
 def read_mf_params_json(path: str | Path) -> dict[str, dict[str, MappingFunction]]:
-    return models_from_json_dict(tableio.read_json(path))
+    return tableio.read_json(path, models_from_json_dict)
 
 
 def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str:

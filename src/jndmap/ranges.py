@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -173,9 +172,8 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
             if not any(r.contains(s.vmaf) for s in corpus.stimuli)
         ]
         if empty:
-            warnings.warn(
-                f"{len(empty)} fixed-width range(s) hold no stimuli: {', '.join(empty)}",
-                stacklevel=2,
+            log.warning(
+                "%d fixed-width range(s) hold no stimuli: %s", len(empty), ", ".join(empty)
             )
     return decomp
 
@@ -244,4 +242,4 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
 
 
 def read_ranges_json(path: str | Path) -> Decomposition:
-    return decomposition_from_json_dict(tableio.read_json(path))
+    return tableio.read_json(path, decomposition_from_json_dict)

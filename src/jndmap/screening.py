@@ -64,19 +64,10 @@ class ScreeningReport:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ScreeningReport":
-        stats = {
-            obs: ObserverStats(
-                p_count=int(st["p_count"]),
-                q_count=int(st["q_count"]),
-                ratio1=float(st["ratio1"]),
-                ratio2=float(st["ratio2"]),
-            )
-            for obs, st in data.get("stats", {}).items()
-        }
         return cls(
-            method=data.get("method", "bt500"),
-            removed_observers=frozenset(data.get("removed", [])),
-            per_observer_stats=stats,
+            method=data["method"],
+            removed_observers=frozenset(data["removed"]),
+            per_observer_stats={obs: ObserverStats(**st) for obs, st in data["stats"].items()},
         )
 
 
@@ -152,4 +143,4 @@ def apply_screening(corpus: Corpus, report: ScreeningReport) -> Corpus:
 
 
 def read_report(path: str | Path) -> ScreeningReport:
-    return ScreeningReport.from_json_dict(tableio.read_json(path))
+    return tableio.read_json(path, ScreeningReport.from_json_dict)

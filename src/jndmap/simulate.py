@@ -98,16 +98,13 @@ class SimSpec:
         return min(a - b for a, b in zip(vmafs, vmafs[1:]))
 
     def to_json_dict(self) -> dict:
-        data = asdict(self)
-        data["ladder"] = [[r, v] for r, v in self.ladder]
-        return data
+        return asdict(self)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SimSpec":
-        kwargs = dict(data)
-        if "ladder" in kwargs:
-            kwargs["ladder"] = tuple((str(r), float(v)) for r, v in kwargs["ladder"])
-        return cls(**kwargs)
+        return tableio.dataclass_from_json(
+            cls, data, ladder=lambda rungs: tuple((str(r), float(v)) for r, v in rungs)
+        )
 
 
 def bisection_search(
@@ -269,4 +266,4 @@ def truth_info_json_dict(info: dict) -> dict:
 
 
 def read_sim_spec_json(path: str | Path) -> SimSpec:
-    return SimSpec.from_json_dict(tableio.read_json(path))
+    return tableio.read_json(path, SimSpec.from_json_dict)

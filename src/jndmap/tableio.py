@@ -10,12 +10,16 @@ inputs go through :func:`write_json` / :func:`read_json` only.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
+from typing import TypeVar
 
 from .errors import CorpusError
+
+T = TypeVar("T")
 
 
 def read_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
@@ -109,13 +113,48 @@ def write_json(path: str | Path, obj: object) -> None:
     Path(path).write_text(json_text(obj), encoding="utf-8", newline="")
 
 
-def read_json(path: str | Path) -> object:
-    """Parse a JSON file; a malformed one raises :class:`CorpusError` naming
-    the file, line and column."""
+def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
+    """``parse`` a JSON file's data and ``validate()`` the result where it can;
+    any failure raises :class:`CorpusError` naming the file."""
     path = Path(path)
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CorpusError(
             exc.msg, path=path.name, line=exc.lineno, column=f"column {exc.colno}"
         ) from None
+    try:
+        obj = parse(data)
+        if hasattr(obj, "validate"):
+            obj.validate()
+    except KeyError as exc:
+        raise CorpusError(f"missing key {exc.args[0]!r}", path=path.name) from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise CorpusError(str(exc), path=path.name) from None
+    return obj
+
+
+#: JSON types accepted for a dataclass field, by the type of its default.
+_JSON_SCALARS = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
+
+
+def dataclass_from_json(cls: type[T], data: dict, **convert: Callable) -> T:
+    """``cls(**data)`` for a dataclass of settings, with ``convert[key]`` applied
+    to the value of ``key``.  Any other field with a number, string or bool
+    default must hold that kind of value; a wrong one or an unknown key raises
+    an error naming the key."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in defaults:
+            raise ValueError(f"unknown key {key!r}; expected one of {list(defaults)}")
+        kinds = _JSON_SCALARS.get(type(defaults[key]))
+        if key in convert:
+            try:
+                value = convert[key](value)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{key}: {exc}") from None
+        elif kinds and type(value) not in kinds:
+            raise TypeError(f"{key}: expected {type(defaults[key]).__name__}, got {value!r}")
+        kwargs[key] = value
+    return cls(**kwargs)

@@ -8,6 +8,8 @@ import subprocess
 
 import pytest
 
+from jndmap import cli
+from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.tableio import write_json
 
 from conftest import SMALL_SPEC, cli_command
@@ -285,7 +287,6 @@ def test_config_file_round_trip(sim_dir, tmp_path):
         "decomposition": {"strategy": "fixed_width", "width": 25.0},
         "families": ["glm", "logistic2"],
         "thresholds": [0.8, 0.9],
-        "seed": 3,
     }
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps(config))
@@ -310,3 +311,157 @@ def test_config_file_round_trip(sim_dir, tmp_path):
     models = json.loads((out / "mf_params.json").read_text())
     for per_range in models.values():
         assert set(per_range) <= {"glm", "logistic2"}
+
+
+#: Every config flag with a valid value (None for a switch).
+CONFIG_FLAG_VALUES = {
+    "--alpha": "0.01",
+    "--test": "student",
+    "--screening": "none",
+    "--bin-width": "3",
+    "--families": "glm,cubic4",
+    "--thresholds": "0.8,0.9",
+    "--glm-mode": "points",
+    "--no-chain": None,
+    "--strategy": "explicit",
+    "--k": "3",
+    "--width": "20",
+    "--bounds": "0,50,100",
+    "--balance": "pairs",
+}
+#: Each analysis command's required arguments, and the config flags it reads.
+COMMAND_ARGS = {
+    "run": ["v.csv", "r.csv", "--out-dir", "out"],
+    "screen": ["v.csv", "r.csv", "--out", "s.json"],
+    "classify": ["v.csv", "r.csv", "--out", "p.csv"],
+    "decompose": ["v.csv", "--pairs", "p.csv", "--out", "r.json"],
+    "fit": ["--pairs", "p.csv", "--ranges", "r.json", "--out-dir", "out"],
+    "evaluate": ["--vmaf", "v.csv", "--truth", "t.csv", "--models", "m.json",
+                 "--ranges", "r.json", "--out", "metrics.json"],
+}
+COMMAND_FLAGS = {
+    "run": set(CONFIG_FLAG_VALUES) | {"--jobs"},
+    "screen": {"--screening"},
+    "classify": {"--alpha", "--test"},
+    "decompose": {"--strategy", "--k", "--width", "--bounds", "--balance"},
+    "fit": {"--bin-width", "--families", "--glm-mode"},
+    "evaluate": {"--families", "--thresholds", "--no-chain"},
+}
+
+
+def _flag_args(flag, value):
+    return [flag] if value is None else [flag, value]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    parser = cli._build_parser()
+    candidates = {**CONFIG_FLAG_VALUES, "--seed": "3", "--jobs": "2"}
+    for flag, value in candidates.items():
+        argv = [command, *COMMAND_ARGS[command], "--config", "c.json", *_flag_args(flag, value)]
+        if flag in COMMAND_FLAGS[command]:
+            parser.parse_args(argv)
+            continue
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2, flag
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_unread_flag_exits_2(run_dir, tmp_path):
+    proc = run_cli(
+        ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", run_dir / "ranges.json",
+         "--out-dir", tmp_path, "--alpha", "0.01"],
+        check=False,
+    )
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --alpha 0.01" in proc.stderr
+    assert not (tmp_path / "mf_params.json").exists()
+
+
+def test_flags_replace_config_values(tmp_path):
+    config = tmp_path / "config.json"
+    write_json(
+        config,
+        {"alpha": 0.2, "decomposition": {"k": 7}, "families": ["glm"], "chain_orders": True},
+    )
+    base = ["run", *COMMAND_ARGS["run"], "--config", str(config)]
+    assert cli._resolve_config(cli._build_parser().parse_args(base)) == RunConfig(
+        alpha=0.2, decomposition=DecompositionConfig(k=7), families=("glm",)
+    )
+    flags = [arg for flag, value in CONFIG_FLAG_VALUES.items() for arg in _flag_args(flag, value)]
+    assert cli._resolve_config(cli._build_parser().parse_args(base + flags)) == RunConfig(
+        alpha=0.01,
+        test="student",
+        screening="none",
+        decomposition=DecompositionConfig(
+            strategy="explicit", k=3, width=20.0, bounds=(0.0, 50.0, 100.0), balance="pairs"
+        ),
+        bin_width=3.0,
+        families=("glm", "cubic4"),
+        thresholds=(0.8, 0.9),
+        glm_mode="points",
+        chain_orders=False,
+    )
+
+
+def _error_record(proc):
+    assert proc.returncode == 2, proc.stderr
+    return json.loads(proc.stderr.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("key", ["seed", "familes"])
+def test_config_unknown_key_names_file_and_key(sim_dir, tmp_path, key):
+    config = tmp_path / "config.json"
+    write_json(config, {key: 3})
+    proc = run_cli(
+        ["run", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+         "--out-dir", tmp_path / "out", "--config", config],
+        check=False,
+    )
+    record = _error_record(proc)
+    assert record["error"] == "CorpusError"
+    assert record["message"].startswith(f"config.json: unknown key '{key}'")
+
+
+def test_mistyped_spec_names_file_and_key(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_json(spec, {"n_contents": "3"})
+    record = _error_record(run_cli(["simulate", "--spec", spec, "--out-dir", tmp_path], check=False))
+    assert record["error"] == "CorpusError"
+    assert record["message"] == "spec.json: n_contents: expected int, got '3'"
+
+
+def test_mf_params_without_fit_report_names_file(run_dir, tmp_path):
+    data = json.loads((run_dir / "mf_params.json").read_text())
+    for families in data.values():
+        for entry in families.values():
+            del entry["fit_report"]
+    models = tmp_path / "mf_params.json"
+    write_json(models, data)
+    proc = run_cli(
+        ["predict", "--models", models, "--ranges", run_dir / "ranges.json",
+         "--anchor-vmaf", "88.0", "--direction", "dec"],
+        check=False,
+    )
+    record = _error_record(proc)
+    assert record["error"] == "CorpusError"
+    assert record["message"] == "mf_params.json: missing key 'fit_report'"
+
+
+def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
+    ranges = json.loads((run_dir / "ranges.json").read_text())
+    write_json(tmp_path / "ranges.json", {**ranges, "bounds": "x"})
+    proc = run_cli(
+        ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
+         "--out-dir", tmp_path / "out"],
+        check=False,
+    )
+    assert _error_record(proc)["message"].startswith("ranges.json: ")
+    write_json(tmp_path / "screening.json", {"method": "bt500", "removed": []})
+    proc = run_cli(
+        ["classify", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+         "--screening-report", tmp_path / "screening.json", "--out", tmp_path / "pairs.csv"],
+        check=False,
+    )
+    assert _error_record(proc)["message"] == "screening.json: missing key 'stats'"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -99,10 +101,14 @@ def test_fixed_width_covers_scale():
     assert ragged.bounds[-1] == 100.0
 
 
-def test_fixed_width_warns_on_empty_ranges():
+def test_fixed_width_warns_on_empty_ranges(caplog):
     corpus = _corpus([91.0, 95.0, 99.0])
-    with pytest.warns(UserWarning):
+    with caplog.at_level(logging.WARNING, logger="jndmap.ranges"):
         decompose_fixed(10.0, corpus)
+    assert any(
+        r.levelno == logging.WARNING and "hold no stimuli" in r.getMessage()
+        for r in caplog.records
+    )
 
 
 def test_find_range_boundaries():
