@@ -13,7 +13,7 @@ import numpy as np
 from jndmap import (SimSpec, simulate_corpus, apply_screening, screen,
                     classify_pairs, decompose_balanced, assign_pairs,
                     fit_all, evaluate_mf)
-from jndmap.mapping import FAMILY_LABELS
+from jndmap.mapping import FAMILY_TABLE
 
 corpus, _ = simulate_corpus(SimSpec(seed=11))
 corpus = apply_screening(corpus, screen(corpus))
@@ -43,5 +43,5 @@ print(f"\nfits for {rid}:")
 grid = np.linspace(0.5, 14.0, 4)
 for family, mf in models[rid].items():
     vals = ", ".join(f"f({d:g})={evaluate_mf(mf, d):.3f}" for d in grid)
-    print(f"  {FAMILY_LABELS[family]:7s} residual={mf.fit_report.residual_norm:.4f} "
+    print(f"  {FAMILY_TABLE[family].label:7s} residual={mf.fit_report.residual_norm:.4f} "
           f"monotone={mf.fit_report.monotone}  {vals}")

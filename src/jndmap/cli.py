@@ -318,9 +318,14 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
 
 def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
-    corpus = corpus_mod.load_corpus(args.vmaf, args.ratings, args.truth)
+    corpus = corpus_mod.load_corpus(args.vmaf, None, args.truth)
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
+    if not set(models) <= set(decomp.range_ids()):
+        raise ValueError(
+            f"{Path(args.models).name} range ids {sorted(models)} are not all in "
+            f"{Path(args.ranges).name} range ids {decomp.range_ids()}"
+        )
     orders = tuple(int(o) for o in args.orders.split(",")) if args.orders else None
     predictions = Path(args.predictions) if args.predictions else None
     _evaluate(cfg, corpus, models, decomp, Path(args.out), predictions, written, orders)
@@ -442,7 +447,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     evaluate = subs.add_parser("evaluate", help="grid metrics against truth rows")
     evaluate.add_argument("--vmaf", required=True)
-    evaluate.add_argument("--ratings")
     evaluate.add_argument("--truth", required=True)
     evaluate.add_argument("--models", required=True)
     evaluate.add_argument("--ranges", required=True)

@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import tableio
-from .mapping import FAMILIES, GLM_MODES
+from .mapping import FAMILIES, GLM_MODES, family_spec
 from .ranges import STRATEGIES
 from .screening import METHODS as SCREENING_METHODS
 from .significance import TESTS
@@ -49,8 +49,7 @@ class RunConfig:
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be positive, got {self.bin_width}")
         for family in self.families:
-            if family not in FAMILIES:
-                raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+            family_spec(family)  # raises on an unknown family
         for thr in self.thresholds:
             if not 0.0 < thr < 1.0:
                 raise ValueError(f"thresholds must be in (0, 1), got {thr}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 from .corpus import Corpus, JndTruth, Stimulus
 from .errors import FitError
-from .mapping import FAMILIES, FAMILY_LABELS, MappingFunction
+from .mapping import FAMILIES, MappingFunction, family_spec
 from .predict import JndPrediction, predict_jnd
 from .ranges import Decomposition
 
@@ -184,7 +184,7 @@ def format_grid_table(grid: EvalGrid, direction: str) -> str:
     RMSE rows, families as columns under their short labels.
     """
     families = [f for f in grid.spec.families]
-    labels = [FAMILY_LABELS.get(f, f) for f in families]
+    labels = [family_spec(f).label for f in families]
     width = max(8, *(len(lbl) + 2 for lbl in labels))
     head = "threshold".ljust(10) + "".join(lbl.rjust(width) for lbl in labels)
     lines = [f"direction: {direction}", "", "MAE", head, "-" * len(head)]

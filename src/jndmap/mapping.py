@@ -14,6 +14,12 @@ one of four monotone curve families:
 * ``logistic2``  p = 1/(1+exp(-b1*(d-b2)))
 * ``glm``        p = 1/(1+exp(-(b0+b1*d)))   (binomial logit, IRLS)
 
+Each family is defined once, by its entry in :data:`FAMILY_TABLE`: report
+label, parameter count, minimum point count, curve, fitter and, for the
+least-squares families, analytic slope, Jacobian and start points.  The table
+is the one place to add or change a family: ``FAMILIES``, the config check,
+the artifact reader, the report labels and ``predict --family`` all read it.
+
 Evaluated values are clamped to [0, 1].  Fits are accepted only if the curve
 is non-decreasing on a 1000-point grid over its domain; least-squares
 families that fail get refitted with a hinge penalty on the negative slope
@@ -24,32 +30,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from . import tableio
-from .corpus import Corpus
 from .errors import CorpusError, FitError
 from .ranges import Decomposition, SubQualityRange
 from .significance import RatedPair
 
 log = logging.getLogger(__name__)
 
-FAMILIES = ("logistic5", "cubic4", "logistic2", "glm")
 #: How ``fit_all`` feeds the GLM: every assigned pair, or the binned p_sd points.
 GLM_MODES = ("pairwise", "points")
-N_PARAMS = {"logistic5": 5, "cubic4": 4, "logistic2": 2, "glm": 2}
-
-#: Human-facing labels used in report tables.
-FAMILY_LABELS = {
-    "logistic5": "5-para",
-    "cubic4": "4-para",
-    "logistic2": "2-para",
-    "glm": "GLM",
-}
 
 MONOTONE_GRID_POINTS = 1000
 MONOTONE_SLACK = 1e-9
@@ -98,7 +93,22 @@ class MappingFunction:
     fit_report: FitReport
 
 
-# -- curve families ----------------------------------------------------------
+@dataclass(frozen=True)
+class Family:
+    """One curve family: an entry of :data:`FAMILY_TABLE`.
+
+    ``curve(params, x)`` is p at ``x``.  ``fit(x, y, w, pairs, domain)`` fits
+    the points (x, y) with weights w and returns the params, whether the curve
+    is monotone, the iterations, the flags and the extras of the fit report.
+    """
+
+    name: str
+    label: str  # short label in report tables
+    n_params: int
+    min_points: int
+
+
+# -- curves ------------------------------------------------------------------
 
 
 def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -106,55 +116,7 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
 
 
 def _eval_raw(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if family == "logistic5":
-        b1, b2, b3, b4, b5 = params
-        s = _sigmoid(-b2 * (x - b3))  # equals 1/(1+exp(b2*(x-b3)))
-        return b1 * (0.5 - s) + b4 * x + b5
-    if family == "cubic4":
-        b1, b2, b3, b4 = params
-        return b1 + b2 * x + b3 * x**2 + b4 * x**3
-    if family == "logistic2":
-        b1, b2 = params
-        return _sigmoid(b1 * (x - b2))
-    if family == "glm":
-        b0, b1 = params
-        return _sigmoid(b0 + b1 * x)
-    raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-
-
-def _eval_slope(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Analytic d p / d delta, used by the hinge penalty of the least-squares
-    fits (``glm`` is fitted by IRLS instead)."""
-    if family == "logistic5":
-        b1, b2, b3, b4, _ = params
-        s = _sigmoid(-b2 * (x - b3))
-        return b1 * b2 * s * (1.0 - s) + b4
-    if family == "cubic4":
-        _, b2, b3, b4 = params
-        return b2 + 2.0 * b3 * x + 3.0 * b4 * x**2
-    if family == "logistic2":
-        b1, b2 = params
-        s = _sigmoid(b1 * (x - b2))
-        return b1 * s * (1.0 - s)
-    raise ValueError(f"unknown family {family!r}")
-
-
-def _jacobian(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    if family == "logistic5":
-        b1, b2, b3, _, _ = params
-        s = _sigmoid(-b2 * (x - b3))
-        ss = s * (1.0 - s)
-        return np.column_stack(
-            [0.5 - s, b1 * ss * (x - b3), -b1 * b2 * ss, x, np.ones_like(x)]
-        )
-    if family == "cubic4":
-        return np.column_stack([np.ones_like(x), x, x**2, x**3])
-    if family == "logistic2":
-        b1, b2 = params
-        s = _sigmoid(b1 * (x - b2))
-        ss = s * (1.0 - s)
-        return np.column_stack([ss * (x - b2), -b1 * ss])
-    raise ValueError(f"unknown family {family!r}")
+    return family_spec(family).curve(params, x)
 
 
 def evaluate_mf(mf: MappingFunction, delta_obj: float) -> float:
@@ -165,13 +127,9 @@ def evaluate_mf(mf: MappingFunction, delta_obj: float) -> float:
     return float(np.clip(raw, 0.0, 1.0)[0])
 
 
-def _grid_values(mf_family: str, params: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
-    grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
-    return np.clip(_eval_raw(mf_family, params, grid), 0.0, 1.0)
-
-
 def is_monotone(family: str, params: np.ndarray, domain: tuple[float, float]) -> bool:
-    values = _grid_values(family, params, domain)
+    grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
+    values = np.clip(_eval_raw(family, params, grid), 0.0, 1.0)
     return bool(np.all(np.diff(values) >= -MONOTONE_SLACK))
 
 
@@ -226,11 +184,105 @@ def psd_points(cd: CoDistribution) -> list[PsdPoint]:
     return points
 
 
-# -- least-squares fitting ---------------------------------------------------
+# -- least-squares families --------------------------------------------------
 
 
-def _initial_guesses(family: str, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    """Eight deterministic, data-driven starting points."""
+class _LeastSquaresFamily(Family):
+    """Fitted by damped least squares from ``starts(x, y)``, with the analytic
+    ``jacobian(params, x)``, d p / d params, and, for the hinge penalty,
+    ``slope(params, x)``, d p / d x."""
+
+    def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, pairs, domain: tuple) -> tuple:
+        """Least squares from ``starts``, refitted with a growing hinge penalty
+        while the curve is not monotone.  ``pairs`` is not used."""
+        starts = self.starts(x, y)
+        params, nfev = self._weighted_lsq(x, y, w, 0.0, domain, starts)
+        iterations = nfev
+        flags: list[str] = []
+        monotone = is_monotone(self.name, params, domain)
+        free_rms = self._rms_misfit(params, x, y, w)
+        hinge = HINGE_WEIGHT
+        for _ in range(HINGE_RETRIES):
+            if monotone:
+                break
+            retry_starts = [params] + starts
+            candidate, nfev = self._weighted_lsq(x, y, w, hinge, domain, retry_starts)
+            iterations += nfev
+            hinge *= 2.0
+            if not is_monotone(self.name, candidate, domain):
+                params = candidate
+                continue
+            # The penalty may "rescue" hopeless data (e.g. a decreasing trend) by
+            # flattening the curve entirely; accept only if the data misfit stays
+            # in the same regime as the unconstrained fit.
+            if self._rms_misfit(candidate, x, y, w) <= max(2.0 * free_rms, 0.05):
+                params = candidate
+                monotone = True
+                flags.append("hinge_penalty")
+                break
+        return params, monotone, iterations, flags, {}
+
+    def _weighted_lsq(
+        self,
+        x: np.ndarray,
+        y: np.ndarray,
+        w: np.ndarray,
+        hinge: float,
+        domain: tuple[float, float],
+        starts: list[np.ndarray],
+    ) -> tuple[np.ndarray, int]:
+        """Damped least squares over the given starts; lowest-cost start wins.
+        Returns its params and its number of function evaluations.
+
+        ``hinge > 0`` appends sqrt(hinge) * max(0, -slope) residuals on a coarse
+        domain grid, steering the optimizer toward non-decreasing curves.
+        """
+        sw = np.sqrt(w)
+        grid = np.linspace(domain[0], domain[1], 256)
+
+        def residuals(params: np.ndarray) -> np.ndarray:
+            res = sw * (self.curve(params, x) - y)
+            if hinge > 0:
+                neg = np.maximum(0.0, -self.slope(params, grid))
+                res = np.concatenate([res, math.sqrt(hinge) * neg])
+            return res
+
+        jac = "2-point"
+        if hinge == 0:
+            def jac(params: np.ndarray) -> np.ndarray:  # type: ignore[misc]
+                return sw[:, None] * self.jacobian(params, x)
+
+        best: tuple[float, np.ndarray, int] | None = None
+        for start in starts:
+            try:
+                sol = least_squares(
+                    residuals,
+                    start,
+                    jac=jac,
+                    method="lm" if hinge == 0 and len(x) >= len(start) else "trf",
+                    xtol=1e-15,
+                    ftol=1e-15,
+                    gtol=1e-15,
+                    max_nfev=4000,
+                )
+            except Exception:  # singular start etc. -- skip, others may work
+                continue
+            cost = float(sol.cost)
+            # strict tie-break in favour of the earlier start keeps the result deterministic
+            if best is None or cost < best[0] - 1e-15:
+                best = (cost, sol.x, int(sol.nfev))
+        if best is None:
+            raise FitError(f"{self.name}: no least-squares start converged")
+        return best[1], best[2]
+
+    def _rms_misfit(self, params: np.ndarray, x, y, w) -> float:
+        return float(
+            np.sqrt(np.sum(w * (self.curve(params, x) - y) ** 2) / np.sum(w))
+        )
+
+
+def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
+    """ymin, y range, mid level, slope scale, slopes and centers of the starts."""
     span = float(x.max() - x.min()) or 1.0
     ymin, ymax = float(y.min()), float(y.max())
     yrange = max(ymax - ymin, 0.05)
@@ -241,16 +293,52 @@ def _initial_guesses(family: str, x: np.ndarray, y: np.ndarray) -> list[np.ndarr
     s0 = 4.0 * yrange / span
     slopes = [0.25 * s0, s0, 4.0 * s0, 16.0 * s0]
     centers = [x_mid, float(np.median(x))]
-    if family == "logistic2":
-        return [np.array([s, c]) for s in slopes for c in centers]
-    if family == "logistic5":
+    return ymin, yrange, mid_level, s0, slopes, centers
+
+
+class _Logistic5(_LeastSquaresFamily):
+    def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2, b3, b4, b5 = params
+        s = _sigmoid(-b2 * (x - b3))  # equals 1/(1+exp(b2*(x-b3)))
+        return b1 * (0.5 - s) + b4 * x + b5
+
+    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2, b3, b4, _ = params
+        s = _sigmoid(-b2 * (x - b3))
+        return b1 * b2 * s * (1.0 - s) + b4
+
+    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2, b3, _, _ = params
+        s = _sigmoid(-b2 * (x - b3))
+        ss = s * (1.0 - s)
+        return np.column_stack(
+            [0.5 - s, b1 * ss * (x - b3), -b1 * b2 * ss, x, np.ones_like(x)]
+        )
+
+    def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        ymin, yrange, mid_level, _, slopes, centers = _start_scales(x, y)
         guesses = []
         for s in slopes[:2]:
             for c in centers:
                 guesses.append(np.array([yrange, s, c, 0.0, mid_level]))
                 guesses.append(np.array([1.0, s, c, 0.001, ymin]))
         return guesses
-    if family == "cubic4":
+
+
+class _Cubic4(_LeastSquaresFamily):
+    def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2, b3, b4 = params
+        return b1 + b2 * x + b3 * x**2 + b4 * x**3
+
+    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        _, b2, b3, b4 = params
+        return b2 + 2.0 * b3 * x + 3.0 * b4 * x**2
+
+    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        return np.column_stack([np.ones_like(x), x, x**2, x**3])
+
+    def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        ymin, _, mid_level, s0, _, _ = _start_scales(x, y)
         # Weighted polynomial solve is closed-form; perturb it a little so the
         # multi-start contract stays uniform.
         base = np.polyfit(x, y, 3)[::-1]
@@ -261,208 +349,68 @@ def _initial_guesses(family: str, x: np.ndarray, y: np.ndarray) -> list[np.ndarr
         guesses.append(np.array([ymin, 0.01, 0.0, 0.0]))
         guesses.append(np.zeros(4))
         return guesses
-    raise ValueError(f"unknown family {family!r}")
 
 
-def _weighted_lsq(
-    family: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    w: np.ndarray,
-    hinge: float,
-    domain: tuple[float, float],
-    starts: list[np.ndarray],
-) -> tuple[np.ndarray, float, int]:
-    """Damped least squares over the given starts; lowest-cost start wins.
+class _Logistic2(_LeastSquaresFamily):
+    def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2 = params
+        return _sigmoid(b1 * (x - b2))
 
-    ``hinge > 0`` appends sqrt(hinge) * max(0, -slope) residuals on a coarse
-    domain grid, steering the optimizer toward non-decreasing curves.
-    """
-    sw = np.sqrt(w)
-    grid = np.linspace(domain[0], domain[1], 256)
+    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2 = params
+        s = _sigmoid(b1 * (x - b2))
+        return b1 * s * (1.0 - s)
 
-    def residuals(params: np.ndarray) -> np.ndarray:
-        res = sw * (_eval_raw(family, params, x) - y)
-        if hinge > 0:
-            neg = np.maximum(0.0, -_eval_slope(family, params, grid))
-            res = np.concatenate([res, math.sqrt(hinge) * neg])
-        return res
+    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b1, b2 = params
+        s = _sigmoid(b1 * (x - b2))
+        ss = s * (1.0 - s)
+        return np.column_stack([ss * (x - b2), -b1 * ss])
 
-    jac = "2-point"
-    if hinge == 0:
-
-        def jac(params: np.ndarray) -> np.ndarray:  # type: ignore[misc]
-            return sw[:, None] * _jacobian(family, params, x)
-
-    best: tuple[float, int, np.ndarray, int] | None = None
-    for idx, start in enumerate(starts):
-        try:
-            sol = least_squares(
-                residuals,
-                start,
-                jac=jac,
-                method="lm" if hinge == 0 and len(x) >= len(start) else "trf",
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
-                max_nfev=4000,
-            )
-        except Exception:  # singular start etc. -- skip, others may work
-            continue
-        cost = float(sol.cost)
-        # strict tie-break on the start index keeps the result deterministic
-        if best is None or cost < best[0] - 1e-15:
-            best = (cost, idx, sol.x, int(sol.nfev))
-    if best is None:
-        raise FitError(f"{family}: no least-squares start converged")
-    cost, _, params, nfev = best
-    return params, math.sqrt(2.0 * cost), nfev
-
-
-def fit_mapping(
-    points: list[PsdPoint],
-    family: str,
-    pairs_for_glm: list[RatedPair] | None = None,
-    domain: tuple[float, float] | None = None,
-) -> MappingFunction:
-    """Fit one curve family to p_sd points (support-weighted).
-
-    For the ``glm`` family, raw per-pair (|dVMAF|, sig) observations are used
-    as Bernoulli data when ``pairs_for_glm`` is given; otherwise the points
-    act as grouped binomial observations with their support as trials.
-    """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    if family != "glm" and len(points) < max(4, N_PARAMS[family]):
-        raise FitError(
-            f"{family}: need >= {max(4, N_PARAMS[family])} points, got {len(points)}"
-        )
-    if family == "glm" and len(points) < 2:
-        raise FitError(f"glm: need >= 2 points, got {len(points)}")
-    x = np.array([p.delta_obj for p in points], dtype=float)
-    y = np.array([p.p_sd for p in points], dtype=float)
-    w = np.array([p.support for p in points], dtype=float)
-    if domain is None:
-        domain = (0.0, float(x.max()))
-    if not domain[0] < domain[1]:
-        raise ValueError(f"empty domain {domain}")
-
-    if family == "glm":
-        mf = _fit_glm(x, y, w, pairs_for_glm, domain)
-    else:
-        mf = _fit_pointwise(family, x, y, w, domain)
-    log.debug(
-        "fit %s on %d points: residual=%.4g monotone=%s",
-        family,
-        len(points),
-        mf.fit_report.residual_norm,
-        mf.fit_report.monotone,
-    )
-    return mf
-
-
-def _rms_misfit(family: str, params: np.ndarray, x, y, w) -> float:
-    return float(
-        np.sqrt(np.sum(w * (_eval_raw(family, params, x) - y) ** 2) / np.sum(w))
-    )
-
-
-def _fit_pointwise(
-    family: str, x: np.ndarray, y: np.ndarray, w: np.ndarray, domain: tuple[float, float]
-) -> MappingFunction:
-    starts = _initial_guesses(family, x, y)
-    params, _, nfev = _weighted_lsq(family, x, y, w, 0.0, domain, starts)
-    iterations = nfev
-    flags: list[str] = []
-    monotone = is_monotone(family, params, domain)
-    free_rms = _rms_misfit(family, params, x, y, w)
-    hinge = HINGE_WEIGHT
-    for _ in range(HINGE_RETRIES):
-        if monotone:
-            break
-        retry_starts = [params] + starts
-        candidate, _, nfev = _weighted_lsq(family, x, y, w, hinge, domain, retry_starts)
-        iterations += nfev
-        hinge *= 2.0
-        if not is_monotone(family, candidate, domain):
-            params = candidate
-            continue
-        # The penalty may "rescue" hopeless data (e.g. a decreasing trend) by
-        # flattening the curve entirely; accept only if the data misfit stays
-        # in the same regime as the unconstrained fit.
-        if _rms_misfit(family, candidate, x, y, w) <= max(2.0 * free_rms, 0.05):
-            params = candidate
-            monotone = True
-            flags.append("hinge_penalty")
-            break
-    # report the data misfit only, independent of any penalty terms
-    residual = float(np.sqrt(np.sum(w * (_eval_raw(family, params, x) - y) ** 2)))
-    report = FitReport(
-        residual_norm=residual,
-        monotone=monotone,
-        iterations=iterations,
-        flags=tuple(flags),
-    )
-    return MappingFunction(
-        family=family,
-        params=tuple(float(p) for p in params),
-        domain=domain,
-        fit_report=report,
-    )
+    def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        _, _, _, _, slopes, centers = _start_scales(x, y)
+        return [np.array([s, c]) for s in slopes for c in centers]
 
 
 # -- GLM / IRLS ---------------------------------------------------------------
 
 
-def _fit_glm(
-    x_points: np.ndarray,
-    y_points: np.ndarray,
-    w_points: np.ndarray,
-    pairs: list[RatedPair] | None,
-    domain: tuple[float, float],
-) -> MappingFunction:
-    if pairs is not None:
-        if len(pairs) < 2:
-            raise FitError(f"glm: need >= 2 pair observations, got {len(pairs)}")
-        x = np.array([p.delta_obj for p in pairs], dtype=float)
-        y = np.array([float(p.sig) for p in pairs], dtype=float)
-        trials = np.ones_like(x)
-    else:
-        x, y, trials = x_points, y_points, w_points
+class _Glm(Family):
+    def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+        b0, b1 = params
+        return _sigmoid(b0 + b1 * x)
 
-    flags: list[str] = []
-    if np.all(y == 0.0) or np.all(y == 1.0):
-        # Degenerate all-similar / all-different data: no finite MLE exists,
-        # so pin a flat curve at the observed rate and let prediction flag
-        # the clamped inversion.  (Constant rates strictly inside (0, 1) are
-        # fine -- IRLS converges to slope 0 at the logit of the rate.)
-        b0 = IRLS_SLOPE_CAP if y[0] == 1.0 else -IRLS_SLOPE_CAP
-        params = np.array([b0, 0.0])
-        flags.append("constant_labels")
-        iterations = 0
-    else:
-        params, iterations, separated = _irls(x, y, trials)
-        if separated:
-            flags.append("separation")
+    def fit(self, x_points, y_points, w_points, pairs: list[RatedPair] | None, domain) -> tuple:
+        """Binomial logit by IRLS: on ``pairs`` as Bernoulli data when given, else
+        on the points as grouped binomial data with their support as trials."""
+        if pairs is not None:
+            if len(pairs) < 2:
+                raise FitError(f"{self.name}: need >= 2 pair observations, got {len(pairs)}")
+            x = np.array([p.delta_obj for p in pairs], dtype=float)
+            y = np.array([float(p.sig) for p in pairs], dtype=float)
+            trials = np.ones_like(x)
+        else:
+            x, y, trials = x_points, y_points, w_points
 
-    deviance, grad_norm = _glm_deviance(params, x, y, trials)
-    monotone = params[1] >= -MONOTONE_SLACK and is_monotone("glm", params, domain)
-    residual = float(
-        np.sqrt(np.sum(w_points * (_eval_raw("glm", params, x_points) - y_points) ** 2))
-    )
-    report = FitReport(
-        residual_norm=residual,
-        monotone=monotone,
-        iterations=iterations,
-        flags=tuple(flags),
-        extras={"deviance": deviance, "deviance_grad_norm": grad_norm},
-    )
-    return MappingFunction(
-        family="glm",
-        params=(float(params[0]), float(params[1])),
-        domain=domain,
-        fit_report=report,
-    )
+        flags: list[str] = []
+        if np.all(y == 0.0) or np.all(y == 1.0):
+            # Degenerate all-similar / all-different data: no finite MLE exists,
+            # so pin a flat curve at the observed rate and let prediction flag
+            # the clamped inversion.  (Constant rates strictly inside (0, 1) are
+            # fine -- IRLS converges to slope 0 at the logit of the rate.)
+            b0 = IRLS_SLOPE_CAP if y[0] == 1.0 else -IRLS_SLOPE_CAP
+            params = np.array([b0, 0.0])
+            flags.append("constant_labels")
+            iterations = 0
+        else:
+            params, iterations, separated = _irls(x, y, trials)
+            if separated:
+                flags.append("separation")
+
+        deviance, grad_norm = _glm_deviance(params, x, y, trials)
+        monotone = bool(params[1] >= -MONOTONE_SLACK) and is_monotone(self.name, params, domain)
+        extras = {"deviance": deviance, "deviance_grad_norm": grad_norm}
+        return params, monotone, iterations, flags, extras
 
 
 def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, int, bool]:
@@ -554,7 +502,77 @@ def _glm_deviance(
     return deviance, float(np.linalg.norm(grad))
 
 
-# -- whole-decomposition driver ----------------------------------------------
+# -- the family table and the fits -------------------------------------------
+
+
+#: Every curve family, in report order: the one place to add or change one.
+#: The least-squares families need at least four points, the GLM two.
+FAMILY_TABLE: dict[str, Family] = {
+    family.name: family
+    for family in (
+        _Logistic5("logistic5", "5-para", n_params=5, min_points=5),
+        _Cubic4("cubic4", "4-para", n_params=4, min_points=4),
+        _Logistic2("logistic2", "2-para", n_params=2, min_points=4),
+        _Glm("glm", "GLM", n_params=2, min_points=2),
+    )
+}
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+def family_spec(family: str) -> Family:
+    """The table entry of ``family``; every unknown-family error comes from here."""
+    try:
+        return FAMILY_TABLE[family]
+    except KeyError:
+        raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
+
+
+def fit_mapping(
+    points: list[PsdPoint],
+    family: str,
+    pairs_for_glm: list[RatedPair] | None = None,
+    domain: tuple[float, float] | None = None,
+) -> MappingFunction:
+    """Fit one curve family to p_sd points (support-weighted).
+
+    The IRLS fitter (``glm``) uses raw per-pair (|dVMAF|, sig) observations
+    as Bernoulli data when ``pairs_for_glm`` is given; otherwise the points
+    act as grouped binomial observations with their support as trials.  The
+    least-squares fitter ignores ``pairs_for_glm``.
+    """
+    spec = family_spec(family)
+    if len(points) < spec.min_points:
+        raise FitError(f"{family}: need >= {spec.min_points} points, got {len(points)}")
+    x = np.array([p.delta_obj for p in points], dtype=float)
+    y = np.array([p.p_sd for p in points], dtype=float)
+    w = np.array([p.support for p in points], dtype=float)
+    if domain is None:
+        domain = (0.0, float(x.max()))
+    if not domain[0] < domain[1]:
+        raise ValueError(f"empty domain {domain}")
+
+    params, monotone, iterations, flags, extras = spec.fit(x, y, w, pairs_for_glm, domain)
+    report = FitReport(
+        # the data misfit only, independent of any penalty terms
+        residual_norm=float(np.sqrt(np.sum(w * (spec.curve(params, x) - y) ** 2))),
+        monotone=monotone,
+        iterations=iterations,
+        flags=tuple(flags),
+        extras=extras,
+    )
+    log.debug(
+        "fit %s on %d points: residual=%.4g monotone=%s",
+        family,
+        len(points),
+        report.residual_norm,
+        report.monotone,
+    )
+    return MappingFunction(
+        family=family,
+        params=tuple(float(p) for p in params),
+        domain=domain,
+        fit_report=report,
+    )
 
 
 def fit_all(
@@ -568,8 +586,7 @@ def fit_all(
     if glm_mode not in GLM_MODES:
         raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {glm_mode!r}")
     for family in families:
-        if family not in FAMILIES:
-            raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+        family_spec(family)  # rejects an unknown family before any fit
 
     codists: dict[str, CoDistribution] = {}
     models: dict[str, dict[str, MappingFunction]] = {}
@@ -584,9 +601,7 @@ def fit_all(
         glm_pairs = in_range if glm_mode == "pairwise" else None
         for family in families:
             try:
-                mf = fit_mapping(
-                    points, family, pairs_for_glm=glm_pairs if family == "glm" else None
-                )
+                mf = fit_mapping(points, family, pairs_for_glm=glm_pairs)
             except FitError as exc:
                 log.warning("fit failed for %s/%s: %s", srange.range_id, family, exc)
                 continue
@@ -611,25 +626,17 @@ def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
 
 
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
+    """Each fit's fields but its family, which keys it; empty flags and extras
+    are left out."""
     out: dict = {}
-    for range_id in sorted(models):
-        out[range_id] = {}
-        for family in sorted(models[range_id]):
-            mf = models[range_id][family]
-            report = {
-                "residual_norm": mf.fit_report.residual_norm,
-                "monotone": mf.fit_report.monotone,
-                "iterations": mf.fit_report.iterations,
-            }
-            if mf.fit_report.flags:
-                report["flags"] = list(mf.fit_report.flags)
-            if mf.fit_report.extras:
-                report["extras"] = dict(sorted(mf.fit_report.extras.items()))
-            out[range_id][family] = {
-                "params": list(mf.params),
-                "domain": list(mf.domain),
-                "fit_report": report,
-            }
+    for range_id, per_range in models.items():
+        for family, mf in per_range.items():
+            entry = asdict(mf)
+            del entry["family"]
+            for key in ("flags", "extras"):
+                if not entry["fit_report"][key]:
+                    del entry["fit_report"][key]
+            out.setdefault(range_id, {})[family] = entry
     return out
 
 
@@ -637,10 +644,14 @@ def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
     models: dict[str, dict[str, MappingFunction]] = {}
     for range_id, families in data.items():
         for family, entry in families.items():
+            n_params = family_spec(family).n_params
+            params = tuple(float(p) for p in entry["params"])
+            if len(params) != n_params:
+                raise ValueError(f"{range_id}/{family}: {len(params)} params, expected {n_params}")
             report = entry["fit_report"]
-            mf = MappingFunction(
+            models.setdefault(range_id, {})[family] = MappingFunction(
                 family=family,
-                params=tuple(float(p) for p in entry["params"]),
+                params=params,
                 domain=(float(entry["domain"][0]), float(entry["domain"][1])),
                 fit_report=FitReport(
                     residual_norm=float(report["residual_norm"]),
@@ -650,7 +661,6 @@ def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
                     extras={k: float(v) for k, v in report.get("extras", {}).items()},
                 ),
             )
-            models.setdefault(range_id, {})[family] = mf
     return models
 
 

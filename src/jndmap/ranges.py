@@ -232,6 +232,8 @@ def decomposition_to_json_dict(decomp: Decomposition) -> dict:
 
 
 def decomposition_from_json_dict(data: dict) -> Decomposition:
+    if data["strategy"] not in STRATEGIES:
+        raise ValueError(f"unknown strategy {data['strategy']!r}; expected one of {STRATEGIES}")
     decomp = _build(data["strategy"], [float(b) for b in data["bounds"]])
     assignments = data.get("assignments", {})
     ranges = []

@@ -10,6 +10,7 @@ import pytest
 
 from jndmap import cli
 from jndmap.config import DecompositionConfig, RunConfig
+from jndmap.ranges import read_ranges_json
 from jndmap.tableio import write_json
 
 from conftest import SMALL_SPEC, cli_command
@@ -193,8 +194,6 @@ def test_staged_pipeline_matches_run(sim_dir, run_dir, tmp_path):
             "evaluate",
             "--vmaf",
             vmaf,
-            "--ratings",
-            ratings,
             "--truth",
             sim_dir / "jnd_truth.csv",
             "--models",
@@ -465,3 +464,47 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
         check=False,
     )
     assert _error_record(proc)["message"] == "screening.json: missing key 'stats'"
+    write_json(tmp_path / "ranges.json", {**ranges, "strategy": "bogus"})
+    proc = run_cli(
+        ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
+         "--out-dir", tmp_path / "out"],
+        check=False,
+    )
+    assert _error_record(proc)["message"].startswith("ranges.json: unknown strategy 'bogus'")
+    models = json.loads((run_dir / "mf_params.json").read_text())
+    range_id = sorted(models)[0]
+    bad_models = {
+        "unknown family 'bogus'": {range_id: {"bogus": models[range_id]["glm"]}},
+        f"{range_id}/glm: 3 params, expected 2": {
+            range_id: {"glm": {**models[range_id]["glm"], "params": [0.0, 1.0, 2.0]}}
+        },
+    }
+    for message, data in bad_models.items():
+        write_json(tmp_path / "mf_params.json", data)
+        proc = run_cli(
+            ["predict", "--models", tmp_path / "mf_params.json", "--ranges",
+             run_dir / "ranges.json", "--anchor-vmaf", "88.0", "--direction", "dec"],
+            check=False,
+        )
+        record = _error_record(proc)
+        assert record["error"] == "CorpusError"
+        assert record["message"].startswith(f"mf_params.json: {message}")
+
+
+def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path):
+    ranges = tmp_path / "ranges.json"
+    run_cli(["decompose", sim_dir / "vmaf_scores.csv", "--pairs", run_dir / "pairs.csv",
+             "--out", ranges, "--strategy", "explicit", "--bounds", "0,80,90,100"])
+    proc = run_cli(
+        ["evaluate", "--vmaf", sim_dir / "vmaf_scores.csv", "--truth", sim_dir / "jnd_truth.csv",
+         "--models", run_dir / "mf_params.json", "--ranges", ranges,
+         "--out", tmp_path / "metrics.json"],
+        check=False,
+    )
+    record = _error_record(proc)
+    model_ids = sorted(json.loads((run_dir / "mf_params.json").read_text()))
+    range_ids = read_ranges_json(ranges).range_ids()
+    assert record["message"] == (
+        f"mf_params.json range ids {model_ids} are not all in ranges.json range ids {range_ids}"
+    )
+    assert not (tmp_path / "metrics.json").exists()

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -9,8 +12,7 @@ from jndmap.corpus import Corpus, Recipe, Stimulus
 from jndmap.errors import FitError
 from jndmap.mapping import (
     FAMILIES,
-    FAMILY_LABELS,
-    N_PARAMS,
+    FAMILY_TABLE,
     CoDistribution,
     FitReport,
     MappingFunction,
@@ -32,7 +34,7 @@ from jndmap.mapping import (
 )
 from jndmap.ranges import assign_pairs, decompose_explicit
 from jndmap.significance import RatedPair
-from jndmap.tableio import write_json
+from jndmap.tableio import json_text, write_json
 
 # Ground-truth parameter sets used by the recovery tests: all four produce
 # curves inside (0, 1) on x in [0.5, 14.5], so a noiseless refit is exact.
@@ -205,8 +207,11 @@ def test_fit_input_guards():
         fit_mapping(points[:3], "logistic5")
     with pytest.raises(FitError):
         fit_mapping(points[:1], "glm")
-    with pytest.raises(ValueError):
+    unknown = re.escape(f"unknown family 'spline9'; expected one of {FAMILIES}")
+    with pytest.raises(ValueError, match=unknown):
         fit_mapping(points, "spline9")
+    with pytest.raises(ValueError, match=unknown):
+        fit_all(decompose_explicit([0.0, 100.0]), [], families=("spline9",))
 
 
 def test_fit_all_and_serialization(tmp_path):
@@ -233,7 +238,7 @@ def test_fit_all_and_serialization(tmp_path):
     for per_range in models.values():
         for family, mf in per_range.items():
             assert mf.family == family
-            assert len(mf.params) == N_PARAMS[family]
+            assert len(mf.params) == FAMILY_TABLE[family].n_params
 
     data = models_to_json_dict(models)
     restored = models_from_json_dict(data)
@@ -292,6 +297,45 @@ def test_curve_samples_round_trip(tmp_path):
     assert y0 == pytest.approx(evaluate_mf(mf, x0), abs=1e-9)
 
 
+#: The families fitted by least squares: those with an analytic Jacobian.
+LSQ_FAMILIES = [family for family, spec in FAMILY_TABLE.items() if hasattr(spec, "jacobian")]
+
+
 def test_family_labels_cover_families():
-    assert set(FAMILY_LABELS) == set(FAMILIES)
-    assert FAMILY_LABELS["glm"] == "GLM"
+    assert FAMILIES == tuple(FAMILY_TABLE) == ("logistic5", "cubic4", "logistic2", "glm")
+    labels = [FAMILY_TABLE[family].label for family in FAMILIES]
+    assert labels == ["5-para", "4-para", "2-para", "GLM"]
+    for family in FAMILIES:
+        assert len(TRUE_PARAMS[family]) == FAMILY_TABLE[family].n_params
+    assert LSQ_FAMILIES == ["logistic5", "cubic4", "logistic2"]
+    for family in LSQ_FAMILIES:
+        assert hasattr(FAMILY_TABLE[family], "slope")
+        assert hasattr(FAMILY_TABLE[family], "starts")
+
+
+@pytest.mark.parametrize("family", LSQ_FAMILIES)
+def test_analytic_derivatives_match_finite_differences(family):
+    spec = FAMILY_TABLE[family]
+    params = np.asarray(TRUE_PARAMS[family], float)
+    xs = np.linspace(0.5, 14.5, 15)
+    jacobian = spec.jacobian(params, xs)
+    assert jacobian.shape == (len(xs), spec.n_params)
+    for j in range(spec.n_params):
+        step = np.zeros_like(params)
+        step[j] = 1e-6 * max(1.0, abs(params[j]))
+        central = (spec.curve(params + step, xs) - spec.curve(params - step, xs)) / (2 * step[j])
+        np.testing.assert_allclose(jacobian[:, j], central, rtol=1e-6, atol=1e-8)
+    h = 1e-6
+    central = (spec.curve(params, xs + h) - spec.curve(params, xs - h)) / (2 * h)
+    np.testing.assert_allclose(spec.slope(params, xs), central, rtol=1e-6, atol=1e-8)
+
+
+def test_decreasing_glm_fit_is_marked_non_monotone_and_serializes():
+    xs = np.linspace(1.0, 14.0, 10)
+    ys = np.linspace(0.9, 0.1, 10)
+    mf = fit_mapping([PsdPoint(float(x), float(y), 10) for x, y in zip(xs, ys)], "glm")
+    assert mf.fit_report.monotone is False
+    data = models_to_json_dict({"(0,100]": {"glm": mf}})
+    assert data["(0,100]"]["glm"]["fit_report"]["monotone"] is False
+    assert models_from_json_dict(json.loads(json_text(data))) == {"(0,100]": {"glm": mf}}
+
