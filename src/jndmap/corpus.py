@@ -73,8 +73,10 @@ class JndTruth:
 class Corpus:
     """Immutable bundle of stimuli, ratings, and optional ground truth.
 
-    Lookup indexes are built once at construction; mutate by building a new
-    corpus (see :func:`jndmap.screening.apply_screening`).
+    Lookup indexes are built once at construction: stimuli and ratings by
+    key, the sorted content ids, and each content's stimuli and rated recipes.
+    Accessors return copies.  Mutate by building a new corpus (see
+    :func:`jndmap.screening.apply_screening`).
     """
 
     stimuli: tuple[Stimulus, ...]
@@ -86,6 +88,12 @@ class Corpus:
     _ratings_by_key: dict[tuple[str, str], list[DcrRating]] = field(
         init=False, repr=False, compare=False, default_factory=dict
     )
+    _stimuli_by_content: dict[str, list[Stimulus]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+    _rated_by_content: dict[str, list[str]] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         by_key: dict[tuple[str, str], Stimulus] = {}
@@ -94,6 +102,10 @@ class Corpus:
             if key in by_key:
                 raise CorpusError(f"duplicate stimulus {key[0]}/{key[1]}")
             by_key[key] = stim
+        # sorted keys put the contents, and the recipes of each, in order
+        stimuli_by_content: dict[str, list[Stimulus]] = {}
+        for key in sorted(by_key):
+            stimuli_by_content.setdefault(key[0], []).append(by_key[key])
         ratings_by_key: dict[tuple[str, str], list[DcrRating]] = {}
         seen: set[tuple[str, str, str]] = set()
         for rating in self.ratings:
@@ -111,6 +123,9 @@ class Corpus:
             ratings_by_key.setdefault(key, []).append(rating)
         for key, group in ratings_by_key.items():
             group.sort(key=lambda r: r.observer_id)
+        rated_by_content: dict[str, list[str]] = {c: [] for c in stimuli_by_content}
+        for content_id, recipe_id in sorted(ratings_by_key):
+            rated_by_content[content_id].append(recipe_id)
         for truth in self.truths:
             if truth.direction not in DIRECTIONS:
                 raise CorpusError(f"bad direction {truth.direction!r}")
@@ -139,6 +154,8 @@ class Corpus:
                 )
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_ratings_by_key", ratings_by_key)
+        object.__setattr__(self, "_stimuli_by_content", stimuli_by_content)
+        object.__setattr__(self, "_rated_by_content", rated_by_content)
 
     # -- lookups ---------------------------------------------------------
 
@@ -152,13 +169,22 @@ class Corpus:
         return (content_id, recipe_id) in self._by_key
 
     def contents(self) -> list[str]:
-        return sorted({s.content_id for s in self.stimuli})
+        return list(self._stimuli_by_content)
 
     def stimuli_for_content(self, content_id: str) -> list[Stimulus]:
-        found = [s for s in self.stimuli if s.content_id == content_id]
-        if not found:
-            raise KeyError(f"unknown content {content_id!r}")
-        return sorted(found, key=lambda s: s.recipe_id)
+        """The content's stimuli, ordered by recipe id."""
+        return list(self._content_index(self._stimuli_by_content, content_id))
+
+    def rated_recipes(self, content_id: str) -> list[str]:
+        """Sorted recipe ids of the content's stimuli that carry ratings."""
+        return list(self._content_index(self._rated_by_content, content_id))
+
+    @staticmethod
+    def _content_index(index: dict[str, list], content_id: str) -> list:
+        try:
+            return index[content_id]
+        except KeyError:
+            raise KeyError(f"unknown content {content_id!r}") from None
 
     def observers(self) -> list[str]:
         return sorted({r.observer_id for r in self.ratings})

@@ -10,6 +10,9 @@ Truths of order m > 1 are scored by chaining m single-JND steps: after each
 step the working anchor snaps to the content's rendition nearest the
 predicted target, mimicking how a ladder is walked in practice.  Chaining can
 be disabled, in which case every truth is scored like a first JND.
+
+Each curve is inverted once per threshold: one inversion table, keyed by
+(range, family, threshold), serves every anchor and chained step of a grid.
 """
 
 from __future__ import annotations
@@ -87,6 +90,7 @@ def _chained_prediction(
     threshold: float,
     family: str,
     chain: bool,
+    inversions: dict,
 ) -> tuple[float, bool, JndPrediction]:
     """Predicted total |dVMAF| from the truth anchor to its m-th JND."""
     anchor = corpus.stimulus(truth.content_id, truth.anchor_recipe_id)
@@ -95,7 +99,9 @@ def _chained_prediction(
     clamped = False
     pred = None
     for step in range(steps):
-        pred = predict_jnd(models, decomp, current, truth.direction, threshold, family)
+        pred = predict_jnd(
+            models, decomp, current, truth.direction, threshold, family, inversions
+        )
         clamped = clamped or pred.clamped
         if step + 1 < steps:
             current = _nearest_stimulus(corpus, truth.content_id, pred.target_vmaf)
@@ -120,28 +126,30 @@ def evaluate_grid(
         raise ValueError("corpus has no usable truth rows for evaluation")
     truths.sort(key=lambda t: (t.content_id, t.direction, t.order, t.anchor_recipe_id))
 
+    observed_deltas = [(t, ground_truth_delta(corpus, t)) for t in truths]
+
     cells: dict[tuple[str, str, float], CellMetrics] = {}
     collected: list[JndPrediction] = []
+    inversions: dict = {}
     directions = sorted({t.direction for t in truths})
     for direction in directions:
-        dir_truths = [t for t in truths if t.direction == direction]
+        dir_truths = [(t, obs) for t, obs in observed_deltas if t.direction == direction]
         for family in spec.families:
             for threshold in spec.thresholds:
                 errors = []
                 clamped_count = 0
                 skipped = 0
-                for truth in dir_truths:
+                for truth, observed in dir_truths:
                     try:
                         predicted, clamped, pred = _chained_prediction(
                             corpus, models, decomp, truth, threshold, family,
-                            spec.chain_orders,
+                            spec.chain_orders, inversions,
                         )
                     except (KeyError, FitError) as exc:
                         log.debug("skipping %s/%s@%g for %s: %s",
                                   family, direction, threshold, truth.content_id, exc)
                         skipped += 1
                         continue
-                    observed = ground_truth_delta(corpus, truth)
                     errors.append(predicted - observed)
                     clamped_count += int(clamped)
                     collected.append(pred)

@@ -531,9 +531,9 @@ def fit_mapping(
     points: list[PsdPoint],
     family: str,
     pairs_for_glm: list[RatedPair] | None = None,
-    domain: tuple[float, float] | None = None,
 ) -> MappingFunction:
-    """Fit one curve family to p_sd points (support-weighted).
+    """Fit one curve family to p_sd points (support-weighted) over the domain
+    (0, largest point |dVMAF|).
 
     The IRLS fitter (``glm``) uses raw per-pair (|dVMAF|, sig) observations
     as Bernoulli data when ``pairs_for_glm`` is given; otherwise the points
@@ -546,8 +546,7 @@ def fit_mapping(
     x = np.array([p.delta_obj for p in points], dtype=float)
     y = np.array([p.p_sd for p in points], dtype=float)
     w = np.array([p.support for p in points], dtype=float)
-    if domain is None:
-        domain = (0.0, float(x.max()))
+    domain = (0.0, float(x.max()))
     if not domain[0] < domain[1]:
         raise ValueError(f"empty domain {domain}")
 
@@ -648,11 +647,19 @@ def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
             params = tuple(float(p) for p in entry["params"])
             if len(params) != n_params:
                 raise ValueError(f"{range_id}/{family}: {len(params)} params, expected {n_params}")
+            if not all(math.isfinite(p) for p in params):
+                raise ValueError(f"{range_id}/{family}: non-finite params {list(params)}")
+            domain = tuple(float(d) for d in entry["domain"])
+            if len(domain) != 2 or not -math.inf < domain[0] < domain[1] < math.inf:
+                raise ValueError(
+                    f"{range_id}/{family}: domain must be two finite numbers lo < hi, "
+                    f"got {list(domain)}"
+                )
             report = entry["fit_report"]
             models.setdefault(range_id, {})[family] = MappingFunction(
                 family=family,
                 params=params,
-                domain=(float(entry["domain"][0]), float(entry["domain"][1])),
+                domain=domain,
                 fit_report=FitReport(
                     residual_norm=float(report["residual_norm"]),
                     monotone=bool(report["monotone"]),

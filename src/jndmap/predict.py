@@ -97,8 +97,16 @@ def predict_jnd(
     direction: str,
     threshold: float,
     family: str,
+    inversions: dict | None = None,
 ) -> JndPrediction:
-    """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF."""
+    """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF.
+
+    The inversion does not depend on the anchor: a caller predicting for many
+    anchors passes one ``inversions`` dict, which memoises
+    :func:`invert_at_threshold` by ``(range_id, family, threshold)`` for one
+    ``models``.  A non-monotone curve's :class:`FitError` is stored too and
+    raised again on every lookup.
+    """
     if direction not in ("inc", "dec"):
         raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
     range_id, range_clamped = select_range(decomp, anchor.vmaf)
@@ -115,7 +123,7 @@ def predict_jnd(
         raise KeyError(
             f"no fitted {family} model for range {range_id}"
         ) from None
-    delta, inv_clamped = invert_at_threshold(mf, threshold)
+    delta, inv_clamped = _inversion(inversions, range_id, mf, threshold)
     raw_target = anchor.vmaf - delta if direction == "dec" else anchor.vmaf + delta
     target = min(max(raw_target, 0.0), 100.0)
     return JndPrediction(
@@ -129,6 +137,24 @@ def predict_jnd(
         target_vmaf=target,
         clamped=range_clamped or inv_clamped or target != raw_target,
     )
+
+
+def _inversion(
+    inversions: dict | None, range_id: str, mf: MappingFunction, threshold: float
+) -> tuple[float, bool]:
+    if inversions is None:
+        return invert_at_threshold(mf, threshold)
+    key = (range_id, mf.family, threshold)
+    if key not in inversions:
+        try:
+            inversions[key] = invert_at_threshold(mf, threshold)
+        except FitError as exc:
+            inversions[key] = exc
+    found = inversions[key]
+    if isinstance(found, FitError):
+        # a fresh exception each time, so no traceback piles up on the stored one
+        raise FitError(str(found))
+    return found
 
 
 # -- serialization ----------------------------------------------------------

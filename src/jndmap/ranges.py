@@ -130,7 +130,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
     if balance == "stimuli":
         weights = [1.0] * len(values)
     else:
-        counts = {c: len([s for s in stimuli if s.content_id == c]) for c in corpus.contents()}
+        counts = {c: len(corpus.stimuli_for_content(c)) for c in corpus.contents()}
         weights = [float(counts[s.content_id] - 1) for s in stimuli]
 
     total = sum(weights)

@@ -9,6 +9,11 @@ function, p = I_x(df/2, 1/2) with x = df / (df + t**2).  Pooled-variance
 The degenerate case where *both* vectors have zero variance falls outside the
 t formulas and is resolved by definition: p = 1 for equal means, p = 0
 otherwise.
+
+The Welch and Student formulas read only each vector's size, mean and
+variance (:class:`SampleStats`), so classification computes those once per
+rated stimulus; ``welch_t_test`` and ``student_t_test`` are the same formulas
+applied to two vectors.
 """
 
 from __future__ import annotations
@@ -64,15 +69,30 @@ def _two_sided_p(t: float, df: float) -> float:
     return float(special.betainc(0.5 * df, 0.5, x))
 
 
-def welch_t_test(a: list[int] | list[float], b: list[int] | list[float], alpha: float = 0.05) -> TestResult:
+@dataclass(frozen=True)
+class SampleStats:
+    """Size, mean and unbiased (ddof=1) variance of one rating vector."""
+
+    n: int
+    mean: float
+    var: float
+
+
+def sample_stats(values: list[int] | list[float]) -> SampleStats:
+    """Statistics of ``values``; mean and variance are NaN below two values,
+    a size every test rejects."""
+    x = np.asarray(values, dtype=float)
+    if len(x) < 2:
+        return SampleStats(len(x), math.nan, math.nan)
+    return SampleStats(len(x), float(x.mean()), float(x.var(ddof=1)))
+
+
+def welch_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> TestResult:
     """Welch's unequal-variance two-sample t-test, two-sided."""
-    _check_inputs(a, b, alpha)
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    na, nb = len(xa), len(xb)
-    va = float(xa.var(ddof=1))
-    vb = float(xb.var(ddof=1))
-    diff = float(xa.mean() - xb.mean())
+    _check_inputs(a.n, b.n, alpha)
+    na, nb = a.n, b.n
+    va, vb = a.var, b.var
+    diff = a.mean - b.mean
     if va == 0.0 and vb == 0.0:
         return _degenerate(diff, na, nb, alpha)
     sa, sb = va / na, vb / nb
@@ -82,15 +102,12 @@ def welch_t_test(a: list[int] | list[float], b: list[int] | list[float], alpha: 
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
 
-def student_t_test(a, b, alpha: float = 0.05) -> TestResult:
+def student_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> TestResult:
     """Classic pooled-variance two-sample t-test, two-sided."""
-    _check_inputs(a, b, alpha)
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    na, nb = len(xa), len(xb)
-    va = float(xa.var(ddof=1))
-    vb = float(xb.var(ddof=1))
-    diff = float(xa.mean() - xb.mean())
+    _check_inputs(a.n, b.n, alpha)
+    na, nb = a.n, b.n
+    va, vb = a.var, b.var
+    diff = a.mean - b.mean
     if va == 0.0 and vb == 0.0:
         return _degenerate(diff, na, nb, alpha)
     df = float(na + nb - 2)
@@ -100,9 +117,19 @@ def student_t_test(a, b, alpha: float = 0.05) -> TestResult:
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
 
+def welch_t_test(a: list[int] | list[float], b: list[int] | list[float], alpha: float = 0.05) -> TestResult:
+    """Welch's unequal-variance two-sample t-test on two vectors, two-sided."""
+    return welch_from_stats(sample_stats(a), sample_stats(b), alpha)
+
+
+def student_t_test(a, b, alpha: float = 0.05) -> TestResult:
+    """Classic pooled-variance two-sample t-test on two vectors, two-sided."""
+    return student_from_stats(sample_stats(a), sample_stats(b), alpha)
+
+
 def paired_t_test(a, b, alpha: float = 0.05) -> TestResult:
     """Paired-difference t-test; vectors must be index-aligned per observer."""
-    _check_inputs(a, b, alpha)
+    _check_inputs(len(a), len(b), alpha)
     if len(a) != len(b):
         raise ValueError(f"paired test needs equal-length vectors, got {len(a)} and {len(b)}")
     d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
@@ -124,14 +151,14 @@ def _degenerate(diff: float, na: int, nb: int, alpha: float) -> TestResult:
     return TestResult(t=math.copysign(math.inf, diff), df=df, p=0.0, sig=1)
 
 
-def _check_inputs(a, b, alpha: float) -> None:
-    if len(a) < 2 or len(b) < 2:
-        raise ValueError(f"need >= 2 observations per side, got {len(a)} and {len(b)}")
+def _check_inputs(na: int, nb: int, alpha: float) -> None:
+    if na < 2 or nb < 2:
+        raise ValueError(f"need >= 2 observations per side, got {na} and {nb}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-_TEST_FN = {"welch": welch_t_test, "student": student_t_test, "paired": paired_t_test}
+_FROM_STATS = {"welch": welch_from_stats, "student": student_from_stats}
 
 
 def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
@@ -140,9 +167,7 @@ def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
     Recipes are ordered lexicographically within each pair and across the
     list, so the output is a pure function of the corpus.
     """
-    if content_id not in corpus.contents():
-        raise KeyError(f"unknown content {content_id!r}")
-    rated = sorted(r for c, r in corpus.rated_keys() if c == content_id)
+    rated = corpus.rated_recipes(content_id)
     if len(rated) < 2:
         raise ValueError(
             f"content {content_id!r} has {len(rated)} rated stimulus(es); need >= 2 to pair"
@@ -154,7 +179,7 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     """Label every within-content pair with |dVMAF|, p-value, and sig bit."""
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
-    contents = [c for c in corpus.contents() if _has_pairable_ratings(corpus, c)]
+    contents = [c for c in corpus.contents() if len(corpus.rated_recipes(c)) >= 2]
     if not contents:
         raise ValueError("no content has two or more rated stimuli")
 
@@ -165,24 +190,19 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     return pairs
 
 
-def _has_pairable_ratings(corpus: Corpus, content_id: str) -> bool:
-    return sum(1 for c, _ in corpus.rated_keys() if c == content_id) >= 2
-
-
 def _classify_content(
     corpus: Corpus, content_id: str, alpha: float, test: str
 ) -> list[RatedPair]:
     out = []
-    run_test = _TEST_FN[test]
+    vectors = {r: ratings_vector(corpus, content_id, r) for r in corpus.rated_recipes(content_id)}
+    stats = {r: sample_stats(v) for r, v in vectors.items()}
     for rx, ry in form_pairs(corpus, content_id):
         try:
             if test == "paired":
                 _require_same_observers(corpus, content_id, rx, ry)
-            result = run_test(
-                ratings_vector(corpus, content_id, rx),
-                ratings_vector(corpus, content_id, ry),
-                alpha,
-            )
+                result = paired_t_test(vectors[rx], vectors[ry], alpha)
+            else:
+                result = _FROM_STATS[test](stats[rx], stats[ry], alpha)
         except ValueError as exc:
             raise ValueError(f"pair {content_id}:{rx}:{ry}: {exc}") from exc
         delta = abs(

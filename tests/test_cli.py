@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 
@@ -473,13 +474,22 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
     assert _error_record(proc)["message"].startswith("ranges.json: unknown strategy 'bogus'")
     models = json.loads((run_dir / "mf_params.json").read_text())
     range_id = sorted(models)[0]
-    bad_models = {
-        "unknown family 'bogus'": {range_id: {"bogus": models[range_id]["glm"]}},
-        f"{range_id}/glm: 3 params, expected 2": {
-            range_id: {"glm": {**models[range_id]["glm"], "params": [0.0, 1.0, 2.0]}}
-        },
-    }
-    for message, data in bad_models.items():
+    glm = models[range_id]["glm"]
+    bad_domain = f"{range_id}/glm: domain must be two finite numbers lo < hi"
+    bad_models = [
+        ("unknown family 'bogus'", {range_id: {"bogus": glm}}),
+        (f"{range_id}/glm: 3 params, expected 2", {range_id: {"glm": {**glm, "params": [0.0, 1.0, 2.0]}}}),
+        # a NaN intercept with a three-number domain used to predict the domain's end
+        (f"{range_id}/glm: non-finite params",
+         {range_id: {"glm": {**glm, "params": [math.nan, glm["params"][1]], "domain": [0, 10, 99]}}}),
+        (f"{range_id}/glm: non-finite params",
+         {range_id: {"glm": {**glm, "params": [glm["params"][0], math.inf]}}}),
+        *(
+            (bad_domain, {range_id: {"glm": {**glm, "domain": domain}}})
+            for domain in ([0, 10, 99], [10.0, 0.0], [0.0, math.inf], [math.nan, 10.0])
+        ),
+    ]
+    for message, data in bad_models:
         write_json(tmp_path / "mf_params.json", data)
         proc = run_cli(
             ["predict", "--models", tmp_path / "mf_params.json", "--ranges",

@@ -45,6 +45,56 @@ def test_lookups():
     assert len(corpus.ratings_for("c1", "r0")) == 3
 
 
+def _unordered_corpus() -> Corpus:
+    """Three contents in shuffled stimulus order; c2/r1 and all of c3 unrated."""
+    stimuli = (
+        make_stimuli("c2", (80.0, 70.0, 60.0))
+        + make_stimuli("c1", (90.0, 85.0))
+        + make_stimuli("c3", (50.0,))
+    )
+    stimuli = tuple(stimuli[i] for i in (4, 0, 5, 2, 1, 3))
+    ratings = tuple(
+        DcrRating(s.content_id, s.recipe_id, obs, 3)
+        for s in reversed(stimuli)
+        if s.content_id != "c3" and (s.content_id, s.recipe_id) != ("c2", "r1")
+        for obs in ("oB", "oA")
+    )
+    return Corpus(stimuli, ratings, ())
+
+
+def test_content_indexes_match_scans():
+    corpus = _unordered_corpus()
+    stimuli = corpus.stimuli
+    assert corpus.contents() == sorted({s.content_id for s in stimuli}) == ["c1", "c2", "c3"]
+    for content_id in corpus.contents():
+        scanned = [s for s in stimuli if s.content_id == content_id]
+        assert corpus.stimuli_for_content(content_id) == sorted(scanned, key=lambda s: s.recipe_id)
+        rated = sorted(r for c, r in corpus.rated_keys() if c == content_id)
+        assert corpus.rated_recipes(content_id) == rated
+    assert corpus.rated_recipes("c2") == ["r0", "r2"]
+    assert corpus.rated_recipes("c3") == []
+
+
+def test_index_accessors_return_copies():
+    corpus = _unordered_corpus()
+    for accessor in (
+        corpus.contents,
+        lambda: corpus.stimuli_for_content("c2"),
+        lambda: corpus.rated_recipes("c2"),
+    ):
+        first = accessor()
+        expected = list(first)
+        first.reverse()
+        first.append(first[0])
+        assert accessor() == expected
+
+
+@pytest.mark.parametrize("accessor", ["stimuli_for_content", "rated_recipes"])
+def test_unknown_content_raises_key_error(accessor):
+    with pytest.raises(KeyError, match="unknown content 'c9'"):
+        getattr(_unordered_corpus(), accessor)("c9")
+
+
 def test_ratings_vector_sorted_by_observer():
     stimuli = make_stimuli("c1", (90.0,))
     ratings = (

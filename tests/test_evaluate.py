@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 import math
 
 import pytest
 
+from jndmap import evaluate as evaluate_mod
+from jndmap import predict as predict_mod
 from jndmap.corpus import Corpus, JndTruth, Recipe, Stimulus
 from jndmap.evaluate import (
     CellMetrics,
@@ -17,9 +21,14 @@ from jndmap.evaluate import (
     ground_truth_delta,
     metrics_json_dict,
 )
+from jndmap.mapping import fit_all
+from jndmap.predict import select_range
+from jndmap.ranges import assign_pairs, decompose_balanced
+from jndmap.significance import classify_pairs
+from jndmap.simulate import simulate_corpus
 from jndmap.tableio import write_json
 
-from conftest import DSTAR, LADDER_VMAFS, make_stimuli
+from conftest import DSTAR, LADDER_VMAFS, SMALL_SPEC, make_stimuli
 
 
 def _eval_corpus(truths) -> Corpus:
@@ -130,6 +139,107 @@ def test_ground_truth_delta_and_degenerate_warning(caplog):
     with caplog.at_level(logging.WARNING):
         assert ground_truth_delta(corpus, degenerate) == 0.0
     assert any("degenerate" in r.message for r in caplog.records)
+
+
+def test_one_warning_per_degenerate_truth(single_range_models, caplog):
+    decomp, models = single_range_models
+    corpus = _eval_corpus(
+        [
+            JndTruth("c1", "r1", "dec", "r1", 1),
+            JndTruth("c1", "r2", "inc", "r2", 1),
+            JndTruth("c1", "r1", "dec", "r3", 1),
+        ]
+    )
+    spec = EvalGridSpec(thresholds=(0.75, 0.9), families=("logistic2", "glm"))
+    with caplog.at_level(logging.WARNING, logger="jndmap.evaluate"):
+        evaluate_grid(corpus, models, decomp, spec)
+    warned = [r.getMessage() for r in caplog.records if "degenerate" in r.getMessage()]
+    assert sorted(warned) == [
+        "degenerate truth for c1: anchor and JND rendition coincide (r1)",
+        "degenerate truth for c1: anchor and JND rendition coincide (r2)",
+    ]
+
+
+@pytest.fixture(scope="module")
+def small_study():
+    """SMALL_SPEC through classify, a balanced k=2 decomposition and every fit.
+
+    The simulated truths anchor ``dec`` at the top rung and ``inc`` at the
+    bottom one.  Each content gains an order-2 truth, so chained steps are
+    scored too, and a mid-ladder anchor per direction, so both ranges hold
+    anchors of both directions.
+    """
+    corpus, _ = simulate_corpus(SMALL_SPEC)
+    pairs = classify_pairs(corpus)
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, 2), corpus)
+    _, models = fit_all(decomp, pairs)
+    extra = []
+    for content_id in corpus.contents():
+        ids = [s.recipe_id for s in sorted(corpus.stimuli_for_content(content_id), key=lambda s: -s.vmaf)]
+        extra += [
+            JndTruth(content_id, ids[0], "dec", ids[2], 2),
+            JndTruth(content_id, ids[3], "dec", ids[4], 1),
+            JndTruth(content_id, ids[2], "inc", ids[1], 1),
+        ]
+    corpus = Corpus(corpus.stimuli, (), corpus.truths + tuple(extra))
+    return corpus, models, decomp
+
+
+def _invert_per_prediction(monkeypatch):
+    """Make ``evaluate_grid`` bisect afresh for every prediction, without the table."""
+    monkeypatch.setattr(
+        evaluate_mod, "predict_jnd", lambda *args: predict_mod.predict_jnd(*args[:6])
+    )
+
+
+def test_each_curve_is_inverted_once_per_threshold(small_study, monkeypatch):
+    corpus, models, decomp = small_study
+    spec = EvalGridSpec()
+    assert sum(map(len, models.values())) == len(decomp.ranges) * len(spec.families)
+    calls = []
+    evaluate_mf = predict_mod.evaluate_mf
+    monkeypatch.setattr(
+        predict_mod, "evaluate_mf", lambda mf, d: calls.append(d) or evaluate_mf(mf, d)
+    )
+    grid = evaluate_grid(corpus, models, decomp, spec)
+    assert len(grid.predictions) > len(decomp.ranges) * len(spec.families) * len(spec.thresholds)
+    # two endpoint checks plus at most 100 halvings per (range, family, threshold)
+    assert 0 < len(calls) <= len(decomp.ranges) * len(spec.families) * len(spec.thresholds) * 102
+
+
+def test_inversion_table_matches_per_truth_inversion(small_study, monkeypatch):
+    corpus, models, decomp = small_study
+    grid = evaluate_grid(corpus, models, decomp)
+    _invert_per_prediction(monkeypatch)
+    reference = evaluate_grid(corpus, models, decomp)
+    assert grid.cells == reference.cells
+    assert grid.predictions == reference.predictions
+
+
+def test_non_monotone_curve_skips_its_range_in_every_threshold_cell(small_study, monkeypatch):
+    corpus, models, decomp = small_study
+    range_id = decomp.ranges[0].range_id
+    mf = models[range_id]["logistic2"]
+    forced = {rid: dict(per_range) for rid, per_range in models.items()}
+    forced[range_id]["logistic2"] = dataclasses.replace(
+        mf, fit_report=dataclasses.replace(mf.fit_report, monotone=False)
+    )
+    spec = EvalGridSpec(chain_orders=False)
+    grid = evaluate_grid(corpus, forced, decomp, spec)
+    for direction in ("dec", "inc"):
+        anchors = [
+            corpus.stimulus(t.content_id, t.anchor_recipe_id)
+            for t in corpus.truths
+            if t.direction == direction
+        ]
+        in_range = sum(select_range(decomp, a.vmaf)[0] == range_id for a in anchors)
+        assert 0 < in_range < len(anchors)
+        for threshold in spec.thresholds:
+            assert grid.cell(direction, "logistic2", threshold).skipped == in_range
+            assert grid.cell(direction, "glm", threshold).skipped == 0
+    chained = evaluate_grid(corpus, forced, decomp)
+    _invert_per_prediction(monkeypatch)
+    assert chained.cells == evaluate_grid(corpus, forced, decomp).cells
 
 
 def test_best_cell(single_range_models):

@@ -339,3 +339,35 @@ def test_decreasing_glm_fit_is_marked_non_monotone_and_serializes():
     assert data["(0,100]"]["glm"]["fit_report"]["monotone"] is False
     assert models_from_json_dict(json.loads(json_text(data))) == {"(0,100]": {"glm": mf}}
 
+
+
+_GLM_ENTRY = {
+    "params": [-3.0, 0.5],
+    "domain": [0.0, 14.0],
+    "fit_report": {"residual_norm": 0.1, "monotone": True, "iterations": 3},
+}
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"params": [float("nan"), 0.5], "domain": [0, 10, 99]}, "non-finite params"),
+        ({"params": [-3.0, float("inf")]}, "non-finite params"),
+        ({"params": [-float("inf"), 0.5]}, "non-finite params"),
+        ({"domain": [0, 10, 99]}, "domain must be two finite numbers lo < hi"),
+        ({"domain": [5.0]}, "domain must be two finite numbers lo < hi"),
+        ({"domain": [10.0, 0.0]}, "domain must be two finite numbers lo < hi"),
+        ({"domain": [4.0, 4.0]}, "domain must be two finite numbers lo < hi"),
+        ({"domain": [0.0, float("inf")]}, "domain must be two finite numbers lo < hi"),
+        ({"domain": [float("nan"), 10.0]}, "domain must be two finite numbers lo < hi"),
+    ],
+)
+def test_models_reader_rejects_corrupt_params_and_domain(change, message):
+    data = {"(0,100]": {"glm": {**_GLM_ENTRY, **change}}}
+    with pytest.raises(ValueError, match=re.escape(f"(0,100]/glm: {message}")):
+        models_from_json_dict(data)
+
+
+def test_models_reader_accepts_a_sound_entry():
+    mf = models_from_json_dict({"(0,100]": {"glm": _GLM_ENTRY}})["(0,100]"]["glm"]
+    assert mf.params == (-3.0, 0.5) and mf.domain == (0.0, 14.0)

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jndmap.corpus import Corpus, DcrRating
+from jndmap.corpus import Corpus, DcrRating, ratings_vector
+from jndmap import significance as significance_mod
 from jndmap.significance import (
     RatedPair,
     classify_pairs,
@@ -18,7 +19,10 @@ from jndmap.significance import (
     paired_t_test,
     pairs_csv_text,
     read_pairs_csv,
+    sample_stats,
+    student_from_stats,
     student_t_test,
+    welch_from_stats,
     welch_t_test,
 )
 from jndmap.tableio import write_csv_text
@@ -184,3 +188,84 @@ def test_pairs_csv_validation(tmp_path):
 def test_rated_pair_is_hashable():
     p = RatedPair("c1", "a", "b", 5.0, 0.01, 1)
     assert p in {p}
+
+
+def _vector_test(a, b, pooled: bool, alpha: float = 0.05):
+    """The Welch and Student tests as they were written on vectors, before
+    the per-stimulus statistics: the oracle for bit-equality."""
+    xa = np.asarray(a, dtype=float)
+    xb = np.asarray(b, dtype=float)
+    na, nb = len(xa), len(xb)
+    va = float(xa.var(ddof=1))
+    vb = float(xb.var(ddof=1))
+    diff = float(xa.mean() - xb.mean())
+    if va == 0.0 and vb == 0.0:
+        return significance_mod._degenerate(diff, na, nb, alpha)
+    if pooled:
+        df = float(na + nb - 2)
+        pooled_var = ((na - 1) * va + (nb - 1) * vb) / df
+        t = diff / math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
+    else:
+        sa, sb = va / na, vb / nb
+        t = diff / math.sqrt(sa + sb)
+        df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
+    p = significance_mod._two_sided_p(t, df)
+    return significance_mod.TestResult(t=t, df=df, p=p, sig=int(p < alpha))
+
+
+# DCR scores, and quarter steps in [-100, 100] for non-integer means
+any_vectors = st.one_of(
+    st.lists(st.integers(1, 5), min_size=2, max_size=12),
+    st.lists(st.integers(-400, 400).map(lambda v: v / 4), min_size=2, max_size=12),
+)
+
+
+def _assert_bit_equal(a, b) -> None:
+    for pooled, from_stats, on_vectors in (
+        (False, welch_from_stats, welch_t_test),
+        (True, student_from_stats, student_t_test),
+    ):
+        oracle = _vector_test(a, b, pooled)
+        assert from_stats(sample_stats(a), sample_stats(b)) == oracle
+        assert on_vectors(a, b) == oracle
+
+
+@given(any_vectors, any_vectors)
+@settings(max_examples=80, deadline=None)
+def test_tests_from_statistics_bit_equal_vector_formulas(a, b):
+    _assert_bit_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ([3, 3, 3], [3, 3, 3]),  # both constant, equal means
+        ([3, 3, 3], [4, 4, 4, 4]),  # both constant, means apart
+        ([2, 3, 4], [3, 3, 3]),  # one side constant, equal means
+        ([1, 2, 3, 4], [5, 5, 5]),  # one side constant
+        ([1, 5], [5, 1]),  # equal means, t = 0
+        ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2]),
+    ],
+)
+def test_tests_from_statistics_edge_cases(a, b):
+    _assert_bit_equal(a, b)
+
+
+def test_sample_stats_below_two_values_is_rejected_by_the_tests():
+    one = sample_stats([4])
+    assert one.n == 1 and math.isnan(one.mean) and math.isnan(one.var)
+    for from_stats in (welch_from_stats, student_from_stats):
+        with pytest.raises(ValueError, match="need >= 2 observations per side, got 1 and 3"):
+            from_stats(one, sample_stats([1, 2, 3]))
+
+
+@pytest.mark.parametrize("test", ["welch", "student", "paired"])
+def test_classify_matches_per_pair_vector_tests(test):
+    corpus = _rated_corpus()
+    run_test = {"welch": welch_t_test, "student": student_t_test, "paired": paired_t_test}[test]
+    for pair in classify_pairs(corpus, test=test):
+        result = run_test(
+            ratings_vector(corpus, pair.content_id, pair.recipe_x),
+            ratings_vector(corpus, pair.content_id, pair.recipe_y),
+        )
+        assert (pair.p_value, pair.sig) == (result.p, result.sig)
