@@ -21,9 +21,13 @@ is the one place to add or change a family: ``FAMILIES``, the config check,
 the artifact reader, the report labels and ``predict --family`` all read it.
 
 Evaluated values are clamped to [0, 1].  Fits are accepted only if the curve
-is non-decreasing on a 1000-point grid over its domain; least-squares
-families that fail get refitted with a hinge penalty on the negative slope
-(weight 1e3, doubled per retry, three retries) before being marked invalid.
+is non-decreasing on a 1000-point grid over its domain.  ``logistic5`` is
+fitted under lower bounds b1, b2, b4 >= 0, so its slope b1*b2*s*(1-s) + b4 is
+never negative: it is monotone by construction, and it is rejected instead
+when it rises by no more than ``FLAT_RISE`` over its domain.  ``cubic4`` and
+``logistic2`` fits that fail the check get refitted with a hinge penalty on
+the negative slope (weight 1e3, doubled per retry, three retries) before being
+marked invalid.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import tableio
 from .errors import CorpusError, FitError
@@ -48,6 +51,9 @@ GLM_MODES = ("pairwise", "points")
 
 MONOTONE_GRID_POINTS = 1000
 MONOTONE_SLACK = 1e-9
+# a bounded curve that rises by no more than this over its domain is rejected
+# as flat: it spans at most one step of the default threshold grid
+FLAT_RISE = 0.05
 HINGE_WEIGHT = 1e3
 HINGE_RETRIES = 3
 IRLS_MAX_ITER = 100
@@ -187,19 +193,45 @@ def psd_points(cd: CoDistribution) -> list[PsdPoint]:
 # -- least-squares families --------------------------------------------------
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on the first fit: the import
+    takes about half a second that commands which fit nothing need not pay."""
+    from scipy.optimize import least_squares as solve
+
+    return solve(*args, **kwargs)
+
+
+@dataclass(frozen=True)
 class _LeastSquaresFamily(Family):
     """Fitted by damped least squares from ``starts(x, y)``, with the analytic
     ``jacobian(params, x)``, d p / d params, and, for the hinge penalty,
-    ``slope(params, x)``, d p / d x."""
+    ``slope(params, x)``, d p / d x.
+
+    ``lower`` holds per-parameter lower bounds (``-inf`` for none) under which
+    the curve cannot decrease; every start lies inside them.  A family without
+    them is unbounded and relies on the hinge penalty.
+    """
+
+    lower: tuple[float, ...] | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, pairs, domain: tuple) -> tuple:
-        """Least squares from ``starts``, refitted with a growing hinge penalty
-        while the curve is not monotone.  ``pairs`` is not used."""
+        """Least squares from ``starts``.  A bounded fit is monotone by
+        construction and is rejected, flagged ``flat``, when it rises by no
+        more than ``FLAT_RISE`` over the domain: bounds must not turn hopeless
+        data into a usable flat curve.  An unbounded fit is refitted with a
+        growing hinge penalty while the curve is not monotone.  ``pairs`` is
+        not used."""
         starts = self.starts(x, y)
         params, nfev = self._weighted_lsq(x, y, w, 0.0, domain, starts)
         iterations = nfev
         flags: list[str] = []
         monotone = is_monotone(self.name, params, domain)
+        if self.lower is not None:
+            lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
+            if hi - lo <= FLAT_RISE:
+                monotone = False
+                flags.append("flat")
+            return params, monotone, iterations, flags, {}
         free_rms = self._rms_misfit(params, x, y, w)
         hinge = HINGE_WEIGHT
         for _ in range(HINGE_RETRIES):
@@ -252,6 +284,7 @@ class _LeastSquaresFamily(Family):
             def jac(params: np.ndarray) -> np.ndarray:  # type: ignore[misc]
                 return sw[:, None] * self.jacobian(params, x)
 
+        bounded = self.lower is not None
         best: tuple[float, np.ndarray, int] | None = None
         for start in starts:
             try:
@@ -259,7 +292,8 @@ class _LeastSquaresFamily(Family):
                     residuals,
                     start,
                     jac=jac,
-                    method="lm" if hinge == 0 and len(x) >= len(start) else "trf",
+                    bounds=(self.lower if bounded else -np.inf, np.inf),
+                    method="lm" if hinge == 0 and not bounded and len(x) >= len(start) else "trf",
                     xtol=1e-15,
                     ftol=1e-15,
                     gtol=1e-15,
@@ -418,7 +452,10 @@ def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray,
 
     ``y`` holds observed proportions, ``trials`` the binomial weights.
     Diverging slope (|b1| past the cap) is diagnosed as separation: the slope
-    is pinned at the cap and the intercept re-solved conditionally.
+    is pinned at the cap and the intercept re-solved conditionally.  The step
+    test is relative to the size of beta: with tens of thousands of
+    observations the gradient's rounding floor sits above 1e-10, and the
+    last steps stall at a few ulps of beta instead of reaching zero.
     """
     X = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
@@ -439,12 +476,11 @@ def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray,
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         _, grad_norm = _glm_deviance(beta, x, y, trials)
-        if grad_norm < 1e-10 or step < 1e-13:
+        if grad_norm < 1e-10 or step < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
             return beta, iteration, False
     raise FitError(
-        "glm: IRLS did not converge within "
-        f"{IRLS_MAX_ITER} iterations (possible quasi-separation; final b1="
-        f"{beta[1]:.3g})"
+        f"glm: IRLS did not converge within {IRLS_MAX_ITER} iterations (final "
+        f"b1={beta[1]:.3g}, deviance gradient norm {grad_norm:.3g})"
     )
 
 
@@ -510,7 +546,10 @@ def _glm_deviance(
 FAMILY_TABLE: dict[str, Family] = {
     family.name: family
     for family in (
-        _Logistic5("logistic5", "5-para", n_params=5, min_points=5),
+        _Logistic5(
+            "logistic5", "5-para", n_params=5, min_points=5,
+            lower=(0.0, 0.0, -math.inf, 0.0, -math.inf),
+        ),
         _Cubic4("cubic4", "4-para", n_params=4, min_points=4),
         _Logistic2("logistic2", "2-para", n_params=2, min_points=4),
         _Glm("glm", "GLM", n_params=2, min_points=2),

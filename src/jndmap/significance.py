@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import special
 
 from . import tableio
 from .corpus import Corpus, ratings_vector
@@ -65,6 +64,8 @@ def _two_sided_p(t: float, df: float) -> float:
     # beta function (continued-fraction evaluation, accurate to ~1e-14).
     if t == 0.0:
         return 1.0
+    from scipy import special  # imported here: commands that test no pair skip it
+
     x = df / (df + t * t)
     return float(special.betainc(0.5 * df, 0.5, x))
 
@@ -97,7 +98,13 @@ def welch_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> Tes
         return _degenerate(diff, na, nb, alpha)
     sa, sb = va / na, vb / nb
     t = diff / math.sqrt(sa + sb)
-    df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
+    denom = sa**2 / (na - 1) + sb**2 / (nb - 1)
+    if denom == 0.0:
+        raise ValueError(
+            f"variances {va:.3g} and {vb:.3g} are too small for the Welch df: "
+            "their squares underflow"
+        )
+    df = (sa + sb) ** 2 / denom
     p = _two_sided_p(t, df)
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
@@ -183,8 +190,9 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     if not contents:
         raise ValueError("no content has two or more rated stimuli")
 
+    # sorted contents, each with its sorted recipe pairs: already in
+    # (content, recipe_x, recipe_y) order
     pairs = [p for c in contents for p in _classify_content(corpus, c, alpha, test)]
-    pairs.sort(key=lambda p: (p.content_id, p.recipe_x, p.recipe_y))
     n_sig = sum(p.sig for p in pairs)
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
     return pairs

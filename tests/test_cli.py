@@ -6,6 +6,8 @@ import json
 import math
 import os
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +279,24 @@ def test_render_svg(run_dir, tmp_path):
 def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.stdout.strip().startswith("jndmap ")
+
+
+def test_cli_import_loads_no_scipy_solver():
+    # the solvers are imported where a fit or a p-value first needs them
+    src = Path(cli.__file__).resolve().parents[1]
+    probe = (
+        "import sys, jndmap.cli; "
+        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 def test_config_file_round_trip(sim_dir, tmp_path):

@@ -8,16 +8,20 @@ import re
 import numpy as np
 import pytest
 
+from jndmap import mapping as mapping_mod
 from jndmap.corpus import Corpus, Recipe, Stimulus
 from jndmap.errors import FitError
 from jndmap.mapping import (
     FAMILIES,
     FAMILY_TABLE,
+    IRLS_MAX_ITER,
     CoDistribution,
     FitReport,
     MappingFunction,
     PsdPoint,
     _eval_raw,
+    _glm_deviance,
+    _irls,
     build_codistribution,
     codist_csv_text,
     curve_samples_csv_text,
@@ -169,12 +173,16 @@ def test_glm_separated_pairs_hit_slope_cap():
     assert mf.fit_report.monotone
 
 
-def test_decreasing_trend_is_rejected_not_flattened():
+@pytest.mark.parametrize("family", ["cubic4", "logistic5"])
+def test_decreasing_trend_is_rejected_not_flattened(family):
     xs = np.linspace(1.0, 14.0, 10)
     ys = np.linspace(0.9, 0.1, 10)
     pts = [PsdPoint(float(x), float(y), 10) for x, y in zip(xs, ys)]
-    mf = fit_mapping(pts, "cubic4")
+    mf = fit_mapping(pts, family)
     assert not mf.fit_report.monotone
+    if family == "logistic5":
+        # the bounds can only fit a flat line here; it is rejected as such
+        assert mf.fit_report.flags == ("flat",)
 
 
 def test_small_dip_is_repaired_by_penalty():
@@ -185,6 +193,77 @@ def test_small_dip_is_repaired_by_penalty():
     mf = fit_mapping(pts, "cubic4")
     assert mf.fit_report.monotone
     assert "hinge_penalty" in mf.fit_report.flags
+
+
+def _logistic5_cases() -> dict[str, list[PsdPoint]]:
+    """Data the unbounded logistic5 fit needed the hinge for (``dip``), ended
+    non-monotone on (``noisy``) or fitted as a decreasing curve (``decreasing``)."""
+    xs = np.linspace(0.5, 12.5, 13)
+    dip = 1.0 / (1.0 + np.exp(-0.8 * (xs - 6.0)))
+    dip[6] -= 0.06
+    rng = np.random.default_rng(3)
+    noisy = np.clip(1.0 / (1.0 + np.exp(-0.6 * (xs - 5.0))) + rng.normal(0, 0.12, 13), 0, 1)
+    cases = {"dip": dip, "noisy": noisy, "decreasing": np.linspace(0.9, 0.1, 13)}
+    out = {
+        name: [PsdPoint(float(x), float(y), 15) for x, y in zip(xs, ys)]
+        for name, ys in cases.items()
+    }
+    out["noiseless"] = _noiseless_points("logistic5")
+    return out
+
+
+LOGISTIC5_CASES = _logistic5_cases()
+
+
+@pytest.mark.parametrize("case", sorted(LOGISTIC5_CASES))
+def test_logistic5_solves_under_bounds_with_analytic_jacobian(case, monkeypatch):
+    calls = []
+    solve = mapping_mod.least_squares
+
+    def spy(fun, x0, **kwargs):
+        calls.append(kwargs)
+        return solve(fun, x0, **kwargs)
+
+    monkeypatch.setattr(mapping_mod, "least_squares", spy)
+    fit_mapping(LOGISTIC5_CASES[case], "logistic5")
+    assert calls
+    for kwargs in calls:
+        assert callable(kwargs["jac"])  # never "2-point"
+        lower, upper = kwargs["bounds"]
+        assert tuple(lower) == FAMILY_TABLE["logistic5"].lower == (0, 0, -np.inf, 0, -np.inf)
+        assert upper == np.inf
+        assert kwargs["method"] == "trf"
+
+
+@pytest.mark.parametrize("case", sorted(LOGISTIC5_CASES))
+def test_logistic5_params_respect_lower_bounds(case):
+    mf = fit_mapping(LOGISTIC5_CASES[case], "logistic5")
+    b1, b2, _, b4, _ = mf.params
+    assert b1 >= 0.0 and b2 >= 0.0 and b4 >= 0.0
+    assert "hinge_penalty" not in mf.fit_report.flags
+    assert mf.fit_report.monotone == (case != "decreasing")
+
+
+def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
+    # The gradient's rounding floor at this size sits above 1e-10, so only a
+    # step test relative to |beta| can stop the iteration.
+    rng = np.random.default_rng(11)
+    x = rng.uniform(0, 12, 30000)
+    y = (rng.uniform(size=30000) < 1 / (1 + np.exp(-(-2.5 + 0.76 * x)))).astype(float)
+    trials = np.ones_like(x)
+    beta, iterations, separated = _irls(x, y, trials)
+    assert not separated and iterations < IRLS_MAX_ITER
+    assert beta == pytest.approx([-2.5, 0.76], abs=0.1)
+    assert _glm_deviance(beta, x, y, trials)[1] < 1e-8
+
+
+def test_irls_non_convergence_reports_state_not_a_guess(monkeypatch):
+    monkeypatch.setattr(mapping_mod, "IRLS_MAX_ITER", 1)
+    with pytest.raises(FitError) as err:
+        fit_mapping(_noiseless_points("glm"), "glm")
+    message = str(err.value)
+    assert re.search(r"within 1 iterations \(final b1=\S+, deviance gradient norm \S+\)", message)
+    assert "separation" not in message
 
 
 def test_evaluate_mf_clamps_domain_and_unit_interval():
@@ -311,6 +390,8 @@ def test_family_labels_cover_families():
     for family in LSQ_FAMILIES:
         assert hasattr(FAMILY_TABLE[family], "slope")
         assert hasattr(FAMILY_TABLE[family], "starts")
+    bounded = [family for family in LSQ_FAMILIES if FAMILY_TABLE[family].lower is not None]
+    assert bounded == ["logistic5"]
 
 
 @pytest.mark.parametrize("family", LSQ_FAMILIES)

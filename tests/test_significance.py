@@ -99,6 +99,12 @@ def test_input_guards():
         welch_t_test([1, 2], [2, 3], alpha=1.0)
 
 
+def test_welch_df_underflow_is_a_value_error():
+    # both variances are positive, but the squares in the df formula underflow
+    with pytest.raises(ValueError, match="their squares underflow"):
+        welch_t_test([1, 1], [0.0, 2.08e-129])
+
+
 @given(score_vectors, score_vectors)
 @settings(max_examples=60, deadline=None)
 def test_welch_antisymmetric(a, b):
@@ -153,6 +159,31 @@ def test_classify_pairs_fields():
         assert pair.sig in (0, 1)
         assert 0.0 <= pair.p_value <= 1.0
         assert pair.pair_id == f"{pair.content_id}:{pair.recipe_x}:{pair.recipe_y}"
+
+
+def test_classify_pairs_come_out_sorted_whatever_the_row_order():
+    # recipe "r10" sorts before "r2", and content "c10" before "c2"
+    stimuli = (
+        make_stimuli("c2", (90.0, 80.0, 70.0))
+        + make_stimuli("c10", np.linspace(95.0, 45.0, 11))
+        + make_stimuli("c1", (88.0, 78.0))
+    )
+    rng = np.random.default_rng(9)
+    ratings = [
+        DcrRating(stim.content_id, stim.recipe_id, f"o{j}", int(rng.integers(1, 6)))
+        for stim in stimuli
+        for j in range(4)
+    ]
+    shuffled = Corpus(
+        tuple(stimuli[i] for i in rng.permutation(len(stimuli))),
+        tuple(ratings[i] for i in rng.permutation(len(ratings))),
+        (),
+    )
+    pairs = classify_pairs(shuffled)
+    keys = [(p.content_id, p.recipe_x, p.recipe_y) for p in pairs]
+    assert len(keys) == 3 + 55 + 1
+    assert keys == sorted(keys)
+    assert pairs == classify_pairs(Corpus(stimuli, tuple(ratings), ()))
 
 
 def test_classify_pairs_paired_panel_mismatch():
