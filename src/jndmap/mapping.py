@@ -16,18 +16,25 @@ one of four monotone curve families:
 
 Each family is defined once, by its entry in :data:`FAMILY_TABLE`: report
 label, parameter count, minimum point count, curve, fitter and, for the
-least-squares families, analytic slope, Jacobian and start points.  The table
-is the one place to add or change a family: ``FAMILIES``, the config check,
-the artifact reader, the report labels and ``predict --family`` all read it.
+least-squares families, fit coordinates, analytic Jacobian, lower bounds and
+start points.  The table is the one place to add or change a family:
+``FAMILIES``, the config check, the artifact reader, the report labels and
+``predict --family`` all read it.
 
-Evaluated values are clamped to [0, 1].  Fits are accepted only if the curve
-is non-decreasing on a 1000-point grid over its domain.  ``logistic5`` is
-fitted under lower bounds b1, b2, b4 >= 0, so its slope b1*b2*s*(1-s) + b4 is
-never negative: it is monotone by construction, and it is rejected instead
-when it rises by no more than ``FLAT_RISE`` over its domain.  ``cubic4`` and
-``logistic2`` fits that fail the check get refitted with a hinge penalty on
-the negative slope (weight 1e3, doubled per retry, three retries) before being
-marked invalid.
+Evaluated values are clamped to [0, 1].  Every least-squares fit is
+non-decreasing on its domain by construction, through one fit path:
+
+* ``logistic5`` is fitted under b1, b2, b4 >= 0, so its slope
+  b1*b2*s*(1-s) + b4 is never negative;
+* ``logistic2`` is fitted under b1 >= 0;
+* ``cubic4`` is fitted in Lukacs coordinates, each of which gives a cubic
+  that does not decrease on the domain (see :class:`_Cubic4`).
+
+A least-squares fit that rises by no more than ``FLAT_RISE`` over its domain
+is rejected, flagged ``flat``: that is all a monotone curve can make of a
+decreasing trend.  Fits are accepted only if the curve, clipped to [0, 1], is
+non-decreasing on a 1000-point grid over its domain; for the least-squares
+families this check is a safety net, and for ``glm`` it is the rule.
 """
 
 from __future__ import annotations
@@ -54,8 +61,6 @@ MONOTONE_SLACK = 1e-9
 # a bounded curve that rises by no more than this over its domain is rejected
 # as flat: it spans at most one step of the default threshold grid
 FLAT_RISE = 0.05
-HINGE_WEIGHT = 1e3
-HINGE_RETRIES = 3
 IRLS_MAX_ITER = 100
 IRLS_SLOPE_CAP = 50.0
 CODIST_COLUMNS = ["range_id", "bin_lo", "bin_hi", "f_dif", "f_sim", "p_sd"]
@@ -203,116 +208,70 @@ def least_squares(*args, **kwargs):
 
 @dataclass(frozen=True)
 class _LeastSquaresFamily(Family):
-    """Fitted by damped least squares from ``starts(x, y)``, with the analytic
-    ``jacobian(params, x)``, d p / d params, and, for the hinge penalty,
-    ``slope(params, x)``, d p / d x.
+    """Fitted by least squares over fit coordinates theta, from
+    ``starts(x, y)``, with the analytic ``jacobian(theta, x, domain)``, d p /
+    d theta.  ``to_params(theta, domain)`` maps theta to the family's params;
+    it is the identity unless the family fits in other coordinates.
 
-    ``lower`` holds per-parameter lower bounds (``-inf`` for none) under which
-    the curve cannot decrease; every start lies inside them.  A family without
-    them is unbounded and relies on the hinge penalty.
+    Every fit is non-decreasing on its domain by construction: either theta is
+    held inside the lower bounds ``lower`` (``-inf`` for none), under which
+    the curve cannot decrease, or no theta gives a decreasing curve.  Every
+    start lies inside the bounds.
     """
 
     lower: tuple[float, ...] | None = None
 
+    def to_params(self, theta: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
+        return theta
+
     def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, pairs, domain: tuple) -> tuple:
-        """Least squares from ``starts``.  A bounded fit is monotone by
-        construction and is rejected, flagged ``flat``, when it rises by no
-        more than ``FLAT_RISE`` over the domain: bounds must not turn hopeless
-        data into a usable flat curve.  An unbounded fit is refitted with a
-        growing hinge penalty while the curve is not monotone.  ``pairs`` is
-        not used."""
-        starts = self.starts(x, y)
-        params, nfev = self._weighted_lsq(x, y, w, 0.0, domain, starts)
-        iterations = nfev
-        flags: list[str] = []
-        monotone = is_monotone(self.name, params, domain)
-        if self.lower is not None:
-            lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
-            if hi - lo <= FLAT_RISE:
-                monotone = False
-                flags.append("flat")
-            return params, monotone, iterations, flags, {}
-        free_rms = self._rms_misfit(params, x, y, w)
-        hinge = HINGE_WEIGHT
-        for _ in range(HINGE_RETRIES):
-            if monotone:
-                break
-            retry_starts = [params] + starts
-            candidate, nfev = self._weighted_lsq(x, y, w, hinge, domain, retry_starts)
-            iterations += nfev
-            hinge *= 2.0
-            if not is_monotone(self.name, candidate, domain):
-                params = candidate
-                continue
-            # The penalty may "rescue" hopeless data (e.g. a decreasing trend) by
-            # flattening the curve entirely; accept only if the data misfit stays
-            # in the same regime as the unconstrained fit.
-            if self._rms_misfit(candidate, x, y, w) <= max(2.0 * free_rms, 0.05):
-                params = candidate
-                monotone = True
-                flags.append("hinge_penalty")
-                break
-        return params, monotone, iterations, flags, {}
-
-    def _weighted_lsq(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        w: np.ndarray,
-        hinge: float,
-        domain: tuple[float, float],
-        starts: list[np.ndarray],
-    ) -> tuple[np.ndarray, int]:
-        """Damped least squares over the given starts; lowest-cost start wins.
-        Returns its params and its number of function evaluations.
-
-        ``hinge > 0`` appends sqrt(hinge) * max(0, -slope) residuals on a coarse
-        domain grid, steering the optimizer toward non-decreasing curves.
-        """
+        """Least squares from every start; the lowest cost wins.  The curve is
+        rejected, flagged ``flat``, when it rises by no more than
+        ``FLAT_RISE`` over the domain: a monotone fit must not turn hopeless
+        data, such as a decreasing trend, into a usable flat curve.  The
+        monotone check still runs on the clipped curve, as a safety net.
+        ``pairs`` is not used."""
         sw = np.sqrt(w)
-        grid = np.linspace(domain[0], domain[1], 256)
 
-        def residuals(params: np.ndarray) -> np.ndarray:
-            res = sw * (self.curve(params, x) - y)
-            if hinge > 0:
-                neg = np.maximum(0.0, -self.slope(params, grid))
-                res = np.concatenate([res, math.sqrt(hinge) * neg])
-            return res
+        def residuals(theta: np.ndarray) -> np.ndarray:
+            return sw * (self.curve(self.to_params(theta, domain), x) - y)
 
-        jac = "2-point"
-        if hinge == 0:
-            def jac(params: np.ndarray) -> np.ndarray:  # type: ignore[misc]
-                return sw[:, None] * self.jacobian(params, x)
+        def jac(theta: np.ndarray) -> np.ndarray:
+            return sw[:, None] * self.jacobian(theta, x, domain)
 
         bounded = self.lower is not None
-        best: tuple[float, np.ndarray, int] | None = None
-        for start in starts:
+        best: tuple[float, np.ndarray] | None = None
+        iterations = 0
+        for start in self.starts(x, y):
             try:
                 sol = least_squares(
                     residuals,
                     start,
                     jac=jac,
                     bounds=(self.lower if bounded else -np.inf, np.inf),
-                    method="lm" if hinge == 0 and not bounded and len(x) >= len(start) else "trf",
+                    method="trf" if bounded else "lm",
                     xtol=1e-15,
                     ftol=1e-15,
                     gtol=1e-15,
                     max_nfev=4000,
                 )
-            except Exception:  # singular start etc. -- skip, others may work
+            except (ValueError, np.linalg.LinAlgError):  # a bad start; others may work
                 continue
+            iterations += int(sol.nfev)
             cost = float(sol.cost)
             # strict tie-break in favour of the earlier start keeps the result deterministic
             if best is None or cost < best[0] - 1e-15:
-                best = (cost, sol.x, int(sol.nfev))
+                best = (cost, sol.x)
         if best is None:
             raise FitError(f"{self.name}: no least-squares start converged")
-        return best[1], best[2]
-
-    def _rms_misfit(self, params: np.ndarray, x, y, w) -> float:
-        return float(
-            np.sqrt(np.sum(w * (self.curve(params, x) - y) ** 2) / np.sum(w))
-        )
+        params = self.to_params(best[1], domain)
+        flags: list[str] = []
+        monotone = is_monotone(self.name, params, domain)
+        lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
+        if hi - lo <= FLAT_RISE:
+            monotone = False
+            flags.append("flat")
+        return params, monotone, iterations, flags, {}
 
 
 def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -336,12 +295,7 @@ class _Logistic5(_LeastSquaresFamily):
         s = _sigmoid(-b2 * (x - b3))  # equals 1/(1+exp(b2*(x-b3)))
         return b1 * (0.5 - s) + b4 * x + b5
 
-    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        b1, b2, b3, b4, _ = params
-        s = _sigmoid(-b2 * (x - b3))
-        return b1 * b2 * s * (1.0 - s) + b4
-
-    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, params: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
         b1, b2, b3, _, _ = params
         s = _sigmoid(-b2 * (x - b3))
         ss = s * (1.0 - s)
@@ -360,29 +314,51 @@ class _Logistic5(_LeastSquaresFamily):
 
 
 class _Cubic4(_LeastSquaresFamily):
+    """Fitted in Lukacs coordinates theta = (c, u, v, w) over t = d / D, with
+    D the domain end:
+
+        p = c + u**2 t + (2uv + w**2) t**2 / 2 + (v**2 - w**2) t**3 / 3
+        dp/dt = (u + v t)**2 + w**2 t (1 - t) >= 0
+
+    These are exactly the cubics that do not decrease on [0, D] (Lukacs'
+    theorem; Szego, *Orthogonal Polynomials*, Thm 1.21.1), so the fit needs
+    no bounds.  ``to_params`` maps theta back to b1..b4."""
+
     def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         b1, b2, b3, b4 = params
         return b1 + b2 * x + b3 * x**2 + b4 * x**3
 
-    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        _, b2, b3, b4 = params
-        return b2 + 2.0 * b3 * x + 3.0 * b4 * x**2
+    def to_params(self, theta: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
+        c, u, v, w = theta
+        end = domain[1]
+        return np.array(
+            [
+                c,
+                u * u / end,
+                (2.0 * u * v + w * w) / (2.0 * end**2),
+                (v * v - w * w) / (3.0 * end**3),
+            ]
+        )
 
-    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.column_stack([np.ones_like(x), x, x**2, x**3])
+    def jacobian(self, theta: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
+        _, u, v, w = theta
+        t = x / domain[1]
+        t2 = t * t
+        return np.column_stack(
+            [
+                np.ones_like(t),
+                2.0 * u * t + v * t2,
+                u * t2 + 2.0 * v * t2 * t / 3.0,
+                w * t2 * (1.0 - 2.0 * t / 3.0),
+            ]
+        )
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-        ymin, _, mid_level, s0, _, _ = _start_scales(x, y)
-        # Weighted polynomial solve is closed-form; perturb it a little so the
-        # multi-start contract stays uniform.
-        base = np.polyfit(x, y, 3)[::-1]
-        guesses = [base]
-        for scale in (0.5, 0.9, 1.1, 2.0):
-            guesses.append(base * scale)
-        guesses.append(np.array([mid_level, s0 / 4.0, 0.0, 0.0]))
-        guesses.append(np.array([ymin, 0.01, 0.0, 0.0]))
-        guesses.append(np.zeros(4))
-        return guesses
+        # a straight ramp from ymin through the y range, and one steepest at
+        # mid-domain; w and (u, v) non-zero, so no Jacobian column vanishes
+        ymin, yrange, _, _, _, _ = _start_scales(x, y)
+        s = math.sqrt(yrange)
+        return [np.array([ymin, s, -2.0 * s, 2.0 * s]), np.array([ymin, 0.5 * s, 0.0, 2.0 * s])]
 
 
 class _Logistic2(_LeastSquaresFamily):
@@ -390,12 +366,7 @@ class _Logistic2(_LeastSquaresFamily):
         b1, b2 = params
         return _sigmoid(b1 * (x - b2))
 
-    def slope(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-        b1, b2 = params
-        s = _sigmoid(b1 * (x - b2))
-        return b1 * s * (1.0 - s)
-
-    def jacobian(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, params: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
         b1, b2 = params
         s = _sigmoid(b1 * (x - b2))
         ss = s * (1.0 - s)
@@ -551,7 +522,7 @@ FAMILY_TABLE: dict[str, Family] = {
             lower=(0.0, 0.0, -math.inf, 0.0, -math.inf),
         ),
         _Cubic4("cubic4", "4-para", n_params=4, min_points=4),
-        _Logistic2("logistic2", "2-para", n_params=2, min_points=4),
+        _Logistic2("logistic2", "2-para", n_params=2, min_points=4, lower=(0.0, -math.inf)),
         _Glm("glm", "GLM", n_params=2, min_points=2),
     )
 }
@@ -591,7 +562,6 @@ def fit_mapping(
 
     params, monotone, iterations, flags, extras = spec.fit(x, y, w, pairs_for_glm, domain)
     report = FitReport(
-        # the data misfit only, independent of any penalty terms
         residual_norm=float(np.sqrt(np.sum(w * (spec.curve(params, x) - y) ** 2))),
         monotone=monotone,
         iterations=iterations,

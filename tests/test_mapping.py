@@ -36,8 +36,10 @@ from jndmap.mapping import (
     read_curve_samples_csv,
     read_mf_params_json,
 )
-from jndmap.ranges import assign_pairs, decompose_explicit
-from jndmap.significance import RatedPair
+from jndmap.ranges import assign_pairs, decompose_balanced, decompose_explicit
+from jndmap.screening import apply_screening, screen_bt500
+from jndmap.significance import RatedPair, classify_pairs
+from jndmap.simulate import SimSpec, simulate_corpus
 from jndmap.tableio import json_text, write_json
 
 # Ground-truth parameter sets used by the recovery tests: all four produce
@@ -173,31 +175,21 @@ def test_glm_separated_pairs_hit_slope_cap():
     assert mf.fit_report.monotone
 
 
-@pytest.mark.parametrize("family", ["cubic4", "logistic5"])
+@pytest.mark.parametrize("family", ["cubic4", "logistic5", "logistic2"])
 def test_decreasing_trend_is_rejected_not_flattened(family):
     xs = np.linspace(1.0, 14.0, 10)
     ys = np.linspace(0.9, 0.1, 10)
     pts = [PsdPoint(float(x), float(y), 10) for x, y in zip(xs, ys)]
     mf = fit_mapping(pts, family)
     assert not mf.fit_report.monotone
-    if family == "logistic5":
-        # the bounds can only fit a flat line here; it is rejected as such
-        assert mf.fit_report.flags == ("flat",)
+    # a monotone fit can only follow this with a flat line; it is rejected as such
+    assert mf.fit_report.flags == ("flat",)
 
 
-def test_small_dip_is_repaired_by_penalty():
-    xs = np.linspace(0.5, 12.5, 13)
-    ys = 1.0 / (1.0 + np.exp(-0.8 * (xs - 6.0)))
-    ys[6] -= 0.06
-    pts = [PsdPoint(float(x), float(y), 15) for x, y in zip(xs, ys)]
-    mf = fit_mapping(pts, "cubic4")
-    assert mf.fit_report.monotone
-    assert "hinge_penalty" in mf.fit_report.flags
-
-
-def _logistic5_cases() -> dict[str, list[PsdPoint]]:
-    """Data the unbounded logistic5 fit needed the hinge for (``dip``), ended
-    non-monotone on (``noisy``) or fitted as a decreasing curve (``decreasing``)."""
+def _lsq_cases() -> dict[str, list[PsdPoint]]:
+    """A dip an unconstrained fit bends down into (``dip``), noisy data an
+    unconstrained fit ends non-monotone on (``noisy``), a decreasing trend
+    (``decreasing``) and noiseless logistic5 data (``noiseless``)."""
     xs = np.linspace(0.5, 12.5, 13)
     dip = 1.0 / (1.0 + np.exp(-0.8 * (xs - 6.0)))
     dip[6] -= 0.06
@@ -212,10 +204,13 @@ def _logistic5_cases() -> dict[str, list[PsdPoint]]:
     return out
 
 
-LOGISTIC5_CASES = _logistic5_cases()
+LSQ_CASES = _lsq_cases()
+
+#: The families fitted by least squares: those with an analytic Jacobian.
+LSQ_FAMILIES = [family for family, spec in FAMILY_TABLE.items() if hasattr(spec, "jacobian")]
 
 
-@pytest.mark.parametrize("case", sorted(LOGISTIC5_CASES))
+@pytest.mark.parametrize("case", sorted(LSQ_CASES))
 def test_logistic5_solves_under_bounds_with_analytic_jacobian(case, monkeypatch):
     calls = []
     solve = mapping_mod.least_squares
@@ -225,23 +220,83 @@ def test_logistic5_solves_under_bounds_with_analytic_jacobian(case, monkeypatch)
         return solve(fun, x0, **kwargs)
 
     monkeypatch.setattr(mapping_mod, "least_squares", spy)
-    fit_mapping(LOGISTIC5_CASES[case], "logistic5")
+    fit_mapping(LSQ_CASES[case], "logistic5")
     assert calls
     for kwargs in calls:
-        assert callable(kwargs["jac"])  # never "2-point"
+        assert callable(kwargs["jac"])
         lower, upper = kwargs["bounds"]
         assert tuple(lower) == FAMILY_TABLE["logistic5"].lower == (0, 0, -np.inf, 0, -np.inf)
         assert upper == np.inf
         assert kwargs["method"] == "trf"
 
 
-@pytest.mark.parametrize("case", sorted(LOGISTIC5_CASES))
+@pytest.mark.parametrize("case", sorted(LSQ_CASES))
 def test_logistic5_params_respect_lower_bounds(case):
-    mf = fit_mapping(LOGISTIC5_CASES[case], "logistic5")
+    mf = fit_mapping(LSQ_CASES[case], "logistic5")
     b1, b2, _, b4, _ = mf.params
     assert b1 >= 0.0 and b2 >= 0.0 and b4 >= 0.0
-    assert "hinge_penalty" not in mf.fit_report.flags
     assert mf.fit_report.monotone == (case != "decreasing")
+
+
+@pytest.mark.parametrize("case", sorted(LSQ_CASES))
+@pytest.mark.parametrize("family", LSQ_FAMILIES)
+def test_least_squares_fit_is_monotone_or_flat(family, case):
+    mf = fit_mapping(LSQ_CASES[case], family)
+    # the raw curve, not the clipped one, is monotone by construction, even
+    # when the fit is rejected as flat
+    grid = np.linspace(mf.domain[0], mf.domain[1], 20_000)
+    raw = _eval_raw(family, np.asarray(mf.params), grid)
+    assert np.all(np.diff(raw) >= -mapping_mod.MONOTONE_SLACK)
+    assert mf.fit_report.flags == (("flat",) if case == "decreasing" else ())
+    assert mf.fit_report.monotone == (case != "decreasing")
+
+
+@pytest.mark.parametrize("family", LSQ_FAMILIES)
+def test_fit_report_counts_the_work_of_every_start(family, monkeypatch):
+    nfevs = []
+    solve = mapping_mod.least_squares
+
+    def spy(fun, x0, **kwargs):
+        sol = solve(fun, x0, **kwargs)
+        nfevs.append(int(sol.nfev))
+        return sol
+
+    monkeypatch.setattr(mapping_mod, "least_squares", spy)
+    mf = fit_mapping(LSQ_CASES["noisy"], family)
+    assert len(nfevs) >= 2
+    assert mf.fit_report.iterations == sum(nfevs)
+
+
+def test_a_bad_start_is_skipped_but_a_coding_error_propagates(monkeypatch):
+    def bad_start(fun, x0, **kwargs):
+        raise ValueError("Residuals are not finite in the initial point.")
+
+    monkeypatch.setattr(mapping_mod, "least_squares", bad_start)
+    with pytest.raises(FitError, match="no least-squares start converged"):
+        fit_mapping(LSQ_CASES["noisy"], "cubic4")
+
+    def coding_error(fun, x0, **kwargs):
+        raise TypeError("unsupported operand type(s)")
+
+    monkeypatch.setattr(mapping_mod, "least_squares", coding_error)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        fit_mapping(LSQ_CASES["noisy"], "cubic4")
+
+
+def test_noisy_panel_fits_are_all_usable():
+    # noisy_panel's study, built directly: its noisy co-distributions pull an
+    # unconstrained cubic into a decreasing stretch, so all 20 fits are usable
+    # only when every family is monotone by construction.
+    spec = SimSpec(n_contents=6, observer_count=9, rating_noise_sd=2.0, seed=4)
+    corpus, _ = simulate_corpus(spec)
+    corpus = apply_screening(corpus, screen_bt500(corpus))
+    pairs = classify_pairs(corpus)
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, 5), corpus)
+    _, models = fit_all(decomp, pairs, FAMILIES, bin_width=1.0)
+    fits = [mf for per_range in models.values() for mf in per_range.values()]
+    assert len(fits) == 20
+    unusable = [(mf.family, mf.fit_report.flags) for mf in fits if not mf.fit_report.monotone]
+    assert unusable == []
 
 
 def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
@@ -376,10 +431,6 @@ def test_curve_samples_round_trip(tmp_path):
     assert y0 == pytest.approx(evaluate_mf(mf, x0), abs=1e-9)
 
 
-#: The families fitted by least squares: those with an analytic Jacobian.
-LSQ_FAMILIES = [family for family, spec in FAMILY_TABLE.items() if hasattr(spec, "jacobian")]
-
-
 def test_family_labels_cover_families():
     assert FAMILIES == tuple(FAMILY_TABLE) == ("logistic5", "cubic4", "logistic2", "glm")
     labels = [FAMILY_TABLE[family].label for family in FAMILIES]
@@ -388,27 +439,46 @@ def test_family_labels_cover_families():
         assert len(TRUE_PARAMS[family]) == FAMILY_TABLE[family].n_params
     assert LSQ_FAMILIES == ["logistic5", "cubic4", "logistic2"]
     for family in LSQ_FAMILIES:
-        assert hasattr(FAMILY_TABLE[family], "slope")
         assert hasattr(FAMILY_TABLE[family], "starts")
+        assert not hasattr(FAMILY_TABLE[family], "slope")
     bounded = [family for family in LSQ_FAMILIES if FAMILY_TABLE[family].lower is not None]
-    assert bounded == ["logistic5"]
+    assert bounded == ["logistic5", "logistic2"]
+
+
+#: A point in each family's fit coordinates; cubic4 fits in Lukacs coordinates.
+FIT_COORDINATES = {**TRUE_PARAMS, "cubic4": (0.05, 0.3, -0.2, 0.4)}
 
 
 @pytest.mark.parametrize("family", LSQ_FAMILIES)
 def test_analytic_derivatives_match_finite_differences(family):
     spec = FAMILY_TABLE[family]
-    params = np.asarray(TRUE_PARAMS[family], float)
+    theta = np.asarray(FIT_COORDINATES[family], float)
     xs = np.linspace(0.5, 14.5, 15)
-    jacobian = spec.jacobian(params, xs)
+    domain = (0.0, 14.5)
+
+    def curve(theta):
+        return spec.curve(spec.to_params(theta, domain), xs)
+
+    jacobian = spec.jacobian(theta, xs, domain)
     assert jacobian.shape == (len(xs), spec.n_params)
     for j in range(spec.n_params):
-        step = np.zeros_like(params)
-        step[j] = 1e-6 * max(1.0, abs(params[j]))
-        central = (spec.curve(params + step, xs) - spec.curve(params - step, xs)) / (2 * step[j])
+        step = np.zeros_like(theta)
+        step[j] = 1e-6 * max(1.0, abs(theta[j]))
+        central = (curve(theta + step) - curve(theta - step)) / (2 * step[j])
         np.testing.assert_allclose(jacobian[:, j], central, rtol=1e-6, atol=1e-8)
-    h = 1e-6
-    central = (spec.curve(params, xs + h) - spec.curve(params, xs - h)) / (2 * h)
-    np.testing.assert_allclose(spec.slope(params, xs), central, rtol=1e-6, atol=1e-8)
+
+
+def test_cubic4_lukacs_coordinates_give_the_stated_slope():
+    # dp/dt = (u + v t)**2 + w**2 t (1 - t) with t = d / D: never negative on [0, D]
+    spec = FAMILY_TABLE["cubic4"]
+    c, u, v, w = FIT_COORDINATES["cubic4"]
+    domain = (0.0, 14.5)
+    b1, b2, b3, b4 = spec.to_params(np.array([c, u, v, w]), domain)
+    t = np.linspace(0.0, 1.0, 101)
+    d = t * domain[1]
+    slope_in_t = (b2 + 2.0 * b3 * d + 3.0 * b4 * d**2) * domain[1]
+    np.testing.assert_allclose(slope_in_t, (u + v * t) ** 2 + w**2 * t * (1.0 - t), atol=1e-12)
+    assert b1 == c
 
 
 def test_decreasing_glm_fit_is_marked_non_monotone_and_serializes():
