@@ -13,18 +13,17 @@ and re-serializing yields identical text.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 from . import tableio
 from .errors import CorpusError
 
 log = logging.getLogger(__name__)
-
-VMAF_COLUMNS = ["content_id", "recipe_id", "resolution", "level", "vmaf"]
-RATING_COLUMNS = ["content_id", "recipe_id", "observer_id", "score"]
-TRUTH_COLUMNS = ["content_id", "anchor_recipe_id", "direction", "jnd_recipe_id", "order"]
 
 DIRECTIONS = ("inc", "dec")
 
@@ -52,12 +51,35 @@ class Stimulus:
         return self.recipe.recipe_id
 
 
+def _stimulus(content_id: str, recipe_id: str, resolution: str, level: int, vmaf: float) -> Stimulus:
+    return Stimulus(content_id, Recipe(recipe_id, resolution, level), vmaf)
+
+
+#: vmaf_scores.csv: one row per encoded stimulus, read by :func:`_stimulus`.
+VMAF_TABLE: tableio.Schema = {
+    "content_id": tableio.text,
+    "recipe_id": tableio.text,
+    "resolution": tableio.text,
+    "level": int,
+    "vmaf": tableio.within(tableio.number, 0.0, 100.0),
+}
+
+
 @dataclass(frozen=True)
 class DcrRating:
     content_id: str
     recipe_id: str
     observer_id: str
     score: int
+
+
+#: dcr_ratings.csv: the fields of :class:`DcrRating`, in order.
+RATING_TABLE: tableio.Schema = {
+    "content_id": tableio.text,
+    "recipe_id": tableio.text,
+    "observer_id": tableio.text,
+    "score": tableio.within(int, 1, 5),
+}
 
 
 @dataclass(frozen=True)
@@ -67,6 +89,16 @@ class JndTruth:
     direction: str  # "inc" | "dec"
     jnd_recipe_id: str
     order: int
+
+
+#: jnd_truth.csv: the fields of :class:`JndTruth`, in order.
+TRUTH_TABLE: tableio.Schema = {
+    "content_id": tableio.text,
+    "anchor_recipe_id": tableio.text,
+    "direction": tableio.one_of(*DIRECTIONS),
+    "jnd_recipe_id": tableio.text,
+    "order": tableio.within(int, 1, math.inf),
+}
 
 
 @dataclass(frozen=True)
@@ -97,10 +129,10 @@ class Corpus:
 
     def __post_init__(self) -> None:
         by_key: dict[tuple[str, str], Stimulus] = {}
-        for stim in self.stimuli:
+        for i, stim in enumerate(self.stimuli):
             key = (stim.content_id, stim.recipe_id)
             if key in by_key:
-                raise CorpusError(f"duplicate stimulus {key[0]}/{key[1]}")
+                raise CorpusError(f"duplicate stimulus {key[0]}/{key[1]}", row=("stimuli", i))
             by_key[key] = stim
         # sorted keys put the contents, and the recipes of each, in order
         stimuli_by_content: dict[str, list[Stimulus]] = {}
@@ -108,16 +140,17 @@ class Corpus:
             stimuli_by_content.setdefault(key[0], []).append(by_key[key])
         ratings_by_key: dict[tuple[str, str], list[DcrRating]] = {}
         seen: set[tuple[str, str, str]] = set()
-        for rating in self.ratings:
+        for i, rating in enumerate(self.ratings):
             key = (rating.content_id, rating.recipe_id)
             if key not in by_key:
                 raise CorpusError(
-                    f"rating references unknown stimulus {key[0]}/{key[1]}"
+                    f"rating references unknown stimulus {key[0]}/{key[1]}", row=("ratings", i)
                 )
             triple = (rating.content_id, rating.recipe_id, rating.observer_id)
             if triple in seen:
                 raise CorpusError(
-                    f"duplicate rating for {triple[0]}/{triple[1]} by {triple[2]}"
+                    f"duplicate rating for {triple[0]}/{triple[1]} by {triple[2]}",
+                    row=("ratings", i),
                 )
             seen.add(triple)
             ratings_by_key.setdefault(key, []).append(rating)
@@ -126,31 +159,31 @@ class Corpus:
         rated_by_content: dict[str, list[str]] = {c: [] for c in stimuli_by_content}
         for content_id, recipe_id in sorted(ratings_by_key):
             rated_by_content[content_id].append(recipe_id)
-        for truth in self.truths:
+        for i, truth in enumerate(self.truths):
+            row = ("truths", i)
             if truth.direction not in DIRECTIONS:
-                raise CorpusError(f"bad direction {truth.direction!r}")
+                raise CorpusError(f"bad direction {truth.direction!r}", column="direction", row=row)
             if truth.order < 1:
-                raise CorpusError(f"truth order must be >= 1, got {truth.order}")
-            for label, recipe_id in (
-                ("anchor", truth.anchor_recipe_id),
-                ("jnd", truth.jnd_recipe_id),
-            ):
+                raise CorpusError(
+                    f"truth order must be >= 1, got {truth.order}", column="order", row=row
+                )
+            for label, column in (("anchor", "anchor_recipe_id"), ("jnd", "jnd_recipe_id")):
+                recipe_id = getattr(truth, column)
                 if (truth.content_id, recipe_id) not in by_key:
                     raise CorpusError(
                         f"truth {label} references unknown stimulus "
-                        f"{truth.content_id}/{recipe_id}"
+                        f"{truth.content_id}/{recipe_id}",
+                        column=column,
+                        row=row,
                     )
             anchor = by_key[(truth.content_id, truth.anchor_recipe_id)]
             jnd = by_key[(truth.content_id, truth.jnd_recipe_id)]
-            if truth.direction == "dec" and jnd.vmaf > anchor.vmaf:
+            rise = jnd.vmaf - anchor.vmaf
+            if (truth.direction == "dec" and rise > 0) or (truth.direction == "inc" and rise < 0):
                 raise CorpusError(
-                    f"dec truth for {truth.content_id} moves up in quality "
-                    f"({anchor.vmaf} -> {jnd.vmaf})"
-                )
-            if truth.direction == "inc" and jnd.vmaf < anchor.vmaf:
-                raise CorpusError(
-                    f"inc truth for {truth.content_id} moves down in quality "
-                    f"({anchor.vmaf} -> {jnd.vmaf})"
+                    f"{truth.direction} truth for {truth.content_id} moves "
+                    f"{'up' if rise > 0 else 'down'} in quality ({anchor.vmaf} -> {jnd.vmaf})",
+                    row=row,
                 )
         object.__setattr__(self, "_by_key", by_key)
         object.__setattr__(self, "_ratings_by_key", ratings_by_key)
@@ -218,72 +251,30 @@ def load_corpus(
     :class:`CorpusError` naming file, line, and column on the first malformed
     cell, duplicate key, dangling reference, or out-of-range value.
     """
-    stimuli = _load_vmaf(vmaf_table)
-    ratings = _load_ratings(ratings_table) if ratings_table is not None else ()
-    truths = _load_truth(truth_table) if truth_table is not None else ()
-    corpus = Corpus(stimuli=stimuli, ratings=ratings, truths=truths)
+    tables = {
+        "stimuli": (vmaf_table, VMAF_TABLE, _stimulus),
+        "ratings": (ratings_table, RATING_TABLE, DcrRating),
+        "truths": (truth_table, TRUTH_TABLE, JndTruth),
+    }
+    rows = {}
+    for field_name, (path, schema, make) in tables.items():
+        numbered = () if path is None else tableio.read_table(path, schema)
+        rows[field_name] = tuple([make(*values) for _, values in numbered])
+    try:
+        corpus = Corpus(**rows)
+    except CorpusError as exc:
+        field_name, index = exc.row
+        path, schema, _ = tables[field_name]
+        # a rejected row is rare: read its table again for the row's line
+        line, _ = next(itertools.islice(tableio.read_table(path, schema), index, None))
+        raise CorpusError(exc.message, path=Path(path).name, line=line, column=exc.column) from None
     log.info(
         "loaded corpus: %d stimuli, %d ratings, %d truth rows",
-        len(stimuli),
-        len(ratings),
-        len(truths),
+        len(corpus.stimuli),
+        len(corpus.ratings),
+        len(corpus.truths),
     )
     return corpus
-
-
-def _load_vmaf(path: str | Path) -> tuple[Stimulus, ...]:
-    name = Path(path).name
-    stimuli = []
-    for lineno, row in tableio.read_rows(path, VMAF_COLUMNS):
-        content_id = tableio.require_nonempty(row, "content_id", path=name, line=lineno)
-        recipe_id = tableio.require_nonempty(row, "recipe_id", path=name, line=lineno)
-        resolution = tableio.require_nonempty(row, "resolution", path=name, line=lineno)
-        level = tableio.parse_int(row, "level", path=name, line=lineno)
-        vmaf = tableio.parse_float(row, "vmaf", path=name, line=lineno)
-        if not 0.0 <= vmaf <= 100.0:
-            raise CorpusError(
-                f"vmaf {vmaf} outside [0, 100]", path=name, line=lineno, column="vmaf"
-            )
-        stimuli.append(
-            Stimulus(content_id, Recipe(recipe_id, resolution, level), vmaf)
-        )
-    return tuple(stimuli)
-
-
-def _load_ratings(path: str | Path) -> tuple[DcrRating, ...]:
-    name = Path(path).name
-    ratings = []
-    for lineno, row in tableio.read_rows(path, RATING_COLUMNS):
-        content_id = tableio.require_nonempty(row, "content_id", path=name, line=lineno)
-        recipe_id = tableio.require_nonempty(row, "recipe_id", path=name, line=lineno)
-        observer_id = tableio.require_nonempty(row, "observer_id", path=name, line=lineno)
-        score = tableio.parse_int(row, "score", path=name, line=lineno)
-        if not 1 <= score <= 5:
-            raise CorpusError(
-                f"score {score} outside 1..5", path=name, line=lineno, column="score"
-            )
-        ratings.append(DcrRating(content_id, recipe_id, observer_id, score))
-    return tuple(ratings)
-
-
-def _load_truth(path: str | Path) -> tuple[JndTruth, ...]:
-    name = Path(path).name
-    truths = []
-    for lineno, row in tableio.read_rows(path, TRUTH_COLUMNS):
-        content_id = tableio.require_nonempty(row, "content_id", path=name, line=lineno)
-        anchor = tableio.require_nonempty(row, "anchor_recipe_id", path=name, line=lineno)
-        direction = row["direction"]
-        if direction not in DIRECTIONS:
-            raise CorpusError(
-                f"direction must be one of {DIRECTIONS}, got {direction!r}",
-                path=name,
-                line=lineno,
-                column="direction",
-            )
-        jnd = tableio.require_nonempty(row, "jnd_recipe_id", path=name, line=lineno)
-        order = tableio.parse_int(row, "order", path=name, line=lineno)
-        truths.append(JndTruth(content_id, anchor, direction, jnd, order))
-    return tuple(truths)
 
 
 # -- serialization ----------------------------------------------------------
@@ -294,22 +285,15 @@ def vmaf_csv_text(corpus: Corpus) -> str:
         (s.content_id, s.recipe_id, s.recipe.resolution, s.recipe.level, s.vmaf)
         for s in corpus.stimuli
     ]
-    return tableio.rows_to_csv_text(VMAF_COLUMNS, rows)
+    return tableio.rows_to_csv_text(VMAF_TABLE, rows)
 
 
 def ratings_csv_text(corpus: Corpus) -> str:
-    rows = [
-        (r.content_id, r.recipe_id, r.observer_id, r.score) for r in corpus.ratings
-    ]
-    return tableio.rows_to_csv_text(RATING_COLUMNS, rows)
+    return tableio.rows_to_csv_text(RATING_TABLE, map(attrgetter(*RATING_TABLE), corpus.ratings))
 
 
 def truth_csv_text(corpus: Corpus) -> str:
-    rows = [
-        (t.content_id, t.anchor_recipe_id, t.direction, t.jnd_recipe_id, t.order)
-        for t in corpus.truths
-    ]
-    return tableio.rows_to_csv_text(TRUTH_COLUMNS, rows)
+    return tableio.rows_to_csv_text(TRUTH_TABLE, map(attrgetter(*TRUTH_TABLE), corpus.truths))
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:

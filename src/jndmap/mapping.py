@@ -63,8 +63,6 @@ MONOTONE_SLACK = 1e-9
 FLAT_RISE = 0.05
 IRLS_MAX_ITER = 100
 IRLS_SLOPE_CAP = 50.0
-CODIST_COLUMNS = ["range_id", "bin_lo", "bin_hi", "f_dif", "f_sim", "p_sd"]
-CURVE_COLUMNS = ["range_id", "family", "delta_obj", "p_sd"]
 CURVE_SAMPLES = 200
 
 
@@ -78,6 +76,25 @@ class CoDistribution:
     @property
     def n_bins(self) -> int:
         return len(self.f_dif)
+
+
+#: codist.csv: one row per bin.  ``p_sd`` is f_dif / (f_dif + f_sim), empty
+#: for an empty bin; the reader rebuilds it from the counts.
+CODIST_TABLE: tableio.Schema = {
+    "range_id": tableio.text,
+    "bin_lo": tableio.number,
+    "bin_hi": tableio.number,
+    "f_dif": tableio.within(int, 0, math.inf),
+    "f_sim": tableio.within(int, 0, math.inf),
+    "p_sd": str,
+}
+#: curve_samples.csv: ``CURVE_SAMPLES`` points of each fitted curve.
+CURVE_TABLE: tableio.Schema = {
+    "range_id": tableio.text,
+    "family": tableio.text,
+    "delta_obj": tableio.number,
+    "p_sd": tableio.number,
+}
 
 
 @dataclass(frozen=True)
@@ -602,10 +619,10 @@ def fit_all(
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
             continue
-        cd = build_codistribution(srange, pairs, bin_width)
+        in_range = decomp.pairs_in_range(srange.range_id, pairs)
+        cd = build_codistribution(srange, in_range, bin_width)
         codists[srange.range_id] = cd
         points = psd_points(cd)
-        in_range = decomp.pairs_in_range(srange.range_id, pairs)
         glm_pairs = in_range if glm_mode == "pairwise" else None
         for family in families:
             try:
@@ -630,7 +647,7 @@ def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
             rows.append(
                 (range_id, cd.bin_edges[i], cd.bin_edges[i + 1], cd.f_dif[i], cd.f_sim[i], p_sd)
             )
-    return tableio.rows_to_csv_text(CODIST_COLUMNS, rows)
+    return tableio.rows_to_csv_text(CODIST_TABLE, rows)
 
 
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
@@ -691,42 +708,27 @@ def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str
             mf = models[range_id][family]
             for d in np.linspace(mf.domain[0], mf.domain[1], CURVE_SAMPLES):
                 rows.append((range_id, family, float(d), evaluate_mf(mf, float(d))))
-    return tableio.rows_to_csv_text(CURVE_COLUMNS, rows)
+    return tableio.rows_to_csv_text(CURVE_TABLE, rows)
 
 
 def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple[float, float]]]:
-    name = Path(path).name
     curves: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for lineno, row in tableio.read_rows(path, CURVE_COLUMNS):
-        key = (row["range_id"], row["family"])
-        curves.setdefault(key, []).append(
-            (
-                tableio.parse_float(row, "delta_obj", path=name, line=lineno),
-                tableio.parse_float(row, "p_sd", path=name, line=lineno),
-            )
-        )
+    for _, (range_id, family, delta_obj, p_sd) in tableio.read_table(path, CURVE_TABLE):
+        curves.setdefault((range_id, family), []).append((delta_obj, p_sd))
     return curves
 
 
 def read_codist_csv(path: str | Path) -> dict[str, CoDistribution]:
     """Rebuild co-distributions from codist.csv (used by the SVG renderer)."""
-    name = Path(path).name
     grouped: dict[str, list[tuple[float, float, int, int]]] = {}
-    for lineno, row in tableio.read_rows(path, CODIST_COLUMNS):
-        grouped.setdefault(row["range_id"], []).append(
-            (
-                tableio.parse_float(row, "bin_lo", path=name, line=lineno),
-                tableio.parse_float(row, "bin_hi", path=name, line=lineno),
-                tableio.parse_int(row, "f_dif", path=name, line=lineno),
-                tableio.parse_int(row, "f_sim", path=name, line=lineno),
-            )
-        )
+    for _, (range_id, lo, hi, f_dif, f_sim, _) in tableio.read_table(path, CODIST_TABLE):
+        grouped.setdefault(range_id, []).append((lo, hi, f_dif, f_sim))
     out = {}
     for range_id, bins in grouped.items():
         bins.sort()
         edges = [b[0] for b in bins] + [bins[-1][1]]
         if any(not math.isclose(a[1], b[0]) for a, b in zip(bins, bins[1:])):
-            raise CorpusError(f"non-contiguous bins for range {range_id}", path=name)
+            raise CorpusError(f"non-contiguous bins for range {range_id}", path=Path(path).name)
         out[range_id] = CoDistribution(
             range_id=range_id,
             bin_edges=tuple(edges),

@@ -22,17 +22,15 @@ import itertools
 import logging
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import tableio
 from .corpus import Corpus, ratings_vector
-from .errors import CorpusError
 
 log = logging.getLogger(__name__)
-
-PAIR_COLUMNS = ["content_id", "recipe_x", "recipe_y", "delta_obj", "p_value", "sig"]
 
 TESTS = ("welch", "student", "paired")
 
@@ -57,6 +55,17 @@ class RatedPair:
     @property
     def pair_id(self) -> str:
         return f"{self.content_id}:{self.recipe_x}:{self.recipe_y}"
+
+
+#: pairs.csv: the fields of :class:`RatedPair`, in order.
+PAIR_TABLE: tableio.Schema = {
+    "content_id": tableio.text,
+    "recipe_x": tableio.text,
+    "recipe_y": tableio.text,
+    "delta_obj": tableio.within(tableio.number, 0.0, math.inf),
+    "p_value": tableio.within(tableio.number, 0.0, 1.0),
+    "sig": tableio.within(int, 0, 1),
+}
 
 
 def _two_sided_p(t: float, df: float) -> float:
@@ -95,7 +104,7 @@ def welch_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> Tes
     va, vb = a.var, b.var
     diff = a.mean - b.mean
     if va == 0.0 and vb == 0.0:
-        return _degenerate(diff, na, nb, alpha)
+        return _degenerate(diff, float(na + nb - 2), alpha)
     sa, sb = va / na, vb / nb
     t = diff / math.sqrt(sa + sb)
     denom = sa**2 / (na - 1) + sb**2 / (nb - 1)
@@ -115,9 +124,9 @@ def student_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> T
     na, nb = a.n, b.n
     va, vb = a.var, b.var
     diff = a.mean - b.mean
-    if va == 0.0 and vb == 0.0:
-        return _degenerate(diff, na, nb, alpha)
     df = float(na + nb - 2)
+    if va == 0.0 and vb == 0.0:
+        return _degenerate(diff, df, alpha)
     pooled = ((na - 1) * va + (nb - 1) * vb) / df
     t = diff / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
     p = _two_sided_p(t, df)
@@ -143,16 +152,15 @@ def paired_t_test(a, b, alpha: float = 0.05) -> TestResult:
     n = len(d)
     vd = float(d.var(ddof=1))
     mean = float(d.mean())
-    if vd == 0.0:
-        return _degenerate(mean, n, n, alpha)
-    t = mean / math.sqrt(vd / n)
     df = float(n - 1)
+    if vd == 0.0:
+        return _degenerate(mean, df, alpha)
+    t = mean / math.sqrt(vd / n)
     p = _two_sided_p(t, df)
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
 
-def _degenerate(diff: float, na: int, nb: int, alpha: float) -> TestResult:
-    df = float(na + nb - 2)
+def _degenerate(diff: float, df: float, alpha: float) -> TestResult:
     if diff == 0.0:
         return TestResult(t=0.0, df=df, p=1.0, sig=0)
     return TestResult(t=math.copysign(math.inf, diff), df=df, p=0.0, sig=1)
@@ -240,33 +248,8 @@ def _require_same_observers(corpus: Corpus, content_id: str, rx: str, ry: str) -
 
 
 def pairs_csv_text(pairs: list[RatedPair]) -> str:
-    rows = [
-        (p.content_id, p.recipe_x, p.recipe_y, p.delta_obj, p.p_value, p.sig)
-        for p in pairs
-    ]
-    return tableio.rows_to_csv_text(PAIR_COLUMNS, rows)
+    return tableio.rows_to_csv_text(PAIR_TABLE, map(attrgetter(*PAIR_TABLE), pairs))
 
 
 def read_pairs_csv(path: str | Path) -> list[RatedPair]:
-    name = Path(path).name
-    pairs = []
-    for lineno, row in tableio.read_rows(path, PAIR_COLUMNS):
-        sig = tableio.parse_int(row, "sig", path=name, line=lineno)
-        if sig not in (0, 1):
-            raise CorpusError(f"sig must be 0 or 1, got {sig}", path=name, line=lineno, column="sig")
-        delta = tableio.parse_float(row, "delta_obj", path=name, line=lineno)
-        if delta < 0:
-            raise CorpusError(
-                f"delta_obj must be >= 0, got {delta}", path=name, line=lineno, column="delta_obj"
-            )
-        pairs.append(
-            RatedPair(
-                content_id=row["content_id"],
-                recipe_x=row["recipe_x"],
-                recipe_y=row["recipe_y"],
-                delta_obj=delta,
-                p_value=tableio.parse_float(row, "p_value", path=name, line=lineno),
-                sig=sig,
-            )
-        )
-    return pairs
+    return [RatedPair(*values) for _, values in tableio.read_table(path, PAIR_TABLE)]

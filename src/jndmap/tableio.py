@@ -1,10 +1,18 @@
 """Strict CSV and JSON helpers used by every artifact reader/writer in the package.
 
 All interchange tables are plain comma-separated files with an exact header
-row.  Readers reject unknown or missing columns up front and report the file,
-line, and column of the first bad cell; writers format floats with ``repr`` so
-a value survives a write/read round trip bit-for-bit.  JSON artifacts and
-inputs go through :func:`write_json` / :func:`read_json` only.
+row.  Each table that is read back is declared once, next to its row type, as
+a :data:`Schema`: an ordered mapping from column name to a cell parser, which
+returns the cell's value or raises ``ValueError``.  The declarations are built
+from ``int``, :func:`text` and the :func:`checked` parsers :data:`number`,
+:func:`within` and :func:`one_of`.  :func:`read_table` is the one CSV reader:
+it checks the header against the schema, skips blank lines, and reports a
+wrong field count or a parser's ``ValueError`` as a :class:`CorpusError`
+naming the file, line and column.  Writers take their header from the same
+schema and pass the cells to ``csv.writer`` as they are; it writes a float as
+its shortest round-trip ``repr``, so a value survives a write/read round trip
+bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
+:func:`read_json` only.
 """
 
 from __future__ import annotations
@@ -13,22 +21,63 @@ import csv
 import dataclasses
 import io
 import json
+import math
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
-from typing import TypeVar
+from typing import Any, TypeVar
 
 from .errors import CorpusError
 
 T = TypeVar("T")
 
+#: Column name -> cell parser, in column order.
+Schema = dict[str, Callable[[str], Any]]
 
-def read_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, dict[str, str]]]:
-    """Yield ``(line_number, row_dict)`` for each data row of a strict CSV.
 
-    The header must equal ``columns`` exactly (same names, same order).  Line
-    numbers are 1-based file lines, so the first data row is line 2.
+def checked(parse: Callable[[str], T], ok: Callable[[T], bool], message: str) -> Callable[[str], T]:
+    """A cell parser: ``parse`` the cell, then raise
+    ``ValueError(message.format(value))`` unless ``ok(value)``."""
+
+    def parse_checked(cell: str) -> T:
+        value = parse(cell)
+        if not ok(value):
+            raise ValueError(message.format(value))
+        return value
+
+    return parse_checked
+
+
+def text(cell: str) -> str:
+    """A non-empty string; most cells are text, and :func:`checked` costs two more calls."""
+    if not cell:
+        raise ValueError("empty value")
+    return cell
+
+
+#: A finite float.
+number = checked(float, math.isfinite, "non-finite value {!r}")
+
+
+def within(parse: Callable[[str], float], lo: float, hi: float) -> Callable[[str], float]:
+    """``parse``, then require ``lo <= value <= hi``."""
+    return checked(parse, lambda value: lo <= value <= hi, f"{{!r}} outside [{lo}, {hi}]")
+
+
+def one_of(*allowed: str) -> Callable[[str], str]:
+    """One of the ``allowed`` strings."""
+    return checked(str, allowed.__contains__, f"{{!r}} is not one of {allowed}")
+
+
+def read_table(path: str | Path, schema: Schema) -> Iterator[tuple[int, list]]:
+    """Yield ``(line_number, values)`` for each data row of a strict CSV, the
+    values parsed by ``schema`` in column order.
+
+    The header must equal the schema's columns exactly (same names, same
+    order).  A row's line number is the 1-based file line it starts on, so
+    the first data row is line 2.
     """
     path = Path(path)
+    columns = list(schema)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -39,7 +88,10 @@ def read_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, dict[
             raise CorpusError(
                 f"bad header {header!r}, expected {columns!r}", path=path.name, line=1
             )
-        for lineno, raw in enumerate(reader, start=2):
+        end = reader.line_num
+        for raw in reader:
+            # a quoted cell may hold line breaks: a row starts after the last one ends
+            lineno, end = end + 1, reader.line_num
             if not raw:
                 continue  # tolerate a trailing blank line
             if len(raw) != len(columns):
@@ -48,45 +100,19 @@ def read_rows(path: str | Path, columns: list[str]) -> Iterator[tuple[int, dict[
                     path=path.name,
                     line=lineno,
                 )
-            yield lineno, dict(zip(columns, raw))
+            values: list = []
+            try:
+                for parse, cell in zip(schema.values(), raw):
+                    values.append(parse(cell))
+            except ValueError as exc:
+                # the parsed values so far index the column that failed
+                raise CorpusError(
+                    str(exc), path=path.name, line=lineno, column=columns[len(values)]
+                ) from None
+            yield lineno, values
 
 
-def parse_float(row: dict[str, str], column: str, *, path: str, line: int) -> float:
-    try:
-        value = float(row[column])
-    except ValueError:
-        raise CorpusError(
-            f"not a number: {row[column]!r}", path=path, line=line, column=column
-        ) from None
-    if value != value or value in (float("inf"), float("-inf")):
-        raise CorpusError(f"non-finite value {row[column]!r}", path=path, line=line, column=column)
-    return value
-
-
-def parse_int(row: dict[str, str], column: str, *, path: str, line: int) -> int:
-    try:
-        return int(row[column])
-    except ValueError:
-        raise CorpusError(
-            f"not an integer: {row[column]!r}", path=path, line=line, column=column
-        ) from None
-
-
-def require_nonempty(row: dict[str, str], column: str, *, path: str, line: int) -> str:
-    value = row[column]
-    if not value:
-        raise CorpusError("empty value", path=path, line=line, column=column)
-    return value
-
-
-def fmt_cell(value: object) -> str:
-    """Render a cell deterministically (floats via repr, everything else via str)."""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def rows_to_csv_text(columns: list[str], rows: Iterable[Iterable[object]]) -> str:
+def rows_to_csv_text(columns: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
     """Serialize rows to CSV text with a fixed header and ``\\n`` line endings.
 
     Quoting is minimal (range ids carry commas), so output bytes are a pure
@@ -95,8 +121,7 @@ def rows_to_csv_text(columns: list[str], rows: Iterable[Iterable[object]]) -> st
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([fmt_cell(cell) for cell in row])
+    writer.writerows(rows)
     return buf.getvalue()
 
 

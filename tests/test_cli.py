@@ -521,6 +521,66 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
         assert record["message"].startswith(f"mf_params.json: {message}")
 
 
+def _duplicate_line_2(lines):
+    return lines[:2] + [lines[1]] + lines[2:]
+
+
+def _edit_line_2(index, value):
+    def edit(lines):
+        row = lines[1].split(",")
+        row[index] = value
+        return [lines[0], ",".join(row)] + lines[2:]
+
+    return edit
+
+
+def _swap_anchor_and_jnd(lines):
+    content_id, anchor, direction, jnd, order = lines[1].split(",")
+    return [lines[0], ",".join([content_id, jnd, direction, anchor, order])] + lines[2:]
+
+
+@pytest.mark.parametrize(
+    "table, edit, where, message",
+    [
+        pytest.param("vmaf_scores.csv", _duplicate_line_2, "line 3", "duplicate stimulus c00/r1",
+                     id="duplicate-stimulus"),
+        pytest.param("dcr_ratings.csv", _duplicate_line_2, "line 3", "duplicate rating for c00/r1",
+                     id="duplicate-rating"),
+        pytest.param("dcr_ratings.csv", _edit_line_2(1, "zz"), "line 2",
+                     "rating references unknown stimulus c00/zz", id="unknown-rated-stimulus"),
+        pytest.param("jnd_truth.csv", _edit_line_2(4, "0"), "line 2:order", "0 outside [1, inf]",
+                     id="truth-order-0"),
+        pytest.param("jnd_truth.csv", _edit_line_2(1, "zz"), "line 2:anchor_recipe_id",
+                     "truth anchor references unknown stimulus c00/zz", id="unknown-anchor"),
+        pytest.param("jnd_truth.csv", _edit_line_2(3, "zz"), "line 2:jnd_recipe_id",
+                     "truth jnd references unknown stimulus c00/zz", id="unknown-jnd"),
+        pytest.param("jnd_truth.csv", _swap_anchor_and_jnd, "line 2",
+                     "dec truth for c00 moves up in quality", id="truth-moves-wrong-way"),
+        pytest.param("pairs.csv", _edit_line_2(0, ""), "line 2:content_id", "empty value",
+                     id="pair-empty-id"),
+        pytest.param("pairs.csv", _edit_line_2(4, "7.5"), "line 2:p_value",
+                     "7.5 outside [0.0, 1.0]", id="pair-p-value-above-1"),
+        pytest.param("pairs.csv", _edit_line_2(4, "-0.5"), "line 2:p_value",
+                     "-0.5 outside [0.0, 1.0]", id="pair-p-value-below-0"),
+    ],
+)
+def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, edit, where, message):
+    tables = {name: sim_dir / name for name in ("vmaf_scores.csv", "dcr_ratings.csv", "jnd_truth.csv")}
+    tables["pairs.csv"] = run_dir / "pairs.csv"
+    lines = tables[table].read_text().splitlines()
+    tables[table] = tmp_path / table
+    tables[table].write_text("\n".join(edit(lines)) + "\n")
+    if table == "pairs.csv":
+        argv = ["fit", "--pairs", tables["pairs.csv"], "--ranges", run_dir / "ranges.json"]
+    else:
+        argv = ["run", tables["vmaf_scores.csv"], tables["dcr_ratings.csv"],
+                "--truth", tables["jnd_truth.csv"]]
+    assert cli.main([str(a) for a in argv + ["--out-dir", tmp_path / "out"]]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record["error"] == "CorpusError"
+    assert record["message"].startswith(f"{table}:{where}: {message}")
+
+
 def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path):
     ranges = tmp_path / "ranges.json"
     run_cli(["decompose", sim_dir / "vmaf_scores.csv", "--pairs", run_dir / "pairs.csv",

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from jndmap import tableio
 from jndmap.corpus import (
     Corpus,
     DcrRating,
@@ -197,6 +199,16 @@ def test_load_reports_line_of_bad_cell(tmp_path):
     assert "line 3" in str(err.value)
 
 
+def test_line_numbers_count_the_line_breaks_in_quoted_cells(tmp_path):
+    (tmp_path / "vmaf.csv").write_text(
+        "content_id,recipe_id,resolution,level,vmaf\n"
+        'c1,"r\n0",1080p,1,90.0\n'
+        "c1,r1,1080p,2,not-a-number\n"
+    )
+    with pytest.raises(CorpusError, match="^vmaf.csv:line 4:vmaf: "):
+        load_corpus(tmp_path / "vmaf.csv", None)
+
+
 def test_blank_lines_tolerated(tmp_path):
     (tmp_path / "vmaf.csv").write_text(
         "content_id,recipe_id,resolution,level,vmaf\n\nc1,r0,1080p,1,90.0\n\n"
@@ -208,3 +220,8 @@ def test_blank_lines_tolerated(tmp_path):
 def test_truth_csv_includes_order():
     corpus = _corpus_with_ratings()
     assert truth_csv_text(corpus).splitlines()[1] == "c1,r0,dec,r1,1"
+
+
+def test_numpy_scalars_are_written_as_numbers():
+    text = tableio.rows_to_csv_text(["x", "n"], [(np.float64(0.1), np.int64(3))])
+    assert text == "x,n\n0.1,3\n"

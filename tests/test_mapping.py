@@ -10,7 +10,7 @@ import pytest
 
 from jndmap import mapping as mapping_mod
 from jndmap.corpus import Corpus, Recipe, Stimulus
-from jndmap.errors import FitError
+from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import (
     FAMILIES,
     FAMILY_TABLE,
@@ -299,6 +299,28 @@ def test_noisy_panel_fits_are_all_usable():
     assert unusable == []
 
 
+def test_logistic5_needs_more_than_its_first_start(monkeypatch):
+    # A small noisy study where start 0 stops at a cost 1.5x the best start's:
+    # the later starts are not redundant, even where every start ties on the
+    # benchmark studies.
+    spec = SimSpec(n_contents=3, observer_count=8, rating_noise_sd=3.0, seed=692032)
+    corpus, _ = simulate_corpus(spec)
+    corpus = apply_screening(corpus, screen_bt500(corpus))
+    pairs = classify_pairs(corpus, test="welch")
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, 2), corpus)
+    cd = build_codistribution(decomp.by_id("(80.9469,100]"), pairs, bin_width=3.0)
+    points = psd_points(cd)
+    assert len(points) == 9
+    assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
+        0.28131, abs=1e-5
+    )
+    starts = mapping_mod._Logistic5.starts
+    monkeypatch.setattr(mapping_mod._Logistic5, "starts", lambda self, x, y: starts(self, x, y)[:1])
+    assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
+        0.35038, abs=1e-5
+    )
+
+
 def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
     # The gradient's rounding floor at this size sits above 1e-10, so only a
     # step test relative to |beta| can stop the iteration.
@@ -415,6 +437,13 @@ def test_codist_csv_round_trip(tmp_path):
     path.write_text(text)
     restored = read_codist_csv(path)
     assert restored[cd.range_id] == cd
+
+
+def test_codist_csv_rejects_a_negative_count(tmp_path):
+    path = tmp_path / "codist.csv"
+    path.write_text('range_id,bin_lo,bin_hi,f_dif,f_sim,p_sd\n"(0,50]",0.0,2.0,-40,0,1.0\n')
+    with pytest.raises(CorpusError, match=r"^codist.csv:line 2:f_dif: -40 outside \[0, inf\]"):
+        read_codist_csv(path)
 
 
 def test_curve_samples_round_trip(tmp_path):

@@ -90,6 +90,12 @@ def test_degenerate_zero_variance():
     assert apart.df == 4.0  # pooled fallback df: na + nb - 2
 
 
+def test_paired_zero_variance_keeps_the_paired_df():
+    # every difference is 1: the paired test has n - 1 = 2 degrees of freedom
+    result = paired_t_test([3, 4, 5], [2, 3, 4])
+    assert (result.t, result.df, result.p, result.sig) == (math.inf, 2.0, 0.0, 1)
+
+
 def test_input_guards():
     with pytest.raises(ValueError):
         welch_t_test([1], [2, 3])
@@ -231,7 +237,7 @@ def _vector_test(a, b, pooled: bool, alpha: float = 0.05):
     vb = float(xb.var(ddof=1))
     diff = float(xa.mean() - xb.mean())
     if va == 0.0 and vb == 0.0:
-        return significance_mod._degenerate(diff, na, nb, alpha)
+        return significance_mod._degenerate(diff, float(na + nb - 2), alpha)
     if pooled:
         df = float(na + nb - 2)
         pooled_var = ((na - 1) * va + (nb - 1) * vb) / df
