@@ -23,7 +23,7 @@ corpus, _ = simulate_corpus(SimSpec(n_contents=6, ladder=ladder, seed=3))
 # Balanced over- and under-scoring is exactly what the screen targets.
 flipped = tuple(DcrRating(r.content_id, r.recipe_id, "obs_x", 6 - r.score)
                 for r in corpus.ratings if r.observer_id == "o01")
-corpus = Corpus(corpus.stimuli, corpus.ratings + flipped, corpus.truths)
+corpus = Corpus(corpus.stimuli, (*corpus.ratings, *flipped), corpus.truths)
 
 report = screen(corpus)
 print("removed:", sorted(report.removed_observers))

@@ -179,12 +179,15 @@ def build_codistribution(
     if not refs:
         raise ValueError(f"range {srange.range_id} has no assigned pairs")
     assigned = [p for p in pairs if p.pair_id in refs]
-    if len(assigned) != len(refs):
-        missing = refs - {p.pair_id for p in assigned}
+    missing = refs - {p.pair_id for p in assigned}
+    if missing:
         raise ValueError(
             f"range {srange.range_id} references {len(missing)} pair(s) not in the "
             f"given list, e.g. {sorted(missing)[:3]}"
         )
+    if len(assigned) != len(refs):
+        raise ValueError(f"the given list repeats {len(assigned) - len(refs)} pair(s) of "
+                         f"range {srange.range_id}")
     deltas = np.array([p.delta_obj for p in assigned], dtype=float)
     top = math.ceil(float(deltas.max()))
     n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
@@ -713,7 +716,7 @@ def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str
 
 def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple[float, float]]]:
     curves: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for _, (range_id, family, delta_obj, p_sd) in tableio.read_table(path, CURVE_TABLE):
+    for range_id, family, delta_obj, p_sd in tableio.read_table(path, CURVE_TABLE).rows():
         curves.setdefault((range_id, family), []).append((delta_obj, p_sd))
     return curves
 
@@ -721,7 +724,7 @@ def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple
 def read_codist_csv(path: str | Path) -> dict[str, CoDistribution]:
     """Rebuild co-distributions from codist.csv (used by the SVG renderer)."""
     grouped: dict[str, list[tuple[float, float, int, int]]] = {}
-    for _, (range_id, lo, hi, f_dif, f_sim, _) in tableio.read_table(path, CODIST_TABLE):
+    for range_id, lo, hi, f_dif, f_sim, _ in tableio.read_table(path, CODIST_TABLE).rows():
         grouped.setdefault(range_id, []).append((lo, hi, f_dif, f_sim))
     out = {}
     for range_id, bins in grouped.items():

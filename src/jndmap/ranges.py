@@ -21,7 +21,10 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
+
+import numpy as np
 
 from . import tableio
 from .corpus import Corpus
@@ -195,21 +198,31 @@ def assign_pairs(
     Idempotent and independent of the order of ``pairs``; re-assignment
     replaces any previous refs.
     """
-    refs: dict[str, set[str]] = {r.range_id: set() for r in decomp.ranges}
-    for pair in pairs:
-        for recipe in (pair.recipe_x, pair.recipe_y):
-            vmaf = corpus.stimulus(pair.content_id, recipe).vmaf
-            try:
-                target = decomp.find_range(vmaf)
-            except KeyError:
-                raise ValueError(
-                    f"stimulus {pair.content_id}/{recipe} (vmaf {vmaf}) lies outside "
-                    f"the decomposition coverage {decomp.coverage}"
-                ) from None
-            refs[target.range_id].add(pair.pair_id)
-    new_ranges = tuple(
-        replace(r, pair_refs=tuple(sorted(refs[r.range_id]))) for r in decomp.ranges
-    )
+    endpoints = [attrgetter("content_id", recipe) for recipe in ("recipe_x", "recipe_y")]
+    table = corpus.ratings
+    codes = [table.codes.get(key(pair), -1) for pair in pairs for key in endpoints]
+    codes = np.array(codes, np.intp).reshape(-1, 2)
+    vmaf = np.append(table.vmaf, np.nan)[codes]  # code -1 (unknown) reads NaN
+    lo, hi = decomp.coverage
+    outside = ~((lo < vmaf) & (vmaf <= hi))
+    if outside.any():
+        i, end = divmod(int(np.argmax(outside)), 2)
+        content_id, recipe = endpoints[end](pairs[i])
+        value = corpus.stimulus(content_id, recipe).vmaf  # KeyError for an unknown stimulus
+        raise ValueError(
+            f"stimulus {content_id}/{recipe} (vmaf {value}) lies outside "
+            f"the decomposition coverage {decomp.coverage}"
+        )
+    # the range of (lo, hi] holding each endpoint, as Decomposition.find_range finds it
+    where = np.searchsorted([r.hi for r in decomp.ranges], vmaf, side="left")
+    ids = [p.pair_id for p in pairs]
+    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    refs = []
+    for k in range(len(decomp.ranges)):
+        inside = by_id[(where[by_id] == k).any(axis=1)]
+        # a repeated pair sorts next to its first copy, and dict.fromkeys drops it
+        refs.append(tuple(dict.fromkeys(ids[i] for i in inside.tolist())))
+    new_ranges = tuple(replace(r, pair_refs=ref) for r, ref in zip(decomp.ranges, refs))
     assigned = sum(len(r.pair_refs) for r in new_ranges)
     log.info(
         "assigned %d pairs with total multiplicity %d across %d ranges",

@@ -82,43 +82,47 @@ def screen(corpus: Corpus, method: str = "bt500") -> ScreeningReport:
 
 
 def screen_bt500(corpus: Corpus) -> ScreeningReport:
-    """Apply the BT.500-style outlier test over every rated stimulus."""
-    p_counts: dict[str, int] = {obs: 0 for obs in corpus.observers()}
-    q_counts: dict[str, int] = {obs: 0 for obs in corpus.observers()}
-    judgements: dict[str, int] = {obs: 0 for obs in corpus.observers()}
+    """Apply the BT.500-style outlier test over every rated stimulus.
 
-    for content_id, recipe_id in corpus.rated_keys():
-        group = corpus.ratings_for(content_id, recipe_id)
-        if len(group) < 2:
-            raise ValueError(
-                f"stimulus {content_id}/{recipe_id} has {len(group)} rating(s); "
-                "screening needs at least 2 per rated stimulus"
-            )
-        scores = np.array([r.score for r in group], dtype=float)
-        mean = float(scores.mean())
-        centered = scores - mean
-        m2 = float(np.mean(centered**2))
-        if m2 == 0.0:
-            upper = lower = mean
-        else:
-            m4 = float(np.mean(centered**4))
-            beta2 = m4 / m2**2
-            sigma = float(scores.std(ddof=1))
-            width = 2.0 * sigma if 2.0 <= beta2 <= 4.0 else math.sqrt(20.0) * sigma
-            upper = mean + width
-            lower = mean - width
-        for rating in group:
-            judgements[rating.observer_id] += 1
-            if rating.score > upper:
-                p_counts[rating.observer_id] += 1
-            elif rating.score < lower:
-                q_counts[rating.observer_id] += 1
+    Each stimulus's bounds come from a row of :meth:`RatingTable.panels`, and
+    the P/Q tallies from one ``np.bincount`` per tally.
+    """
+    table = corpus.ratings
+    counts = table.counts
+    (few,) = np.nonzero(counts == 1)
+    if few.size:
+        content_id, recipe_id = table.keys[few[0]]
+        raise ValueError(
+            f"stimulus {content_id}/{recipe_id} has 1 rating(s); "
+            "screening needs at least 2 per rated stimulus"
+        )
+    upper = np.zeros(len(counts))
+    lower = np.zeros(len(counts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for codes, scores in table.panels():
+            mean = scores.mean(axis=1)
+            centered = scores - mean[:, None]
+            m2 = np.mean(centered**2, axis=1)
+            # Python's ``m2**2`` is C pow(), as is np.float_power; numpy's ** is
+            # m2 * m2, which can differ from pow() in the last bit
+            beta2 = np.mean(centered**4, axis=1) / np.float_power(m2, 2)
+            sigma = scores.std(axis=1, ddof=1)
+            width = np.where((2.0 <= beta2) & (beta2 <= 4.0), 2.0 * sigma, math.sqrt(20.0) * sigma)
+            # a zero-variance stimulus collapses both bounds onto its mean
+            upper[codes] = np.where(m2 == 0.0, mean, mean + width)
+            lower[codes] = np.where(m2 == 0.0, mean, mean - width)
+    above = table.score > upper[table.stimulus]
+    below = ~above & (table.score < lower[table.stimulus])
+    n_obs = len(table.observer_ids)
+    p_counts, q_counts, judgements = (
+        np.bincount(table.observer[ratings], minlength=n_obs).tolist()
+        for ratings in (above, below, slice(None))
+    )
 
     removed = set()
     stats = {}
-    for obs in sorted(judgements):
-        p, q, n = p_counts[obs], q_counts[obs], judgements[obs]
-        ratio1 = (p + q) / n if n else 0.0
+    for obs, p, q, n in zip(table.observer_ids, p_counts, q_counts, judgements):
+        ratio1 = (p + q) / n
         ratio2 = abs(p - q) / (p + q) if (p + q) else 0.0
         stats[obs] = ObserverStats(p, q, ratio1, ratio2)
         if ratio1 > REJECT_FREQUENCY and ratio2 < REJECT_BALANCE:
@@ -138,7 +142,7 @@ def apply_screening(corpus: Corpus, report: ScreeningReport) -> Corpus:
     """
     if not report.removed_observers:
         return corpus
-    kept = tuple(r for r in corpus.ratings if r.observer_id not in report.removed_observers)
+    kept = corpus.ratings.without(report.removed_observers)
     return Corpus(stimuli=corpus.stimuli, ratings=kept, truths=corpus.truths)
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tableio
-from .corpus import Corpus, ratings_vector
+from .corpus import Corpus, RatingTable
 
 log = logging.getLogger(__name__)
 
@@ -68,15 +68,14 @@ PAIR_TABLE: tableio.Schema = {
 }
 
 
-def _two_sided_p(t: float, df: float) -> float:
+def _two_sided_p(t, df):
     # Student-t survival mass in both tails via the regularized incomplete
-    # beta function (continued-fraction evaluation, accurate to ~1e-14).
-    if t == 0.0:
-        return 1.0
+    # beta function (continued-fraction evaluation, accurate to ~1e-14), for
+    # floats or arrays of them.
     from scipy import special  # imported here: commands that test no pair skip it
 
-    x = df / (df + t * t)
-    return float(special.betainc(0.5 * df, 0.5, x))
+    p = np.where(t == 0.0, 1.0, special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+    return p if p.ndim else float(p)
 
 
 @dataclass(frozen=True)
@@ -173,9 +172,6 @@ def _check_inputs(na: int, nb: int, alpha: float) -> None:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
-_FROM_STATS = {"welch": welch_from_stats, "student": student_from_stats}
-
-
 def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
     """All unordered recipe pairs of a content's *rated* stimuli.
 
@@ -191,57 +187,92 @@ def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
 
 
 def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> list[RatedPair]:
-    """Label every within-content pair with |dVMAF|, p-value, and sig bit."""
+    """Label every within-content pair with |dVMAF|, p-value, and sig bit.
+
+    The test runs over all pairs at once, on the per-stimulus statistics of
+    :meth:`RatingTable.panels`.  It makes the checks and the float operations
+    of ``paired_t_test`` / ``*_from_stats`` in their order, so each pair
+    fails with the same error and each p-value is bit-equal to theirs.
+    """
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
-    contents = [c for c in corpus.contents() if len(corpus.rated_recipes(c)) >= 2]
-    if not contents:
+    # sorted contents, each with its sorted recipe pairs: (content, recipe_x, recipe_y) order
+    codes = [
+        pair for c in corpus.contents() for pair in itertools.combinations(corpus.rated_codes(c), 2)
+    ]
+    if not codes:
         raise ValueError("no content has two or more rated stimuli")
-
-    # sorted contents, each with its sorted recipe pairs: already in
-    # (content, recipe_x, recipe_y) order
-    pairs = [p for c in contents for p in _classify_content(corpus, c, alpha, test)]
+    x, y = np.array(codes, dtype=np.intp).T
+    table = corpus.ratings
+    na, nb = table.counts[x], table.counts[y]
+    faults = [  # (the pairs at fault, message), in the order the scalar tests check them
+        ((na < 2) | (nb < 2),
+         lambda i: f"need >= 2 observations per side, got {na[i]} and {nb[i]}"),
+        (np.full(len(x), not 0.0 < alpha < 1.0),
+         lambda i: f"alpha must be in (0, 1), got {alpha}"),
+    ]
+    with np.errstate(all="ignore"):
+        if test == "paired":
+            same, diff, var = _paired_differences(table, x, y)
+            faults.insert(0, (~same, lambda i: (
+                "paired test needs identical observer panels on both stimuli")))
+            degenerate = var == 0.0
+            df = (na - 1).astype(float)
+            t = diff / np.sqrt(var / na)
+        else:
+            mean, var = np.full(len(table.keys), np.nan), np.full(len(table.keys), np.nan)
+            for stimuli, scores in table.panels():
+                if scores.shape[1] >= 2:
+                    mean[stimuli], var[stimuli] = scores.mean(axis=1), scores.var(axis=1, ddof=1)
+            diff, va, vb = mean[x] - mean[y], var[x], var[y]
+            degenerate = (va == 0.0) & (vb == 0.0)
+            if test == "welch":
+                # Python's ``sa**2`` is C pow(), as is np.float_power; numpy's ** is
+                # sa * sa, which can differ from pow() in the last bit
+                sa, sb = va / na, vb / nb
+                t = diff / np.sqrt(sa + sb)
+                denom = np.float_power(sa, 2) / (na - 1) + np.float_power(sb, 2) / (nb - 1)
+                df = np.float_power(sa + sb, 2) / denom
+                faults.append((~degenerate & (denom == 0.0), lambda i: (
+                    f"variances {va[i]:.3g} and {vb[i]:.3g} are too small for the Welch df: "
+                    "their squares underflow")))
+            else:
+                df = (na + nb - 2).astype(float)
+                pooled = ((na - 1) * va + (nb - 1) * vb) / df
+                t = diff / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
+        hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+        if hits:
+            i, k = min(hits)
+            content_id, rx = table.keys[x[i]]
+            raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
+        p = np.where(degenerate, (diff == 0.0).astype(float), _two_sided_p(t, df))
+    keys, vmaf = table.keys, table.vmaf
+    pairs = [
+        RatedPair(keys[i][0], keys[i][1], keys[j][1], delta, p_value, int(p_value < alpha))
+        for i, j, delta, p_value in zip(
+            x.tolist(), y.tolist(), np.abs(vmaf[x] - vmaf[y]).tolist(), p.tolist()
+        )
+    ]
     n_sig = sum(p.sig for p in pairs)
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
     return pairs
 
 
-def _classify_content(
-    corpus: Corpus, content_id: str, alpha: float, test: str
-) -> list[RatedPair]:
-    out = []
-    vectors = {r: ratings_vector(corpus, content_id, r) for r in corpus.rated_recipes(content_id)}
-    stats = {r: sample_stats(v) for r, v in vectors.items()}
-    for rx, ry in form_pairs(corpus, content_id):
-        try:
-            if test == "paired":
-                _require_same_observers(corpus, content_id, rx, ry)
-                result = paired_t_test(vectors[rx], vectors[ry], alpha)
-            else:
-                result = _FROM_STATS[test](stats[rx], stats[ry], alpha)
-        except ValueError as exc:
-            raise ValueError(f"pair {content_id}:{rx}:{ry}: {exc}") from exc
-        delta = abs(
-            corpus.stimulus(content_id, rx).vmaf - corpus.stimulus(content_id, ry).vmaf
-        )
-        out.append(
-            RatedPair(
-                content_id=content_id,
-                recipe_x=rx,
-                recipe_y=ry,
-                delta_obj=delta,
-                p_value=result.p,
-                sig=result.sig,
-            )
-        )
-    return out
-
-
-def _require_same_observers(corpus: Corpus, content_id: str, rx: str, ry: str) -> None:
-    ox = [r.observer_id for r in corpus.ratings_for(content_id, rx)]
-    oy = [r.observer_id for r in corpus.ratings_for(content_id, ry)]
-    if ox != oy:
-        raise ValueError("paired test needs identical observer panels on both stimuli")
+def _paired_differences(
+    table: RatingTable, x: np.ndarray, y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per pair: whether both stimuli have the same panel, and the mean and
+    ddof=1 variance of the score differences where they do."""
+    same = np.zeros(len(x), bool)
+    diff, var = np.full(len(x), np.nan), np.full(len(x), np.nan)
+    for n in np.unique(table.counts[x]).tolist():
+        (sel,) = np.nonzero((table.counts[x] == n) & (table.counts[y] == n))
+        ix, iy = table.block(x[sel], n), table.block(y[sel], n)
+        same[sel] = (table.observer[ix] == table.observer[iy]).all(axis=1)
+        if n >= 2:
+            d = table.score[ix].astype(float) - table.score[iy].astype(float)
+            diff[sel], var[sel] = d.mean(axis=1), d.var(axis=1, ddof=1)
+    return same, diff, var
 
 
 # -- serialization ----------------------------------------------------------
@@ -252,4 +283,13 @@ def pairs_csv_text(pairs: list[RatedPair]) -> str:
 
 
 def read_pairs_csv(path: str | Path) -> list[RatedPair]:
-    return [RatedPair(*values) for _, values in tableio.read_table(path, PAIR_TABLE)]
+    """The pairs of a pairs.csv; a pair listed twice is a :class:`CorpusError`
+    naming the line of its second row."""
+    table = tableio.read_table(path, PAIR_TABLE)
+    pairs = list(map(RatedPair, *table.columns))
+    seen: set[str] = set()
+    for i, pair in enumerate(pairs):
+        if pair.pair_id in seen:
+            raise table.error(f"duplicate pair {pair.pair_id}", i)
+        seen.add(pair.pair_id)
+    return pairs

@@ -8,7 +8,9 @@ from ``int``, :func:`text` and the :func:`checked` parsers :data:`number`,
 :func:`within` and :func:`one_of`.  :func:`read_table` is the one CSV reader:
 it checks the header against the schema, skips blank lines, and reports a
 wrong field count or a parser's ``ValueError`` as a :class:`CorpusError`
-naming the file, line and column.  Writers take their header from the same
+naming the file, line and column.  It returns a :class:`Table`, the values
+column by column, whose :meth:`Table.error` names the line of a row that a
+check across rows rejects.  Writers take their header from the same
 schema and pass the cells to ``csv.writer`` as they are; it writes a float as
 its shortest round-trip ``repr``, so a value survives a write/read round trip
 bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
@@ -68,48 +70,73 @@ def one_of(*allowed: str) -> Callable[[str], str]:
     return checked(str, allowed.__contains__, f"{{!r}} is not one of {allowed}")
 
 
-def read_table(path: str | Path, schema: Schema) -> Iterator[tuple[int, list]]:
-    """Yield ``(line_number, values)`` for each data row of a strict CSV, the
-    values parsed by ``schema`` in column order.
+@dataclasses.dataclass
+class Table:
+    """The data rows of a CSV file read by :func:`read_table`."""
+
+    name: str  #: the file's name, for errors
+    lines: list[int]  #: the 1-based file line each data row starts on
+    columns: list[list]  #: the parsed values, one list per schema column
+
+    def rows(self) -> Iterator[tuple]:
+        return zip(*self.columns)
+
+    def error(self, message: str, index: int, column: str | None = None) -> CorpusError:
+        """A :class:`CorpusError` naming the line of data row ``index``."""
+        return CorpusError(message, path=self.name, line=self.lines[index], column=column)
+
+
+def read_table(path: str | Path, schema: Schema) -> Table:
+    """The data rows of a strict CSV, their values parsed by ``schema``.
 
     The header must equal the schema's columns exactly (same names, same
-    order).  A row's line number is the 1-based file line it starts on, so
-    the first data row is line 2.
+    order).  The first data row is line 2.  A fault raises at the first row
+    that has one, at its first bad column.  Each distinct cell of a column is
+    parsed once and its value shared by the cells that repeat it, as ids and
+    scores do.
     """
     path = Path(path)
-    columns = list(schema)
+    names = list(schema)
+    width = len(names)
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CorpusError("empty file (missing header)", path=path.name) from None
-        if header != columns:
-            raise CorpusError(
-                f"bad header {header!r}, expected {columns!r}", path=path.name, line=1
-            )
+        if header != names:
+            raise CorpusError(f"bad header {header!r}, expected {names!r}", path=path.name, line=1)
+        table = Table(path.name, [], [])
+        cells: list[str] = []  # row by row: a row list is dropped once copied
+        short = None
         end = reader.line_num
+        add_line = table.lines.append
         for raw in reader:
             # a quoted cell may hold line breaks: a row starts after the last one ends
             lineno, end = end + 1, reader.line_num
             if not raw:
                 continue  # tolerate a trailing blank line
-            if len(raw) != len(columns):
-                raise CorpusError(
-                    f"expected {len(columns)} fields, got {len(raw)}",
-                    path=path.name,
-                    line=lineno,
-                )
-            values: list = []
+            add_line(lineno)
+            if len(raw) != width:
+                short = table.error(f"expected {width} fields, got {len(raw)}", -1)
+                break
+            cells += raw
+    faults = []
+    for i, parse in enumerate(schema.values()):
+        column = cells[i::width]
+        values = {}
+        for cell in set(column):
             try:
-                for parse, cell in zip(schema.values(), raw):
-                    values.append(parse(cell))
+                values[cell] = parse(cell)
             except ValueError as exc:
-                # the parsed values so far index the column that failed
-                raise CorpusError(
-                    str(exc), path=path.name, line=lineno, column=columns[len(values)]
-                ) from None
-            yield lineno, values
+                faults.append((column.index(cell), i, str(exc)))
+        table.columns.append(list(map(values.get, column)))
+    if faults:
+        index, i, message = min(faults)
+        raise table.error(message, index, names[i])
+    if short:
+        raise short
+    return table
 
 
 def rows_to_csv_text(columns: Iterable[str], rows: Iterable[Iterable[object]]) -> str:

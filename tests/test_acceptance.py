@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from jndmap import cli
+from jndmap.corpus import save_corpus
 from jndmap.evaluate import EvalGrid, EvalGridSpec, evaluate_grid, format_grid_table
 from jndmap.mapping import (
     FAMILIES,
@@ -343,6 +345,35 @@ def test_criterion_7_parallel_runs_byte_identical(tmp_path):
         eight = (outputs[1] / name).read_bytes()
         assert one == eight, f"{name} differs between --jobs 1 and --jobs 8"
     print("criterion 7 PASS: --jobs 1 and --jobs 8 byte-identical artifacts")
+
+
+def test_criterion_7_shuffled_rows_byte_identical(tmp_path, capsys):
+    """The same study with the rows of every input table shuffled gives the
+    same analysis artifacts; only the manifest's input hashes differ."""
+    corpus, _ = simulate_corpus(SimSpec(n_contents=10))
+    studies = {"sorted": tmp_path / "sorted", "shuffled": tmp_path / "shuffled"}
+    paths = save_corpus(corpus, studies["sorted"])
+    rng = np.random.default_rng(2024)
+    studies["shuffled"].mkdir()
+    for path in paths.values():
+        header, *rows = path.read_text().splitlines(keepends=True)
+        (studies["shuffled"] / path.name).write_text(
+            "".join([header] + [rows[i] for i in rng.permutation(len(rows))])
+        )
+    for study in studies.values():
+        argv = ["run", study / "vmaf_scores.csv", study / "dcr_ratings.csv",
+                "--truth", study / "jnd_truth.csv", "--out-dir", study / "out"]
+        assert cli.main([str(a) for a in argv]) == 0, capsys.readouterr().err
+    outputs = [sorted((study / "out").iterdir()) for study in studies.values()]
+    assert [p.name for p in outputs[0]] == [p.name for p in outputs[1]]
+    assert len(outputs[0]) == 9
+    for one, other in zip(*outputs):
+        if one.name == "run_manifest.json":
+            one, other = (json.loads(p.read_text()) for p in (one, other))
+            assert one.pop("inputs") != other.pop("inputs")
+            assert one == other
+        else:
+            assert one.read_bytes() == other.read_bytes(), f"{one.name} depends on row order"
 
 
 # Sanity guard for the frozen vectors above (not a criterion by itself).

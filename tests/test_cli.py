@@ -562,6 +562,8 @@ def _swap_anchor_and_jnd(lines):
                      "7.5 outside [0.0, 1.0]", id="pair-p-value-above-1"),
         pytest.param("pairs.csv", _edit_line_2(4, "-0.5"), "line 2:p_value",
                      "-0.5 outside [0.0, 1.0]", id="pair-p-value-below-0"),
+        pytest.param("pairs.csv", _duplicate_line_2, "line 3", "duplicate pair ",
+                     id="pair-duplicate"),
     ],
 )
 def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, edit, where, message):

@@ -7,6 +7,7 @@ import pytest
 
 from jndmap import tableio
 from jndmap.corpus import (
+    VMAF_TABLE,
     Corpus,
     DcrRating,
     JndTruth,
@@ -207,6 +208,26 @@ def test_line_numbers_count_the_line_breaks_in_quoted_cells(tmp_path):
     )
     with pytest.raises(CorpusError, match="^vmaf.csv:line 4:vmaf: "):
         load_corpus(tmp_path / "vmaf.csv", None)
+
+
+def test_read_table_names_the_first_bad_row_in_row_order(tmp_path):
+    table = tmp_path / "vmaf.csv"
+    header = "content_id,recipe_id,resolution,level,vmaf\n"
+    table.write_text(header + '\nc1,"r\n0",1080p,1,90.0\nc1,r1,1080p,2,90.0\n\n')
+    read = tableio.read_table(table, VMAF_TABLE)
+    assert read.lines == [3, 5]
+    assert list(read.rows()) == [("c1", "r\n0", "1080p", 1, 90.0), ("c1", "r1", "1080p", 2, 90.0)]
+    assert read.error("x", 1, "level").args[0] == "vmaf.csv:line 5:level: x"
+    # columns are parsed one at a time, but the fault named is the first in row order
+    table.write_text(header + "c1,r0,1080p,1,101.0\n,r1,1080p,2,95.0\n")
+    with pytest.raises(CorpusError, match="^vmaf.csv:line 2:vmaf: 101.0 outside"):
+        tableio.read_table(table, VMAF_TABLE)
+    table.write_text(header + "c1,r0,1080p,x,101.0\nc1,r1,1080p\n")
+    with pytest.raises(CorpusError, match="^vmaf.csv:line 2:level: "):
+        tableio.read_table(table, VMAF_TABLE)
+    table.write_text(header + "c1,r0,1080p\nc1,r0,1080p,x,101.0\n")
+    with pytest.raises(CorpusError, match="^vmaf.csv:line 2: expected 5 fields, got 3"):
+        tableio.read_table(table, VMAF_TABLE)
 
 
 def test_blank_lines_tolerated(tmp_path):

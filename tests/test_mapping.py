@@ -125,6 +125,15 @@ def test_codistribution_input_guards():
         build_codistribution(empty, pairs)
 
 
+def test_codistribution_counts_missing_and_repeated_pairs_by_id():
+    srange, pairs = _codist_fixture()
+    # a repeat of one pair does not stand in for a missing one
+    with pytest.raises(ValueError, match=r"references 1 pair\(s\) not in the given list"):
+        build_codistribution(srange, [pairs[0], pairs[0], pairs[2]])
+    with pytest.raises(ValueError, match=r"the given list repeats 1 pair\(s\)"):
+        build_codistribution(srange, pairs + [pairs[1]])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_noiseless_recovery(family):
     points = _noiseless_points(family)
