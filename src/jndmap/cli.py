@@ -111,17 +111,17 @@ def _screen(
 
 def _classify(
     cfg: config_mod.RunConfig, corpus: corpus_mod.Corpus, out: Path, written: list[str]
-) -> list[significance_mod.RatedPair]:
+) -> significance_mod.PairTable:
     pairs = significance_mod.classify_pairs(corpus, cfg.alpha, cfg.test)
     _write(out, significance_mod.pairs_csv_text(pairs), written)
-    print(f"[classify] {len(pairs)} pairs, {sum(p.sig for p in pairs)} significant")
+    print(f"[classify] {len(pairs)} pairs, {int(pairs.sig.sum())} significant")
     return pairs
 
 
 def _decompose(
     cfg: config_mod.RunConfig,
     corpus: corpus_mod.Corpus,
-    pairs: list[significance_mod.RatedPair],
+    pairs: significance_mod.PairTable,
     out: Path,
     written: list[str],
 ) -> ranges_mod.Decomposition:
@@ -141,7 +141,7 @@ def _decompose(
 def _fit(
     cfg: config_mod.RunConfig,
     decomp: ranges_mod.Decomposition,
-    pairs: list[significance_mod.RatedPair],
+    pairs: significance_mod.PairTable,
     out_dir: Path,
     written: list[str],
 ) -> dict[str, dict[str, mapping_mod.MappingFunction]]:
@@ -180,7 +180,7 @@ def _evaluate(
     )
     _write(out, evaluate_mod.metrics_json_dict(grid), written)
     if predictions is not None:
-        _write(predictions, predict_mod.predictions_csv_text(list(grid.predictions)), written)
+        _write(predictions, predict_mod.predictions_csv_text(grid.predictions), written)
     for direction in sorted({t.direction for t in corpus.truths}):
         print()
         print(evaluate_mod.format_grid_table(grid, direction))

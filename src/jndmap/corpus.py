@@ -73,8 +73,8 @@ def _stimulus(content_id: str, recipe_id: str, resolution: str, level: int, vmaf
 
 #: vmaf_scores.csv: one row per encoded stimulus, read by :func:`_stimulus`.
 VMAF_TABLE: tableio.Schema = {
-    "content_id": tableio.text,
-    "recipe_id": tableio.text,
+    "content_id": tableio.ident,
+    "recipe_id": tableio.ident,
     "resolution": tableio.text,
     "level": int,
     "vmaf": tableio.within(tableio.number, 0.0, 100.0),
@@ -91,8 +91,8 @@ class DcrRating:
 
 #: dcr_ratings.csv: the fields of :class:`DcrRating`, in order.
 RATING_TABLE: tableio.Schema = {
-    "content_id": tableio.text,
-    "recipe_id": tableio.text,
+    "content_id": tableio.ident,
+    "recipe_id": tableio.ident,
     "observer_id": tableio.text,
     "score": tableio.within(int, 1, 5),
 }
@@ -109,15 +109,15 @@ class JndTruth:
 
 #: jnd_truth.csv: the fields of :class:`JndTruth`, in order.
 TRUTH_TABLE: tableio.Schema = {
-    "content_id": tableio.text,
-    "anchor_recipe_id": tableio.text,
+    "content_id": tableio.ident,
+    "anchor_recipe_id": tableio.ident,
     "direction": tableio.one_of(*DIRECTIONS),
-    "jnd_recipe_id": tableio.text,
+    "jnd_recipe_id": tableio.ident,
     "order": tableio.within(int, 1, math.inf),
 }
 
 
-class RatingTable(Sequence[DcrRating]):
+class RatingTable(tableio.RowSequence[DcrRating]):
     """The stimulus codes of a corpus, and its DCR ratings as columns sorted
     by (stimulus, observer).
 
@@ -222,30 +222,17 @@ class RatingTable(Sequence[DcrRating]):
             codes = np.flatnonzero(self.counts == n)
             yield codes, self.score[self.block(codes, n)].astype(float)
 
-    def _materialized(self) -> tuple[DcrRating, ...]:
-        if self._rows is None:
-            order = np.argsort(self.row)
-            keys, ids = self.keys, self.observer_ids
-            self._rows = tuple(
-                DcrRating(*keys[s], ids[o], score)
-                for s, o, score in zip(self.stimulus[order].tolist(),
-                                       self.observer[order].tolist(), self.score[order].tolist())
-            )
-        return self._rows
+    def _build(self) -> tuple[DcrRating, ...]:
+        order = np.argsort(self.row)
+        keys, ids = self.keys, self.observer_ids
+        return tuple(
+            DcrRating(*keys[s], ids[o], score)
+            for s, o, score in zip(self.stimulus[order].tolist(),
+                                   self.observer[order].tolist(), self.score[order].tolist())
+        )
 
     def __len__(self) -> int:
         return len(self.score)
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-    def __iter__(self) -> Iterator[DcrRating]:
-        return iter(self._materialized())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return self._materialized() == tuple(other)
 
 
 @dataclass(frozen=True)

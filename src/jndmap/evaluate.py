@@ -13,18 +13,28 @@ be disabled, in which case every truth is scored like a first JND.
 
 Each curve is inverted once per threshold: one inversion table, keyed by
 (range, family, threshold), serves every anchor and chained step of a grid.
+A cell is one array program over its truths, sorted by (content, direction,
+order, anchor): each chained step finds the ranges of the working anchors by
+``np.searchsorted``, reads the table, clips the targets into [0, 100] and
+snaps each target to its content's nearest rendition.  The predictions are
+kept as a :class:`jndmap.predict.PredictionTable`.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .corpus import Corpus, JndTruth, Stimulus
+import numpy as np
+
+from .corpus import Corpus, JndTruth
 from .errors import FitError
 from .mapping import FAMILIES, MappingFunction, family_spec
-from .predict import JndPrediction, predict_jnd
+# predict_jnd is the scalar form of one grid prediction; perfbench/tracing.py
+# wraps evaluate.predict_jnd by name, so it stays importable from here
+from .predict import JndPrediction, PredictionTable, invert_at_threshold, predict_jnd  # noqa: F401
 from .ranges import Decomposition
 
 log = logging.getLogger(__name__)
@@ -51,7 +61,7 @@ class CellMetrics:
 class EvalGrid:
     spec: EvalGridSpec
     cells: dict[tuple[str, str, float], CellMetrics]  # (direction, family, thr)
-    predictions: tuple[JndPrediction, ...] = field(default=(), repr=False)
+    predictions: Sequence[JndPrediction] = field(default=(), repr=False)
 
     def cell(self, direction: str, family: str, threshold: float) -> CellMetrics:
         return self.cells[(direction, family, threshold)]
@@ -77,37 +87,35 @@ def ground_truth_delta(corpus: Corpus, truth: JndTruth) -> float:
     return abs(anchor.vmaf - jnd.vmaf)
 
 
-def _nearest_stimulus(corpus: Corpus, content_id: str, target_vmaf: float) -> Stimulus:
-    candidates = corpus.stimuli_for_content(content_id)
-    return min(candidates, key=lambda s: (abs(s.vmaf - target_vmaf), s.recipe_id))
+def _nearest(
+    vmaf: np.ndarray, first: np.ndarray, stop: np.ndarray, target: np.ndarray
+) -> np.ndarray:
+    """For each target, the code in ``first[i]:stop[i]`` whose VMAF lies
+    nearest it; a tie goes to the lowest code, the smallest recipe id."""
+    widths = stop - first
+    starts = np.cumsum(widths) - widths
+    codes = np.repeat(first - starts, widths) + np.arange(widths.sum())
+    gap = np.abs(vmaf[codes] - np.repeat(target, widths))
+    nearest = gap == np.repeat(np.minimum.reduceat(gap, starts), widths)
+    return codes[np.minimum.reduceat(np.where(nearest, np.arange(len(codes)), len(codes)), starts)]
 
 
-def _chained_prediction(
-    corpus: Corpus,
-    models: dict[str, dict[str, MappingFunction]],
-    decomp: Decomposition,
-    truth: JndTruth,
-    threshold: float,
-    family: str,
-    chain: bool,
-    inversions: dict,
-) -> tuple[float, bool, JndPrediction]:
-    """Predicted total |dVMAF| from the truth anchor to its m-th JND."""
-    anchor = corpus.stimulus(truth.content_id, truth.anchor_recipe_id)
-    steps = truth.order if chain else 1
-    current = anchor
-    clamped = False
-    pred = None
-    for step in range(steps):
-        pred = predict_jnd(
-            models, decomp, current, truth.direction, threshold, family, inversions
-        )
-        clamped = clamped or pred.clamped
-        if step + 1 < steps:
-            current = _nearest_stimulus(corpus, truth.content_id, pred.target_vmaf)
-    assert pred is not None
-    total = abs(anchor.vmaf - pred.target_vmaf)
-    return total, clamped, pred
+def _inverted(
+    inversions: dict, models: dict[str, dict[str, MappingFunction]], range_id: str,
+    family: str, threshold: float,
+) -> tuple[float, bool] | KeyError | FitError:
+    """The range's curve inverted at ``threshold``, or the KeyError (no
+    model) or FitError (non-monotone fit) that skips its predictions;
+    memoised in ``inversions`` by (range, family, threshold)."""
+    key = (range_id, family, threshold)
+    if key not in inversions:
+        try:
+            inversions[key] = invert_at_threshold(models[range_id][family], threshold)
+        except KeyError:
+            inversions[key] = KeyError(f"no fitted {family} model for range {range_id}")
+        except FitError as exc:
+            inversions[key] = exc
+    return inversions[key]
 
 
 def evaluate_grid(
@@ -116,7 +124,11 @@ def evaluate_grid(
     decomp: Decomposition,
     spec: EvalGridSpec = EvalGridSpec(),
 ) -> EvalGrid:
-    """Score the whole (threshold x family) grid against the corpus truths."""
+    """Score the whole (threshold x family) grid against the corpus truths.
+
+    Each truth is predicted as :func:`jndmap.predict.predict_jnd` predicts
+    it, step by chained step; a truth whose range has no model or a
+    non-monotone one is skipped in that cell."""
     truths = [
         t
         for t in corpus.truths
@@ -126,33 +138,71 @@ def evaluate_grid(
         raise ValueError("corpus has no usable truth rows for evaluation")
     truths.sort(key=lambda t: (t.content_id, t.direction, t.order, t.anchor_recipe_id))
 
-    observed_deltas = [(t, ground_truth_delta(corpus, t)) for t in truths]
+    table = corpus.ratings
+    observed = np.array([ground_truth_delta(corpus, t) for t in truths])
+    anchors = np.array([corpus.code(t.content_id, t.anchor_recipe_id) for t in truths], np.intp)
+    steps = np.array([t.order if spec.chain_orders else 1 for t in truths], np.intp)
+    spans = [table.content_codes[t.content_id] for t in truths]
+    first = np.array([span.start for span in spans], np.intp)
+    stop = np.array([span.stop for span in spans], np.intp)
+    truth_directions = np.array([t.direction for t in truths])
+    range_ids = decomp.range_ids()
+    his = np.array([r.hi for r in decomp.ranges])
+    lo, hi = decomp.coverage
+    inversions: dict = {}
+
+    def walk(members: np.ndarray, direction: str, family: str, threshold: float) -> tuple:
+        """The truths ``members`` through their chained steps.  Returns which
+        are scored, and per truth its last step's working anchor code, range,
+        |dVMAF|, target and clamped flag, and whether any step was clamped."""
+        n = len(members)
+        code, scored = anchors[members], np.ones(n, bool)
+        k_last, delta, target = np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
+        clamped, any_clamped = np.zeros(n, bool), np.zeros(n, bool)
+        for step in range(int(steps[members].max())):
+            (rows,) = np.nonzero(scored & (steps[members] > step))
+            v = table.vmaf[code[rows]]
+            # select_range: the range holding v, or the nearest end range outside coverage
+            k = np.minimum(np.searchsorted(his, v, side="left"), len(his) - 1)
+            outside = (v <= lo) | (v > hi)
+            for anchor_vmaf, r in zip(v[outside].tolist(), k[outside].tolist()):
+                log.warning("anchor vmaf %.3f outside coverage %s; using end range %s",
+                            anchor_vmaf, decomp.coverage, range_ids[r])
+            usable = np.zeros(len(range_ids), bool)
+            inverted = np.zeros((len(range_ids), 2))  # |dVMAF| and clamped, per usable range
+            for r in np.unique(k).tolist():
+                found = _inverted(inversions, models, range_ids[r], family, threshold)
+                if isinstance(found, Exception):
+                    for row in rows[k == r].tolist():
+                        log.debug("skipping %s/%s@%g for %s: %s", family, direction, threshold,
+                                  truths[members[row]].content_id, found)
+                else:
+                    usable[r], inverted[r] = True, found
+            usable = usable[k]
+            scored[rows[~usable]] = False
+            rows, v, k, outside = rows[usable], v[usable], k[usable], outside[usable]
+            k_last[rows], delta[rows] = k, inverted[k, 0]
+            raw = v - delta[rows] if direction == "dec" else v + delta[rows]
+            target[rows] = np.minimum(np.maximum(raw, 0.0), 100.0)
+            clamped[rows] = outside | (inverted[k, 1] != 0.0) | (target[rows] != raw)
+            any_clamped[rows] |= clamped[rows]
+            going = rows[steps[members[rows]] > step + 1]
+            if len(going):
+                snap = members[going]
+                code[going] = _nearest(table.vmaf, first[snap], stop[snap], target[going])
+        return scored, code, k_last, delta, target, clamped, any_clamped
 
     cells: dict[tuple[str, str, float], CellMetrics] = {}
-    collected: list[JndPrediction] = []
-    inversions: dict = {}
-    directions = sorted({t.direction for t in truths})
-    for direction in directions:
-        dir_truths = [(t, obs) for t, obs in observed_deltas if t.direction == direction]
+    keys, ids = np.array(table.keys, dtype=object), np.array(range_ids, dtype=object)
+    predictions = []
+    for direction in sorted(set(truth_directions.tolist())):
+        (members,) = np.nonzero(truth_directions == direction)
         for family in spec.families:
             for threshold in spec.thresholds:
-                errors = []
-                clamped_count = 0
-                skipped = 0
-                for truth, observed in dir_truths:
-                    try:
-                        predicted, clamped, pred = _chained_prediction(
-                            corpus, models, decomp, truth, threshold, family,
-                            spec.chain_orders, inversions,
-                        )
-                    except (KeyError, FitError) as exc:
-                        log.debug("skipping %s/%s@%g for %s: %s",
-                                  family, direction, threshold, truth.content_id, exc)
-                        skipped += 1
-                        continue
-                    errors.append(predicted - observed)
-                    clamped_count += int(clamped)
-                    collected.append(pred)
+                scored, code, k, delta, target, clamped, any_clamped = walk(
+                    members, direction, family, threshold)
+                at = members[scored]
+                errors = (np.abs(table.vmaf[anchors[at]] - target[scored]) - observed[at]).tolist()
                 if errors:
                     mae = sum(abs(e) for e in errors) / len(errors)
                     rmse = math.sqrt(sum(e * e for e in errors) / len(errors))
@@ -162,10 +212,15 @@ def evaluate_grid(
                     mae=mae,
                     rmse=rmse,
                     n=len(errors),
-                    clamped=clamped_count,
-                    skipped=skipped,
+                    clamped=int(any_clamped[scored].sum()),
+                    skipped=len(members) - len(errors),
                 )
-    return EvalGrid(spec=spec, cells=cells, predictions=tuple(collected))
+                n, code = len(errors), code[scored]
+                predictions.append((keys[code, 0], keys[code, 1], np.repeat(direction, n),
+                                    ids[k[scored]], np.repeat(family, n), np.repeat(threshold, n),
+                                    delta[scored], target[scored], clamped[scored]))
+    columns = [np.concatenate(column) for column in zip(*predictions)] or [()] * 9
+    return EvalGrid(spec=spec, cells=cells, predictions=PredictionTable(*columns))
 
 
 # -- serialization ----------------------------------------------------------

@@ -2,7 +2,10 @@
 
 For one sub-quality range, pairs assigned to it are histogrammed over shared
 |dVMAF| bins twice: ``f_dif`` counts significantly different pairs, ``f_sim``
-the rest.  The per-bin probability of a perceived difference is then
+the rest.  The range's pairs are one row-index array into the
+:class:`~jndmap.significance.PairTable`, and each count is one
+``np.histogram`` over its |dVMAF| column.  The per-bin probability of a
+perceived difference is then
 
     p_sd = f_dif / (f_dif + f_sim)
 
@@ -34,14 +37,18 @@ A least-squares fit that rises by no more than ``FLAT_RISE`` over its domain
 is rejected, flagged ``flat``: that is all a monotone curve can make of a
 decreasing trend.  Fits are accepted only if the curve, clipped to [0, 1], is
 non-decreasing on a 1000-point grid over its domain; for the least-squares
-families this check is a safety net, and for ``glm`` it is the rule.
+families this check is a safety net, and for ``glm`` it is the rule.  The
+pairwise ``glm`` fits the table's |dVMAF| and sig columns at the range's rows.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +56,7 @@ import numpy as np
 from . import tableio
 from .errors import CorpusError, FitError
 from .ranges import Decomposition, SubQualityRange
-from .significance import RatedPair
+from .significance import PairTable, RatedPair
 
 log = logging.getLogger(__name__)
 
@@ -165,42 +172,52 @@ def is_monotone(family: str, params: np.ndarray, domain: tuple[float, float]) ->
 
 
 def build_codistribution(
-    srange: SubQualityRange, pairs: list[RatedPair], bin_width: float = 2.0
+    srange: SubQualityRange, pairs: Sequence[RatedPair], bin_width: float = 2.0
 ) -> CoDistribution:
     """Histogram the range's pairs over shared |dVMAF| bins, split by sig bit.
 
-    ``pairs`` may be the full pair list; only those referenced by the range
+    ``pairs`` may be the full pair table; only those referenced by the range
     are counted.  Bins run from 0 to the smallest multiple of ``bin_width``
     covering ceil(max |dVMAF|); each pair lands in exactly one bin.
     """
     if not bin_width > 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    refs = set(srange.pair_refs)
+    table = PairTable.of(pairs)
+    rows = _rows_in_range(srange, table)
+    deltas, sig = table.delta_obj[rows], table.sig[rows].astype(bool)
+    top = math.ceil(float(deltas.max()))
+    n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
+    edges = np.arange(n_bins + 1, dtype=float) * bin_width
+    f_dif, _ = np.histogram(deltas[sig], bins=edges)
+    f_sim, _ = np.histogram(deltas[~sig], bins=edges)
+    return CoDistribution(
+        range_id=srange.range_id,
+        bin_edges=tuple(edges.tolist()),
+        f_dif=tuple(f_dif.tolist()),
+        f_sim=tuple(f_sim.tolist()),
+    )
+
+
+def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
+    """The rows of the pairs the range references, ascending; a ValueError
+    when it references none, a pair not in ``table`` or a pair listed twice."""
+    refs = dict.fromkeys(srange.pair_refs)
     if not refs:
         raise ValueError(f"range {srange.range_id} has no assigned pairs")
-    assigned = [p for p in pairs if p.pair_id in refs]
-    missing = refs - {p.pair_id for p in assigned}
+    index = table.index
+    missing = [ref for ref in refs if ref not in index]
     if missing:
         raise ValueError(
             f"range {srange.range_id} references {len(missing)} pair(s) not in the "
             f"given list, e.g. {sorted(missing)[:3]}"
         )
-    if len(assigned) != len(refs):
-        raise ValueError(f"the given list repeats {len(assigned) - len(refs)} pair(s) of "
-                         f"range {srange.range_id}")
-    deltas = np.array([p.delta_obj for p in assigned], dtype=float)
-    top = math.ceil(float(deltas.max()))
-    n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
-    edges = np.arange(n_bins + 1, dtype=float) * bin_width
-    sig = np.array([p.sig for p in assigned], dtype=bool)
-    f_dif, _ = np.histogram(deltas[sig], bins=edges)
-    f_sim, _ = np.histogram(deltas[~sig], bins=edges)
-    return CoDistribution(
-        range_id=srange.range_id,
-        bin_edges=tuple(float(e) for e in edges),
-        f_dif=tuple(int(c) for c in f_dif),
-        f_sim=tuple(int(c) for c in f_sim),
-    )
+    if len(index) < len(table):
+        listed = Counter(table.pair_ids)
+        repeats = sum(listed[ref] - 1 for ref in refs)
+        if repeats:
+            raise ValueError(f"the given list repeats {repeats} pair(s) of "
+                             f"range {srange.range_id}")
+    return np.sort(np.fromiter(map(index.__getitem__, refs), np.intp, len(refs)))
 
 
 def psd_points(cd: CoDistribution) -> list[PsdPoint]:
@@ -405,14 +422,14 @@ class _Glm(Family):
         b0, b1 = params
         return _sigmoid(b0 + b1 * x)
 
-    def fit(self, x_points, y_points, w_points, pairs: list[RatedPair] | None, domain) -> tuple:
+    def fit(self, x_points, y_points, w_points, pairs: PairTable | None, domain) -> tuple:
         """Binomial logit by IRLS: on ``pairs`` as Bernoulli data when given, else
         on the points as grouped binomial data with their support as trials."""
         if pairs is not None:
             if len(pairs) < 2:
                 raise FitError(f"{self.name}: need >= 2 pair observations, got {len(pairs)}")
-            x = np.array([p.delta_obj for p in pairs], dtype=float)
-            y = np.array([float(p.sig) for p in pairs], dtype=float)
+            x = pairs.delta_obj
+            y = pairs.sig.astype(float)
             trials = np.ones_like(x)
         else:
             x, y, trials = x_points, y_points, w_points
@@ -560,7 +577,7 @@ def family_spec(family: str) -> Family:
 def fit_mapping(
     points: list[PsdPoint],
     family: str,
-    pairs_for_glm: list[RatedPair] | None = None,
+    pairs_for_glm: Sequence[RatedPair] | None = None,
 ) -> MappingFunction:
     """Fit one curve family to p_sd points (support-weighted) over the domain
     (0, largest point |dVMAF|).
@@ -580,7 +597,8 @@ def fit_mapping(
     if not domain[0] < domain[1]:
         raise ValueError(f"empty domain {domain}")
 
-    params, monotone, iterations, flags, extras = spec.fit(x, y, w, pairs_for_glm, domain)
+    glm_pairs = None if pairs_for_glm is None else PairTable.of(pairs_for_glm)
+    params, monotone, iterations, flags, extras = spec.fit(x, y, w, glm_pairs, domain)
     report = FitReport(
         residual_norm=float(np.sqrt(np.sum(w * (spec.curve(params, x) - y) ** 2))),
         monotone=monotone,
@@ -605,28 +623,33 @@ def fit_mapping(
 
 def fit_all(
     decomp: Decomposition,
-    pairs: list[RatedPair],
+    pairs: Sequence[RatedPair],
     families: tuple[str, ...] = FAMILIES,
     bin_width: float = 2.0,
     glm_mode: str = "pairwise",
 ) -> tuple[dict[str, CoDistribution], dict[str, dict[str, MappingFunction]]]:
-    """Build co-distributions and fit every requested family per range."""
+    """Build co-distributions and fit every requested family per range.
+
+    Each range's pairs are one row-index array into the pair table; the
+    pairwise GLM fits the table's columns at those rows."""
     if glm_mode not in GLM_MODES:
         raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {glm_mode!r}")
     for family in families:
         family_spec(family)  # rejects an unknown family before any fit
 
+    table = PairTable.of(pairs)
     codists: dict[str, CoDistribution] = {}
     models: dict[str, dict[str, MappingFunction]] = {}
     for srange in decomp.ranges:
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
             continue
-        in_range = decomp.pairs_in_range(srange.range_id, pairs)
-        cd = build_codistribution(srange, in_range, bin_width)
+        cd = build_codistribution(srange, table, bin_width)
         codists[srange.range_id] = cd
         points = psd_points(cd)
-        glm_pairs = in_range if glm_mode == "pairwise" else None
+        glm_pairs = (
+            table.take(_rows_in_range(srange, table)) if glm_mode == "pairwise" else None
+        )
         for family in families:
             try:
                 mf = fit_mapping(points, family, pairs_for_glm=glm_pairs)
@@ -705,12 +728,17 @@ def read_mf_params_json(path: str | Path) -> dict[str, dict[str, MappingFunction
 
 
 def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str:
+    """``CURVE_SAMPLES`` evenly spaced |dVMAF| over each fit's domain, and the
+    curve at each as :func:`evaluate_mf` gives it, from one call of the curve."""
     rows = []
     for range_id in sorted(models):
         for family in sorted(models[range_id]):
             mf = models[range_id][family]
-            for d in np.linspace(mf.domain[0], mf.domain[1], CURVE_SAMPLES):
-                rows.append((range_id, family, float(d), evaluate_mf(mf, float(d))))
+            lo, hi = mf.domain
+            deltas = np.linspace(lo, hi, CURVE_SAMPLES)
+            raw = _eval_raw(family, np.asarray(mf.params), np.minimum(np.maximum(deltas, lo), hi))
+            p_sd = np.clip(raw, 0.0, 1.0)
+            rows += zip(repeat(range_id), repeat(family), deltas.tolist(), p_sd.tolist())
     return tableio.rows_to_csv_text(CURVE_TABLE, rows)
 
 

@@ -6,13 +6,19 @@ curve's domain whose predicted probability of a perceived difference reaches
 the decision threshold.  Monotone curves make that a bisection; when the
 threshold is not strictly bracketed inside the domain the nearest endpoint is
 returned with ``clamped`` set.  The target VMAF follows by stepping the anchor
-down (``dec``) or up (``inc``) and clipping into [0, 100].
+down (``dec``) or up (``inc``) and clipping into [0, 100].  Many predictions
+are held as one columnar :class:`PredictionTable`, which ``predictions.csv``
+is written from.
 """
 
 from __future__ import annotations
 
 import logging
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import attrgetter
+
+import numpy as np
 
 from . import tableio
 from .corpus import Stimulus
@@ -97,15 +103,11 @@ def predict_jnd(
     direction: str,
     threshold: float,
     family: str,
-    inversions: dict | None = None,
 ) -> JndPrediction:
     """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF.
 
-    The inversion does not depend on the anchor: a caller predicting for many
-    anchors passes one ``inversions`` dict, which memoises
-    :func:`invert_at_threshold` by ``(range_id, family, threshold)`` for one
-    ``models``.  A non-monotone curve's :class:`FitError` is stored too and
-    raised again on every lookup.
+    This is the scalar form of the prediction that
+    :func:`jndmap.evaluate.evaluate_grid` makes for every truth at once.
     """
     if direction not in ("inc", "dec"):
         raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
@@ -123,7 +125,7 @@ def predict_jnd(
         raise KeyError(
             f"no fitted {family} model for range {range_id}"
         ) from None
-    delta, inv_clamped = _inversion(inversions, range_id, mf, threshold)
+    delta, inv_clamped = invert_at_threshold(mf, threshold)
     raw_target = anchor.vmaf - delta if direction == "dec" else anchor.vmaf + delta
     target = min(max(raw_target, 0.0), 100.0)
     return JndPrediction(
@@ -139,40 +141,45 @@ def predict_jnd(
     )
 
 
-def _inversion(
-    inversions: dict | None, range_id: str, mf: MappingFunction, threshold: float
-) -> tuple[float, bool]:
-    if inversions is None:
-        return invert_at_threshold(mf, threshold)
-    key = (range_id, mf.family, threshold)
-    if key not in inversions:
-        try:
-            inversions[key] = invert_at_threshold(mf, threshold)
-        except FitError as exc:
-            inversions[key] = exc
-    found = inversions[key]
-    if isinstance(found, FitError):
-        # a fresh exception each time, so no traceback piles up on the stored one
-        raise FitError(str(found))
-    return found
-
-
 # -- serialization ----------------------------------------------------------
 
 
-def predictions_csv_text(predictions: list[JndPrediction]) -> str:
-    rows = [
-        (
-            p.content_id,
-            p.anchor_recipe_id,
-            p.direction,
-            p.range_id,
-            p.family,
-            p.threshold,
-            p.delta_obj_jnd,
-            p.target_vmaf,
-            int(p.clamped),
-        )
-        for p in predictions
-    ]
-    return tableio.rows_to_csv_text(PREDICTION_COLUMNS, rows)
+class PredictionTable(tableio.RowSequence[JndPrediction]):
+    """Predictions as columns, in :data:`PREDICTION_COLUMNS` order: ``ids``,
+    five object arrays (content, anchor recipe, direction, range, family),
+    ``numbers``, three float arrays (threshold, |dVMAF|, target VMAF), and
+    the bool array ``clamped``.  As a sequence, the table is the
+    :class:`JndPrediction` objects, built on first use and cached."""
+
+    def __init__(self, *columns: Sequence, rows: tuple[JndPrediction, ...] | None = None) -> None:
+        self.ids = [np.asarray(column, dtype=object) for column in columns[:5]]
+        self.numbers = [np.asarray(column, dtype=float) for column in columns[5:8]]
+        self.clamped = np.asarray(columns[8], dtype=bool)
+        self._rows = rows
+
+    @classmethod
+    def of(cls, predictions: Sequence[JndPrediction]) -> PredictionTable:
+        """``predictions`` as a table: a table as it is, any other sequence of
+        :class:`JndPrediction` column by column."""
+        if isinstance(predictions, PredictionTable):
+            return predictions
+        rows = tuple(predictions)
+        columns = list(zip(*map(attrgetter(*PREDICTION_COLUMNS), rows))) or [()] * 9
+        return cls(*columns, rows=rows)
+
+    def cells(self) -> list[Sequence]:
+        """The columns as Python values, ``clamped`` as 0 or 1."""
+        numbers = [column.tolist() for column in self.numbers]
+        return [*self.ids, *numbers, self.clamped.astype(int).tolist()]
+
+    def _build(self) -> tuple[JndPrediction, ...]:
+        *fields, _ = self.cells()
+        return tuple(map(JndPrediction, *fields, self.clamped.tolist()))
+
+    def __len__(self) -> int:
+        return len(self.clamped)
+
+
+def predictions_csv_text(predictions: Sequence[JndPrediction]) -> str:
+    cells = PredictionTable.of(predictions).cells()
+    return tableio.rows_to_csv_text(PREDICTION_COLUMNS, zip(*cells))

@@ -12,7 +12,9 @@ A decomposition splits (lo, 100] into contiguous half-open intervals
 
 A pair belongs to every range containing either of its endpoints, so a pair
 spanning a boundary is counted in both ranges (and the total pair multiplicity
-lies between n_pairs and 2*n_pairs).
+lies between n_pairs and 2*n_pairs).  :func:`assign_pairs` is an array
+program over the pair table: it looks up both endpoints' VMAF by the stimulus
+codes the table holds and finds their ranges with one ``np.searchsorted``.
 """
 
 from __future__ import annotations
@@ -20,15 +22,15 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from . import tableio
 from .corpus import Corpus
-from .significance import RatedPair
+from .significance import PairTable, RatedPair
 
 log = logging.getLogger(__name__)
 
@@ -90,9 +92,6 @@ class Decomposition:
                 return r
         raise KeyError(f"unknown range {range_id!r}")
 
-    def pairs_in_range(self, range_id: str, pairs: list[RatedPair]) -> list[RatedPair]:
-        refs = set(self.by_id(range_id).pair_refs)
-        return [p for p in pairs if p.pair_id in refs]
 
 
 def _build(strategy: str, bounds: list[float]) -> Decomposition:
@@ -191,23 +190,23 @@ def decompose_explicit(bounds: list[float]) -> Decomposition:
 
 
 def assign_pairs(
-    pairs: list[RatedPair], decomp: Decomposition, corpus: Corpus
+    pairs: Sequence[RatedPair], decomp: Decomposition, corpus: Corpus
 ) -> Decomposition:
     """Attach pair ids to every range containing either pair endpoint.
 
     Idempotent and independent of the order of ``pairs``; re-assignment
-    replaces any previous refs.
+    replaces any previous refs.  Each range's refs are sorted by pair id, and
+    a pair listed twice is referenced once.
     """
-    endpoints = [attrgetter("content_id", recipe) for recipe in ("recipe_x", "recipe_y")]
+    pairs = PairTable.of(pairs)
     table = corpus.ratings
-    codes = [table.codes.get(key(pair), -1) for pair in pairs for key in endpoints]
-    codes = np.array(codes, np.intp).reshape(-1, 2)
+    codes = pairs.endpoint_codes(table)
     vmaf = np.append(table.vmaf, np.nan)[codes]  # code -1 (unknown) reads NaN
     lo, hi = decomp.coverage
     outside = ~((lo < vmaf) & (vmaf <= hi))
     if outside.any():
         i, end = divmod(int(np.argmax(outside)), 2)
-        content_id, recipe = endpoints[end](pairs[i])
+        content_id, recipe = pairs.content_id[i], (pairs.recipe_x, pairs.recipe_y)[end][i]
         value = corpus.stimulus(content_id, recipe).vmaf  # KeyError for an unknown stimulus
         raise ValueError(
             f"stimulus {content_id}/{recipe} (vmaf {value}) lies outside "
@@ -215,13 +214,17 @@ def assign_pairs(
         )
     # the range of (lo, hi] holding each endpoint, as Decomposition.find_range finds it
     where = np.searchsorted([r.hi for r in decomp.ranges], vmaf, side="left")
-    ids = [p.pair_id for p in pairs]
-    by_id = np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+    ids = pairs.pair_ids
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    sorted_ids = np.array([ids[i] for i in by_id], dtype=object)
+    where = where[by_id]
+    # a repeated id sorts next to its first copy and shares its group
+    group = np.cumsum(np.append(True, sorted_ids[1:] != sorted_ids[:-1]))
     refs = []
     for k in range(len(decomp.ranges)):
-        inside = by_id[(where[by_id] == k).any(axis=1)]
-        # a repeated pair sorts next to its first copy, and dict.fromkeys drops it
-        refs.append(tuple(dict.fromkeys(ids[i] for i in inside.tolist())))
+        (inside,) = np.nonzero((where == k).any(axis=1))
+        first = np.diff(group[inside], prepend=0) != 0
+        refs.append(tuple(sorted_ids[inside[first]].tolist()))
     new_ranges = tuple(replace(r, pair_refs=ref) for r, ref in zip(decomp.ranges, refs))
     assigned = sum(len(r.pair_refs) for r in new_ranges)
     log.info(

@@ -14,13 +14,21 @@ The Welch and Student formulas read only each vector's size, mean and
 variance (:class:`SampleStats`), so classification computes those once per
 rated stimulus; ``welch_t_test`` and ``student_t_test`` are the same formulas
 applied to two vectors.
+
+The labelled pairs are one columnar :class:`PairTable`: ids, |dVMAF|, p-value
+and sig bit per pair, and, when it comes from a corpus, the stimulus codes of
+both endpoints.  Pair assignment, the co-distributions, the pairwise GLM and
+``pairs.csv`` read its columns; a list of :class:`RatedPair` is turned into
+the same table wherever pairs are taken.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -59,13 +67,91 @@ class RatedPair:
 
 #: pairs.csv: the fields of :class:`RatedPair`, in order.
 PAIR_TABLE: tableio.Schema = {
-    "content_id": tableio.text,
-    "recipe_x": tableio.text,
-    "recipe_y": tableio.text,
+    "content_id": tableio.ident,
+    "recipe_x": tableio.ident,
+    "recipe_y": tableio.ident,
     "delta_obj": tableio.within(tableio.number, 0.0, math.inf),
     "p_value": tableio.within(tableio.number, 0.0, 1.0),
     "sig": tableio.within(int, 0, 1),
 }
+
+
+class PairTable(tableio.RowSequence[RatedPair]):
+    """Rated pairs as columns, one entry per pair.
+
+    ``content_id``, ``recipe_x`` and ``recipe_y`` are object arrays of ids,
+    ``delta_obj`` and ``p_value`` float arrays and ``sig`` an int array.  A
+    table that :func:`classify_pairs` makes also holds ``codes``, the stimulus
+    codes of each pair's two endpoints as an ``(n, 2)`` array, and ``keys``,
+    the key list of the :class:`RatingTable` they index.
+
+    As a sequence, the table is the pairs as :class:`RatedPair` objects,
+    built on first use and cached; a table made by :meth:`of` from
+    ``RatedPair`` objects keeps those.
+    """
+
+    def __init__(self, content_id: Sequence[str], recipe_x: Sequence[str],
+                 recipe_y: Sequence[str], delta_obj: Sequence[float], p_value: Sequence[float],
+                 sig: Sequence[int], codes: np.ndarray | None = None,
+                 keys: list[tuple[str, str]] | None = None,
+                 rows: tuple[RatedPair, ...] | None = None) -> None:
+        self.content_id, self.recipe_x, self.recipe_y = (
+            np.asarray(ids, dtype=object) for ids in (content_id, recipe_x, recipe_y)
+        )
+        self.delta_obj = np.asarray(delta_obj, dtype=float)
+        self.p_value = np.asarray(p_value, dtype=float)
+        self.sig = np.asarray(sig, dtype=np.int64)
+        self.codes, self.keys, self._rows = codes, keys, rows
+
+    @classmethod
+    def of(cls, pairs: Sequence[RatedPair]) -> PairTable:
+        """``pairs`` as a table: a table as it is, any other sequence of
+        :class:`RatedPair` column by column."""
+        if isinstance(pairs, PairTable):
+            return pairs
+        rows = tuple(pairs)
+        return cls(*(list(zip(*map(attrgetter(*PAIR_TABLE), rows))) or [()] * 6), rows=rows)
+
+    def take(self, rows: np.ndarray) -> PairTable:
+        """The table of the pairs at positions ``rows``, in that order,
+        without the stimulus codes."""
+        columns = (self.content_id, self.recipe_x, self.recipe_y, self.delta_obj, self.p_value,
+                   self.sig)
+        return PairTable(*(column[rows] for column in columns))
+
+    def columns(self) -> tuple[Sequence, ...]:
+        """The columns of :data:`PAIR_TABLE` as Python values."""
+        return (self.content_id, self.recipe_x, self.recipe_y, self.delta_obj.tolist(),
+                self.p_value.tolist(), self.sig.tolist())
+
+    def _build(self) -> tuple[RatedPair, ...]:
+        return tuple(map(RatedPair, *self.columns()))
+
+    def __len__(self) -> int:
+        return len(self.sig)
+
+    @functools.cached_property
+    def pair_ids(self) -> list[str]:
+        """``content_id:recipe_x:recipe_y`` of each pair."""
+        return list(map(":".join, zip(self.content_id, self.recipe_x, self.recipe_y)))
+
+    @functools.cached_property
+    def index(self) -> dict[str, int]:
+        """The row of each pair id (of one of its rows, for an id listed twice)."""
+        return dict(zip(self.pair_ids, itertools.count()))
+
+    def endpoint_codes(self, table: RatingTable) -> np.ndarray:
+        """The ``(n, 2)`` codes in ``table`` of each pair's two stimuli; -1
+        for a stimulus that ``table`` does not hold."""
+        if self.codes is not None and self.keys is table.keys:
+            return self.codes
+        get = table.codes.get
+        ends = [
+            np.fromiter(map(get, zip(self.content_id, recipes), itertools.repeat(-1)), np.intp,
+                        len(self))
+            for recipes in (self.recipe_x, self.recipe_y)
+        ]
+        return np.column_stack(ends)
 
 
 def _two_sided_p(t, df):
@@ -186,8 +272,11 @@ def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
     return list(itertools.combinations(rated, 2))
 
 
-def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> list[RatedPair]:
+def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> PairTable:
     """Label every within-content pair with |dVMAF|, p-value, and sig bit.
+
+    The pairs come sorted by (content, recipe_x, recipe_y), with recipe_x <
+    recipe_y, as one :class:`PairTable` that holds the endpoint codes.
 
     The test runs over all pairs at once, on the per-stimulus statistics of
     :meth:`RatingTable.panels`.  It makes the checks and the float operations
@@ -246,14 +335,10 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
             content_id, rx = table.keys[x[i]]
             raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
         p = np.where(degenerate, (diff == 0.0).astype(float), _two_sided_p(t, df))
-    keys, vmaf = table.keys, table.vmaf
-    pairs = [
-        RatedPair(keys[i][0], keys[i][1], keys[j][1], delta, p_value, int(p_value < alpha))
-        for i, j, delta, p_value in zip(
-            x.tolist(), y.tolist(), np.abs(vmaf[x] - vmaf[y]).tolist(), p.tolist()
-        )
-    ]
-    n_sig = sum(p.sig for p in pairs)
+    keys = np.array(table.keys, dtype=object)
+    pairs = PairTable(keys[x, 0], keys[x, 1], keys[y, 1], np.abs(table.vmaf[x] - table.vmaf[y]),
+                      p, p < alpha, np.column_stack((x, y)), table.keys)
+    n_sig = int(pairs.sig.sum())
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
     return pairs
 
@@ -278,18 +363,24 @@ def _paired_differences(
 # -- serialization ----------------------------------------------------------
 
 
-def pairs_csv_text(pairs: list[RatedPair]) -> str:
-    return tableio.rows_to_csv_text(PAIR_TABLE, map(attrgetter(*PAIR_TABLE), pairs))
+def pairs_csv_text(pairs: Sequence[RatedPair]) -> str:
+    return tableio.rows_to_csv_text(PAIR_TABLE, zip(*PairTable.of(pairs).columns()))
 
 
-def read_pairs_csv(path: str | Path) -> list[RatedPair]:
-    """The pairs of a pairs.csv; a pair listed twice is a :class:`CorpusError`
-    naming the line of its second row."""
+def read_pairs_csv(path: str | Path) -> PairTable:
+    """The pairs of a pairs.csv.  Each pair is listed once, with recipe_x <
+    recipe_y; a :class:`CorpusError` names the line of the first row that is
+    out of order or repeats an earlier one."""
     table = tableio.read_table(path, PAIR_TABLE)
-    pairs = list(map(RatedPair, *table.columns))
-    seen: set[str] = set()
-    for i, pair in enumerate(pairs):
-        if pair.pair_id in seen:
-            raise table.error(f"duplicate pair {pair.pair_id}", i)
-        seen.add(pair.pair_id)
+    pairs = PairTable(*table.columns)
+    recipes = zip(itertools.count(), pairs.recipe_x, pairs.recipe_y)
+    unordered = next((i for i, x, y in recipes if x >= y), len(pairs))
+    ids, seen = pairs.pair_ids, set()
+    repeat = next((i for i, pair_id in enumerate(ids) if pair_id in seen or seen.add(pair_id)),
+                  len(pairs))
+    if unordered < repeat:
+        raise table.error(f"recipe_y {pairs.recipe_y[unordered]!r} does not sort after "
+                          f"recipe_x {pairs.recipe_x[unordered]!r}", unordered, "recipe_y")
+    if repeat < len(pairs):
+        raise table.error(f"duplicate pair {ids[repeat]}", repeat)
     return pairs

@@ -4,10 +4,10 @@ All interchange tables are plain comma-separated files with an exact header
 row.  Each table that is read back is declared once, next to its row type, as
 a :data:`Schema`: an ordered mapping from column name to a cell parser, which
 returns the cell's value or raises ``ValueError``.  The declarations are built
-from ``int``, :func:`text` and the :func:`checked` parsers :data:`number`,
-:func:`within` and :func:`one_of`.  :func:`read_table` is the one CSV reader:
-it checks the header against the schema, skips blank lines, and reports a
-wrong field count or a parser's ``ValueError`` as a :class:`CorpusError`
+from ``int``, :func:`text`, :func:`ident` and the :func:`checked` parsers
+:data:`number`, :func:`within` and :func:`one_of`.  :func:`read_table` is the
+one CSV reader: it checks the header against the schema, skips blank lines,
+and reports a wrong field count or a parser's ``ValueError`` as a :class:`CorpusError`
 naming the file, line and column.  It returns a :class:`Table`, the values
 column by column, whose :meth:`Table.error` names the line of a row that a
 check across rows rejects.  Writers take their header from the same
@@ -15,6 +15,9 @@ schema and pass the cells to ``csv.writer`` as they are; it writes a float as
 its shortest round-trip ``repr``, so a value survives a write/read round trip
 bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
 :func:`read_json` only.
+
+A table held in memory as columns reads as a sequence of row objects through
+:class:`RowSequence`, which builds the objects only when they are asked for.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import dataclasses
 import io
 import json
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from pathlib import Path
 from typing import Any, TypeVar
 
@@ -56,6 +59,13 @@ def text(cell: str) -> str:
     return cell
 
 
+def ident(cell: str) -> str:
+    """An id: non-empty text without ``:``, the separator of the ids in a pair id."""
+    if ":" in cell:
+        raise ValueError(f"id {cell!r} contains ':'")
+    return text(cell)
+
+
 #: A finite float.
 number = checked(float, math.isfinite, "non-finite value {!r}")
 
@@ -68,6 +78,35 @@ def within(parse: Callable[[str], float], lo: float, hi: float) -> Callable[[str
 def one_of(*allowed: str) -> Callable[[str], str]:
     """One of the ``allowed`` strings."""
     return checked(str, allowed.__contains__, f"{{!r}} is not one of {allowed}")
+
+
+class RowSequence(Sequence[T]):
+    """Columns that read as a sequence of row objects.
+
+    A subclass defines ``__len__`` and ``_build``, which makes the row
+    objects; they are built on first use and cached in ``_rows``.
+    """
+
+    _rows: tuple | None = None
+
+    def _build(self) -> tuple:
+        raise NotImplementedError
+
+    def _materialized(self) -> tuple:
+        if self._rows is None:
+            self._rows = self._build()
+        return self._rows
+
+    def __getitem__(self, index):
+        return self._materialized()[index]
+
+    def __iter__(self) -> Iterator[T]:
+        return iter(self._materialized())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return self._materialized() == tuple(other)
 
 
 @dataclasses.dataclass

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from jndmap import cli
+from jndmap import cli, predict, significance
 from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.ranges import read_ranges_json
 from jndmap.tableio import write_json
@@ -534,6 +534,11 @@ def _edit_line_2(index, value):
     return edit
 
 
+def _swap_pair_recipes(lines):
+    content_id, recipe_x, recipe_y, *rest = lines[1].split(",")
+    return [lines[0], ",".join([content_id, recipe_y, recipe_x, *rest])] + lines[2:]
+
+
 def _swap_anchor_and_jnd(lines):
     content_id, anchor, direction, jnd, order = lines[1].split(",")
     return [lines[0], ",".join([content_id, jnd, direction, anchor, order])] + lines[2:]
@@ -564,6 +569,18 @@ def _swap_anchor_and_jnd(lines):
                      "-0.5 outside [0.0, 1.0]", id="pair-p-value-below-0"),
         pytest.param("pairs.csv", _duplicate_line_2, "line 3", "duplicate pair ",
                      id="pair-duplicate"),
+        pytest.param("pairs.csv", _swap_pair_recipes, "line 2:recipe_y",
+                     "recipe_y 'r1' does not sort after recipe_x 'r2'", id="pair-reversed"),
+        pytest.param("pairs.csv", _edit_line_2(2, "r1"), "line 2:recipe_y",
+                     "recipe_y 'r1' does not sort after recipe_x 'r1'", id="pair-self"),
+        pytest.param("vmaf_scores.csv", _edit_line_2(0, "x:r01"), "line 2:content_id",
+                     "id 'x:r01' contains ':'", id="colon-in-content-id"),
+        pytest.param("dcr_ratings.csv", _edit_line_2(1, "r01:r01"), "line 2:recipe_id",
+                     "id 'r01:r01' contains ':'", id="colon-in-rated-recipe-id"),
+        pytest.param("jnd_truth.csv", _edit_line_2(3, "r1:r2"), "line 2:jnd_recipe_id",
+                     "id 'r1:r2' contains ':'", id="colon-in-truth-recipe-id"),
+        pytest.param("pairs.csv", _edit_line_2(1, "r0:r1"), "line 2:recipe_x",
+                     "id 'r0:r1' contains ':'", id="colon-in-pair-recipe-id"),
     ],
 )
 def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, edit, where, message):
@@ -581,6 +598,23 @@ def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, 
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "CorpusError"
     assert record["message"].startswith(f"{table}:{where}: {message}")
+
+
+def test_run_builds_no_pair_or_prediction_objects(sim_dir, run_dir, tmp_path, monkeypatch):
+    """``run`` keeps its pairs and predictions as columns from classify to the
+    artifacts: with the row constructors refusing, it writes the same bytes."""
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    monkeypatch.setattr(significance.RatedPair, "__init__", refuse)
+    monkeypatch.setattr(predict.JndPrediction, "__init__", refuse)
+    out = tmp_path / "out"
+    argv = ["run", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+            "--truth", sim_dir / "jnd_truth.csv", "--out-dir", out, "--k", "2"]
+    assert cli.main([str(a) for a in argv]) == 0
+    for name in RUN_ARTIFACTS:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
 
 def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path):

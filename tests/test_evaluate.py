@@ -9,9 +9,9 @@ import math
 
 import pytest
 
-from jndmap import evaluate as evaluate_mod
 from jndmap import predict as predict_mod
 from jndmap.corpus import Corpus, JndTruth, Recipe, Stimulus
+from jndmap.errors import FitError
 from jndmap.evaluate import (
     CellMetrics,
     EvalGrid,
@@ -23,7 +23,7 @@ from jndmap.evaluate import (
 )
 from jndmap.mapping import fit_all
 from jndmap.predict import select_range
-from jndmap.ranges import assign_pairs, decompose_balanced
+from jndmap.ranges import assign_pairs, decompose_balanced, decompose_explicit
 from jndmap.significance import classify_pairs
 from jndmap.simulate import simulate_corpus
 from jndmap.tableio import write_json
@@ -185,11 +185,58 @@ def small_study():
     return corpus, models, decomp
 
 
-def _invert_per_prediction(monkeypatch):
-    """Make ``evaluate_grid`` bisect afresh for every prediction, without the table."""
-    monkeypatch.setattr(
-        evaluate_mod, "predict_jnd", lambda *args: predict_mod.predict_jnd(*args[:6])
+def _scalar_grid(corpus, models, decomp, spec):
+    """The grid as a loop of scalar predictions: the oracle of ``evaluate_grid``.
+
+    Every truth walks its chained steps through ``predict.predict_jnd``, which
+    bisects afresh each time, and after each step the working anchor snaps to
+    the content's rendition nearest the target, a tie going to the smaller
+    recipe id.  Returns the cells and the last step's prediction of every
+    scored truth, cell by cell.
+    """
+    truths = sorted(
+        (t for t in corpus.truths if spec.orders is None or t.order in spec.orders),
+        key=lambda t: (t.content_id, t.direction, t.order, t.anchor_recipe_id),
     )
+    cells, predictions = {}, []
+    for direction in sorted({t.direction for t in truths}):
+        for family in spec.families:
+            for threshold in spec.thresholds:
+                errors, clamped, skipped = [], 0, 0
+                for truth in [t for t in truths if t.direction == direction]:
+                    anchor = current = corpus.stimulus(truth.content_id, truth.anchor_recipe_id)
+                    steps = []
+                    try:
+                        for _ in range(truth.order if spec.chain_orders else 1):
+                            steps.append(predict_mod.predict_jnd(
+                                models, decomp, current, direction, threshold, family))
+                            current = min(
+                                corpus.stimuli_for_content(truth.content_id),
+                                key=lambda s: (abs(s.vmaf - steps[-1].target_vmaf), s.recipe_id),
+                            )
+                    except (KeyError, FitError):
+                        skipped += 1
+                        continue
+                    observed = ground_truth_delta(corpus, truth)
+                    errors.append(abs(anchor.vmaf - steps[-1].target_vmaf) - observed)
+                    clamped += any(step.clamped for step in steps)
+                    predictions.append(steps[-1])
+                mae = rmse = None
+                if errors:
+                    mae = sum(abs(e) for e in errors) / len(errors)
+                    rmse = math.sqrt(sum(e * e for e in errors) / len(errors))
+                cells[(direction, family, threshold)] = CellMetrics(
+                    mae, rmse, len(errors), clamped, skipped
+                )
+    return cells, tuple(predictions)
+
+
+def _assert_matches_scalar_grid(corpus, models, decomp, spec):
+    grid = evaluate_grid(corpus, models, decomp, spec)
+    cells, predictions = _scalar_grid(corpus, models, decomp, spec)
+    assert grid.cells == cells
+    assert tuple(grid.predictions) == predictions
+    return grid
 
 
 def test_each_curve_is_inverted_once_per_threshold(small_study, monkeypatch):
@@ -207,16 +254,24 @@ def test_each_curve_is_inverted_once_per_threshold(small_study, monkeypatch):
     assert 0 < len(calls) <= len(decomp.ranges) * len(spec.families) * len(spec.thresholds) * 102
 
 
-def test_inversion_table_matches_per_truth_inversion(small_study, monkeypatch):
+def test_inversion_table_matches_per_truth_inversion(small_study):
+    """The grid equals the scalar oracle, chained and not, with every family
+    fitted and with one family missing from one range."""
     corpus, models, decomp = small_study
-    grid = evaluate_grid(corpus, models, decomp)
-    _invert_per_prediction(monkeypatch)
-    reference = evaluate_grid(corpus, models, decomp)
-    assert grid.cells == reference.cells
-    assert grid.predictions == reference.predictions
+    assert {t.order for t in corpus.truths} == {1, 2}
+    missing = {rid: dict(per_range) for rid, per_range in models.items()}
+    del missing[decomp.ranges[1].range_id]["glm"]
+    for fitted in (models, missing):
+        for chain in (True, False):
+            grid = _assert_matches_scalar_grid(
+                corpus, fitted, decomp, EvalGridSpec(chain_orders=chain)
+            )
+            assert all(cell.n for cell in grid.cells.values())
+    skipped = [cell.skipped for key, cell in grid.cells.items() if key[1] == "glm"]
+    assert all(skipped) and len(grid.predictions) > 0
 
 
-def test_non_monotone_curve_skips_its_range_in_every_threshold_cell(small_study, monkeypatch):
+def test_non_monotone_curve_skips_its_range_in_every_threshold_cell(small_study):
     corpus, models, decomp = small_study
     range_id = decomp.ranges[0].range_id
     mf = models[range_id]["logistic2"]
@@ -237,9 +292,54 @@ def test_non_monotone_curve_skips_its_range_in_every_threshold_cell(small_study,
         for threshold in spec.thresholds:
             assert grid.cell(direction, "logistic2", threshold).skipped == in_range
             assert grid.cell(direction, "glm", threshold).skipped == 0
-    chained = evaluate_grid(corpus, forced, decomp)
-    _invert_per_prediction(monkeypatch)
-    assert chained.cells == evaluate_grid(corpus, forced, decomp).cells
+    for chain in (True, False):
+        _assert_matches_scalar_grid(corpus, forced, decomp, EvalGridSpec(chain_orders=chain))
+
+
+def test_chained_snap_breaks_ties_by_recipe_id(single_range_models):
+    """A target equally far from two renditions snaps to the smaller recipe id.
+
+    A flat curve never reaches the threshold, so each step is the domain end,
+    20: from 95 the first step lands on 75, halfway between 80 and 70.  The
+    recipe ids sort against the VMAF order in one content and with it in the
+    other.
+    """
+    decomp, models = single_range_models
+    flat = dataclasses.replace(models["(0,100]"]["logistic2"], params=(0.0, 6.0))
+    stimuli = (
+        make_stimuli("c1", (95.0, 80.0, 70.0, 60.0, 50.0))
+        + make_stimuli("c2", (95.0, 70.0, 80.0, 60.0, 50.0))
+    )
+    truths = tuple(JndTruth(c, "r0", "dec", "r4", 2) for c in ("c1", "c2"))
+    corpus = Corpus(stimuli, (), truths)
+    spec = EvalGridSpec(thresholds=(0.75,), families=("logistic2",))
+    grid = _assert_matches_scalar_grid(corpus, {"(0,100]": {"logistic2": flat}}, decomp, spec)
+    # the second step starts from r1 in both contents: at 80 in c1, at 70 in c2
+    assert [p.anchor_recipe_id for p in grid.predictions] == ["r1", "r1"]
+    assert [p.target_vmaf for p in grid.predictions] == [60.0, 50.0]
+
+
+def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
+    """A truth is clamped in its cell when any step is, not only the last.
+
+    The anchor at 45 lies below the coverage (50, 100], so its first step
+    uses the end range and is clamped; it lands near 53, and the second step
+    from there is not clamped.
+    """
+    decomp = decompose_explicit([50.0, 100.0])
+    models = {decomp.ranges[0].range_id: {"logistic2": exact_model}}
+    corpus = Corpus(
+        make_stimuli("c1", (45.0, 53.0, 61.0, 70.0)),
+        (),
+        (JndTruth("c1", "r0", "inc", "r3", 2),),
+    )
+    spec = EvalGridSpec(thresholds=(0.75,), families=("logistic2",))
+    with caplog.at_level(logging.WARNING):
+        grid = _assert_matches_scalar_grid(corpus, models, decomp, spec)
+    assert grid.cell("inc", "logistic2", 0.75).clamped == 1
+    (prediction,) = grid.predictions
+    assert prediction.anchor_recipe_id == "r1" and not prediction.clamped
+    assert any("outside coverage" in r.getMessage() for r in caplog.records)
 
 
 def test_best_cell(single_range_models):

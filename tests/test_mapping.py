@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 
@@ -12,6 +13,7 @@ from jndmap import mapping as mapping_mod
 from jndmap.corpus import Corpus, Recipe, Stimulus
 from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import (
+    CURVE_SAMPLES,
     FAMILIES,
     FAMILY_TABLE,
     IRLS_MAX_ITER,
@@ -132,6 +134,22 @@ def test_codistribution_counts_missing_and_repeated_pairs_by_id():
         build_codistribution(srange, [pairs[0], pairs[0], pairs[2]])
     with pytest.raises(ValueError, match=r"the given list repeats 1 pair\(s\)"):
         build_codistribution(srange, pairs + [pairs[1]])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_curve_samples_equal_evaluate_mf(family):
+    """One curve call per fit writes the samples the scalar ``evaluate_mf``
+    gives, bit for bit: on the fitted domain, and on a wider domain where
+    cubic4 and logistic5 leave [0, 1] and are clipped."""
+    fitted = fit_mapping(_noiseless_points(family), family)
+    wide = dataclasses.replace(fitted, domain=(0.0, 60.0))
+    for mf in (fitted, wide):
+        deltas = np.linspace(*mf.domain, CURVE_SAMPLES).tolist()
+        samples = [(d, evaluate_mf(mf, d)) for d in deltas]
+        text = curve_samples_csv_text({"(0,100]": {family: mf}})
+        assert text.splitlines()[1:] == [f'"(0,100]",{family},{d!r},{p!r}' for d, p in samples]
+    if family in ("cubic4", "logistic5"):
+        assert {p for _, p in samples} & {0.0, 1.0}
 
 
 @pytest.mark.parametrize("family", FAMILIES)
