@@ -20,7 +20,7 @@ The pipeline, in library form:
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus, DcrRating, JndTruth, Recipe, Stimulus, load_corpus, ratings_vector
+from .corpus import Corpus, DcrRating, JndTruth, Recipe, Stimulus, load_corpus
 from .errors import CorpusError, FitError, JndmapError
 from .evaluate import EvalGrid, EvalGridSpec, evaluate_grid, ground_truth_delta
 from .mapping import (
@@ -46,7 +46,6 @@ from .screening import ScreeningReport, apply_screening, screen, screen_bt500
 from .significance import (
     RatedPair,
     classify_pairs,
-    form_pairs,
     paired_t_test,
     student_t_test,
     welch_t_test,
@@ -61,7 +60,6 @@ __all__ = [
     "Recipe",
     "Stimulus",
     "load_corpus",
-    "ratings_vector",
     "CorpusError",
     "FitError",
     "JndmapError",
@@ -70,7 +68,6 @@ __all__ = [
     "screen_bt500",
     "apply_screening",
     "RatedPair",
-    "form_pairs",
     "welch_t_test",
     "student_t_test",
     "paired_t_test",

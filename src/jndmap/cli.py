@@ -365,7 +365,7 @@ CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
     "k": ("--k", dict(type=int, help="balanced range count")),
     "width": ("--width", dict(type=float, help="fixed range width")),
     "bounds": ("--bounds", dict(type=_float_list, help="comma-separated explicit bounds")),
-    "balance": ("--balance", dict(choices=("stimuli", "pairs"), help="balanced target")),
+    "balance": ("--balance", dict(choices=ranges_mod.BALANCES, help="balanced target")),
 }
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import tableio
 from .mapping import FAMILIES, GLM_MODES, family_spec
-from .ranges import STRATEGIES
+from .ranges import check_settings
 from .screening import METHODS as SCREENING_METHODS
 from .significance import TESTS
 
@@ -42,10 +42,8 @@ class RunConfig:
             raise ValueError(
                 f"screening must be one of {SCREENING_METHODS}, got {self.screening!r}"
             )
-        if self.decomposition.strategy not in STRATEGIES:
-            raise ValueError(f"unknown decomposition strategy {self.decomposition.strategy!r}")
-        if self.decomposition.strategy == "explicit" and not self.decomposition.bounds:
-            raise ValueError("explicit decomposition needs bounds")
+        dc = self.decomposition
+        check_settings(dc.strategy, dc.k, dc.width, dc.bounds, dc.balance)
         if self.bin_width <= 0:
             raise ValueError(f"bin_width must be positive, got {self.bin_width}")
         for family in self.families:

@@ -325,10 +325,6 @@ class Corpus:
     def observers(self) -> list[str]:
         return list(self.ratings.observer_ids)
 
-    def rated_keys(self) -> list[tuple[str, str]]:
-        keys = self.ratings.keys
-        return [keys[code] for code in np.flatnonzero(self.ratings.counts).tolist()]
-
     def ratings_for(self, content_id: str, recipe_id: str) -> list[DcrRating]:
         """The stimulus's ratings, ordered by observer id."""
         table = self.ratings
@@ -339,11 +335,6 @@ class Corpus:
             DcrRating(content_id, recipe_id, ids[o], score)
             for o, score in zip(table.observer[span].tolist(), table.score[span].tolist())
         ]
-
-
-def ratings_vector(corpus: Corpus, content_id: str, recipe_id: str) -> list[int]:
-    """Scores for one stimulus, ordered by observer_id lexicographically."""
-    return [r.score for r in corpus.ratings_for(content_id, recipe_id)]
 
 
 # -- ingestion -------------------------------------------------------------

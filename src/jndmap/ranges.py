@@ -38,6 +38,7 @@ log = logging.getLogger(__name__)
 LOW_EDGE_EPSILON = 1e-9
 
 STRATEGIES = ("balanced", "fixed_width", "explicit")
+BALANCES = ("stimuli", "pairs")
 
 
 def _fmt_bound(value: float, digits: int = 6) -> str:
@@ -110,6 +111,29 @@ def _build(strategy: str, bounds: list[float]) -> Decomposition:
     return Decomposition(strategy=strategy, ranges=ranges)
 
 
+def check_settings(strategy: str, k: int = 5, width: float = 10.0,
+                   bounds: Sequence[float] | None = None, balance: str = "stimuli") -> None:
+    """Raise ValueError for a setting out of range among those that
+    ``strategy`` reads: ``k`` and ``balance`` (balanced), ``width``
+    (fixed_width) or ``bounds`` (explicit).  The decompose functions and
+    the run configuration both check with it, so a bad setting is rejected
+    before any stage runs."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown decomposition strategy {strategy!r}")
+    if strategy == "balanced":
+        if k < 2:
+            raise ValueError(f"k must be >= 2, got {k}")
+        if balance not in BALANCES:
+            raise ValueError(f"balance must be 'stimuli' or 'pairs', got {balance!r}")
+    elif strategy == "fixed_width":
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"width must be positive and finite, got {width}")
+    elif bounds is None or len(bounds) < 2:
+        raise ValueError(f"explicit decomposition needs at least two bounds, got {bounds}")
+    elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
+        raise ValueError(f"bounds must be strictly increasing, got {list(bounds)}")
+
+
 def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Decomposition:
     """Split the VMAF axis into ``k`` ranges with near-equal stimulus counts.
 
@@ -117,10 +141,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
     pairs it participates in, approximately equalizing pair membership
     instead.
     """
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if balance not in ("stimuli", "pairs"):
-        raise ValueError(f"balance must be 'stimuli' or 'pairs', got {balance!r}")
+    check_settings("balanced", k=k, balance=balance)
     stimuli = sorted(corpus.stimuli, key=lambda s: s.vmaf)
     if not stimuli:
         raise ValueError("corpus has no stimuli")
@@ -162,8 +183,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
 
 def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition:
     """Equal-width ranges covering (0, 100]; the top range is clipped at 100."""
-    if not width > 0:
-        raise ValueError(f"width must be positive, got {width}")
+    check_settings("fixed_width", width=width)
     n = math.ceil(100.0 / width)
     bounds = [min(i * width, 100.0) for i in range(n)] + [100.0]
     decomp = _build("fixed_width", bounds)
@@ -182,10 +202,7 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
 
 def decompose_explicit(bounds: list[float]) -> Decomposition:
     """Ranges from caller-supplied boundaries, e.g. [30, 79, 86, 90, 95, 100]."""
-    if len(bounds) < 2:
-        raise ValueError("need at least two boundaries")
-    if any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(f"bounds must be strictly increasing, got {bounds}")
+    check_settings("explicit", bounds=bounds)
     return _build("explicit", [float(b) for b in bounds])
 
 

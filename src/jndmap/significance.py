@@ -10,10 +10,11 @@ The degenerate case where *both* vectors have zero variance falls outside the
 t formulas and is resolved by definition: p = 1 for equal means, p = 0
 otherwise.
 
-The Welch and Student formulas read only each vector's size, mean and
-variance (:class:`SampleStats`), so classification computes those once per
-rated stimulus; ``welch_t_test`` and ``student_t_test`` are the same formulas
-applied to two vectors.
+Each test is written once, as an array program over pairs that reads only
+each side's size, mean and variance (for the paired test, those of the score
+differences).  :func:`classify_pairs` runs it on every pair of a corpus at
+once; ``welch_t_test``, ``student_t_test`` and ``paired_t_test`` run it on
+one pair of vectors.
 
 The labelled pairs are one columnar :class:`PairTable`: ids, |dVMAF|, p-value
 and sig bit per pair, and, when it comes from a corpus, the stimulus codes of
@@ -164,112 +165,83 @@ def _two_sided_p(t, df):
     return p if p.ndim else float(p)
 
 
-@dataclass(frozen=True)
-class SampleStats:
-    """Size, mean and unbiased (ddof=1) variance of one rating vector."""
+def _t_kernel(test: str, na: np.ndarray, nb: np.ndarray, diff: np.ndarray, va: np.ndarray,
+              vb: np.ndarray | float, alpha: float) -> tuple:
+    """Two-sided ``test`` over arrays of pairs: each pair's panel sizes, mean
+    difference and ddof=1 variances.  For ``paired``, ``diff`` and ``va`` are
+    the mean and variance of the score differences and ``vb`` is 0.
 
-    n: int
-    mean: float
-    var: float
+    Returns t, df, p and the faults: (mask of the pairs at fault, message of
+    pair i), in the order they are checked.  Where both variances are 0, p is
+    1 for equal means (t = 0) and 0 otherwise (t = +-inf), and Welch's df is
+    the pooled ``na + nb - 2``.
+    """
+    faults = [
+        ((na < 2) | (nb < 2), lambda i: f"need >= 2 observations per side, got {na[i]} and {nb[i]}"),
+        (np.full(len(na), not 0.0 < alpha < 1.0), lambda i: f"alpha must be in (0, 1), got {alpha}"),
+    ]
+    degenerate = (va == 0.0) & (vb == 0.0)
+    with np.errstate(all="ignore"):
+        if test == "paired":
+            df = (na - 1).astype(float)
+            t = diff / np.sqrt(va / na)
+        elif test == "welch":
+            # square by C pow(), as Python's float ** does; numpy's ** is sa * sa,
+            # which can differ from pow() in the last bit
+            sa, sb = va / na, vb / nb
+            t = diff / np.sqrt(sa + sb)
+            denom = np.float_power(sa, 2) / (na - 1) + np.float_power(sb, 2) / (nb - 1)
+            df = np.where(degenerate, (na + nb - 2).astype(float), np.float_power(sa + sb, 2) / denom)
+            faults.append((~degenerate & (denom == 0.0), lambda i: (
+                f"variances {va[i]:.3g} and {vb[i]:.3g} are too small for the Welch df: "
+                "their squares underflow")))
+        else:
+            df = (na + nb - 2).astype(float)
+            pooled = ((na - 1) * va + (nb - 1) * vb) / df
+            t = diff / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
+        t = np.where(degenerate & (diff == 0.0), 0.0, t)
+        p = np.where(degenerate, (diff == 0.0).astype(float), _two_sided_p(t, df))
+    return t, df, p, faults
 
 
-def sample_stats(values: list[int] | list[float]) -> SampleStats:
-    """Statistics of ``values``; mean and variance are NaN below two values,
-    a size every test rejects."""
+def _one_pair(test: str, na: int, nb: int, diff: float, va: float, vb: float, alpha: float,
+              *late: tuple) -> TestResult:
+    """The kernel on one pair; ``late`` are faults checked after the kernel's."""
+    t, df, p, faults = _t_kernel(test, np.array([na]), np.array([nb]), np.array([diff]),
+                                 np.array([va]), np.array([vb]), alpha)
+    for mask, message in [*faults, *late]:
+        if mask[0]:
+            raise ValueError(message(0))
+    return TestResult(t=float(t[0]), df=float(df[0]), p=float(p[0]), sig=int(p[0] < alpha))
+
+
+def _moments(values) -> tuple[int, float, float]:
+    """Size, mean and ddof=1 variance of ``values``; NaN below two values."""
     x = np.asarray(values, dtype=float)
     if len(x) < 2:
-        return SampleStats(len(x), math.nan, math.nan)
-    return SampleStats(len(x), float(x.mean()), float(x.var(ddof=1)))
-
-
-def welch_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> TestResult:
-    """Welch's unequal-variance two-sample t-test, two-sided."""
-    _check_inputs(a.n, b.n, alpha)
-    na, nb = a.n, b.n
-    va, vb = a.var, b.var
-    diff = a.mean - b.mean
-    if va == 0.0 and vb == 0.0:
-        return _degenerate(diff, float(na + nb - 2), alpha)
-    sa, sb = va / na, vb / nb
-    t = diff / math.sqrt(sa + sb)
-    denom = sa**2 / (na - 1) + sb**2 / (nb - 1)
-    if denom == 0.0:
-        raise ValueError(
-            f"variances {va:.3g} and {vb:.3g} are too small for the Welch df: "
-            "their squares underflow"
-        )
-    df = (sa + sb) ** 2 / denom
-    p = _two_sided_p(t, df)
-    return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
-
-
-def student_from_stats(a: SampleStats, b: SampleStats, alpha: float = 0.05) -> TestResult:
-    """Classic pooled-variance two-sample t-test, two-sided."""
-    _check_inputs(a.n, b.n, alpha)
-    na, nb = a.n, b.n
-    va, vb = a.var, b.var
-    diff = a.mean - b.mean
-    df = float(na + nb - 2)
-    if va == 0.0 and vb == 0.0:
-        return _degenerate(diff, df, alpha)
-    pooled = ((na - 1) * va + (nb - 1) * vb) / df
-    t = diff / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
-    p = _two_sided_p(t, df)
-    return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
+        return len(x), math.nan, math.nan
+    return len(x), float(x.mean()), float(x.var(ddof=1))
 
 
 def welch_t_test(a: list[int] | list[float], b: list[int] | list[float], alpha: float = 0.05) -> TestResult:
     """Welch's unequal-variance two-sample t-test on two vectors, two-sided."""
-    return welch_from_stats(sample_stats(a), sample_stats(b), alpha)
+    (na, ma, va), (nb, mb, vb) = _moments(a), _moments(b)
+    return _one_pair("welch", na, nb, ma - mb, va, vb, alpha)
 
 
 def student_t_test(a, b, alpha: float = 0.05) -> TestResult:
     """Classic pooled-variance two-sample t-test on two vectors, two-sided."""
-    return student_from_stats(sample_stats(a), sample_stats(b), alpha)
+    (na, ma, va), (nb, mb, vb) = _moments(a), _moments(b)
+    return _one_pair("student", na, nb, ma - mb, va, vb, alpha)
 
 
 def paired_t_test(a, b, alpha: float = 0.05) -> TestResult:
     """Paired-difference t-test; vectors must be index-aligned per observer."""
-    _check_inputs(len(a), len(b), alpha)
-    if len(a) != len(b):
-        raise ValueError(f"paired test needs equal-length vectors, got {len(a)} and {len(b)}")
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
-    n = len(d)
-    vd = float(d.var(ddof=1))
-    mean = float(d.mean())
-    df = float(n - 1)
-    if vd == 0.0:
-        return _degenerate(mean, df, alpha)
-    t = mean / math.sqrt(vd / n)
-    p = _two_sided_p(t, df)
-    return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
-
-
-def _degenerate(diff: float, df: float, alpha: float) -> TestResult:
-    if diff == 0.0:
-        return TestResult(t=0.0, df=df, p=1.0, sig=0)
-    return TestResult(t=math.copysign(math.inf, diff), df=df, p=0.0, sig=1)
-
-
-def _check_inputs(na: int, nb: int, alpha: float) -> None:
-    if na < 2 or nb < 2:
-        raise ValueError(f"need >= 2 observations per side, got {na} and {nb}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def form_pairs(corpus: Corpus, content_id: str) -> list[tuple[str, str]]:
-    """All unordered recipe pairs of a content's *rated* stimuli.
-
-    Recipes are ordered lexicographically within each pair and across the
-    list, so the output is a pure function of the corpus.
-    """
-    rated = corpus.rated_recipes(content_id)
-    if len(rated) < 2:
-        raise ValueError(
-            f"content {content_id!r} has {len(rated)} rated stimulus(es); need >= 2 to pair"
-        )
-    return list(itertools.combinations(rated, 2))
+    same = len(a) == len(b)
+    _, mean, var = _moments(np.subtract(a, b, dtype=float) if same else ())
+    unequal = (np.array([not same]), lambda i: (
+        f"paired test needs equal-length vectors, got {len(a)} and {len(b)}"))
+    return _one_pair("paired", len(a), len(b), mean, var, 0.0, alpha, unequal)
 
 
 def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> PairTable:
@@ -279,9 +251,9 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     recipe_y, as one :class:`PairTable` that holds the endpoint codes.
 
     The test runs over all pairs at once, on the per-stimulus statistics of
-    :meth:`RatingTable.panels`.  It makes the checks and the float operations
-    of ``paired_t_test`` / ``*_from_stats`` in their order, so each pair
-    fails with the same error and each p-value is bit-equal to theirs.
+    :meth:`RatingTable.panels`, through the same kernel as ``welch_t_test`` /
+    ``student_t_test`` / ``paired_t_test``, so each pair fails with their
+    error and each p-value is theirs on the pair's two rating vectors.
     """
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
@@ -294,47 +266,24 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     x, y = np.array(codes, dtype=np.intp).T
     table = corpus.ratings
     na, nb = table.counts[x], table.counts[y]
-    faults = [  # (the pairs at fault, message), in the order the scalar tests check them
-        ((na < 2) | (nb < 2),
-         lambda i: f"need >= 2 observations per side, got {na[i]} and {nb[i]}"),
-        (np.full(len(x), not 0.0 < alpha < 1.0),
-         lambda i: f"alpha must be in (0, 1), got {alpha}"),
-    ]
-    with np.errstate(all="ignore"):
-        if test == "paired":
-            same, diff, var = _paired_differences(table, x, y)
-            faults.insert(0, (~same, lambda i: (
-                "paired test needs identical observer panels on both stimuli")))
-            degenerate = var == 0.0
-            df = (na - 1).astype(float)
-            t = diff / np.sqrt(var / na)
-        else:
-            mean, var = np.full(len(table.keys), np.nan), np.full(len(table.keys), np.nan)
-            for stimuli, scores in table.panels():
-                if scores.shape[1] >= 2:
-                    mean[stimuli], var[stimuli] = scores.mean(axis=1), scores.var(axis=1, ddof=1)
-            diff, va, vb = mean[x] - mean[y], var[x], var[y]
-            degenerate = (va == 0.0) & (vb == 0.0)
-            if test == "welch":
-                # Python's ``sa**2`` is C pow(), as is np.float_power; numpy's ** is
-                # sa * sa, which can differ from pow() in the last bit
-                sa, sb = va / na, vb / nb
-                t = diff / np.sqrt(sa + sb)
-                denom = np.float_power(sa, 2) / (na - 1) + np.float_power(sb, 2) / (nb - 1)
-                df = np.float_power(sa + sb, 2) / denom
-                faults.append((~degenerate & (denom == 0.0), lambda i: (
-                    f"variances {va[i]:.3g} and {vb[i]:.3g} are too small for the Welch df: "
-                    "their squares underflow")))
-            else:
-                df = (na + nb - 2).astype(float)
-                pooled = ((na - 1) * va + (nb - 1) * vb) / df
-                t = diff / np.sqrt(pooled * (1.0 / na + 1.0 / nb))
-        hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
-        if hits:
-            i, k = min(hits)
-            content_id, rx = table.keys[x[i]]
-            raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
-        p = np.where(degenerate, (diff == 0.0).astype(float), _two_sided_p(t, df))
+    if test == "paired":
+        same, diff, va = _paired_differences(table, x, y)
+        vb = 0.0
+    else:
+        mean, var = np.full(len(table.keys), np.nan), np.full(len(table.keys), np.nan)
+        for stimuli, scores in table.panels():
+            if scores.shape[1] >= 2:
+                mean[stimuli], var[stimuli] = scores.mean(axis=1), scores.var(axis=1, ddof=1)
+        diff, va, vb = mean[x] - mean[y], var[x], var[y]
+    _, _, p, faults = _t_kernel(test, na, nb, diff, va, vb, alpha)
+    if test == "paired":
+        faults.insert(0, (~same, lambda i: (
+            "paired test needs identical observer panels on both stimuli")))
+    hits = [(int(np.argmax(mask)), k) for k, (mask, _) in enumerate(faults) if mask.any()]
+    if hits:
+        i, k = min(hits)
+        content_id, rx = table.keys[x[i]]
+        raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
     keys = np.array(table.keys, dtype=object)
     pairs = PairTable(keys[x, 0], keys[x, 1], keys[y, 1], np.abs(table.vmaf[x] - table.vmaf[y]),
                       p, p < alpha, np.column_stack((x, y)), table.keys)

@@ -3,15 +3,27 @@
 from __future__ import annotations
 
 import math
+import os
 import shutil
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from scipy import special
 
+import jndmap
 from jndmap.corpus import Corpus, DcrRating, Recipe, Stimulus
 from jndmap.mapping import FitReport, MappingFunction
 from jndmap.ranges import decompose_explicit
+from jndmap.significance import TestResult
 from jndmap.simulate import SimSpec, simulate_corpus
+
+# CLI subprocesses import the jndmap this session imports: its source
+# directory goes first on their PYTHONPATH.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(jndmap.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 # Closed-form inversion constant: sigmoid(0.5 * (d - 6)) reaches 0.75 here.
 DSTAR = 6.0 + 2.0 * math.log(3.0)
@@ -24,6 +36,47 @@ def make_stimuli(content_id: str, vmafs, prefix: str = "r") -> tuple[Stimulus, .
         Stimulus(content_id, Recipe(f"{prefix}{i}", "1080p", i + 1), float(v))
         for i, v in enumerate(vmafs)
     )
+
+
+def vector_test(a, b, test: str, alpha: float = 0.05) -> TestResult:
+    """The reference two-sample tests, written on two score vectors in plain
+    Python floats (so ``sa**2`` is C pow()): the oracle that the significance
+    kernel must equal bit for bit, with the same errors in the same order."""
+    if len(a) < 2 or len(b) < 2:
+        raise ValueError(f"need >= 2 observations per side, got {len(a)} and {len(b)}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if test == "paired":
+        if len(a) != len(b):
+            raise ValueError(f"paired test needs equal-length vectors, got {len(a)} and {len(b)}")
+        d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+        na = nb = len(d)
+        diff, va, vb = float(d.mean()), float(d.var(ddof=1)), 0.0
+        df = float(na - 1)
+    else:
+        xa, xb = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        na, nb = len(xa), len(xb)
+        diff, va, vb = float(xa.mean() - xb.mean()), float(xa.var(ddof=1)), float(xb.var(ddof=1))
+        df = float(na + nb - 2)
+    if va == 0.0 and vb == 0.0:
+        if diff == 0.0:
+            return TestResult(t=0.0, df=df, p=1.0, sig=0)
+        return TestResult(t=math.copysign(math.inf, diff), df=df, p=0.0, sig=1)
+    if test == "paired":
+        t = diff / math.sqrt(va / na)
+    elif test == "student":
+        pooled = ((na - 1) * va + (nb - 1) * vb) / df
+        t = diff / math.sqrt(pooled * (1.0 / na + 1.0 / nb))
+    else:
+        sa, sb = va / na, vb / nb
+        t = diff / math.sqrt(sa + sb)
+        denom = sa**2 / (na - 1) + sb**2 / (nb - 1)
+        if denom == 0.0:
+            raise ValueError(f"variances {va:.3g} and {vb:.3g} are too small for the Welch df: "
+                             "their squares underflow")
+        df = (sa + sb) ** 2 / denom
+    p = 1.0 if t == 0.0 else float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+    return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -423,6 +424,50 @@ def test_flags_replace_config_values(tmp_path):
         glm_mode="points",
         chain_orders=False,
     )
+
+
+@pytest.mark.parametrize(
+    "flags, config, error",
+    [
+        (["--k", "1"], None, ("ValueError", "k must be >= 2, got 1")),
+        (["--strategy", "fixed_width", "--width", "-3"], None,
+         ("ValueError", "width must be positive and finite, got -3.0")),
+        (["--strategy", "fixed_width", "--width", "inf"], None,  # no range at all
+         ("ValueError", "width must be positive and finite, got inf")),
+        (["--strategy", "explicit", "--bounds", "0,90,80,100"], None,
+         ("ValueError", "bounds must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
+        (["--strategy", "explicit", "--bounds", "50"], None,
+         ("ValueError", "explicit decomposition needs at least two bounds, got (50.0,)")),
+        ([], {"decomposition": {"balance": "pair"}},
+         ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
+    ],
+    ids=["k", "width", "width-inf", "bounds-order", "bounds-one", "balance"],
+)
+def test_bad_decomposition_setting_exits_before_any_stage(
+    sim_dir, tmp_path, capsys, flags, config, error
+):
+    argv = ["run", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+            "--out-dir", tmp_path / "out", *flags]
+    if config is not None:
+        write_json(tmp_path / "config.json", config)
+        argv += ["--config", tmp_path / "config.json"]
+    assert cli.main([str(a) for a in argv]) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (record["error"], record["message"]) == error
+    assert record["artifacts_written"] == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_settings_of_other_strategies_are_not_checked():
+    odd = DecompositionConfig(k=1, width=-3.0, bounds=(50.0,), balance="pair")
+    for strategy in ("balanced", "fixed_width", "explicit"):
+        cfg = RunConfig(decomposition=dataclasses.replace(odd, strategy=strategy))
+        with pytest.raises(ValueError):
+            cfg.validate()
+    RunConfig(decomposition=dataclasses.replace(odd, strategy="fixed_width", width=5.0)).validate()
+    RunConfig(decomposition=dataclasses.replace(odd, k=3, balance="pairs")).validate()
+    RunConfig(decomposition=dataclasses.replace(
+        odd, strategy="explicit", bounds=(0.0, 50.0, 100.0))).validate()
 
 
 def _error_record(proc):

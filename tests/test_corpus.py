@@ -15,7 +15,6 @@ from jndmap.corpus import (
     Stimulus,
     load_corpus,
     ratings_csv_text,
-    ratings_vector,
     save_corpus,
     truth_csv_text,
     vmaf_csv_text,
@@ -44,7 +43,6 @@ def test_lookups():
     assert not corpus.has_stimulus("c2", "r9")
     assert [s.recipe_id for s in corpus.stimuli_for_content("c1")] == ["r0", "r1"]
     assert corpus.observers() == ["oA", "oB", "oC"]
-    assert ("c1", "r0") in corpus.rated_keys()
     assert len(corpus.ratings_for("c1", "r0")) == 3
 
 
@@ -72,8 +70,8 @@ def test_content_indexes_match_scans():
     for content_id in corpus.contents():
         scanned = [s for s in stimuli if s.content_id == content_id]
         assert corpus.stimuli_for_content(content_id) == sorted(scanned, key=lambda s: s.recipe_id)
-        rated = sorted(r for c, r in corpus.rated_keys() if c == content_id)
-        assert corpus.rated_recipes(content_id) == rated
+        rated = [s.recipe_id for s in scanned if corpus.ratings_for(content_id, s.recipe_id)]
+        assert corpus.rated_recipes(content_id) == sorted(rated)
     assert corpus.rated_recipes("c2") == ["r0", "r2"]
     assert corpus.rated_recipes("c3") == []
 
@@ -98,7 +96,7 @@ def test_unknown_content_raises_key_error(accessor):
         getattr(_unordered_corpus(), accessor)("c9")
 
 
-def test_ratings_vector_sorted_by_observer():
+def test_ratings_for_sorted_by_observer():
     stimuli = make_stimuli("c1", (90.0,))
     ratings = (
         DcrRating("c1", "r0", "zz", 2),
@@ -106,7 +104,8 @@ def test_ratings_vector_sorted_by_observer():
         DcrRating("c1", "r0", "mm", 3),
     )
     corpus = Corpus(stimuli, ratings, ())
-    assert ratings_vector(corpus, "c1", "r0") == [5, 3, 2]
+    ratings = corpus.ratings_for("c1", "r0")
+    assert [(r.observer_id, r.score) for r in ratings] == [("aa", 5), ("mm", 3), ("zz", 2)]
 
 
 def test_duplicate_stimulus_rejected():

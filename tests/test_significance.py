@@ -10,24 +10,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from jndmap.corpus import Corpus, DcrRating, ratings_vector
-from jndmap import significance as significance_mod
+from jndmap.corpus import Corpus, DcrRating
 from jndmap.significance import (
     RatedPair,
     classify_pairs,
-    form_pairs,
     paired_t_test,
     pairs_csv_text,
     read_pairs_csv,
-    sample_stats,
-    student_from_stats,
     student_t_test,
-    welch_from_stats,
     welch_t_test,
 )
 from jndmap.tableio import write_csv_text
 
-from conftest import make_stimuli
+from conftest import make_stimuli, vector_test
 
 score_vectors = st.lists(st.integers(1, 5), min_size=2, max_size=12).filter(
     lambda v: len(set(v)) > 1
@@ -144,16 +139,6 @@ def _rated_corpus() -> Corpus:
     return Corpus(stimuli, tuple(ratings), ())
 
 
-def test_form_pairs():
-    corpus = _rated_corpus()
-    assert form_pairs(corpus, "c1") == [("r0", "r1"), ("r0", "r2"), ("r1", "r2")]
-    with pytest.raises(KeyError):
-        form_pairs(corpus, "missing")
-    lonely = Corpus(make_stimuli("c9", (50.0,)), (DcrRating("c9", "r0", "o1", 3),), ())
-    with pytest.raises(ValueError):
-        form_pairs(lonely, "c9")
-
-
 def test_classify_pairs_fields():
     corpus = _rated_corpus()
     pairs = classify_pairs(corpus, alpha=0.05, test="welch")
@@ -227,29 +212,6 @@ def test_rated_pair_is_hashable():
     assert p in {p}
 
 
-def _vector_test(a, b, pooled: bool, alpha: float = 0.05):
-    """The Welch and Student tests as they were written on vectors, before
-    the per-stimulus statistics: the oracle for bit-equality."""
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    na, nb = len(xa), len(xb)
-    va = float(xa.var(ddof=1))
-    vb = float(xb.var(ddof=1))
-    diff = float(xa.mean() - xb.mean())
-    if va == 0.0 and vb == 0.0:
-        return significance_mod._degenerate(diff, float(na + nb - 2), alpha)
-    if pooled:
-        df = float(na + nb - 2)
-        pooled_var = ((na - 1) * va + (nb - 1) * vb) / df
-        t = diff / math.sqrt(pooled_var * (1.0 / na + 1.0 / nb))
-    else:
-        sa, sb = va / na, vb / nb
-        t = diff / math.sqrt(sa + sb)
-        df = (sa + sb) ** 2 / (sa**2 / (na - 1) + sb**2 / (nb - 1))
-    p = significance_mod._two_sided_p(t, df)
-    return significance_mod.TestResult(t=t, df=df, p=p, sig=int(p < alpha))
-
-
 # DCR scores, and quarter steps in [-100, 100] for non-integer means
 any_vectors = st.one_of(
     st.lists(st.integers(1, 5), min_size=2, max_size=12),
@@ -257,14 +219,25 @@ any_vectors = st.one_of(
 )
 
 
+def _outcome(run_test, *args):
+    """The test's result, or the text of the ValueError it raises."""
+    try:
+        return run_test(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
 def _assert_bit_equal(a, b) -> None:
-    for pooled, from_stats, on_vectors in (
-        (False, welch_from_stats, welch_t_test),
-        (True, student_from_stats, student_t_test),
+    """Each public test equals the reference on ``a`` and ``b``; the paired
+    test runs on their common length, and on the full vectors."""
+    n = min(len(a), len(b))
+    for test, run_test, args in (
+        ("welch", welch_t_test, (a, b)),
+        ("student", student_t_test, (a, b)),
+        ("paired", paired_t_test, (a[:n], b[:n])),
+        ("paired", paired_t_test, (a, b)),
     ):
-        oracle = _vector_test(a, b, pooled)
-        assert from_stats(sample_stats(a), sample_stats(b)) == oracle
-        assert on_vectors(a, b) == oracle
+        assert _outcome(run_test, *args) == _outcome(vector_test, *args, test)
 
 
 @given(any_vectors, any_vectors)
@@ -282,18 +255,19 @@ def test_tests_from_statistics_bit_equal_vector_formulas(a, b):
         ([1, 2, 3, 4], [5, 5, 5]),  # one side constant
         ([1, 5], [5, 1]),  # equal means, t = 0
         ([0.1, 0.2, 0.3], [0.3, 0.2, 0.1, 0.2]),
+        ([3, 4, 5], [2, 3, 4]),  # constant paired differences
+        ([1, 1], [0.0, 2.08e-129]),  # the Welch df's squares underflow
     ],
 )
 def test_tests_from_statistics_edge_cases(a, b):
     _assert_bit_equal(a, b)
 
 
-def test_sample_stats_below_two_values_is_rejected_by_the_tests():
-    one = sample_stats([4])
-    assert one.n == 1 and math.isnan(one.mean) and math.isnan(one.var)
-    for from_stats in (welch_from_stats, student_from_stats):
+def test_one_observation_is_rejected_by_the_tests():
+    # checked before the paired test's equal-length rule
+    for run_test in (welch_t_test, student_t_test, paired_t_test):
         with pytest.raises(ValueError, match="need >= 2 observations per side, got 1 and 3"):
-            from_stats(one, sample_stats([1, 2, 3]))
+            run_test([4], [1, 2, 3])
 
 
 @pytest.mark.parametrize("test", ["welch", "student", "paired"])
@@ -302,7 +276,7 @@ def test_classify_matches_per_pair_vector_tests(test):
     run_test = {"welch": welch_t_test, "student": student_t_test, "paired": paired_t_test}[test]
     for pair in classify_pairs(corpus, test=test):
         result = run_test(
-            ratings_vector(corpus, pair.content_id, pair.recipe_x),
-            ratings_vector(corpus, pair.content_id, pair.recipe_y),
+            [r.score for r in corpus.ratings_for(pair.content_id, pair.recipe_x)],
+            [r.score for r in corpus.ratings_for(pair.content_id, pair.recipe_y)],
         )
         assert (pair.p_value, pair.sig) == (result.p, result.sig)
