@@ -19,19 +19,23 @@ one of four monotone curve families:
 
 Each family is defined once, by its entry in :data:`FAMILY_TABLE`: report
 label, parameter count, minimum point count, curve, fitter and, for the
-least-squares families, fit coordinates, analytic Jacobian, lower bounds and
-start points.  The table is the one place to add or change a family:
-``FAMILIES``, the config check, the artifact reader, the report labels and
-``predict --family`` all read it.
+least-squares families, fit coordinates, analytic Jacobian and start points.
+The table is the one place to add or change a family: ``FAMILIES``, the
+config check, the artifact reader, the report labels and ``predict
+--family`` all read it.
 
 Evaluated values are clamped to [0, 1].  Every least-squares fit is
-non-decreasing on its domain by construction, through one fit path:
+non-decreasing on its domain by construction, through one fit path: each
+family is fitted in coordinates in which every point gives a non-decreasing
+curve, by one unbounded Levenberg-Marquardt solve per start, of at most
+``LSQ_MAX_NFEV`` function evaluations (a fit whose best start stops there is
+flagged ``budget``):
 
-* ``logistic5`` is fitted under b1, b2, b4 >= 0, so its slope
-  b1*b2*s*(1-s) + b4 is never negative;
-* ``logistic2`` is fitted under b1 >= 0;
-* ``cubic4`` is fitted in Lukacs coordinates, each of which gives a cubic
-  that does not decrease on the domain (see :class:`_Cubic4`).
+* ``logistic5`` in (a1, a2, b3, a4, b5) with b1 = a1**2, b2 = a2**2 and
+  b4 = a4**2, so its slope b1*b2*s*(1-s) + b4 is never negative;
+* ``logistic2`` in (a1, b2) with b1 = a1**2;
+* ``cubic4`` in Lukacs coordinates, each of which gives a cubic that does
+  not decrease on the domain (see :class:`_Cubic4`).
 
 A least-squares fit that rises by no more than ``FLAT_RISE`` over its domain
 is rejected, flagged ``flat``: that is all a monotone curve can make of a
@@ -243,27 +247,24 @@ def least_squares(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-@dataclass(frozen=True)
 class _LeastSquaresFamily(Family):
     """Fitted by least squares over fit coordinates theta, from
     ``starts(x, y)``, with the analytic ``jacobian(theta, x, domain)``, d p /
-    d theta.  ``to_params(theta, domain)`` maps theta to the family's params;
-    it is the identity unless the family fits in other coordinates.
+    d theta.  ``to_params(theta, domain)`` maps theta to the family's params.
 
-    Every fit is non-decreasing on its domain by construction: either theta is
-    held inside the lower bounds ``lower`` (``-inf`` for none), under which
-    the curve cannot decrease, or no theta gives a decreasing curve.  Every
-    start lies inside the bounds.
+    Every theta gives a curve that does not decrease on the domain, so each
+    start is one unbounded Levenberg-Marquardt solve (MINPACK's compiled
+    loop) of at most ``LSQ_MAX_NFEV`` function evaluations.  The logistics
+    square their sign-constrained parameters, and cubic4 fits in Lukacs
+    coordinates.  A start coordinate that would be zero is a tiny positive
+    value instead, so that no Jacobian column starts at zero.
     """
 
-    lower: tuple[float, ...] | None = None
-
-    def to_params(self, theta: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
-        return theta
-
     def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, pairs, domain: tuple) -> tuple:
-        """Least squares from every start; the lowest cost wins.  The curve is
-        rejected, flagged ``flat``, when it rises by no more than
+        """Least squares from every start; the lowest cost wins.  The fit is
+        flagged ``budget`` when the winning start stopped on
+        ``LSQ_MAX_NFEV``; it is still monotone, so it stays usable.  The curve
+        is rejected, flagged ``flat``, when it rises by no more than
         ``FLAT_RISE`` over the domain: a monotone fit must not turn hopeless
         data, such as a decreasing trend, into a usable flat curve.  The
         monotone check still runs on the clipped curve, as a safety net.
@@ -276,39 +277,39 @@ class _LeastSquaresFamily(Family):
         def jac(theta: np.ndarray) -> np.ndarray:
             return sw[:, None] * self.jacobian(theta, x, domain)
 
-        bounded = self.lower is not None
-        best: tuple[float, np.ndarray] | None = None
+        best = None
         iterations = 0
         for start in self.starts(x, y):
             try:
+                # tolerances far above rounding: MINPACK's iterates can differ
+                # in the last bits from one call to the next (scipy 1.17.1),
+                # and a stop decided at 1e-15 would change with them
                 sol = least_squares(
-                    residuals,
-                    start,
-                    jac=jac,
-                    bounds=(self.lower if bounded else -np.inf, np.inf),
-                    method="trf" if bounded else "lm",
-                    xtol=1e-15,
-                    ftol=1e-15,
-                    gtol=1e-15,
-                    max_nfev=4000,
+                    residuals, start, jac=jac, method="lm",
+                    xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=LSQ_MAX_NFEV,
                 )
             except (ValueError, np.linalg.LinAlgError):  # a bad start; others may work
                 continue
             iterations += int(sol.nfev)
-            cost = float(sol.cost)
             # strict tie-break in favour of the earlier start keeps the result deterministic
-            if best is None or cost < best[0] - 1e-15:
-                best = (cost, sol.x)
+            if best is None or sol.cost < best.cost - 1e-15:
+                best = sol
         if best is None:
             raise FitError(f"{self.name}: no least-squares start converged")
-        params = self.to_params(best[1], domain)
-        flags: list[str] = []
+        params = self.to_params(best.x, domain)
+        flags = ["budget"] if best.status == 0 else []
         monotone = is_monotone(self.name, params, domain)
         lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
         if hi - lo <= FLAT_RISE:
             monotone = False
             flags.append("flat")
         return params, monotone, iterations, flags, {}
+
+
+def _root(b: float) -> float:
+    """The fit coordinate of a start value b >= 0 of a squared parameter;
+    never zero, so that the parameter's Jacobian column is not zero."""
+    return math.sqrt(max(b, 1e-10))
 
 
 def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -327,26 +328,38 @@ def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
 
 
 class _Logistic5(_LeastSquaresFamily):
+    """Fitted in theta = (a1, a2, b3, a4, b5), with b1 = a1**2, b2 = a2**2
+    and b4 = a4**2: the slope b1*b2*s*(1-s) + b4 is never negative."""
+
     def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         b1, b2, b3, b4, b5 = params
         s = _sigmoid(-b2 * (x - b3))  # equals 1/(1+exp(b2*(x-b3)))
         return b1 * (0.5 - s) + b4 * x + b5
 
-    def jacobian(self, params: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
-        b1, b2, b3, _, _ = params
+    def to_params(self, theta: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
+        a1, a2, b3, a4, b5 = theta
+        return np.array([a1 * a1, a2 * a2, b3, a4 * a4, b5])
+
+    def jacobian(self, theta: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
+        a1, a2, b3, a4, _ = theta
+        b1, b2 = a1 * a1, a2 * a2
         s = _sigmoid(-b2 * (x - b3))
         ss = s * (1.0 - s)
         return np.column_stack(
-            [0.5 - s, b1 * ss * (x - b3), -b1 * b2 * ss, x, np.ones_like(x)]
+            [2.0 * a1 * (0.5 - s), 2.0 * a2 * b1 * ss * (x - b3), -b1 * b2 * ss,
+             2.0 * a4 * x, np.ones_like(x)]
         )
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
+        # a2 = 0 is a stationary point of the squared coordinates: the b2 -> 0
+        # plateau of a straight line.  From the slopes s0/4 and s0, several
+        # starts settle on it, so these are s0 and 16*s0.
         ymin, yrange, mid_level, _, slopes, centers = _start_scales(x, y)
         guesses = []
-        for s in slopes[:2]:
+        for s in (slopes[1], slopes[3]):
             for c in centers:
-                guesses.append(np.array([yrange, s, c, 0.0, mid_level]))
-                guesses.append(np.array([1.0, s, c, 0.001, ymin]))
+                guesses.append(np.array([_root(yrange), _root(s), c, _root(0.0), mid_level]))
+                guesses.append(np.array([1.0, _root(s), c, _root(0.001), ymin]))
         return guesses
 
 
@@ -399,19 +412,26 @@ class _Cubic4(_LeastSquaresFamily):
 
 
 class _Logistic2(_LeastSquaresFamily):
+    """Fitted in theta = (a1, b2), with b1 = a1**2 >= 0."""
+
     def curve(self, params: np.ndarray, x: np.ndarray) -> np.ndarray:
         b1, b2 = params
         return _sigmoid(b1 * (x - b2))
 
-    def jacobian(self, params: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
-        b1, b2 = params
+    def to_params(self, theta: np.ndarray, domain: tuple[float, float]) -> np.ndarray:
+        a1, b2 = theta
+        return np.array([a1 * a1, b2])
+
+    def jacobian(self, theta: np.ndarray, x: np.ndarray, domain: tuple) -> np.ndarray:
+        a1, b2 = theta
+        b1 = a1 * a1
         s = _sigmoid(b1 * (x - b2))
         ss = s * (1.0 - s)
-        return np.column_stack([ss * (x - b2), -b1 * ss])
+        return np.column_stack([2.0 * a1 * ss * (x - b2), -b1 * ss])
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         _, _, _, _, slopes, centers = _start_scales(x, y)
-        return [np.array([s, c]) for s in slopes for c in centers]
+        return [np.array([_root(s), c]) for s in slopes for c in centers]
 
 
 # -- GLM / IRLS ---------------------------------------------------------------
@@ -548,18 +568,21 @@ def _glm_deviance(
 
 # -- the family table and the fits -------------------------------------------
 
+#: The function evaluations one least-squares start may use, so a fit costs at
+#: most its starts times this.  A start on the benchmark's studies needs at
+#: most 140.
+LSQ_MAX_NFEV = 400
 
 #: Every curve family, in report order: the one place to add or change one.
-#: The least-squares families need at least four points, the GLM two.
+#: The least-squares families need at least four points, the GLM two.  Each
+#: least-squares family fits in coordinates in which every theta gives a
+#: non-decreasing curve, by one Levenberg-Marquardt solve per start.
 FAMILY_TABLE: dict[str, Family] = {
     family.name: family
     for family in (
-        _Logistic5(
-            "logistic5", "5-para", n_params=5, min_points=5,
-            lower=(0.0, 0.0, -math.inf, 0.0, -math.inf),
-        ),
+        _Logistic5("logistic5", "5-para", n_params=5, min_points=5),
         _Cubic4("cubic4", "4-para", n_params=4, min_points=4),
-        _Logistic2("logistic2", "2-para", n_params=2, min_points=4, lower=(0.0, -math.inf)),
+        _Logistic2("logistic2", "2-para", n_params=2, min_points=4),
         _Glm("glm", "GLM", n_params=2, min_points=2),
     )
 }

@@ -39,6 +39,9 @@ LOW_EDGE_EPSILON = 1e-9
 
 STRATEGIES = ("balanced", "fixed_width", "explicit")
 BALANCES = ("stimuli", "pairs")
+#: The most ranges a fixed width may make: each range is fitted, so the work
+#: grows as 100 / width.
+MAX_FIXED_RANGES = 1000
 
 
 def _fmt_bound(value: float, digits: int = 6) -> str:
@@ -115,7 +118,8 @@ def check_settings(strategy: str, k: int = 5, width: float = 10.0,
                    bounds: Sequence[float] | None = None, balance: str = "stimuli") -> None:
     """Raise ValueError for a setting out of range among those that
     ``strategy`` reads: ``k`` and ``balance`` (balanced), ``width``
-    (fixed_width) or ``bounds`` (explicit).  The decompose functions and
+    (fixed_width, at most ``MAX_FIXED_RANGES`` ranges) or ``bounds``
+    (explicit).  The decompose functions and
     the run configuration both check with it, so a bad setting is rejected
     before any stage runs."""
     if strategy not in STRATEGIES:
@@ -128,6 +132,11 @@ def check_settings(strategy: str, k: int = 5, width: float = 10.0,
     elif strategy == "fixed_width":
         if not 0.0 < width < math.inf:
             raise ValueError(f"width must be positive and finite, got {width}")
+        count = 100.0 / width
+        if count > MAX_FIXED_RANGES:
+            shown = math.ceil(count) if count < math.inf else count
+            raise ValueError(f"width {width} makes {shown} ranges, more than "
+                             f"{MAX_FIXED_RANGES}")
     elif bounds is None or len(bounds) < 2:
         raise ValueError(f"explicit decomposition needs at least two bounds, got {bounds}")
     elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):

@@ -434,6 +434,8 @@ def test_flags_replace_config_values(tmp_path):
          ("ValueError", "width must be positive and finite, got -3.0")),
         (["--strategy", "fixed_width", "--width", "inf"], None,  # no range at all
          ("ValueError", "width must be positive and finite, got inf")),
+        (["--strategy", "fixed_width", "--width", "1e-9"], None,
+         ("ValueError", "width 1e-09 makes 100000000000 ranges, more than 1000")),
         (["--strategy", "explicit", "--bounds", "0,90,80,100"], None,
          ("ValueError", "bounds must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
         (["--strategy", "explicit", "--bounds", "50"], None,
@@ -441,7 +443,7 @@ def test_flags_replace_config_values(tmp_path):
         ([], {"decomposition": {"balance": "pair"}},
          ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
     ],
-    ids=["k", "width", "width-inf", "bounds-order", "bounds-one", "balance"],
+    ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "balance"],
 )
 def test_bad_decomposition_setting_exits_before_any_stage(
     sim_dir, tmp_path, capsys, flags, config, error

@@ -17,6 +17,7 @@ from jndmap.mapping import (
     FAMILIES,
     FAMILY_TABLE,
     IRLS_MAX_ITER,
+    LSQ_MAX_NFEV,
     CoDistribution,
     FitReport,
     MappingFunction,
@@ -237,8 +238,12 @@ LSQ_CASES = _lsq_cases()
 LSQ_FAMILIES = [family for family, spec in FAMILY_TABLE.items() if hasattr(spec, "jacobian")]
 
 
+def _xy(points: list[PsdPoint]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([p.delta_obj for p in points]), np.array([p.p_sd for p in points])
+
+
 @pytest.mark.parametrize("case", sorted(LSQ_CASES))
-def test_logistic5_solves_under_bounds_with_analytic_jacobian(case, monkeypatch):
+def test_logistics_solve_unbounded_by_lm_with_analytic_jacobian(case, monkeypatch):
     calls = []
     solve = mapping_mod.least_squares
 
@@ -247,14 +252,15 @@ def test_logistic5_solves_under_bounds_with_analytic_jacobian(case, monkeypatch)
         return solve(fun, x0, **kwargs)
 
     monkeypatch.setattr(mapping_mod, "least_squares", spy)
-    fit_mapping(LSQ_CASES[case], "logistic5")
-    assert calls
-    for kwargs in calls:
-        assert callable(kwargs["jac"])
-        lower, upper = kwargs["bounds"]
-        assert tuple(lower) == FAMILY_TABLE["logistic5"].lower == (0, 0, -np.inf, 0, -np.inf)
-        assert upper == np.inf
-        assert kwargs["method"] == "trf"
+    for family in ("logistic5", "logistic2"):
+        calls.clear()
+        fit_mapping(LSQ_CASES[case], family)
+        assert len(calls) == len(FAMILY_TABLE[family].starts(*_xy(LSQ_CASES[case])))
+        for kwargs in calls:
+            assert callable(kwargs["jac"])
+            assert "bounds" not in kwargs
+            assert kwargs["method"] == "lm"
+            assert kwargs["max_nfev"] == LSQ_MAX_NFEV
 
 
 @pytest.mark.parametrize("case", sorted(LSQ_CASES))
@@ -326,26 +332,98 @@ def test_noisy_panel_fits_are_all_usable():
     assert unusable == []
 
 
-def test_logistic5_needs_more_than_its_first_start(monkeypatch):
-    # A small noisy study where start 0 stops at a cost 1.5x the best start's:
-    # the later starts are not redundant, even where every start ties on the
-    # benchmark studies.
-    spec = SimSpec(n_contents=3, observer_count=8, rating_noise_sd=3.0, seed=692032)
+def _study_points(spec: SimSpec, k: int, range_id: str, bin_width: float) -> list[PsdPoint]:
+    """The p_sd points of one range of a simulated study, screened, Welch-classified
+    and decomposed into ``k`` balanced ranges."""
     corpus, _ = simulate_corpus(spec)
     corpus = apply_screening(corpus, screen_bt500(corpus))
     pairs = classify_pairs(corpus, test="welch")
-    decomp = assign_pairs(pairs, decompose_balanced(corpus, 2), corpus)
-    cd = build_codistribution(decomp.by_id("(80.9469,100]"), pairs, bin_width=3.0)
-    points = psd_points(cd)
-    assert len(points) == 9
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, k), corpus)
+    return psd_points(build_codistribution(decomp.by_id(range_id), pairs, bin_width=bin_width))
+
+
+#: Small noisy studies whose logistic5 fit has a worse local minimum on the
+#: b2 -> 0 plateau of a straight line, and the residual norm the bounded trf
+#: fit of (b1, b2, b4 >= 0) reached on each.
+PLATEAU_STUDIES = {
+    "seed-922759": (
+        SimSpec(n_contents=4, observer_count=7, rating_noise_sd=2.0,
+                jnd_scale=3.6184381690967538, seed=922759),
+        2, "(83.5784,100]", 2.0, 0.5200216815664338,
+    ),
+    "seed-933419": (
+        SimSpec(n_contents=8, observer_count=5, rating_noise_sd=1.0,
+                jnd_scale=3.0466097923388893, seed=933419),
+        3, "(68.0051,77.8712]", 3.0, 0.49401109255897024,
+    ),
+    "seed-886965": (
+        SimSpec(n_contents=7, ladder=SimSpec().ladder[:7], observer_count=7,
+                rating_noise_sd=5.676673088323087, jnd_scale=0.6376215119428277, seed=886965),
+        5, "(90.7362,94.0095]", 0.5, 0.6755890740513419,
+    ),
+}
+
+
+def test_logistic5_needs_more_than_its_first_start(monkeypatch):
+    # A small noisy study where start 0 stops at a cost 1.14x the best start's:
+    # the later starts are not redundant, even where every start ties on the
+    # benchmark studies.
+    spec, k, range_id, bin_width, _ = PLATEAU_STUDIES["seed-922759"]
+    points = _study_points(spec, k, range_id, bin_width)
+    assert len(points) == 13
     assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
-        0.28131, abs=1e-5
+        0.52002, abs=1e-5
     )
     starts = mapping_mod._Logistic5.starts
     monkeypatch.setattr(mapping_mod._Logistic5, "starts", lambda self, x, y: starts(self, x, y)[:1])
     assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
-        0.35038, abs=1e-5
+        0.55402, abs=1e-5
     )
+
+
+@pytest.mark.parametrize("study", sorted(PLATEAU_STUDIES))
+def test_logistic5_starts_reach_below_the_straight_line_plateau(study):
+    # squared b1, b2, b4 from the slopes s0/4 and s0 settle on the plateau on
+    # the first and last study, 6.5% and 13% above these
+    spec, k, range_id, bin_width, trf_residual = PLATEAU_STUDIES[study]
+    mf = fit_mapping(_study_points(spec, k, range_id, bin_width), "logistic5")
+    assert mf.fit_report.residual_norm == pytest.approx(trf_residual, rel=1e-3)
+    assert mf.fit_report.monotone
+
+
+def test_fit_work_of_a_tiny_study_is_bounded_by_the_budget():
+    # one content, six rungs, three noiseless observers: two ranges whose
+    # p_sd steps from 0 to 1, which a logistic fits only as its slope runs to
+    # infinity.  The bounded trf fit spent 8 x 4000 evaluations on each of
+    # two such fits (26 s).
+    spec = SimSpec(n_contents=1, ladder=SimSpec().ladder[:6], observer_count=3,
+                   rating_noise_sd=0.0, seed=5)
+    corpus, _ = simulate_corpus(spec)
+    corpus = apply_screening(corpus, screen_bt500(corpus))
+    pairs = classify_pairs(corpus)
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, 2), corpus)
+    codists, models = fit_all(decomp, pairs, FAMILIES, bin_width=2.0)
+    budgeted = []
+    for range_id, per_range in models.items():
+        x, y = _xy(psd_points(codists[range_id]))
+        for family in LSQ_FAMILIES:
+            report = per_range[family].fit_report
+            assert report.iterations <= len(FAMILY_TABLE[family].starts(x, y)) * LSQ_MAX_NFEV
+            if "budget" in report.flags:
+                # still monotone by construction, so still usable
+                assert report.monotone
+                budgeted.append(family)
+    assert sorted(budgeted) == ["logistic2", "logistic5"]
+
+
+def test_budget_flag_marks_a_winning_start_stopped_on_the_budget(monkeypatch):
+    points = LSQ_CASES["noisy"]
+    assert "budget" not in fit_mapping(points, "logistic5").fit_report.flags
+    monkeypatch.setattr(mapping_mod, "LSQ_MAX_NFEV", 3)
+    mf = fit_mapping(points, "logistic5")
+    assert mf.fit_report.flags == ("budget",)
+    assert mf.fit_report.monotone
+    assert mf.fit_report.iterations <= len(FAMILY_TABLE["logistic5"].starts(*_xy(points))) * 3
 
 
 def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
@@ -497,12 +575,19 @@ def test_family_labels_cover_families():
     for family in LSQ_FAMILIES:
         assert hasattr(FAMILY_TABLE[family], "starts")
         assert not hasattr(FAMILY_TABLE[family], "slope")
-    bounded = [family for family in LSQ_FAMILIES if FAMILY_TABLE[family].lower is not None]
-    assert bounded == ["logistic5", "logistic2"]
+    # every least-squares family fits in its own coordinates, with no bounds
+    for family in LSQ_FAMILIES:
+        assert "to_params" in vars(type(FAMILY_TABLE[family]))
+        assert not hasattr(FAMILY_TABLE[family], "lower")
 
 
-#: A point in each family's fit coordinates; cubic4 fits in Lukacs coordinates.
-FIT_COORDINATES = {**TRUE_PARAMS, "cubic4": (0.05, 0.3, -0.2, 0.4)}
+#: A point in each family's fit coordinates: the logistics' squared
+#: coordinates of either sign, and cubic4's Lukacs coordinates.
+FIT_COORDINATES = {
+    "logistic5": (0.9, -0.85, 6.0, 0.05, 0.5),
+    "cubic4": (0.05, 0.3, -0.2, 0.4),
+    "logistic2": (-0.7, 6.0),
+}
 
 
 @pytest.mark.parametrize("family", LSQ_FAMILIES)
@@ -522,6 +607,17 @@ def test_analytic_derivatives_match_finite_differences(family):
         step[j] = 1e-6 * max(1.0, abs(theta[j]))
         central = (curve(theta + step) - curve(theta - step)) / (2 * step[j])
         np.testing.assert_allclose(jacobian[:, j], central, rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("family", LSQ_FAMILIES)
+def test_every_fit_coordinate_gives_a_non_decreasing_curve(family):
+    # what lets each start be one unbounded solve
+    spec = FAMILY_TABLE[family]
+    domain = (0.0, 14.5)
+    grid = np.linspace(*domain, 2000)
+    for theta in np.random.default_rng(7).normal(0.0, 2.0, size=(300, spec.n_params)):
+        raw = spec.curve(spec.to_params(theta, domain), grid)
+        assert np.all(np.diff(raw) >= -mapping_mod.MONOTONE_SLACK)
 
 
 def test_cubic4_lukacs_coordinates_give_the_stated_slope():

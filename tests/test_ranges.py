@@ -10,6 +10,7 @@ import pytest
 from jndmap.corpus import Corpus
 from jndmap.ranges import (
     LOW_EDGE_EPSILON,
+    MAX_FIXED_RANGES,
     assign_pairs,
     decompose_balanced,
     decompose_explicit,
@@ -99,6 +100,12 @@ def test_fixed_width_covers_scale():
     ragged = decompose_fixed(30.0)
     assert len(ragged.ranges) == 4
     assert ragged.bounds[-1] == 100.0
+
+
+def test_fixed_width_makes_at_most_max_fixed_ranges():
+    assert len(decompose_fixed(0.1).ranges) == MAX_FIXED_RANGES == 1000
+    with pytest.raises(ValueError, match=r"^width 0.0999 makes 1002 ranges, more than 1000$"):
+        decompose_fixed(0.0999)
 
 
 def test_fixed_width_warns_on_empty_ranges(caplog):
