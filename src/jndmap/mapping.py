@@ -27,9 +27,10 @@ config check, the artifact reader, the report labels and ``predict
 Evaluated values are clamped to [0, 1].  Every least-squares fit is
 non-decreasing on its domain by construction, through one fit path: each
 family is fitted in coordinates in which every point gives a non-decreasing
-curve, by one unbounded Levenberg-Marquardt solve per start, of at most
-``LSQ_MAX_NFEV`` function evaluations (a fit whose best start stops there is
-flagged ``budget``):
+curve, by one unbounded Levenberg-Marquardt solve per start
+(:func:`least_squares`, whose iterates depend on nothing but its inputs), of
+at most ``LSQ_MAX_NFEV`` function evaluations (a fit whose best start stops
+there is flagged ``budget``):
 
 * ``logistic5`` in (a1, a2, b3, a4, b5) with b1 = a1**2, b2 = a2**2 and
   b4 = a4**2, so its slope b1*b2*s*(1-s) + b4 is never negative;
@@ -239,12 +240,119 @@ def psd_points(cd: CoDistribution) -> list[PsdPoint]:
 # -- least-squares families --------------------------------------------------
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on the first fit: the import
-    takes about half a second that commands which fit nothing need not pay."""
-    from scipy.optimize import least_squares as solve
+#: The stop tolerance of ``least_squares``: on the relative fall of the cost
+#: in an accepted step, on the scaled step relative to the scaled point, and
+#: on the cosine between the residuals and each Jacobian column.
+LSQ_TOL = 1e-12
 
-    return solve(*args, **kwargs)
+
+@dataclass(frozen=True)
+class LsqSolution:
+    """The end of one ``least_squares`` start: the point, half the sum of
+    squared residuals there, the residual evaluations spent, and ``status``,
+    0 when the start stopped on its evaluation budget and 1 when it
+    converged."""
+
+    x: np.ndarray
+    cost: float
+    nfev: int
+    status: int
+
+
+def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LsqSolution:
+    """Minimise 0.5 * |fun(x)|**2 from ``x0`` by Levenberg-Marquardt, with the
+    analytic Jacobian ``jac`` and at most ``max_nfev`` evaluations of ``fun``.
+
+    Each step solves the damped normal equations (J'J + lam * D) s = -J'f,
+    where D is the running maximum of diag(J'J), as in MINPACK's ``lmder``,
+    and lam follows the gain ratio of the last step (Nielsen's rule).  Every
+    sum runs in a fixed order -- numpy reductions and a Cholesky solve in
+    Python floats -- so the iterates depend on nothing but the inputs.  That
+    is why the solver is here and not scipy's: scipy 1.17.1's MINPACK
+    (``least_squares(method="lm")``) takes different iterates for the same
+    residuals and Jacobians when the process's heap is laid out differently.
+    A ValueError means the residuals at ``x0`` are not finite.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("residuals are not finite at the start")
+    nfev, cost = 1, 0.5 * float((f * f).sum())
+    J = jac(x)
+    scale = np.zeros(len(x))
+    lam, grow = 1e-3, 2.0
+    while True:
+        A = (J[:, :, None] * J[:, None, :]).sum(axis=0)
+        g = (J * f[:, None]).sum(axis=0)
+        scale = np.maximum(scale, A.diagonal())
+        root = np.sqrt(np.where(scale > 0.0, scale, 1.0))
+        if not cost > 0.0 or float((np.abs(g) / root).max()) <= LSQ_TOL * math.sqrt(2.0 * cost):
+            return LsqSolution(x, cost, nfev, 1)
+        # the system in the scaled step z = root * s, with unit diagonal damping
+        scaled = (A / root[:, None] / root[None, :]).tolist()
+        rhs = (-g / root).tolist()
+        size = float(np.sqrt(((root * x) ** 2).sum()))
+        while True:
+            if nfev >= max_nfev:
+                return LsqSolution(x, cost, nfev, 0)
+            z = _solve_damped(scaled, rhs, lam)
+            if z is None:  # J'J lost definiteness to rounding
+                lam, grow = lam * grow, grow * 2.0
+                continue
+            step = np.array(z) / root
+            trial = x + step
+            f_trial = fun(trial)
+            nfev += 1
+            cost_trial = 0.5 * float((f_trial * f_trial).sum())
+            small = math.sqrt(sum(v * v for v in z)) <= LSQ_TOL * (size + LSQ_TOL)
+            if cost_trial < cost:
+                # the fall the damped model predicts, 0.5 * s'(lam * D s - g)
+                predicted = 0.5 * sum(v * (lam * v + r) for v, r in zip(z, rhs))
+                fall = cost - cost_trial
+                lam *= max(1.0 / 3.0, 1.0 - (2.0 * fall / predicted - 1.0) ** 3)
+                grow = 2.0
+                x, f, cost = trial, f_trial, cost_trial
+                J = jac(x)
+                if small or fall <= LSQ_TOL * (cost + fall):
+                    return LsqSolution(x, cost, nfev, 1)
+                break
+            lam, grow = lam * grow, grow * 2.0
+            if small or not math.isfinite(lam):
+                return LsqSolution(x, cost, nfev, 1)
+
+
+def _solve_damped(a: list[list[float]], b: list[float], lam: float) -> list[float] | None:
+    """The solution z of (a + lam * I) z = b by Cholesky, for a symmetric
+    positive semi-definite ``a``; None when a pivot is not positive."""
+    n = len(b)
+    low = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        row = low[j]
+        pivot = a[j][j] + lam
+        for k in range(j):
+            pivot -= row[k] * row[k]
+        if not pivot > 0.0:
+            return None
+        row[j] = diag = math.sqrt(pivot)
+        for i in range(j + 1, n):
+            other = low[i]
+            v = a[i][j]
+            for k in range(j):
+                v -= other[k] * row[k]
+            other[j] = v / diag
+    y = [0.0] * n
+    for i in range(n):
+        v = b[i]
+        for k in range(i):
+            v -= low[i][k] * y[k]
+        y[i] = v / low[i][i]
+    z = [0.0] * n
+    for i in reversed(range(n)):
+        v = y[i]
+        for k in range(i + 1, n):
+            v -= low[k][i] * z[k]
+        z[i] = v / low[i][i]
+    return z
 
 
 class _LeastSquaresFamily(Family):
@@ -253,8 +361,8 @@ class _LeastSquaresFamily(Family):
     d theta.  ``to_params(theta, domain)`` maps theta to the family's params.
 
     Every theta gives a curve that does not decrease on the domain, so each
-    start is one unbounded Levenberg-Marquardt solve (MINPACK's compiled
-    loop) of at most ``LSQ_MAX_NFEV`` function evaluations.  The logistics
+    start is one unbounded Levenberg-Marquardt solve (:func:`least_squares`)
+    of at most ``LSQ_MAX_NFEV`` function evaluations.  The logistics
     square their sign-constrained parameters, and cubic4 fits in Lukacs
     coordinates.  A start coordinate that would be zero is a tiny positive
     value instead, so that no Jacobian column starts at zero.
@@ -281,14 +389,8 @@ class _LeastSquaresFamily(Family):
         iterations = 0
         for start in self.starts(x, y):
             try:
-                # tolerances far above rounding: MINPACK's iterates can differ
-                # in the last bits from one call to the next (scipy 1.17.1),
-                # and a stop decided at 1e-15 would change with them
-                sol = least_squares(
-                    residuals, start, jac=jac, method="lm",
-                    xtol=1e-10, ftol=1e-10, gtol=1e-10, max_nfev=LSQ_MAX_NFEV,
-                )
-            except (ValueError, np.linalg.LinAlgError):  # a bad start; others may work
+                sol = least_squares(residuals, start, jac=jac, max_nfev=LSQ_MAX_NFEV)
+            except ValueError:  # a bad start; others may work
                 continue
             iterations += int(sol.nfev)
             # strict tie-break in favour of the earlier start keeps the result deterministic
@@ -317,10 +419,11 @@ def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
     span = float(x.max() - x.min()) or 1.0
     ymin, ymax = float(y.min()), float(y.max())
     yrange = max(ymax - ymin, 0.05)
-    # first crossing of the mid level approximates the transition center
+    # the transition center: halfway between the first point at or above
+    # the mid level and the point before it
     mid_level = 0.5 * (ymin + ymax)
-    above = np.nonzero(y >= mid_level)[0]
-    x_mid = float(x[above[0]]) if len(above) else float(np.median(x))
+    first = int(np.nonzero(y >= mid_level)[0][0])
+    x_mid = 0.5 * float(x[max(first - 1, 0)] + x[first])
     s0 = 4.0 * yrange / span
     slopes = [0.25 * s0, s0, 4.0 * s0, 16.0 * s0]
     centers = [x_mid, float(np.median(x))]
@@ -352,14 +455,14 @@ class _Logistic5(_LeastSquaresFamily):
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         # a2 = 0 is a stationary point of the squared coordinates: the b2 -> 0
-        # plateau of a straight line.  From the slopes s0/4 and s0, several
-        # starts settle on it, so these are s0 and 16*s0.
+        # plateau of a straight line.  So every start is steep, at the slope
+        # 16*s0, and the transition is tried at the data's ends as well.
         ymin, yrange, mid_level, _, slopes, centers = _start_scales(x, y)
+        a2 = _root(slopes[3])
         guesses = []
-        for s in (slopes[1], slopes[3]):
-            for c in centers:
-                guesses.append(np.array([_root(yrange), _root(s), c, _root(0.0), mid_level]))
-                guesses.append(np.array([1.0, _root(s), c, _root(0.001), ymin]))
+        for c in (*centers, float(x.min()), float(x.max())):
+            guesses.append(np.array([_root(yrange), a2, c, _root(0.0), mid_level]))
+            guesses.append(np.array([1.0, a2, c, _root(0.001), ymin]))
         return guesses
 
 
@@ -570,7 +673,7 @@ def _glm_deviance(
 
 #: The function evaluations one least-squares start may use, so a fit costs at
 #: most its starts times this.  A start on the benchmark's studies needs at
-#: most 140.
+#: most 97.
 LSQ_MAX_NFEV = 400
 
 #: Every curve family, in report order: the one place to add or change one.

@@ -257,9 +257,9 @@ def test_logistics_solve_unbounded_by_lm_with_analytic_jacobian(case, monkeypatc
         fit_mapping(LSQ_CASES[case], family)
         assert len(calls) == len(FAMILY_TABLE[family].starts(*_xy(LSQ_CASES[case])))
         for kwargs in calls:
+            # no bounds and no other option: the analytic Jacobian and the budget
+            assert set(kwargs) == {"jac", "max_nfev"}
             assert callable(kwargs["jac"])
-            assert "bounds" not in kwargs
-            assert kwargs["method"] == "lm"
             assert kwargs["max_nfev"] == LSQ_MAX_NFEV
 
 
@@ -361,34 +361,64 @@ PLATEAU_STUDIES = {
                 rating_noise_sd=5.676673088323087, jnd_scale=0.6376215119428277, seed=886965),
         5, "(90.7362,94.0095]", 0.5, 0.6755890740513419,
     ),
+    "seed-882969": (
+        SimSpec(n_contents=4, ladder=SimSpec().ladder[:5], observer_count=9,
+                rating_noise_sd=9.848186387243782, jnd_scale=29.492719341937605, seed=882969),
+        5, "(90.5836,93.1731]", 1.0, 0.6236095644623237,
+    ),
 }
 
 
 def test_logistic5_needs_more_than_its_first_start(monkeypatch):
-    # A small noisy study where start 0 stops at a cost 1.14x the best start's:
+    # A small study where start 0 stops at a cost 1.8x the best start's:
     # the later starts are not redundant, even where every start ties on the
     # benchmark studies.
-    spec, k, range_id, bin_width, _ = PLATEAU_STUDIES["seed-922759"]
-    points = _study_points(spec, k, range_id, bin_width)
-    assert len(points) == 13
+    spec = SimSpec(n_contents=3, ladder=SimSpec().ladder[:10], observer_count=2,
+                   jnd_scale=2.0958626354058416, rating_noise_sd=0.23474921031692686, seed=88343)
+    points = _study_points(spec, 3, "(80.2503,87.6959]", 2.0)
+    assert len(points) == 8
     assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
-        0.52002, abs=1e-5
+        0.42793, abs=1e-5
     )
     starts = mapping_mod._Logistic5.starts
     monkeypatch.setattr(mapping_mod._Logistic5, "starts", lambda self, x, y: starts(self, x, y)[:1])
     assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
-        0.55402, abs=1e-5
+        0.57577, abs=1e-5
     )
 
 
 @pytest.mark.parametrize("study", sorted(PLATEAU_STUDIES))
 def test_logistic5_starts_reach_below_the_straight_line_plateau(study):
-    # squared b1, b2, b4 from the slopes s0/4 and s0 settle on the plateau on
-    # the first and last study, 6.5% and 13% above these
+    # started from the slopes s0/4 and s0 at the two inner centers only,
+    # logistic5 ends 6.1% and 0.5% above these on seeds 882969 and 922759
     spec, k, range_id, bin_width, trf_residual = PLATEAU_STUDIES[study]
     mf = fit_mapping(_study_points(spec, k, range_id, bin_width), "logistic5")
     assert mf.fit_report.residual_norm == pytest.approx(trf_residual, rel=1e-3)
     assert mf.fit_report.monotone
+
+
+#: A small noisy study with a range on which scipy 1.17.1's MINPACK
+#: (``least_squares(method="lm")``) spent 996 evaluations on the logistic5
+#: fit in one call and 1005 in another, depending on the heap.
+REPEAT_STUDY = (
+    SimSpec(n_contents=8, ladder=SimSpec().ladder[:7], observer_count=3,
+            jnd_scale=31.835078562440184, rating_noise_sd=5.901201244353641, seed=761895),
+    2, "(88.2682,100]", 0.5,
+)
+
+
+@pytest.mark.parametrize("family", LSQ_FAMILIES)
+def test_a_repeated_fit_is_bit_identical(family):
+    points = _study_points(*REPEAT_STUDY)
+    rng = np.random.default_rng(0)
+    fits = []
+    for _ in range(8):
+        # a differently laid-out heap, with different stale values, each time
+        sizes, values = rng.integers(1, 2000, 40), rng.choice([1e300, -1.0, 0.5, 1e-300], 40)
+        held = [np.full(int(n), v) for n, v in zip(sizes, values)]
+        fits.append(fit_mapping(points, family))
+        del held
+    assert all(mf == fits[0] for mf in fits[1:])
 
 
 def test_fit_work_of_a_tiny_study_is_bounded_by_the_budget():
@@ -414,16 +444,6 @@ def test_fit_work_of_a_tiny_study_is_bounded_by_the_budget():
                 assert report.monotone
                 budgeted.append(family)
     assert sorted(budgeted) == ["logistic2", "logistic5"]
-
-
-def test_budget_flag_marks_a_winning_start_stopped_on_the_budget(monkeypatch):
-    points = LSQ_CASES["noisy"]
-    assert "budget" not in fit_mapping(points, "logistic5").fit_report.flags
-    monkeypatch.setattr(mapping_mod, "LSQ_MAX_NFEV", 3)
-    mf = fit_mapping(points, "logistic5")
-    assert mf.fit_report.flags == ("budget",)
-    assert mf.fit_report.monotone
-    assert mf.fit_report.iterations <= len(FAMILY_TABLE["logistic5"].starts(*_xy(points))) * 3
 
 
 def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
@@ -575,10 +595,9 @@ def test_family_labels_cover_families():
     for family in LSQ_FAMILIES:
         assert hasattr(FAMILY_TABLE[family], "starts")
         assert not hasattr(FAMILY_TABLE[family], "slope")
-    # every least-squares family fits in its own coordinates, with no bounds
+    # every least-squares family fits in its own coordinates
     for family in LSQ_FAMILIES:
         assert "to_params" in vars(type(FAMILY_TABLE[family]))
-        assert not hasattr(FAMILY_TABLE[family], "lower")
 
 
 #: A point in each family's fit coordinates: the logistics' squared
