@@ -296,26 +296,26 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LsqSolution:
             if nfev >= max_nfev:
                 return LsqSolution(x, cost, nfev, 0)
             z = _solve_damped(scaled, rhs, lam)
-            if z is None:  # J'J lost definiteness to rounding
-                lam, grow = lam * grow, grow * 2.0
-                continue
-            step = np.array(z) / root
-            trial = x + step
-            f_trial = fun(trial)
-            nfev += 1
-            cost_trial = 0.5 * float((f_trial * f_trial).sum())
-            small = math.sqrt(sum(v * v for v in z)) <= LSQ_TOL * (size + LSQ_TOL)
-            if cost_trial < cost:
-                # the fall the damped model predicts, 0.5 * s'(lam * D s - g)
-                predicted = 0.5 * sum(v * (lam * v + r) for v, r in zip(z, rhs))
-                fall = cost - cost_trial
-                lam *= max(1.0 / 3.0, 1.0 - (2.0 * fall / predicted - 1.0) ** 3)
-                grow = 2.0
-                x, f, cost = trial, f_trial, cost_trial
-                J = jac(x)
-                if small or fall <= LSQ_TOL * (cost + fall):
-                    return LsqSolution(x, cost, nfev, 1)
-                break
+            small = False
+            if z is not None:  # None: J'J lost definiteness to rounding
+                step = np.array(z) / root
+                trial = x + step
+                f_trial = fun(trial)
+                nfev += 1
+                cost_trial = 0.5 * float((f_trial * f_trial).sum())
+                small = math.sqrt(sum(v * v for v in z)) <= LSQ_TOL * (size + LSQ_TOL)
+                if cost_trial < cost:
+                    # the fall the damped model predicts, 0.5 * s'(lam * D s - g)
+                    predicted = 0.5 * sum(v * (lam * v + r) for v, r in zip(z, rhs))
+                    fall = cost - cost_trial
+                    gain = fall / predicted if predicted > 0.0 else 1.0
+                    lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+                    grow = 2.0
+                    x, f, cost = trial, f_trial, cost_trial
+                    J = jac(x)
+                    if small or fall <= LSQ_TOL * (cost + fall):
+                        return LsqSolution(x, cost, nfev, 1)
+                    break
             lam, grow = lam * grow, grow * 2.0
             if small or not math.isfinite(lam):
                 return LsqSolution(x, cost, nfev, 1)
