@@ -27,10 +27,13 @@ config check, the artifact reader, the report labels and ``predict
 Evaluated values are clamped to [0, 1].  Every least-squares fit is
 non-decreasing on its domain by construction, through one fit path: each
 family is fitted in coordinates in which every point gives a non-decreasing
-curve, by one unbounded Levenberg-Marquardt solve per start
-(:func:`least_squares`, whose iterates depend on nothing but its inputs), of
-at most ``LSQ_MAX_NFEV`` function evaluations (a fit whose best start stops
-there is flagged ``budget``):
+curve, by one batched, unbounded Levenberg-Marquardt solve per family
+(:func:`least_squares`).  Every start of every range is one lane of that
+solve, of at most ``LSQ_MAX_NFEV`` function evaluations (a fit whose best
+start stops there is flagged ``budget``).  Sums over points run in point
+order, so a lane's iterates depend on nothing but its own inputs, and a
+range's fit does not depend on the batch it is solved in: ``fit_mapping`` on
+one range gives what ``fit_all`` gives for it.  The fit coordinates are:
 
 * ``logistic5`` in (a1, a2, b3, a4, b5) with b1 = a1**2, b2 = a2**2 and
   b4 = a4**2, so its slope b1*b2*s*(1-s) + b4 is never negative;
@@ -137,15 +140,27 @@ class MappingFunction:
 class Family:
     """One curve family: an entry of :data:`FAMILY_TABLE`.
 
-    ``curve(params, x)`` is p at ``x``.  ``fit(x, y, w, pairs, domain)`` fits
-    the points (x, y) with weights w and returns the params, whether the curve
-    is monotone, the iterations, the flags and the extras of the fit report.
+    ``curve(params, x)`` is p at ``x``.  ``fit_ranges(problems)`` fits each
+    problem (x, y, w, pairs, domain): the points (x, y) with weights w.  Per
+    problem it returns the params, whether the curve is monotone, the
+    iterations, the flags and the extras of the fit report, or the
+    :class:`FitError` that stands for a failed fit.
     """
 
     name: str
     label: str  # short label in report tables
     n_params: int
     min_points: int
+
+    def fit_ranges(self, problems: list[tuple]) -> list:
+        """One ``fit(x, y, w, pairs, domain)`` per problem."""
+        results = []
+        for problem in problems:
+            try:
+                results.append(self.fit(*problem))
+            except FitError as exc:
+                results.append(exc)
+        return results
 
 
 # -- curves ------------------------------------------------------------------
@@ -248,136 +263,213 @@ LSQ_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LsqSolution:
-    """The end of one ``least_squares`` start: the point, half the sum of
-    squared residuals there, the residual evaluations spent, and ``status``,
-    0 when the start stopped on its evaluation budget and 1 when it
-    converged."""
+    """The end of one ``least_squares`` call, lane by lane: the points ``x``
+    (params x lanes), half the sum of squared residuals at each, the residual
+    evaluations each lane spent (``lane_nfev``; ``nfev`` is their total), and
+    ``status``: 0 when the lane stopped on its evaluation budget, 1 when it
+    converged and -1 when its residuals were not finite at the start."""
 
     x: np.ndarray
-    cost: float
+    cost: np.ndarray
     nfev: int
-    status: int
+    lane_nfev: np.ndarray
+    status: np.ndarray
+
+
+def _point_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum of ``terms`` over its first axis, the points, in point order
+    whatever the other axes' sizes, so that zero terms after the last point
+    leave it unchanged.  (``sum(axis=0)`` runs in that order over an axis
+    with other axes beside it, but pairwise over an axis alone.)"""
+    return np.add.accumulate(terms, axis=0)[-1]
+
+
+def _normal_matrix(J: np.ndarray) -> np.ndarray:
+    """J'J of a Jacobian (points, params, lanes), lane by lane: one point
+    sum per pair of columns, so no temporary holds points x lanes x params**2."""
+    n = J.shape[1]
+    A = np.empty((n, n, J.shape[2]))
+    for j in range(n):
+        for k in range(j + 1):
+            A[j, k] = A[k, j] = _point_sum(J[:, j] * J[:, k])
+    return A
 
 
 def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> LsqSolution:
-    """Minimise 0.5 * |fun(x)|**2 from ``x0`` by Levenberg-Marquardt, with the
-    analytic Jacobian ``jac`` and at most ``max_nfev`` evaluations of ``fun``.
+    """Minimise 0.5 * |fun(x)|**2 by Levenberg-Marquardt from each column
+    (lane) of ``x0``, params x lanes, with the analytic Jacobian ``jac`` and
+    at most ``max_nfev`` evaluations of ``fun`` per lane.
 
-    Each step solves the damped normal equations (J'J + lam * D) s = -J'f,
-    where D is the running maximum of diag(J'J), as in MINPACK's ``lmder``,
-    and lam follows the gain ratio of the last step (Nielsen's rule).  Every
-    sum runs in a fixed order -- numpy reductions and a Cholesky solve in
-    Python floats -- so the iterates depend on nothing but the inputs.  That
-    is why the solver is here and not scipy's: scipy 1.17.1's MINPACK
-    (``least_squares(method="lm")``) takes different iterates for the same
-    residuals and Jacobians when the process's heap is laid out differently.
-    A ValueError means the residuals at ``x0`` are not finite.
+    ``fun`` maps params x lanes to residuals (points, lanes), and ``jac`` to
+    (points, params, lanes); each lane's values must depend on that lane
+    alone.  The lanes advance in lockstep, one trial step each per pass, and
+    each keeps its own damping, column scaling, budget and stop tests.  A
+    step solves the damped normal equations (J'J + lam * D) s = -J'f, where
+    D is the running maximum of diag(J'J), as in MINPACK's ``lmder``, and
+    lam follows the gain ratio of the last step (Nielsen's rule).  A
+    factorisation that fails spends one unit of the budget, as an
+    evaluation does, so the loop makes at most ``max_nfev`` passes.
+
+    Every sum runs in a fixed order: over points in point order, over
+    params in a Python loop, and the Cholesky solve element by element.  So
+    a lane's iterates depend on nothing but its own inputs: not on the heap
+    (scipy 1.17.1's MINPACK, ``least_squares(method="lm")``, took different
+    iterates for the same residuals and Jacobians when the process's heap
+    was laid out differently), not on the other lanes, and not on zero
+    residuals after its points.  A lane whose residuals at the start are not
+    finite spends no evaluation and ends at its start with status -1 and an
+    infinite cost.
     """
     x = np.array(x0, dtype=float)
     f = fun(x)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("residuals are not finite at the start")
-    nfev, cost = 1, 0.5 * float((f * f).sum())
+    finite = np.isfinite(f).all(axis=0)
+    x, f = np.where(finite, x, 0.0), np.where(finite, f, 0.0)
+    cost = 0.5 * _point_sum(f * f)
     J = jac(x)
-    scale = np.zeros(len(x))
-    lam, grow = 1e-3, 2.0
+    n, lanes = x.shape
+    nfev, tries = finite.astype(int), finite.astype(int)
+    status = np.where(finite, 1, -1)
+    active, fresh = finite.copy(), finite.copy()
+    lam, grow = np.full(lanes, 1e-3), np.full(lanes, 2.0)
+    # the damped system in the scaled step z = root * s, with unit diagonal damping
+    scale, root, scaled = np.zeros((n, lanes)), np.ones((n, lanes)), np.zeros((n, n, lanes))
+    rhs, size = np.zeros((n, lanes)), np.zeros(lanes)
     while True:
-        A = (J[:, :, None] * J[:, None, :]).sum(axis=0)
-        g = (J * f[:, None]).sum(axis=0)
-        scale = np.maximum(scale, A.diagonal())
-        root = np.sqrt(np.where(scale > 0.0, scale, 1.0))
-        if not cost > 0.0 or float((np.abs(g) / root).max()) <= LSQ_TOL * math.sqrt(2.0 * cost):
-            return LsqSolution(x, cost, nfev, 1)
-        # the system in the scaled step z = root * s, with unit diagonal damping
-        scaled = (A / root[:, None] / root[None, :]).tolist()
-        rhs = (-g / root).tolist()
-        size = float(np.sqrt(((root * x) ** 2).sum()))
-        while True:
-            if nfev >= max_nfev:
-                return LsqSolution(x, cost, nfev, 0)
-            z = _solve_damped(scaled, rhs, lam)
-            small = False
-            if z is not None:  # None: J'J lost definiteness to rounding
-                step = np.array(z) / root
-                trial = x + step
-                f_trial = fun(trial)
-                nfev += 1
-                cost_trial = 0.5 * float((f_trial * f_trial).sum())
-                small = math.sqrt(sum(v * v for v in z)) <= LSQ_TOL * (size + LSQ_TOL)
-                if cost_trial < cost:
-                    # the fall the damped model predicts, 0.5 * s'(lam * D s - g)
-                    predicted = 0.5 * sum(v * (lam * v + r) for v, r in zip(z, rhs))
-                    fall = cost - cost_trial
-                    gain = fall / predicted if predicted > 0.0 else 1.0
-                    lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
-                    grow = 2.0
-                    x, f, cost = trial, f_trial, cost_trial
-                    J = jac(x)
-                    if small or fall <= LSQ_TOL * (cost + fall):
-                        return LsqSolution(x, cost, nfev, 1)
-                    break
-            lam, grow = lam * grow, grow * 2.0
-            if small or not math.isfinite(lam):
-                return LsqSolution(x, cost, nfev, 1)
+        if fresh.any():  # lanes that moved: the normal equations at their new point
+            A = _normal_matrix(J)
+            g = _point_sum(J * f[:, None])
+            scale = np.where(fresh, np.maximum(scale, np.diagonal(A).T), scale)
+            root = np.where(fresh, np.sqrt(np.where(scale > 0.0, scale, 1.0)), root)
+            stationary = (np.abs(g) / root).max(axis=0) <= LSQ_TOL * np.sqrt(2.0 * cost)
+            active &= ~(fresh & (~(cost > 0.0) | stationary))
+            scaled = np.where(fresh, A / root[:, None] / root, scaled)
+            rhs = np.where(fresh, -g / root, rhs)
+            size = np.where(fresh, np.sqrt(sum(v * v for v in root * x)), size)
+        spent = active & (tries >= max_nfev)
+        status[spent] = 0
+        active &= ~spent
+        if not active.any():
+            break
+        damping = np.where(active, lam, 1.0)  # a stopped lane's lam may be inf
+        z, solved = _solve_damped(scaled, rhs, damping)
+        solved &= active
+        trial = x + np.where(solved, z / root, 0.0)
+        f_trial = fun(trial)
+        nfev += solved
+        tries += active
+        cost_trial = 0.5 * _point_sum(f_trial * f_trial)
+        small = solved & (np.sqrt(sum(v * v for v in z)) <= LSQ_TOL * (size + LSQ_TOL))
+        better = solved & (cost_trial < cost)
+        # the fall the damped model predicts, 0.5 * s'(lam * D s - g)
+        predicted = 0.5 * sum(v * (damping * v + r) for v, r in zip(z, rhs))
+        fall = cost - cost_trial
+        positive = predicted > 0.0
+        gain = np.where(positive, fall / np.where(positive, predicted, 1.0), 1.0)
+        t = 2.0 * gain - 1.0
+        lam = np.where(better, lam * np.maximum(1.0 / 3.0, 1.0 - t * t * t), lam)
+        grow = np.where(better, 2.0, grow)
+        x = np.where(better, trial, x)
+        f = np.where(better, f_trial, f)
+        cost = np.where(better, cost_trial, cost)
+        if better.any():
+            J = jac(x)
+        refused = active & ~better
+        with np.errstate(over="ignore"):  # lam runs to inf when no step lowers the cost
+            lam = np.where(refused, lam * grow, lam)
+        grow = np.where(refused, grow * 2.0, grow)
+        active &= ~(better & (small | (fall <= LSQ_TOL * (cost + fall))))
+        active &= ~(refused & (small | ~np.isfinite(lam)))
+        fresh = better & active
+    return LsqSolution(np.where(finite, x, x0), np.where(finite, cost, np.inf),
+                       int(nfev.sum()), nfev, status)
 
 
-def _solve_damped(a: list[list[float]], b: list[float], lam: float) -> list[float] | None:
-    """The solution z of (a + lam * I) z = b by Cholesky, for a symmetric
-    positive semi-definite ``a``; None when a pivot is not positive."""
+def _solve_damped(
+    a: np.ndarray, b: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The solution z of (a + lam * I) z = b by Cholesky, lane by lane, for
+    symmetric positive semi-definite ``a`` (params x params x lanes), ``b``
+    (params x lanes) and ``lam`` (lanes); and whether each lane's pivots were
+    all positive, as z means nothing where they were not.  Each lane takes
+    the operations of a scalar Cholesky, in the same order."""
     n = len(b)
-    low = [[0.0] * n for _ in range(n)]
+    solved = np.ones(len(lam), dtype=bool)
+    low: list[list] = [[None] * n for _ in range(n)]
     for j in range(n):
         row = low[j]
-        pivot = a[j][j] + lam
+        pivot = a[j, j] + lam
         for k in range(j):
-            pivot -= row[k] * row[k]
-        if not pivot > 0.0:
-            return None
-        row[j] = diag = math.sqrt(pivot)
+            pivot = pivot - row[k] * row[k]
+        positive = pivot > 0.0
+        solved &= positive
+        row[j] = diag = np.sqrt(np.where(positive, pivot, 1.0))
         for i in range(j + 1, n):
             other = low[i]
-            v = a[i][j]
+            v = a[i, j]
             for k in range(j):
-                v -= other[k] * row[k]
+                v = v - other[k] * row[k]
             other[j] = v / diag
-    y = [0.0] * n
+    y: list = [None] * n
     for i in range(n):
         v = b[i]
         for k in range(i):
-            v -= low[i][k] * y[k]
+            v = v - low[i][k] * y[k]
         y[i] = v / low[i][i]
-    z = [0.0] * n
+    z: list = [None] * n
     for i in reversed(range(n)):
         v = y[i]
         for k in range(i + 1, n):
-            v -= low[k][i] * z[k]
+            v = v - low[k][i] * z[k]
         z[i] = v / low[i][i]
-    return z
+    return np.array(z), solved
 
 
 class _LeastSquaresFamily(Family):
     """Fitted by least squares over fit coordinates theta, from
     ``starts(x, y)``, with the analytic ``jacobian(theta, x, domain)``, d p /
     d theta.  ``to_params(theta, domain)`` maps theta to the family's params.
+    All three take a lane axis: theta (params, lanes), x (points, lanes) and
+    domain ends (lanes), with a Jacobian (points, params, lanes).
 
     Every theta gives a curve that does not decrease on the domain, so each
-    start is one unbounded Levenberg-Marquardt solve (:func:`least_squares`)
-    of at most ``LSQ_MAX_NFEV`` function evaluations.  The logistics
+    start is one lane of an unbounded Levenberg-Marquardt solve
+    (:func:`least_squares`), of at most ``LSQ_MAX_NFEV`` function
+    evaluations, and one solve holds every start of every range.  Each range
+    is padded to the longest range's point count with zero-weight points; as
+    the solver sums over points in point order, the padding adds exact zeros
+    and a range's fit does not depend on the other ranges of its solve.  The
+    logistics
     square their sign-constrained parameters, and cubic4 fits in Lukacs
     coordinates.  A start coordinate that would be zero is a tiny positive
     value instead, so that no Jacobian column starts at zero.
     """
 
-    def fit(self, x: np.ndarray, y: np.ndarray, w: np.ndarray, pairs, domain: tuple) -> tuple:
-        """Least squares from every start; the lowest cost wins.  The fit is
-        flagged ``budget`` when the winning start stopped on
-        ``LSQ_MAX_NFEV``; it is still monotone, so it stays usable.  The curve
-        is rejected, flagged ``flat``, when it rises by no more than
-        ``FLAT_RISE`` over the domain: a monotone fit must not turn hopeless
-        data, such as a decreasing trend, into a usable flat curve.  The
-        monotone check still runs on the clipped curve, as a safety net.
-        ``pairs`` is not used."""
-        sw = np.sqrt(w)
+    def fit_ranges(self, problems: list[tuple]) -> list:
+        """Least squares from every start of every problem, in one call; per
+        problem, its lowest-cost start wins.  The fit is flagged ``budget``
+        when the winning start stopped on ``LSQ_MAX_NFEV``; it is still
+        monotone, so it stays usable.  The curve is rejected, flagged
+        ``flat``, when it rises by no more than ``FLAT_RISE`` over the
+        domain: a monotone fit must not turn hopeless data, such as a
+        decreasing trend, into a usable flat curve.  The monotone check
+        still runs on the clipped curve, as a safety net.  The problems'
+        ``pairs`` are not used."""
+        if not problems:
+            return []
+        starts = [self.starts(x, y) for x, y, *_ in problems]
+        counts = [len(s) for s in starts]
+        size = max(len(x) for x, *_ in problems)
+
+        def stacked(columns, mode: str) -> np.ndarray:
+            """(points, lanes): each problem's column, padded, once per start."""
+            padded = [np.pad(c, (0, size - len(c)), mode) for c in columns]
+            return np.repeat(np.column_stack(padded), counts, axis=1)
+
+        # padding points repeat the last point, with weight zero
+        x = stacked([p[0] for p in problems], "edge")
+        y = stacked([p[1] for p in problems], "edge")
+        sw = stacked([np.sqrt(p[2]) for p in problems], "constant")
+        domain = (0.0, np.repeat([p[4][1] for p in problems], counts))
 
         def residuals(theta: np.ndarray) -> np.ndarray:
             return sw * (self.curve(self.to_params(theta, domain), x) - y)
@@ -385,27 +477,33 @@ class _LeastSquaresFamily(Family):
         def jac(theta: np.ndarray) -> np.ndarray:
             return sw[:, None] * self.jacobian(theta, x, domain)
 
+        theta0 = np.column_stack([start for per_range in starts for start in per_range])
+        sol = least_squares(residuals, theta0, jac=jac, max_nfev=LSQ_MAX_NFEV)
+        results, first = [], 0
+        for problem, count in zip(problems, counts):
+            results.append(self._best(sol, range(first, first + count), problem[4]))
+            first += count
+        return results
+
+    def _best(self, sol: LsqSolution, lanes: range, domain: tuple):
+        """The fit of one problem from its lanes of ``sol``, or a FitError."""
         best = None
-        iterations = 0
-        for start in self.starts(x, y):
-            try:
-                sol = least_squares(residuals, start, jac=jac, max_nfev=LSQ_MAX_NFEV)
-            except ValueError:  # a bad start; others may work
+        for lane in lanes:
+            if sol.status[lane] < 0:  # a bad start; others may work
                 continue
-            iterations += int(sol.nfev)
             # strict tie-break in favour of the earlier start keeps the result deterministic
-            if best is None or sol.cost < best.cost - 1e-15:
-                best = sol
+            if best is None or sol.cost[lane] < sol.cost[best] - 1e-15:
+                best = lane
         if best is None:
-            raise FitError(f"{self.name}: no least-squares start converged")
-        params = self.to_params(best.x, domain)
-        flags = ["budget"] if best.status == 0 else []
+            return FitError(f"{self.name}: no least-squares start converged")
+        params = self.to_params(sol.x[:, best], domain)
+        flags = ["budget"] if sol.status[best] == 0 else []
         monotone = is_monotone(self.name, params, domain)
         lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
         if hi - lo <= FLAT_RISE:
             monotone = False
             flags.append("flat")
-        return params, monotone, iterations, flags, {}
+        return params, monotone, int(sol.lane_nfev[lanes.start:lanes.stop].sum()), flags, {}
 
 
 def _root(b: float) -> float:
@@ -448,9 +546,9 @@ class _Logistic5(_LeastSquaresFamily):
         b1, b2 = a1 * a1, a2 * a2
         s = _sigmoid(-b2 * (x - b3))
         ss = s * (1.0 - s)
-        return np.column_stack(
+        return np.stack(
             [2.0 * a1 * (0.5 - s), 2.0 * a2 * b1 * ss * (x - b3), -b1 * b2 * ss,
-             2.0 * a4 * x, np.ones_like(x)]
+             2.0 * a4 * x, np.ones_like(x)], axis=1
         )
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -497,13 +595,14 @@ class _Cubic4(_LeastSquaresFamily):
         _, u, v, w = theta
         t = x / domain[1]
         t2 = t * t
-        return np.column_stack(
+        return np.stack(
             [
                 np.ones_like(t),
                 2.0 * u * t + v * t2,
                 u * t2 + 2.0 * v * t2 * t / 3.0,
                 w * t2 * (1.0 - 2.0 * t / 3.0),
-            ]
+            ],
+            axis=1,
         )
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
@@ -530,7 +629,7 @@ class _Logistic2(_LeastSquaresFamily):
         b1 = a1 * a1
         s = _sigmoid(b1 * (x - b2))
         ss = s * (1.0 - s)
-        return np.column_stack([2.0 * a1 * ss * (x - b2), -b1 * ss])
+        return np.stack([2.0 * a1 * ss * (x - b2), -b1 * ss], axis=1)
 
     def starts(self, x: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
         _, _, _, _, slopes, centers = _start_scales(x, y)
@@ -672,14 +771,16 @@ def _glm_deviance(
 # -- the family table and the fits -------------------------------------------
 
 #: The function evaluations one least-squares start may use, so a fit costs at
-#: most its starts times this.  A start on the benchmark's studies needs at
-#: most 97.
+#: most its starts times this, and a family's batched solve makes at most this
+#: many passes, however many ranges and starts it holds.  A start on the
+#: benchmark's studies needs at most 83 (default_study) and 82 (large_study).
 LSQ_MAX_NFEV = 400
 
 #: Every curve family, in report order: the one place to add or change one.
 #: The least-squares families need at least four points, the GLM two.  Each
 #: least-squares family fits in coordinates in which every theta gives a
-#: non-decreasing curve, by one Levenberg-Marquardt solve per start.
+#: non-decreasing curve, by one Levenberg-Marquardt solve whose lanes are the
+#: starts of every range.
 FAMILY_TABLE: dict[str, Family] = {
     family.name: family
     for family in (
@@ -700,13 +801,62 @@ def family_spec(family: str) -> Family:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
 
 
+def _fit_family(
+    spec: Family, problems: list[tuple[list[PsdPoint], PairTable | None]]
+) -> list[MappingFunction | FitError]:
+    """Fit ``spec`` to each problem, p_sd points and GLM pairs, in one
+    ``fit_ranges`` call; a FitError stands for each fit that fails."""
+    results: list = [None] * len(problems)
+    ready, arrays = [], []
+    for i, (points, pairs) in enumerate(problems):
+        if len(points) < spec.min_points:
+            results[i] = FitError(
+                f"{spec.name}: need >= {spec.min_points} points, got {len(points)}"
+            )
+            continue
+        x = np.array([p.delta_obj for p in points], dtype=float)
+        y = np.array([p.p_sd for p in points], dtype=float)
+        w = np.array([p.support for p in points], dtype=float)
+        domain = (0.0, float(x.max()))
+        if not domain[0] < domain[1]:
+            raise ValueError(f"empty domain {domain}")
+        ready.append(i)
+        arrays.append((x, y, w, pairs, domain))
+    for i, (x, y, w, _, domain), fitted in zip(ready, arrays, spec.fit_ranges(arrays)):
+        if isinstance(fitted, FitError):
+            results[i] = fitted
+            continue
+        params, monotone, iterations, flags, extras = fitted
+        report = FitReport(
+            residual_norm=float(np.sqrt(np.sum(w * (spec.curve(params, x) - y) ** 2))),
+            monotone=monotone,
+            iterations=iterations,
+            flags=tuple(flags),
+            extras=extras,
+        )
+        log.debug(
+            "fit %s on %d points: residual=%.4g monotone=%s",
+            spec.name,
+            len(x),
+            report.residual_norm,
+            report.monotone,
+        )
+        results[i] = MappingFunction(
+            family=spec.name,
+            params=tuple(float(p) for p in params),
+            domain=domain,
+            fit_report=report,
+        )
+    return results
+
+
 def fit_mapping(
     points: list[PsdPoint],
     family: str,
     pairs_for_glm: Sequence[RatedPair] | None = None,
 ) -> MappingFunction:
     """Fit one curve family to p_sd points (support-weighted) over the domain
-    (0, largest point |dVMAF|).
+    (0, largest point |dVMAF|): the one-range call of ``fit_all``'s path.
 
     The IRLS fitter (``glm``) uses raw per-pair (|dVMAF|, sig) observations
     as Bernoulli data when ``pairs_for_glm`` is given; otherwise the points
@@ -714,37 +864,11 @@ def fit_mapping(
     least-squares fitter ignores ``pairs_for_glm``.
     """
     spec = family_spec(family)
-    if len(points) < spec.min_points:
-        raise FitError(f"{family}: need >= {spec.min_points} points, got {len(points)}")
-    x = np.array([p.delta_obj for p in points], dtype=float)
-    y = np.array([p.p_sd for p in points], dtype=float)
-    w = np.array([p.support for p in points], dtype=float)
-    domain = (0.0, float(x.max()))
-    if not domain[0] < domain[1]:
-        raise ValueError(f"empty domain {domain}")
-
     glm_pairs = None if pairs_for_glm is None else PairTable.of(pairs_for_glm)
-    params, monotone, iterations, flags, extras = spec.fit(x, y, w, glm_pairs, domain)
-    report = FitReport(
-        residual_norm=float(np.sqrt(np.sum(w * (spec.curve(params, x) - y) ** 2))),
-        monotone=monotone,
-        iterations=iterations,
-        flags=tuple(flags),
-        extras=extras,
-    )
-    log.debug(
-        "fit %s on %d points: residual=%.4g monotone=%s",
-        family,
-        len(points),
-        report.residual_norm,
-        report.monotone,
-    )
-    return MappingFunction(
-        family=family,
-        params=tuple(float(p) for p in params),
-        domain=domain,
-        fit_report=report,
-    )
+    (fitted,) = _fit_family(spec, [(points, glm_pairs)])
+    if isinstance(fitted, FitError):
+        raise fitted
+    return fitted
 
 
 def fit_all(
@@ -756,33 +880,35 @@ def fit_all(
 ) -> tuple[dict[str, CoDistribution], dict[str, dict[str, MappingFunction]]]:
     """Build co-distributions and fit every requested family per range.
 
-    Each range's pairs are one row-index array into the pair table; the
-    pairwise GLM fits the table's columns at those rows."""
+    Each family fits all ranges at once: the least-squares families in one
+    batched solve each.  Each range's pairs are one row-index array into the
+    pair table; the pairwise GLM fits the table's columns at those rows."""
     if glm_mode not in GLM_MODES:
         raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {glm_mode!r}")
-    for family in families:
-        family_spec(family)  # rejects an unknown family before any fit
+    specs = [family_spec(family) for family in families]  # an unknown family fails first
 
     table = PairTable.of(pairs)
     codists: dict[str, CoDistribution] = {}
-    models: dict[str, dict[str, MappingFunction]] = {}
+    problems = []
     for srange in decomp.ranges:
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
             continue
         cd = build_codistribution(srange, table, bin_width)
         codists[srange.range_id] = cd
-        points = psd_points(cd)
         glm_pairs = (
             table.take(_rows_in_range(srange, table)) if glm_mode == "pairwise" else None
         )
-        for family in families:
-            try:
-                mf = fit_mapping(points, family, pairs_for_glm=glm_pairs)
-            except FitError as exc:
-                log.warning("fit failed for %s/%s: %s", srange.range_id, family, exc)
+        problems.append((psd_points(cd), glm_pairs))
+    fits = [_fit_family(spec, problems) for spec in specs]
+    models: dict[str, dict[str, MappingFunction]] = {}
+    for i, range_id in enumerate(codists):
+        for family, per_family in zip(families, fits):
+            mf = per_family[i]
+            if isinstance(mf, FitError):
+                log.warning("fit failed for %s/%s: %s", range_id, family, mf)
                 continue
-            models.setdefault(srange.range_id, {})[family] = mf
+            models.setdefault(range_id, {})[family] = mf
     return codists, models
 
 

@@ -248,19 +248,22 @@ def test_logistics_solve_unbounded_by_lm_with_analytic_jacobian(case, monkeypatc
     solve = mapping_mod.least_squares
 
     def spy(fun, x0, **kwargs):
-        calls.append(kwargs)
+        calls.append((x0, kwargs))
         return solve(fun, x0, **kwargs)
 
     monkeypatch.setattr(mapping_mod, "least_squares", spy)
     for family in ("logistic5", "logistic2"):
         calls.clear()
         fit_mapping(LSQ_CASES[case], family)
-        assert len(calls) == len(FAMILY_TABLE[family].starts(*_xy(LSQ_CASES[case])))
-        for kwargs in calls:
-            # no bounds and no other option: the analytic Jacobian and the budget
-            assert set(kwargs) == {"jac", "max_nfev"}
-            assert callable(kwargs["jac"])
-            assert kwargs["max_nfev"] == LSQ_MAX_NFEV
+        starts = FAMILY_TABLE[family].starts(*_xy(LSQ_CASES[case]))
+        # one batched call per fit, with one lane per start
+        assert len(calls) == 1
+        x0, kwargs = calls[0]
+        assert np.array_equal(x0, np.column_stack(starts))
+        # no bounds and no other option: the analytic Jacobian and the budget
+        assert set(kwargs) == {"jac", "max_nfev"}
+        assert callable(kwargs["jac"])
+        assert kwargs["max_nfev"] == LSQ_MAX_NFEV
 
 
 @pytest.mark.parametrize("case", sorted(LSQ_CASES))
@@ -286,34 +289,53 @@ def test_least_squares_fit_is_monotone_or_flat(family, case):
 
 @pytest.mark.parametrize("family", LSQ_FAMILIES)
 def test_fit_report_counts_the_work_of_every_start(family, monkeypatch):
-    nfevs = []
+    solutions = []
     solve = mapping_mod.least_squares
 
     def spy(fun, x0, **kwargs):
-        sol = solve(fun, x0, **kwargs)
-        nfevs.append(int(sol.nfev))
-        return sol
+        solutions.append(solve(fun, x0, **kwargs))
+        return solutions[-1]
 
     monkeypatch.setattr(mapping_mod, "least_squares", spy)
     mf = fit_mapping(LSQ_CASES["noisy"], family)
-    assert len(nfevs) >= 2
-    assert mf.fit_report.iterations == sum(nfevs)
+    (sol,) = solutions
+    assert len(sol.lane_nfev) >= 2 and all(sol.lane_nfev > 0)
+    assert mf.fit_report.iterations == sum(sol.lane_nfev) == sol.nfev
 
 
 def test_a_bad_start_is_skipped_but_a_coding_error_propagates(monkeypatch):
-    def bad_start(fun, x0, **kwargs):
-        raise ValueError("Residuals are not finite in the initial point.")
+    points = LSQ_CASES["noisy"]
+    good = fit_mapping(points, "cubic4")
+    solutions = []
+    solve = mapping_mod.least_squares
 
-    monkeypatch.setattr(mapping_mod, "least_squares", bad_start)
+    def spy(fun, x0, **kwargs):
+        solutions.append(solve(fun, x0, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(mapping_mod, "least_squares", spy)
+    starts = mapping_mod._Cubic4.starts
+    bad = np.full(4, np.nan)
+    # a start whose residuals are not finite, before, between and after the good ones
+    monkeypatch.setattr(mapping_mod._Cubic4, "starts", lambda self, x, y: [
+        bad, starts(self, x, y)[0], bad, starts(self, x, y)[1], bad])
+    # the bad lanes spend nothing and cannot win; the good ones still finish
+    assert fit_mapping(points, "cubic4") == good
+    (sol,) = solutions
+    assert sol.status[[0, 2, 4]].tolist() == [-1, -1, -1]
+    assert sol.lane_nfev[[0, 2, 4]].tolist() == [0, 0, 0]
+    assert sol.status[[1, 3]].tolist() == [1, 1]
+
+    monkeypatch.setattr(mapping_mod._Cubic4, "starts", lambda self, x, y: [bad, bad])
     with pytest.raises(FitError, match="no least-squares start converged"):
-        fit_mapping(LSQ_CASES["noisy"], "cubic4")
+        fit_mapping(points, "cubic4")
 
     def coding_error(fun, x0, **kwargs):
         raise TypeError("unsupported operand type(s)")
 
     monkeypatch.setattr(mapping_mod, "least_squares", coding_error)
     with pytest.raises(TypeError, match="unsupported operand"):
-        fit_mapping(LSQ_CASES["noisy"], "cubic4")
+        fit_mapping(points, "cubic4")
 
 
 def test_noisy_panel_fits_are_all_usable():
@@ -419,6 +441,61 @@ def test_a_repeated_fit_is_bit_identical(family):
         fits.append(fit_mapping(points, family))
         del held
     assert all(mf == fits[0] for mf in fits[1:])
+
+
+def _lanes(family: str, points: list[PsdPoint], lanes: int) -> tuple:
+    """The residuals and Jacobian of one range's points, ``lanes`` times over."""
+    spec = FAMILY_TABLE[family]
+    x, y = (np.repeat(v[:, None], lanes, axis=1) for v in _xy(points))
+    sw = np.sqrt(np.array([[p.support] * lanes for p in points], dtype=float))
+    domain = (0.0, np.full(lanes, x.max()))
+
+    def fun(theta):
+        return sw * (spec.curve(spec.to_params(theta, domain), x) - y)
+
+    def jac(theta):
+        return sw[:, None] * spec.jacobian(theta, x, domain)
+
+    return fun, jac
+
+
+@pytest.mark.parametrize("study", ["default", "repeat"])
+def test_a_range_fits_the_same_alone_and_in_any_batch(study, default_sim):
+    # fit_all solves every start of every range of a family as lanes of one
+    # call, each range padded with zero-weight points to the longest range's
+    # point count; a range's fit must not depend on its batch
+    if study == "default":
+        corpus, k, bin_width = default_sim[0], 5, 2.0
+    else:
+        spec, k, _, bin_width = REPEAT_STUDY
+        corpus, _ = simulate_corpus(spec)
+    corpus = apply_screening(corpus, screen_bt500(corpus))
+    pairs = classify_pairs(corpus)
+    decomp = assign_pairs(pairs, decompose_balanced(corpus, k), corpus)
+    codists, models = fit_all(decomp, pairs, FAMILIES, bin_width=bin_width)
+    sizes = {range_id: len(psd_points(cd)) for range_id, cd in codists.items()}
+    assert len(set(sizes.values())) > 1  # so some ranges are padded
+    for srange in decomp.ranges:
+        points = psd_points(codists[srange.range_id])
+        refs = set(srange.pair_refs)
+        glm_pairs = [p for p in pairs if p.pair_id in refs]
+        for family in FAMILIES:
+            alone = fit_mapping(points, family, pairs_for_glm=glm_pairs)
+            assert models[srange.range_id][family] == alone  # params, report, flags
+
+    # one lane alone and the same lane among all starts, on the most points
+    points = psd_points(codists[max(sizes, key=sizes.get)])
+    assert len(points) >= 8
+    for family in LSQ_FAMILIES:
+        x0 = np.column_stack(FAMILY_TABLE[family].starts(*_xy(points)))
+        fun, jac = _lanes(family, points, x0.shape[1])
+        batch = mapping_mod.least_squares(fun, x0, jac=jac, max_nfev=LSQ_MAX_NFEV)
+        fun, jac = _lanes(family, points, 1)
+        for lane in range(x0.shape[1]):
+            sol = mapping_mod.least_squares(fun, x0[:, [lane]], jac=jac, max_nfev=LSQ_MAX_NFEV)
+            assert sol.x[:, 0].tolist() == batch.x[:, lane].tolist()
+            assert (sol.cost[0], sol.nfev, sol.status[0]) == (
+                batch.cost[lane], batch.lane_nfev[lane], batch.status[lane])
 
 
 def test_fit_work_of_a_tiny_study_is_bounded_by_the_budget():

@@ -112,9 +112,11 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
 
     glm_inputs = []
 
-    def record(points, family, pairs_for_glm=None):
-        glm_inputs.append(list(zip(pairs_for_glm.delta_obj.tolist(), pairs_for_glm.sig.tolist())))
-        raise FitError("recorded")
+    def record(spec, problems):
+        glm_inputs.extend(
+            list(zip(pairs.delta_obj.tolist(), pairs.sig.tolist())) for _, pairs in problems
+        )
+        return [FitError("recorded")] * len(problems)
 
     expected_glm = []
     for srange in assigned.ranges:
@@ -131,7 +133,7 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
         expected_glm.append([(p.delta_obj, p.sig) for p in pairs if p.pair_id in refs])
     mp = pytest.MonkeyPatch()
     with mp.context() as patch:
-        patch.setattr(mapping, "fit_mapping", record)
+        patch.setattr(mapping, "_fit_family", record)
         fit_all(assigned, pairs, families=("glm",), bin_width=bin_width)
     assert glm_inputs == expected_glm
 
