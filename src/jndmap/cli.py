@@ -15,12 +15,23 @@ the settings it reads.  ``--seed`` and the ``JNDMAP_SEED`` environment variable
 seed ``simulate`` only, and an explicit ``--seed`` beats the variable.
 Failures exit with status 2 and a one-line JSON error record on stderr naming
 the failure and any artifacts already written.
+
+The process entry is :func:`process_main`: ``python -m jndmap.cli`` and the
+``jndmap`` console script both call it.  It runs :func:`main` with the cyclic
+garbage collector off and freezes the heap when ``main`` returns or raises,
+so the process spends no time on collector passes during the run or on the
+interpreter's collection over the whole heap at exit.  A run leaves the same
+few hundred objects in reference cycles whatever the study's size (the
+argument parser and the JSON encoder's closures), and no output waits on a
+finalizer.  :func:`main` itself leaves the collector alone, so in-process
+callers keep theirs.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import logging
@@ -61,6 +72,18 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
     return 0
+
+
+def process_main() -> int:
+    """``main()`` for a process that exits when it returns: the collector
+    stays off during the run, and the heap is frozen before the exit, so that
+    the interpreter's collections at exit skip every object the process
+    holds."""
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -468,4 +491,4 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(process_main())

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -681,3 +683,96 @@ def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path
         f"mf_params.json range ids {model_ids} are not all in ranges.json range ids {range_ids}"
     )
     assert not (tmp_path / "metrics.json").exists()
+
+
+# -- the process entry and the cyclic collector --------------------------------
+
+
+def _run_argv(study, out):
+    return [str(a) for a in ["run", study / "vmaf_scores.csv", study / "dcr_ratings.csv",
+                             "--truth", study / "jnd_truth.csv", "--out-dir", out, "--k", "2"]]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_collector_as_it_found_it(sim_dir, tmp_path, enabled):
+    """Only the process entry turns the collector off and freezes the heap:
+    ``main`` called in-process leaves both as its caller set them."""
+    was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert cli.main(_run_argv(sim_dir, tmp_path / "out")) == 0
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_a_run_leaves_the_same_cyclic_garbage_at_any_study_size(sim_dir, tmp_path):
+    """The process entry runs without the collector, which holds only while a
+    run's garbage in reference cycles does not grow with the study: the
+    collector finds as much after a run on a study as after one on the same
+    study with three times the contents."""
+    spec_path = tmp_path / "spec.json"
+    write_json(spec_path, dataclasses.replace(SMALL_SPEC, n_contents=3 * SMALL_SPEC.n_contents)
+               .to_json_dict())
+    assert cli.main(["simulate", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 0
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # the first run also fills import-time caches, so it is not counted
+        assert cli.main(_run_argv(sim_dir, tmp_path / "warm")) == 0
+        found = []
+        for study in (sim_dir, tmp_path):
+            gc.collect()
+            assert cli.main(_run_argv(study, tmp_path / f"out{len(found)}")) == 0
+            found.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert found[0] == found[1], found
+
+
+_ENTRY_PROBE = """\
+import atexit, gc, sys
+atexit.register(lambda: print("collector", gc.isenabled(), gc.get_freeze_count() > 0,
+                              file=sys.stderr))
+sys.argv[0] = "jndmap"
+"""
+_PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def _console_script_launch():
+    """The code a console-script wrapper runs for ``[project.scripts] jndmap``."""
+    target = re.search(r'^jndmap = "([\w.]+):(\w+)"$', _PYPROJECT.read_text(), re.M)
+    module, func = target.groups()
+    return f"from {module} import {func}\nsys.exit({func}())\n"
+
+
+@pytest.mark.parametrize("entry", ["module", "script"])
+def test_process_entry_runs_main_without_the_collector(run_dir, tmp_path, entry):
+    """``python -m jndmap.cli`` and the ``jndmap`` console script run the same
+    entry: ``main``'s exit status, outputs and error record, with the
+    collector off and the heap frozen by the time the process exits."""
+    launch = {
+        "module": "import runpy\nrunpy.run_module('jndmap.cli', run_name='__main__', alter_sys=True)\n",
+        "script": _console_script_launch(),
+    }[entry]
+
+    def probe(*args):
+        return subprocess.run([sys.executable, "-c", _ENTRY_PROBE + launch, *map(str, args)],
+                              capture_output=True, text=True, timeout=120)
+
+    curves = run_dir / "curve_samples.csv"
+    assert cli.main(["render", "--curves", str(curves), "--out", str(tmp_path / "main.svg")]) == 0
+    proc = probe("render", "--curves", curves, "--out", tmp_path / "entry.svg")
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "entry.svg").read_bytes() == (tmp_path / "main.svg").read_bytes()
+    assert proc.stderr.splitlines()[-1] == "collector False True"
+
+    proc = probe("render", "--curves", tmp_path / "missing.csv", "--out", tmp_path / "x.svg")
+    assert proc.returncode == 2
+    lines = proc.stderr.strip().splitlines()
+    assert lines[-1] == "collector False True"
+    record = json.loads(lines[-2])
+    assert record["command"] == "render" and record["artifacts_written"] == []
+    assert not (tmp_path / "x.svg").exists()
