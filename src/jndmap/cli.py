@@ -304,6 +304,11 @@ def cmd_fit(args: argparse.Namespace, written: list[str]) -> None:
 
 
 def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
+    if args.anchor_vmaf is not None:
+        try:  # the rule of the vmaf column: finite and in [0, 100]
+            corpus_mod.VMAF_TABLE["vmaf"](args.anchor_vmaf)
+        except ValueError as exc:
+            raise ValueError(f"--anchor-vmaf: {exc}") from None
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
     if args.vmaf_table and args.content and args.recipe:
@@ -458,7 +463,8 @@ def _build_parser() -> argparse.ArgumentParser:
     predict = subs.add_parser("predict", help="one JND prediction from fitted curves")
     predict.add_argument("--models", required=True, help="mf_params.json")
     predict.add_argument("--ranges", required=True, help="ranges.json")
-    predict.add_argument("--anchor-vmaf", dest="anchor_vmaf", type=float)
+    predict.add_argument("--anchor-vmaf", dest="anchor_vmaf", type=float,
+                         help="anchor VMAF, finite and in [0, 100]")
     predict.add_argument("--vmaf-table", dest="vmaf_table")
     predict.add_argument("--content")
     predict.add_argument("--recipe")

@@ -11,13 +11,14 @@ step the working anchor snaps to the content's rendition nearest the
 predicted target, mimicking how a ladder is walked in practice.  Chaining can
 be disabled, in which case every truth is scored like a first JND.
 
-Each curve is inverted once per threshold: one inversion table, keyed by
+Each curve is inverted once per threshold: one inversion memo, keyed by
 (range, family, threshold), serves every anchor and chained step of a grid.
 A cell is one array program over its truths, sorted by (content, direction,
-order, anchor): each chained step finds the ranges of the working anchors by
-``np.searchsorted``, reads the table, clips the targets into [0, 100] and
-snaps each target to its content's nearest rendition.  The predictions are
-kept as a :class:`jndmap.predict.PredictionTable`.
+order, anchor): each chained step is one :func:`jndmap.predict.predict_step`
+over the working anchors, the prediction step that
+:func:`jndmap.predict.predict_jnd` makes for one anchor, and then each target
+snaps to its content's nearest rendition.  The predictions are kept as a
+:class:`jndmap.predict.PredictionTable`.
 """
 
 from __future__ import annotations
@@ -30,11 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, JndTruth
-from .errors import FitError
 from .mapping import FAMILIES, MappingFunction, family_spec
-# predict_jnd is the scalar form of one grid prediction; perfbench/tracing.py
-# wraps evaluate.predict_jnd by name, so it stays importable from here
-from .predict import JndPrediction, PredictionTable, invert_at_threshold, predict_jnd  # noqa: F401
+# evaluate_grid does not call predict_jnd; the benchmark's tracer wraps
+# evaluate.predict_jnd by name, so it stays importable from here
+from .predict import JndPrediction, PredictionTable, predict_jnd, predict_step  # noqa: F401
 from .ranges import Decomposition
 
 log = logging.getLogger(__name__)
@@ -100,24 +100,6 @@ def _nearest(
     return codes[np.minimum.reduceat(np.where(nearest, np.arange(len(codes)), len(codes)), starts)]
 
 
-def _inverted(
-    inversions: dict, models: dict[str, dict[str, MappingFunction]], range_id: str,
-    family: str, threshold: float,
-) -> tuple[float, bool] | KeyError | FitError:
-    """The range's curve inverted at ``threshold``, or the KeyError (no
-    model) or FitError (non-monotone fit) that skips its predictions;
-    memoised in ``inversions`` by (range, family, threshold)."""
-    key = (range_id, family, threshold)
-    if key not in inversions:
-        try:
-            inversions[key] = invert_at_threshold(models[range_id][family], threshold)
-        except KeyError:
-            inversions[key] = KeyError(f"no fitted {family} model for range {range_id}")
-        except FitError as exc:
-            inversions[key] = exc
-    return inversions[key]
-
-
 def evaluate_grid(
     corpus: Corpus,
     models: dict[str, dict[str, MappingFunction]],
@@ -126,8 +108,8 @@ def evaluate_grid(
 ) -> EvalGrid:
     """Score the whole (threshold x family) grid against the corpus truths.
 
-    Each truth is predicted as :func:`jndmap.predict.predict_jnd` predicts
-    it, step by chained step; a truth whose range has no model or a
+    Each chained step of a cell is one :func:`jndmap.predict.predict_step`
+    over the truths still walking; a truth whose range has no model or a
     non-monotone one is skipped in that cell."""
     truths = [
         t
@@ -147,44 +129,28 @@ def evaluate_grid(
     stop = np.array([span.stop for span in spans], np.intp)
     truth_directions = np.array([t.direction for t in truths])
     range_ids = decomp.range_ids()
-    his = np.array([r.hi for r in decomp.ranges])
-    lo, hi = decomp.coverage
     inversions: dict = {}
 
     def walk(members: np.ndarray, direction: str, family: str, threshold: float) -> tuple:
         """The truths ``members`` through their chained steps.  Returns which
         are scored, and per truth its last step's working anchor code, range,
-        |dVMAF|, target and clamped flag, and whether any step was clamped."""
+        |dVMAF|, target and clamped flag, and whether any step was clamped;
+        the numbers of a truth that is not scored mean nothing."""
         n = len(members)
         code, scored = anchors[members], np.ones(n, bool)
         k_last, delta, target = np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
         clamped, any_clamped = np.zeros(n, bool), np.zeros(n, bool)
         for step in range(int(steps[members].max())):
             (rows,) = np.nonzero(scored & (steps[members] > step))
-            v = table.vmaf[code[rows]]
-            # select_range: the range holding v, or the nearest end range outside coverage
-            k = np.minimum(np.searchsorted(his, v, side="left"), len(his) - 1)
-            outside = (v <= lo) | (v > hi)
-            for anchor_vmaf, r in zip(v[outside].tolist(), k[outside].tolist()):
-                log.warning("anchor vmaf %.3f outside coverage %s; using end range %s",
-                            anchor_vmaf, decomp.coverage, range_ids[r])
-            usable = np.zeros(len(range_ids), bool)
-            inverted = np.zeros((len(range_ids), 2))  # |dVMAF| and clamped, per usable range
-            for r in np.unique(k).tolist():
-                found = _inverted(inversions, models, range_ids[r], family, threshold)
-                if isinstance(found, Exception):
-                    for row in rows[k == r].tolist():
-                        log.debug("skipping %s/%s@%g for %s: %s", family, direction, threshold,
-                                  truths[members[row]].content_id, found)
-                else:
-                    usable[r], inverted[r] = True, found
-            usable = usable[k]
-            scored[rows[~usable]] = False
-            rows, v, k, outside = rows[usable], v[usable], k[usable], outside[usable]
-            k_last[rows], delta[rows] = k, inverted[k, 0]
-            raw = v - delta[rows] if direction == "dec" else v + delta[rows]
-            target[rows] = np.minimum(np.maximum(raw, 0.0), 100.0)
-            clamped[rows] = outside | (inverted[k, 1] != 0.0) | (target[rows] != raw)
+            k, d, t, c, faults = predict_step(models, decomp, table.vmaf[code[rows]], direction,
+                                              threshold, family, inversions)
+            for row, fault in zip(rows.tolist(), faults):
+                if fault is not None:
+                    scored[row] = False
+                    log.debug("skipping %s/%s@%g for %s: %s", family, direction, threshold,
+                              truths[members[row]].content_id, fault)
+            k_last[rows], delta[rows], target[rows], clamped[rows] = k, d, t, c
+            rows = rows[scored[rows]]
             any_clamped[rows] |= clamped[rows]
             going = rows[steps[members[rows]] > step + 1]
             if len(going):

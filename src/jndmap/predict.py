@@ -6,9 +6,11 @@ curve's domain whose predicted probability of a perceived difference reaches
 the decision threshold.  Monotone curves make that a bisection; when the
 threshold is not strictly bracketed inside the domain the nearest endpoint is
 returned with ``clamped`` set.  The target VMAF follows by stepping the anchor
-down (``dec``) or up (``inc``) and clipping into [0, 100].  Many predictions
-are held as one columnar :class:`PredictionTable`, which ``predictions.csv``
-is written from.
+down (``dec``) or up (``inc``) and clipping into [0, 100].  That chain is one
+array program, :func:`predict_step`, which :func:`predict_jnd` runs on one
+anchor and :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
+predictions are held as one columnar :class:`PredictionTable`, which
+``predictions.csv`` is written from.
 """
 
 from __future__ import annotations
@@ -57,13 +59,11 @@ class JndPrediction:
 
 def select_range(decomp: Decomposition, anchor_vmaf: float) -> tuple[str, bool]:
     """Range id holding ``anchor_vmaf``; outside coverage snaps to the nearest
-    end range and reports it via the second element."""
-    lo, hi = decomp.coverage
-    if anchor_vmaf <= lo:
-        return decomp.ranges[0].range_id, True
-    if anchor_vmaf > hi:
-        return decomp.ranges[-1].range_id, True
-    return decomp.find_range(anchor_vmaf).range_id, False
+    end range and reports it via the second element; KeyError for NaN."""
+    if np.isnan(anchor_vmaf):
+        raise decomp.uncovered(anchor_vmaf)
+    index, outside = decomp.locate(anchor_vmaf)
+    return decomp.ranges[index].range_id, bool(outside)
 
 
 def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, bool]:
@@ -96,6 +96,50 @@ def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, b
     return hi, False
 
 
+def predict_step(
+    models: dict[str, dict[str, MappingFunction]], decomp: Decomposition,
+    vmaf: Sequence[float] | np.ndarray, direction: str, threshold: float, family: str,
+    inversions: dict,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
+    """One JND step from each anchor VMAF in ``vmaf``: its range by
+    :meth:`Decomposition.locate` (an anchor outside the coverage is logged
+    and uses the nearest end range), the range's curve inverted once per
+    ``inversions`` memo, the step and the clip into [0, 100].  Returns per
+    anchor the range index, |dVMAF|, target VMAF, clamped flag, and the
+    KeyError (no model, NaN anchor) or FitError that stops it, else None."""
+    if direction not in ("inc", "dec"):
+        raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
+    vmaf = np.asarray(vmaf, dtype=float)
+    index, outside = decomp.locate(vmaf)
+    lost = np.isnan(vmaf)
+    range_ids = decomp.range_ids()
+    for anchor_vmaf, k in zip(vmaf[outside & ~lost].tolist(), index[outside & ~lost].tolist()):
+        log.warning("anchor vmaf %.3f outside coverage %s; using end range %s",
+                    anchor_vmaf, decomp.coverage, range_ids[k])
+    inverted = np.zeros((len(range_ids), 2))  # |dVMAF| and clamped, per inverted range
+    stopped: dict[int, Exception] = {}
+    for k in np.unique(index[~lost]).tolist():
+        key = (range_ids[k], family, threshold)
+        if key not in inversions:  # the inversion, or the error that stops its anchors
+            try:
+                inversions[key] = invert_at_threshold(models[range_ids[k]][family], threshold)
+            except KeyError:
+                inversions[key] = KeyError(f"no fitted {family} model for range {range_ids[k]}")
+            except FitError as exc:
+                inversions[key] = exc
+        if isinstance(inversions[key], Exception):
+            stopped[k] = inversions[key]
+        else:
+            inverted[k] = inversions[key]
+    faults = [decomp.uncovered(v) if nan else stopped.get(k)
+              for v, k, nan in zip(vmaf.tolist(), index.tolist(), lost.tolist())]
+    delta = inverted[index, 0]
+    raw = vmaf - delta if direction == "dec" else vmaf + delta
+    target = np.minimum(np.maximum(raw, 0.0), 100.0)
+    clamped = outside | (inverted[index, 1] != 0.0) | (target != raw)
+    return index, delta, target, clamped, faults
+
+
 def predict_jnd(
     models: dict[str, dict[str, MappingFunction]],
     decomp: Decomposition,
@@ -104,41 +148,15 @@ def predict_jnd(
     threshold: float,
     family: str,
 ) -> JndPrediction:
-    """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF.
-
-    This is the scalar form of the prediction that
-    :func:`jndmap.evaluate.evaluate_grid` makes for every truth at once.
-    """
-    if direction not in ("inc", "dec"):
-        raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
-    range_id, range_clamped = select_range(decomp, anchor.vmaf)
-    if range_clamped:
-        log.warning(
-            "anchor vmaf %.3f outside coverage %s; using end range %s",
-            anchor.vmaf,
-            decomp.coverage,
-            range_id,
-        )
-    try:
-        mf = models[range_id][family]
-    except KeyError:
-        raise KeyError(
-            f"no fitted {family} model for range {range_id}"
-        ) from None
-    delta, inv_clamped = invert_at_threshold(mf, threshold)
-    raw_target = anchor.vmaf - delta if direction == "dec" else anchor.vmaf + delta
-    target = min(max(raw_target, 0.0), 100.0)
-    return JndPrediction(
-        content_id=anchor.content_id,
-        anchor_recipe_id=anchor.recipe_id,
-        direction=direction,
-        range_id=range_id,
-        family=family,
-        threshold=threshold,
-        delta_obj_jnd=delta,
-        target_vmaf=target,
-        clamped=range_clamped or inv_clamped or target != raw_target,
-    )
+    """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF:
+    :func:`predict_step` on the one anchor, raising the error that stops it."""
+    index, delta, target, clamped, (fault,) = predict_step(
+        models, decomp, [anchor.vmaf], direction, threshold, family, {})
+    if fault is not None:
+        raise fault
+    return JndPrediction(anchor.content_id, anchor.recipe_id, direction,
+                         decomp.ranges[index[0]].range_id, family, threshold,
+                         *delta.tolist(), *target.tolist(), *clamped.tolist())
 
 
 # -- serialization ----------------------------------------------------------

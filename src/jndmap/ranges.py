@@ -14,14 +14,14 @@ A pair belongs to every range containing either of its endpoints, so a pair
 spanning a boundary is counted in both ranges (and the total pair multiplicity
 lies between n_pairs and 2*n_pairs).  :func:`assign_pairs` is an array
 program over the pair table: it looks up both endpoints' VMAF by the stimulus
-codes the table holds and finds their ranges with one ``np.searchsorted``.
+codes the table holds and locates them all in one call of
+:meth:`Decomposition.locate`, the one range rule that every lookup goes through.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -56,9 +56,6 @@ class SubQualityRange:
     range_id: str
     pair_refs: tuple[str, ...] = ()
 
-    def contains(self, vmaf: float) -> bool:
-        return self.lo < vmaf <= self.hi
-
 
 @dataclass(frozen=True)
 class Decomposition:
@@ -82,13 +79,26 @@ class Decomposition:
     def range_ids(self) -> list[str]:
         return [r.range_id for r in self.ranges]
 
+    def locate(self, vmaf: float | Sequence[float] | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The index of the range ``(lo, hi]`` holding each ``vmaf`` (a number
+        or an array), and whether it lies outside the coverage; then the first
+        range at or below the lowest bound, else (NaN too) the last."""
+        vmaf = np.asarray(vmaf, dtype=float)
+        lo, hi = self.coverage
+        index = np.searchsorted([r.hi for r in self.ranges], vmaf)
+        return np.minimum(index, len(self.ranges) - 1), ~((lo < vmaf) & (vmaf <= hi))
+
     def find_range(self, vmaf: float) -> SubQualityRange:
         """The unique range containing ``vmaf``; KeyError outside coverage."""
+        index, outside = self.locate(vmaf)
+        if outside:
+            raise self.uncovered(vmaf)
+        return self.ranges[index]
+
+    def uncovered(self, vmaf: float) -> KeyError:
+        """The error for a ``vmaf`` that no range holds."""
         lo, hi = self.coverage
-        if not lo < vmaf <= hi:
-            raise KeyError(f"vmaf {vmaf} outside coverage ({lo}, {hi}]")
-        idx = bisect_left([r.hi for r in self.ranges], vmaf)
-        return self.ranges[idx]
+        return KeyError(f"vmaf {vmaf} outside coverage ({lo}, {hi}]")
 
     def by_id(self, range_id: str) -> SubQualityRange:
         for r in self.ranges:
@@ -175,19 +185,24 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
         while target_idx < k and acc >= target_idx * total / k - 1e-12:
             cuts.append(value)
             target_idx += 1
-    inner = cuts[: k - 1]
-    bounds = [values[0] - LOW_EDGE_EPSILON] + inner + [100.0]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if not lo < hi:
+    decomp = _build("balanced", [values[0] - LOW_EDGE_EPSILON, *cuts[: k - 1], 100.0])
+    for r, held in zip(decomp.ranges, _held(decomp, values)):
+        if not r.lo < r.hi:
             raise ValueError(
                 f"tied VMAF values prevent {k} non-empty balanced ranges "
-                f"(boundary collision at {lo})"
+                f"(boundary collision at {r.lo})"
             )
-        if not any(lo < v <= hi for v in values):
+        if not held:
             raise ValueError(
-                f"tied VMAF values leave balanced range ({lo},{hi}] without stimuli"
+                f"tied VMAF values leave balanced range ({r.lo},{r.hi}] without stimuli"
             )
-    return _build("balanced", bounds)
+    return decomp
+
+
+def _held(decomp: Decomposition, values: Sequence[float]) -> list[int]:
+    """How many of ``values`` each range of ``decomp`` holds."""
+    index, outside = decomp.locate(values)
+    return np.bincount(index[~outside], minlength=len(decomp.ranges)).tolist()
 
 
 def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition:
@@ -197,11 +212,8 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
     bounds = [min(i * width, 100.0) for i in range(n)] + [100.0]
     decomp = _build("fixed_width", bounds)
     if corpus is not None:
-        empty = [
-            r.range_id
-            for r in decomp.ranges
-            if not any(r.contains(s.vmaf) for s in corpus.stimuli)
-        ]
+        held = _held(decomp, [s.vmaf for s in corpus.stimuli])
+        empty = [r.range_id for r, count in zip(decomp.ranges, held) if not count]
         if empty:
             log.warning(
                 "%d fixed-width range(s) hold no stimuli: %s", len(empty), ", ".join(empty)
@@ -228,8 +240,7 @@ def assign_pairs(
     table = corpus.ratings
     codes = pairs.endpoint_codes(table)
     vmaf = np.append(table.vmaf, np.nan)[codes]  # code -1 (unknown) reads NaN
-    lo, hi = decomp.coverage
-    outside = ~((lo < vmaf) & (vmaf <= hi))
+    where, outside = decomp.locate(vmaf)
     if outside.any():
         i, end = divmod(int(np.argmax(outside)), 2)
         content_id, recipe = pairs.content_id[i], (pairs.recipe_x, pairs.recipe_y)[end][i]
@@ -238,8 +249,6 @@ def assign_pairs(
             f"stimulus {content_id}/{recipe} (vmaf {value}) lies outside "
             f"the decomposition coverage {decomp.coverage}"
         )
-    # the range of (lo, hi] holding each endpoint, as Decomposition.find_range finds it
-    where = np.searchsorted([r.hi for r in decomp.ranges], vmaf, side="left")
     ids = pairs.pair_ids
     by_id = sorted(range(len(ids)), key=ids.__getitem__)
     sorted_ids = np.array([ids[i] for i in by_id], dtype=object)

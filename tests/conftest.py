@@ -15,7 +15,8 @@ from scipy import special
 import jndmap
 from jndmap.corpus import Corpus, DcrRating, Recipe, Stimulus
 from jndmap.mapping import FitReport, MappingFunction
-from jndmap.ranges import decompose_explicit
+from jndmap.predict import JndPrediction, invert_at_threshold
+from jndmap.ranges import Decomposition, decompose_explicit
 from jndmap.significance import TestResult
 from jndmap.simulate import SimSpec, simulate_corpus
 
@@ -77,6 +78,36 @@ def vector_test(a, b, test: str, alpha: float = 0.05) -> TestResult:
         df = (sa + sb) ** 2 / denom
     p = 1.0 if t == 0.0 else float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
+
+
+def range_of(decomp: Decomposition, vmaf: float) -> tuple[int, bool]:
+    """The index of the range holding ``vmaf`` by a loop over the ranges'
+    ``(lo, hi]``, and whether no range holds it; then the first range for a
+    value at or below the lowest bound and the last one for any other.  The
+    reference that ``Decomposition.locate`` must equal."""
+    for index, srange in enumerate(decomp.ranges):
+        if srange.lo < vmaf <= srange.hi:
+            return index, False
+    return (0 if vmaf <= decomp.ranges[0].lo else len(decomp.ranges) - 1), True
+
+
+def scalar_prediction(models, decomp: Decomposition, anchor: Stimulus, direction: str,
+                      threshold: float, family: str) -> JndPrediction:
+    """One JND step from ``anchor`` on plain Python floats: the range by
+    :func:`range_of`, the curve bisected afresh by ``invert_at_threshold``
+    and the target clipped by ``min`` and ``max``.  Raises the KeyError (no
+    model) or FitError (non-monotone fit) that stops the anchor.  The
+    reference that ``predict_jnd`` and each step of ``evaluate_grid`` must
+    equal."""
+    index, outside = range_of(decomp, anchor.vmaf)
+    range_id = decomp.ranges[index].range_id
+    if family not in models.get(range_id, {}):
+        raise KeyError(f"no fitted {family} model for range {range_id}")
+    delta, inverse_clamped = invert_at_threshold(models[range_id][family], threshold)
+    raw = anchor.vmaf - delta if direction == "dec" else anchor.vmaf + delta
+    target = min(max(raw, 0.0), 100.0)
+    return JndPrediction(anchor.content_id, anchor.recipe_id, direction, range_id, family,
+                         threshold, delta, target, outside or inverse_clamped or target != raw)
 
 
 @pytest.fixture

@@ -241,6 +241,46 @@ def test_predict_prints_json(run_dir):
     assert isinstance(record["clamped"], bool)
 
 
+def _predict_in_process(run_dir, out, *flags):
+    return cli.main(["predict", "--models", str(run_dir / "mf_params.json"), "--ranges",
+                     str(run_dir / "ranges.json"), "--direction", "dec", "--out", str(out),
+                     *flags])
+
+
+@pytest.mark.parametrize(("value", "problem"), [
+    ("nan", "non-finite value nan"),
+    ("inf", "non-finite value inf"),
+    ("-5", "-5.0 outside [0.0, 100.0]"),
+    ("150", "150.0 outside [0.0, 100.0]"),
+])
+def test_predict_rejects_an_anchor_vmaf_the_vmaf_column_would(
+    sim_dir, run_dir, tmp_path, capsys, value, problem
+):
+    """``--anchor-vmaf`` follows the rule of the vmaf column: finite and in
+    [0, 100].  Out of it, 150 and inf used to predict a target of 100.  The
+    flag is checked also when the anchor comes from ``--vmaf-table``."""
+    out = tmp_path / "predictions.csv"
+    table = ["--vmaf-table", str(sim_dir / "vmaf_scores.csv"), "--content", "c00",
+             "--recipe", "r1"]
+    for flags in (["--anchor-vmaf", value], ["--anchor-vmaf", value, *table]):
+        assert _predict_in_process(run_dir, out, *flags) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError", "message": f"--anchor-vmaf: {problem}",
+                          "command": "predict", "artifacts_written": []}
+        assert not out.exists()
+    assert _predict_in_process(run_dir, out, *table) == 0
+
+
+@pytest.mark.parametrize("value", ["0", "100"])
+def test_predict_accepts_an_anchor_vmaf_at_either_end_of_the_scale(run_dir, tmp_path, capsys,
+                                                                    value):
+    out = tmp_path / "predictions.csv"
+    assert _predict_in_process(run_dir, out, "--anchor-vmaf", value) == 0
+    record = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert 0.0 <= record["target_vmaf"] <= float(value)
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith("anchor,anchor,dec,")
+
+
 def test_evaluate_from_artifacts(sim_dir, run_dir, tmp_path):
     out = tmp_path / "metrics.json"
     run_cli(

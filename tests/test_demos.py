@@ -1,9 +1,10 @@
-"""The demos import only names the package defines."""
+"""The demos import only names the package defines, and run to the end."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -29,3 +30,9 @@ def test_demo_imports_exist(demo):
             for alias in node.names:
                 if alias.name == "jndmap" or alias.name.startswith("jndmap."):
                     importlib.import_module(alias.name)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out.strip()

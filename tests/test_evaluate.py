@@ -22,13 +22,13 @@ from jndmap.evaluate import (
     metrics_json_dict,
 )
 from jndmap.mapping import fit_all
-from jndmap.predict import select_range
 from jndmap.ranges import assign_pairs, decompose_balanced, decompose_explicit
 from jndmap.significance import classify_pairs
 from jndmap.simulate import simulate_corpus
 from jndmap.tableio import write_json
 
-from conftest import DSTAR, LADDER_VMAFS, SMALL_SPEC, make_stimuli
+from conftest import (DSTAR, LADDER_VMAFS, SMALL_SPEC, make_stimuli, range_of,
+                      scalar_prediction)
 
 
 def _eval_corpus(truths) -> Corpus:
@@ -188,8 +188,8 @@ def small_study():
 def _scalar_grid(corpus, models, decomp, spec):
     """The grid as a loop of scalar predictions: the oracle of ``evaluate_grid``.
 
-    Every truth walks its chained steps through ``predict.predict_jnd``, which
-    bisects afresh each time, and after each step the working anchor snaps to
+    Every truth walks its chained steps through ``conftest.scalar_prediction``,
+    which bisects afresh each time, and after each step the working anchor snaps to
     the content's rendition nearest the target, a tie going to the smaller
     recipe id.  Returns the cells and the last step's prediction of every
     scored truth, cell by cell.
@@ -208,7 +208,7 @@ def _scalar_grid(corpus, models, decomp, spec):
                     steps = []
                     try:
                         for _ in range(truth.order if spec.chain_orders else 1):
-                            steps.append(predict_mod.predict_jnd(
+                            steps.append(scalar_prediction(
                                 models, decomp, current, direction, threshold, family))
                             current = min(
                                 corpus.stimuli_for_content(truth.content_id),
@@ -287,7 +287,8 @@ def test_non_monotone_curve_skips_its_range_in_every_threshold_cell(small_study)
             for t in corpus.truths
             if t.direction == direction
         ]
-        in_range = sum(select_range(decomp, a.vmaf)[0] == range_id for a in anchors)
+        in_range = sum(decomp.ranges[range_of(decomp, a.vmaf)[0]].range_id == range_id
+                       for a in anchors)
         assert 0 < in_range < len(anchors)
         for threshold in spec.thresholds:
             assert grid.cell(direction, "logistic2", threshold).skipped == in_range

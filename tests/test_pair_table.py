@@ -3,7 +3,7 @@
 Random small corpora and ``RatedPair`` lists in random order, with repeated
 pairs, pairs of unknown stimuli and random explicit bounds that need not
 cover every stimulus.  ``assign_pairs`` must give each range the refs a
-per-endpoint ``find_range`` loop gives it, or fail at the same endpoint; each
+per-endpoint loop over the ranges gives it, or fail at the same endpoint; each
 range's co-distribution and the pairwise GLM's inputs must equal a loop over
 the pairs the range references.
 """
@@ -25,6 +25,8 @@ from jndmap.errors import FitError
 from jndmap.mapping import build_codistribution, fit_all
 from jndmap.ranges import assign_pairs, decompose_explicit
 from jndmap.significance import PairTable, RatedPair
+
+from conftest import range_of
 
 # ids whose pair ids sort apart from their (content, recipe) tuples
 CONTENTS = ("c1", "c1.5", "c10", "c2")
@@ -56,27 +58,27 @@ def studies(draw) -> tuple[Corpus, list[RatedPair], list[float]]:
     if draw(st.integers(0, 7)) == 0:
         pairs.append(draw(st.sampled_from(pairs)))
     pairs = draw(st.permutations(pairs))
-    # tenths of a VMAF unit, so bounds often fall on a stimulus's VMAF
-    bounds = sorted(draw(st.sets(st.integers(0, 1000), min_size=2, max_size=5)))
-    bounds = [b / 10.0 for b in bounds]
+    # tenths of a VMAF unit or a stimulus's VMAF, so bounds often fall on one
+    edges = st.one_of(st.integers(0, 1000).map(lambda b: b / 10.0),
+                      st.sampled_from([s.vmaf for s in stimuli]))
+    bounds = sorted(draw(st.sets(edges, min_size=2, max_size=5)))
     if draw(st.integers(0, 3)):
         bounds = sorted({-1.0, *bounds[1:-1], 100.0})
     return corpus, pairs, bounds
 
 
 def _oracle_refs(pairs, decomp, corpus) -> dict[str, tuple[str, ...]]:
-    """Each range's pair ids by a loop over the endpoints: ``find_range`` of
-    each one's VMAF.  Raises as ``assign_pairs`` must, at the first endpoint
-    that is unknown (KeyError) or outside the coverage (ValueError)."""
+    """Each range's pair ids by a loop over the endpoints: ``range_of`` each
+    one's VMAF.  Raises as ``assign_pairs`` must, at the first endpoint that
+    is unknown (KeyError) or outside the coverage (ValueError)."""
     refs: dict[str, set[str]] = {r.range_id: set() for r in decomp.ranges}
     for pair in pairs:
         for recipe in (pair.recipe_x, pair.recipe_y):
             vmaf = corpus.stimulus(pair.content_id, recipe).vmaf
-            try:
-                srange = decomp.find_range(vmaf)
-            except KeyError:
-                raise ValueError(f"stimulus {pair.content_id}/{recipe} (vmaf {vmaf}) ") from None
-            refs[srange.range_id].add(pair.pair_id)
+            index, outside = range_of(decomp, vmaf)
+            if outside:
+                raise ValueError(f"stimulus {pair.content_id}/{recipe} (vmaf {vmaf}) ")
+            refs[decomp.ranges[index].range_id].add(pair.pair_id)
     return {range_id: tuple(sorted(ids)) for range_id, ids in refs.items()}
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jndmap.corpus import Corpus, JndTruth
+from jndmap.corpus import Corpus, JndTruth, Recipe, Stimulus
 from jndmap.errors import FitError
 from jndmap.mapping import FitReport, MappingFunction, evaluate_mf
 from jndmap.predict import (
@@ -21,7 +21,7 @@ from jndmap.predict import (
 from jndmap.ranges import decompose_explicit
 from jndmap.tableio import write_csv_text
 
-from conftest import DSTAR
+from conftest import DSTAR, scalar_prediction
 
 
 def _logistic(b1: float, b2: float, domain=(0.0, 20.0)) -> MappingFunction:
@@ -99,6 +99,54 @@ def test_select_range_snapping():
     assert select_range(decomp, 79.0) == ("(30,79]", False)
     assert select_range(decomp, 101.0) == ("(95,100]", True)
     assert select_range(decomp, 20.0) == ("(30,79]", True)
+
+
+EDGES = (30.0, 79.0, 86.0, 90.0, 95.0, 100.0)
+
+
+def _edge_models():
+    """One logistic2 curve per range of ``EDGES``, each inverting differently
+    (the last never reaches 0.95), except (86,90], which has none, and
+    (90,95], whose fit is flagged non-monotone."""
+    decomp = decompose_explicit(list(EDGES))
+    curves = [_logistic(0.5, 6.0), _logistic(1.0, 3.0), None, _logistic(0.8, 8.0),
+              _logistic(0.2, 15.0)]
+    models = {r.range_id: {"logistic2": mf} for r, mf in zip(decomp.ranges, curves) if mf}
+    flagged = models["(90,95]"]["logistic2"]
+    models["(90,95]"]["logistic2"] = MappingFunction(
+        "logistic2", flagged.params, flagged.domain, FitReport(0.0, False, 0))
+    return decomp, models
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.sampled_from(EDGES), st.floats(-20.0, 120.0)),
+    st.sampled_from(("dec", "inc")),
+    st.sampled_from((0.5, 0.75, 0.95)),
+)
+def test_predict_jnd_matches_the_scalar_reference(vmaf, direction, threshold):
+    """Inside and outside the coverage, on the bounds, with a range without
+    a model and one with a non-monotone fit."""
+    decomp, models = _edge_models()
+    anchor = Stimulus("c1", Recipe("r1", "1080p", 1), vmaf)
+    try:
+        expected = scalar_prediction(models, decomp, anchor, direction, threshold, "logistic2")
+    except (KeyError, FitError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            predict_jnd(models, decomp, anchor, direction, threshold, "logistic2")
+        assert str(raised.value) == str(exc)
+        return
+    assert predict_jnd(models, decomp, anchor, direction, threshold, "logistic2") == expected
+
+
+def test_a_nan_anchor_lies_in_no_range():
+    decomp, models = _edge_models()
+    anchor = Stimulus("c1", Recipe("r1", "1080p", 1), math.nan)
+    message = r"^'vmaf nan outside coverage \(30.0, 100.0\]'$"
+    with pytest.raises(KeyError, match=message):
+        predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")
+    with pytest.raises(KeyError, match=message):
+        select_range(decomp, math.nan)
 
 
 def test_predict_jnd_decrease(ladder_stimuli, single_range_models):

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import logging
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jndmap.corpus import Corpus
 from jndmap.ranges import (
@@ -22,7 +26,7 @@ from jndmap.ranges import (
 from jndmap.significance import RatedPair
 from jndmap.tableio import write_json
 
-from conftest import make_stimuli
+from conftest import make_stimuli, range_of
 
 
 def _corpus(vmafs, content="c1") -> Corpus:
@@ -62,6 +66,26 @@ def test_balanced_needs_enough_distinct_values():
     corpus = _corpus([50.0, 50.0 + 1e-12, 60.0][:2])
     with pytest.raises(ValueError):
         decompose_balanced(corpus, 3)
+
+
+@pytest.mark.parametrize(
+    ("vmafs", "message"),
+    [
+        # the two upper quantiles both land on the tied 20s
+        ([10.0, 20.0, 20.0, 20.0, 20.0, 30.0],
+         r"^tied VMAF values prevent 3 non-empty balanced ranges \(boundary collision at 20.0\)$"),
+        # the top quantile lands on the largest value, leaving (30, 100] empty
+        ([10.0, 20.0, 30.0, 30.0, 30.0, 30.0],
+         r"^tied VMAF values leave balanced range \(30.0,100.0\] without stimuli$"),
+        # ... or on 100 itself, which collides with the top bound
+        ([10.0, 20.0, 30.0, 100.0, 100.0, 100.0],
+         r"^tied VMAF values prevent 3 non-empty balanced ranges \(boundary collision at 100.0\)$"),
+    ],
+    ids=["collision", "empty-top", "collision-at-100"],
+)
+def test_balanced_ties_that_leave_a_range_empty_are_rejected(vmafs, message):
+    with pytest.raises(ValueError, match=message):
+        decompose_balanced(_corpus(vmafs), 3)
 
 
 def test_balanced_top_range_reaches_100():
@@ -109,13 +133,15 @@ def test_fixed_width_makes_at_most_max_fixed_ranges():
 
 
 def test_fixed_width_warns_on_empty_ranges(caplog):
-    corpus = _corpus([91.0, 95.0, 99.0])
+    # 0 lies below (0, 10] (lower edge exclusive); 90 lies in (80, 90] (upper
+    # edge inclusive)
+    corpus = _corpus([0.0, 90.0, 95.0, 100.0])
     with caplog.at_level(logging.WARNING, logger="jndmap.ranges"):
         decompose_fixed(10.0, corpus)
-    assert any(
-        r.levelno == logging.WARNING and "hold no stimuli" in r.getMessage()
-        for r in caplog.records
-    )
+    empty = ", ".join(f"({lo},{lo + 10}]" for lo in range(0, 80, 10))
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.WARNING, f"8 fixed-width range(s) hold no stimuli: {empty}")
+    ]
 
 
 def test_find_range_boundaries():
@@ -126,6 +152,37 @@ def test_find_range_boundaries():
         decomp.find_range(30.0)  # lower edge exclusive
     with pytest.raises(KeyError):
         decomp.find_range(86.5)
+
+
+@st.composite
+def bounds_and_values(draw) -> tuple[list[float], list[float]]:
+    """Increasing bounds, and values on the bounds, one ulp either side of
+    them, anywhere on [-10, 110], infinite or NaN."""
+    bounds = sorted(b / 10.0 for b in draw(st.sets(st.integers(0, 1000), min_size=2, max_size=6)))
+    near = st.sampled_from(bounds).flatmap(
+        lambda b: st.sampled_from((b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))))
+    values = draw(st.lists(
+        st.one_of(near, st.floats(-10.0, 110.0), st.sampled_from((math.nan, math.inf, -math.inf))),
+        max_size=12))
+    return bounds, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds_and_values())
+def test_locate_matches_a_loop_over_the_ranges(study):
+    bounds, values = study
+    decomp = decompose_explicit(bounds)
+    index, outside = decomp.locate(values)
+    assert (index.tolist(), outside.tolist()) == (
+        [range_of(decomp, v)[0] for v in values], [range_of(decomp, v)[1] for v in values]
+    )
+    for v in values:
+        assert tuple(map(int, decomp.locate(v))) == range_of(decomp, v)
+        if range_of(decomp, v)[1]:
+            with pytest.raises(KeyError, match="outside coverage"):
+                decomp.find_range(v)
+        else:
+            assert decomp.find_range(v) == decomp.ranges[range_of(decomp, v)[0]]
 
 
 def test_duplicate_formatted_ids_get_disambiguated():
