@@ -10,7 +10,7 @@ viewers notice?".  With ground-truth JND annotations the whole grid of
 
 from jndmap import (SimSpec, simulate_corpus, screen, apply_screening,
                     classify_pairs, decompose_balanced, assign_pairs,
-                    fit_all, invert_at_threshold, predict_jnd, select_range)
+                    fit_all, invert_at_threshold, predict_jnd)
 from jndmap.evaluate import EvalGridSpec, evaluate_grid, format_grid_table
 
 spec = SimSpec(seed=0)
@@ -21,7 +21,8 @@ decomp = assign_pairs(pairs, decompose_balanced(corpus, 5), corpus)
 codists, models = fit_all(decomp, pairs)
 
 # 1. invert one curve at several thresholds --------------------------------
-rid, _snapped = select_range(decomp, 88.0)
+index, _outside = decomp.locate(88.0)
+rid = decomp.ranges[index].range_id
 mf = models[rid]["glm"]
 print(f"range {rid}, GLM:")
 for thr in (0.75, 0.85, 0.95):

@@ -37,4 +37,5 @@ print("explicit         ", occupancy(exp))
 
 # membership is lower-exclusive / upper-inclusive
 for v in (79.0, 79.01, 95.0):
-    print(f"  vmaf {v:5.2f} falls in {exp.find_range(v).range_id}")
+    index, _outside = exp.locate(v)
+    print(f"  vmaf {v:5.2f} falls in {exp.ranges[index].range_id}")

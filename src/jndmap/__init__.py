@@ -33,7 +33,7 @@ from .mapping import (
     fit_mapping,
     psd_points,
 )
-from .predict import JndPrediction, invert_at_threshold, predict_jnd, select_range
+from .predict import JndPrediction, invert_at_threshold, predict_jnd
 from .ranges import (
     Decomposition,
     SubQualityRange,
@@ -87,7 +87,6 @@ __all__ = [
     "fit_all",
     "evaluate_mf",
     "JndPrediction",
-    "select_range",
     "invert_at_threshold",
     "predict_jnd",
     "EvalGrid",

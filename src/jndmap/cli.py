@@ -49,7 +49,7 @@ from . import render as render_mod
 from . import screening as screening_mod
 from . import significance as significance_mod
 from . import simulate as simulate_mod
-from .errors import JndmapError
+from .errors import CorpusError, JndmapError
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -285,6 +285,10 @@ def cmd_classify(args: argparse.Namespace, written: list[str]) -> None:
     corpus = corpus_mod.load_corpus(args.vmaf, args.ratings)
     if args.screening_report:
         report = screening_mod.read_report(args.screening_report)
+        unknown = sorted(report.removed_observers - set(corpus.observers()))
+        if unknown:
+            raise CorpusError(f"removed observer {unknown[0]!r} has no rating",
+                              path=Path(args.screening_report).name)
         corpus = screening_mod.apply_screening(corpus, report)
     _classify(cfg, corpus, Path(args.out), written)
 
@@ -309,17 +313,19 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
             corpus_mod.VMAF_TABLE["vmaf"](args.anchor_vmaf)
         except ValueError as exc:
             raise ValueError(f"--anchor-vmaf: {exc}") from None
+        if args.vmaf_table:
+            raise ValueError("--anchor-vmaf and --vmaf-table both give the anchor; pass one")
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
-    if args.vmaf_table and args.content and args.recipe:
-        corpus = corpus_mod.load_corpus(args.vmaf_table, None)
-        anchor = corpus.stimulus(args.content, args.recipe)
-    elif args.anchor_vmaf is not None:
+    if args.anchor_vmaf is not None:
         anchor = corpus_mod.Stimulus(
             content_id=args.content or "anchor",
             recipe=corpus_mod.Recipe(args.recipe or "anchor", "other", 0),
             vmaf=args.anchor_vmaf,
         )
+    elif args.vmaf_table and args.content and args.recipe:
+        corpus = corpus_mod.load_corpus(args.vmaf_table, None)
+        anchor = corpus.stimulus(args.content, args.recipe)
     else:
         raise ValueError(
             "predict needs --anchor-vmaf, or --vmaf-table with --content and --recipe"
@@ -341,7 +347,8 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
         )
     )
     if args.out:
-        _write(Path(args.out), predict_mod.predictions_csv_text([pred]), written)
+        table = predict_mod.PredictionTable(*zip(dataclasses.astuple(pred)))
+        _write(Path(args.out), predict_mod.predictions_csv_text(table), written)
 
 
 def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:

@@ -15,9 +15,10 @@ each content's stimuli have consecutive codes; an observer's code is its index
 among the sorted observer ids.  CSR-style offsets mark each stimulus's block of ratings.  Screening,
 classification and pair assignment run as array programs over this table.
 ``corpus.ratings`` is the table; iterating or indexing it builds the
-:class:`DcrRating` objects, in input order, once.  :func:`load_corpus` fills
-the table from the columns :func:`jndmap.tableio.read_table` parses from
-``dcr_ratings.csv``, without them.
+:class:`DcrRating` objects from its columns, in input order, once.
+:func:`load_corpus` fills the table from the columns
+:func:`jndmap.tableio.read_table` parses from ``dcr_ratings.csv``, without
+them.
 
 Ingestion is a pure function of the file bytes: loading the same files twice
 and re-serializing yields identical text.
@@ -135,13 +136,12 @@ class RatingTable(tableio.RowSequence[DcrRating]):
     is their number.
 
     As a sequence, the table is the ratings in input order as
-    :class:`DcrRating` objects.  They are built on first use and cached; a
-    table made from ``DcrRating`` objects keeps those.
+    :class:`DcrRating` objects, a view built from the columns on first use.
     """
 
     def __init__(self, stimuli: Sequence[Stimulus], content_ids: Sequence[str],
-                 recipe_ids: Sequence[str], observer_ids: Sequence[str], scores: Sequence[int],
-                 rows: tuple[DcrRating, ...] | None = None) -> None:
+                 recipe_ids: Sequence[str], observer_ids: Sequence[str],
+                 scores: Sequence[int]) -> None:
         """The table of the rating columns given in input order.
 
         Raises :class:`CorpusError` with ``row=("stimuli", index)`` at the
@@ -183,17 +183,17 @@ class RatingTable(tableio.RowSequence[DcrRating]):
                 else f"rating references unknown stimulus {key[0]}/{key[1]}"
             )
             raise CorpusError(message, row=("ratings", i))
-        self._set(ids, stimulus, observer, np.asarray(scores, np.int64)[row], row, rows)
+        self._set(ids, stimulus, observer, np.asarray(scores, np.int64)[row], row)
 
     def _set(self, observer_ids: list[str], stimulus: np.ndarray, observer: np.ndarray,
-             score: np.ndarray, row: np.ndarray, rows: tuple[DcrRating, ...] | None) -> None:
+             score: np.ndarray, row: np.ndarray) -> None:
         self.observer_ids = observer_ids
         self.stimulus, self.observer, self.score, self.row = stimulus, observer, score, row
         self.offsets = np.searchsorted(stimulus, np.arange(len(self.keys) + 1))
         self.counts = np.diff(self.offsets)
         for column in (self.vmaf, stimulus, observer, score, row, self.offsets, self.counts):
             column.flags.writeable = False  # a corpus is immutable
-        self._rows = rows
+        self._rows = None  # a copy's view is built again from its own columns
 
     def without(self, observers: Collection[str]) -> RatingTable:
         """The table without the ratings of ``observers``."""
@@ -201,8 +201,7 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         keep = kept[self.observer]
         table = copy.copy(self)  # the same stimuli and codes
         table._set(list(compress(self.observer_ids, kept)), self.stimulus[keep],
-                   (np.cumsum(kept) - 1)[self.observer[keep]], self.score[keep], self.row[keep],
-                   None)
+                   (np.cumsum(kept) - 1)[self.observer[keep]], self.score[keep], self.row[keep])
         return table
 
     def block(self, codes: np.ndarray, n: int) -> np.ndarray:
@@ -241,8 +240,8 @@ class Corpus:
 
     ``ratings`` may be given as any sequence of :class:`DcrRating`; it is
     held as a :class:`RatingTable` of ``stimuli``, built once at
-    construction, which also codes the stimuli.  Accessors return copies.
-    Mutate by building a new corpus (see
+    construction from the objects' fields, which also codes the stimuli.
+    Accessors return copies.  Mutate by building a new corpus (see
     :func:`jndmap.screening.apply_screening`).
     """
 
@@ -253,9 +252,9 @@ class Corpus:
     def __post_init__(self) -> None:
         ratings = self.ratings
         if not (isinstance(ratings, RatingTable) and ratings.stimuli == self.stimuli):
-            rows = tuple(ratings)  # a table of other stimuli is coded again, like any sequence
-            columns = list(zip(*map(attrgetter(*RATING_TABLE), rows))) or [()] * 4
-            ratings = RatingTable(self.stimuli, *columns, rows=rows)
+            # a table of other stimuli is coded again, like any sequence
+            columns = list(zip(*map(attrgetter(*RATING_TABLE), ratings))) or [()] * 4
+            ratings = RatingTable(self.stimuli, *columns)
         object.__setattr__(self, "ratings", ratings)
         for i, truth in enumerate(self.truths):
             row = ("truths", i)

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +33,7 @@ from .corpus import Corpus, JndTruth
 from .mapping import FAMILIES, MappingFunction, family_spec
 # evaluate_grid does not call predict_jnd; the benchmark's tracer wraps
 # evaluate.predict_jnd by name, so it stays importable from here
-from .predict import JndPrediction, PredictionTable, predict_jnd, predict_step  # noqa: F401
+from .predict import PredictionTable, predict_jnd, predict_step  # noqa: F401
 from .ranges import Decomposition
 
 log = logging.getLogger(__name__)
@@ -61,7 +60,7 @@ class CellMetrics:
 class EvalGrid:
     spec: EvalGridSpec
     cells: dict[tuple[str, str, float], CellMetrics]  # (direction, family, thr)
-    predictions: Sequence[JndPrediction] = field(default=(), repr=False)
+    predictions: PredictionTable = field(repr=False)
 
     def cell(self, direction: str, family: str, threshold: float) -> CellMetrics:
         return self.cells[(direction, family, threshold)]

@@ -54,7 +54,6 @@ from __future__ import annotations
 import logging
 import math
 from collections import Counter
-from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -64,7 +63,7 @@ import numpy as np
 from . import tableio
 from .errors import CorpusError, FitError
 from .ranges import Decomposition, SubQualityRange
-from .significance import PairTable, RatedPair
+from .significance import PairTable
 
 log = logging.getLogger(__name__)
 
@@ -192,7 +191,7 @@ def is_monotone(family: str, params: np.ndarray, domain: tuple[float, float]) ->
 
 
 def build_codistribution(
-    srange: SubQualityRange, pairs: Sequence[RatedPair], bin_width: float = 2.0
+    srange: SubQualityRange, pairs: PairTable, bin_width: float = 2.0
 ) -> CoDistribution:
     """Histogram the range's pairs over shared |dVMAF| bins, split by sig bit.
 
@@ -202,9 +201,8 @@ def build_codistribution(
     """
     if not bin_width > 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
-    table = PairTable.of(pairs)
-    rows = _rows_in_range(srange, table)
-    deltas, sig = table.delta_obj[rows], table.sig[rows].astype(bool)
+    rows = _rows_in_range(srange, pairs)
+    deltas, sig = pairs.delta_obj[rows], pairs.sig[rows].astype(bool)
     top = math.ceil(float(deltas.max()))
     n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
     edges = np.arange(n_bins + 1, dtype=float) * bin_width
@@ -853,7 +851,7 @@ def _fit_family(
 def fit_mapping(
     points: list[PsdPoint],
     family: str,
-    pairs_for_glm: Sequence[RatedPair] | None = None,
+    pairs_for_glm: PairTable | None = None,
 ) -> MappingFunction:
     """Fit one curve family to p_sd points (support-weighted) over the domain
     (0, largest point |dVMAF|): the one-range call of ``fit_all``'s path.
@@ -863,9 +861,7 @@ def fit_mapping(
     act as grouped binomial observations with their support as trials.  The
     least-squares fitter ignores ``pairs_for_glm``.
     """
-    spec = family_spec(family)
-    glm_pairs = None if pairs_for_glm is None else PairTable.of(pairs_for_glm)
-    (fitted,) = _fit_family(spec, [(points, glm_pairs)])
+    (fitted,) = _fit_family(family_spec(family), [(points, pairs_for_glm)])
     if isinstance(fitted, FitError):
         raise fitted
     return fitted
@@ -873,7 +869,7 @@ def fit_mapping(
 
 def fit_all(
     decomp: Decomposition,
-    pairs: Sequence[RatedPair],
+    pairs: PairTable,
     families: tuple[str, ...] = FAMILIES,
     bin_width: float = 2.0,
     glm_mode: str = "pairwise",
@@ -887,17 +883,16 @@ def fit_all(
         raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {glm_mode!r}")
     specs = [family_spec(family) for family in families]  # an unknown family fails first
 
-    table = PairTable.of(pairs)
     codists: dict[str, CoDistribution] = {}
     problems = []
     for srange in decomp.ranges:
         if not srange.pair_refs:
             log.warning("range %s has no pairs; skipped", srange.range_id)
             continue
-        cd = build_codistribution(srange, table, bin_width)
+        cd = build_codistribution(srange, pairs, bin_width)
         codists[srange.range_id] = cd
         glm_pairs = (
-            table.take(_rows_in_range(srange, table)) if glm_mode == "pairwise" else None
+            pairs.take(_rows_in_range(srange, pairs)) if glm_mode == "pairwise" else None
         )
         problems.append((psd_points(cd), glm_pairs))
     fits = [_fit_family(spec, problems) for spec in specs]

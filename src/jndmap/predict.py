@@ -18,7 +18,6 @@ from __future__ import annotations
 import logging
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -55,15 +54,6 @@ class JndPrediction:
     delta_obj_jnd: float
     target_vmaf: float
     clamped: bool
-
-
-def select_range(decomp: Decomposition, anchor_vmaf: float) -> tuple[str, bool]:
-    """Range id holding ``anchor_vmaf``; outside coverage snaps to the nearest
-    end range and reports it via the second element; KeyError for NaN."""
-    if np.isnan(anchor_vmaf):
-        raise decomp.uncovered(anchor_vmaf)
-    index, outside = decomp.locate(anchor_vmaf)
-    return decomp.ranges[index].range_id, bool(outside)
 
 
 def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, bool]:
@@ -167,23 +157,13 @@ class PredictionTable(tableio.RowSequence[JndPrediction]):
     five object arrays (content, anchor recipe, direction, range, family),
     ``numbers``, three float arrays (threshold, |dVMAF|, target VMAF), and
     the bool array ``clamped``.  As a sequence, the table is the
-    :class:`JndPrediction` objects, built on first use and cached."""
+    :class:`JndPrediction` objects, a view built from the columns on first
+    use."""
 
-    def __init__(self, *columns: Sequence, rows: tuple[JndPrediction, ...] | None = None) -> None:
+    def __init__(self, *columns: Sequence) -> None:
         self.ids = [np.asarray(column, dtype=object) for column in columns[:5]]
         self.numbers = [np.asarray(column, dtype=float) for column in columns[5:8]]
         self.clamped = np.asarray(columns[8], dtype=bool)
-        self._rows = rows
-
-    @classmethod
-    def of(cls, predictions: Sequence[JndPrediction]) -> PredictionTable:
-        """``predictions`` as a table: a table as it is, any other sequence of
-        :class:`JndPrediction` column by column."""
-        if isinstance(predictions, PredictionTable):
-            return predictions
-        rows = tuple(predictions)
-        columns = list(zip(*map(attrgetter(*PREDICTION_COLUMNS), rows))) or [()] * 9
-        return cls(*columns, rows=rows)
 
     def cells(self) -> list[Sequence]:
         """The columns as Python values, ``clamped`` as 0 or 1."""
@@ -198,6 +178,5 @@ class PredictionTable(tableio.RowSequence[JndPrediction]):
         return len(self.clamped)
 
 
-def predictions_csv_text(predictions: Sequence[JndPrediction]) -> str:
-    cells = PredictionTable.of(predictions).cells()
-    return tableio.rows_to_csv_text(PREDICTION_COLUMNS, zip(*cells))
+def predictions_csv_text(predictions: PredictionTable) -> str:
+    return tableio.rows_to_csv_text(PREDICTION_COLUMNS, zip(*predictions.cells()))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import tableio
 from .corpus import Corpus
-from .significance import PairTable, RatedPair
+from .significance import PairTable
 
 log = logging.getLogger(__name__)
 
@@ -88,24 +88,10 @@ class Decomposition:
         index = np.searchsorted([r.hi for r in self.ranges], vmaf)
         return np.minimum(index, len(self.ranges) - 1), ~((lo < vmaf) & (vmaf <= hi))
 
-    def find_range(self, vmaf: float) -> SubQualityRange:
-        """The unique range containing ``vmaf``; KeyError outside coverage."""
-        index, outside = self.locate(vmaf)
-        if outside:
-            raise self.uncovered(vmaf)
-        return self.ranges[index]
-
     def uncovered(self, vmaf: float) -> KeyError:
         """The error for a ``vmaf`` that no range holds."""
         lo, hi = self.coverage
         return KeyError(f"vmaf {vmaf} outside coverage ({lo}, {hi}]")
-
-    def by_id(self, range_id: str) -> SubQualityRange:
-        for r in self.ranges:
-            if r.range_id == range_id:
-                return r
-        raise KeyError(f"unknown range {range_id!r}")
-
 
 
 def _build(strategy: str, bounds: list[float]) -> Decomposition:
@@ -206,7 +192,9 @@ def _held(decomp: Decomposition, values: Sequence[float]) -> list[int]:
 
 
 def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition:
-    """Equal-width ranges covering (0, 100]; the top range is clipped at 100."""
+    """Equal-width ranges covering (0, 100]; the top range is clipped at 100.
+    Given a corpus, one warning counts the ranges that hold none of its
+    stimuli and names the first and last three."""
     check_settings("fixed_width", width=width)
     n = math.ceil(100.0 / width)
     bounds = [min(i * width, 100.0) for i in range(n)] + [100.0]
@@ -215,8 +203,9 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
         held = _held(decomp, [s.vmaf for s in corpus.stimuli])
         empty = [r.range_id for r, count in zip(decomp.ranges, held) if not count]
         if empty:
+            shown = empty if len(empty) <= 6 else [*empty[:3], "...", *empty[-3:]]
             log.warning(
-                "%d fixed-width range(s) hold no stimuli: %s", len(empty), ", ".join(empty)
+                "%d fixed-width range(s) hold no stimuli: %s", len(empty), ", ".join(shown)
             )
     return decomp
 
@@ -227,16 +216,13 @@ def decompose_explicit(bounds: list[float]) -> Decomposition:
     return _build("explicit", [float(b) for b in bounds])
 
 
-def assign_pairs(
-    pairs: Sequence[RatedPair], decomp: Decomposition, corpus: Corpus
-) -> Decomposition:
+def assign_pairs(pairs: PairTable, decomp: Decomposition, corpus: Corpus) -> Decomposition:
     """Attach pair ids to every range containing either pair endpoint.
 
     Idempotent and independent of the order of ``pairs``; re-assignment
     replaces any previous refs.  Each range's refs are sorted by pair id, and
     a pair listed twice is referenced once.
     """
-    pairs = PairTable.of(pairs)
     table = corpus.ratings
     codes = pairs.endpoint_codes(table)
     vmaf = np.append(table.vmaf, np.nan)[codes]  # code -1 (unknown) reads NaN
@@ -250,9 +236,9 @@ def assign_pairs(
             f"the decomposition coverage {decomp.coverage}"
         )
     ids = pairs.pair_ids
-    by_id = sorted(range(len(ids)), key=ids.__getitem__)
-    sorted_ids = np.array([ids[i] for i in by_id], dtype=object)
-    where = where[by_id]
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    sorted_ids = np.array([ids[i] for i in order], dtype=object)
+    where = where[order]
     # a repeated id sorts next to its first copy and shares its group
     group = np.cumsum(np.append(True, sorted_ids[1:] != sorted_ids[:-1]))
     refs = []
@@ -286,12 +272,13 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
     if data["strategy"] not in STRATEGIES:
         raise ValueError(f"unknown strategy {data['strategy']!r}; expected one of {STRATEGIES}")
     decomp = _build(data["strategy"], [float(b) for b in data["bounds"]])
-    assignments = data.get("assignments", {})
-    ranges = []
-    for r in decomp.ranges:
-        refs = assignments.get(r.range_id, [])
-        ranges.append(replace(r, pair_refs=tuple(refs)))
-    return Decomposition(strategy=decomp.strategy, ranges=tuple(ranges))
+    assignments = {
+        range_id: tableio.string_list(refs, f"assignments[{range_id!r}]")
+        for range_id, refs in data.get("assignments", {}).items()
+    }
+    ranges = tuple(replace(r, pair_refs=tuple(assignments.get(r.range_id, ())))
+                   for r in decomp.ranges)
+    return Decomposition(strategy=decomp.strategy, ranges=ranges)
 
 
 def read_ranges_json(path: str | Path) -> Decomposition:

@@ -66,7 +66,7 @@ class ScreeningReport:
     def from_json_dict(cls, data: dict) -> "ScreeningReport":
         return cls(
             method=data["method"],
-            removed_observers=frozenset(data["removed"]),
+            removed_observers=frozenset(tableio.string_list(data["removed"], "removed")),
             per_observer_stats={obs: ObserverStats(**st) for obs, st in data["stats"].items()},
         )
 

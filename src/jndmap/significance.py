@@ -19,8 +19,8 @@ one pair of vectors.
 The labelled pairs are one columnar :class:`PairTable`: ids, |dVMAF|, p-value
 and sig bit per pair, and, when it comes from a corpus, the stimulus codes of
 both endpoints.  Pair assignment, the co-distributions, the pairwise GLM and
-``pairs.csv`` read its columns; a list of :class:`RatedPair` is turned into
-the same table wherever pairs are taken.
+``pairs.csv`` take this table and read its columns; :class:`RatedPair`
+objects are only a view of them, built when the table is iterated or indexed.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -86,32 +85,21 @@ class PairTable(tableio.RowSequence[RatedPair]):
     codes of each pair's two endpoints as an ``(n, 2)`` array, and ``keys``,
     the key list of the :class:`RatingTable` they index.
 
-    As a sequence, the table is the pairs as :class:`RatedPair` objects,
-    built on first use and cached; a table made by :meth:`of` from
-    ``RatedPair`` objects keeps those.
+    As a sequence, the table is the pairs as :class:`RatedPair` objects, a
+    view built from the columns on first use.
     """
 
     def __init__(self, content_id: Sequence[str], recipe_x: Sequence[str],
                  recipe_y: Sequence[str], delta_obj: Sequence[float], p_value: Sequence[float],
                  sig: Sequence[int], codes: np.ndarray | None = None,
-                 keys: list[tuple[str, str]] | None = None,
-                 rows: tuple[RatedPair, ...] | None = None) -> None:
+                 keys: list[tuple[str, str]] | None = None) -> None:
         self.content_id, self.recipe_x, self.recipe_y = (
             np.asarray(ids, dtype=object) for ids in (content_id, recipe_x, recipe_y)
         )
         self.delta_obj = np.asarray(delta_obj, dtype=float)
         self.p_value = np.asarray(p_value, dtype=float)
         self.sig = np.asarray(sig, dtype=np.int64)
-        self.codes, self.keys, self._rows = codes, keys, rows
-
-    @classmethod
-    def of(cls, pairs: Sequence[RatedPair]) -> PairTable:
-        """``pairs`` as a table: a table as it is, any other sequence of
-        :class:`RatedPair` column by column."""
-        if isinstance(pairs, PairTable):
-            return pairs
-        rows = tuple(pairs)
-        return cls(*(list(zip(*map(attrgetter(*PAIR_TABLE), rows))) or [()] * 6), rows=rows)
+        self.codes, self.keys = codes, keys
 
     def take(self, rows: np.ndarray) -> PairTable:
         """The table of the pairs at positions ``rows``, in that order,
@@ -158,11 +146,10 @@ class PairTable(tableio.RowSequence[RatedPair]):
 def _two_sided_p(t, df):
     # Student-t survival mass in both tails via the regularized incomplete
     # beta function (continued-fraction evaluation, accurate to ~1e-14), for
-    # floats or arrays of them.
+    # arrays of t and df.
     from scipy import special  # imported here: commands that test no pair skip it
 
-    p = np.where(t == 0.0, 1.0, special.betainc(0.5 * df, 0.5, df / (df + t * t)))
-    return p if p.ndim else float(p)
+    return np.where(t == 0.0, 1.0, special.betainc(0.5 * df, 0.5, df / (df + t * t)))
 
 
 def _t_kernel(test: str, na: np.ndarray, nb: np.ndarray, diff: np.ndarray, va: np.ndarray,
@@ -312,8 +299,8 @@ def _paired_differences(
 # -- serialization ----------------------------------------------------------
 
 
-def pairs_csv_text(pairs: Sequence[RatedPair]) -> str:
-    return tableio.rows_to_csv_text(PAIR_TABLE, zip(*PairTable.of(pairs).columns()))
+def pairs_csv_text(pairs: PairTable) -> str:
+    return tableio.rows_to_csv_text(PAIR_TABLE, zip(*pairs.columns()))
 
 
 def read_pairs_csv(path: str | Path) -> PairTable:

@@ -16,8 +16,9 @@ its shortest round-trip ``repr``, so a value survives a write/read round trip
 bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
 :func:`read_json` only.
 
-A table held in memory as columns reads as a sequence of row objects through
-:class:`RowSequence`, which builds the objects only when they are asked for.
+A table held in memory is its columns, the one form the pipeline's stages
+take.  :class:`RowSequence` makes it read as a sequence of row objects too: a
+view of the columns, built only when it is iterated or indexed.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ class RowSequence(Sequence[T]):
     """Columns that read as a sequence of row objects.
 
     A subclass defines ``__len__`` and ``_build``, which makes the row
-    objects; they are built on first use and cached in ``_rows``.
+    objects from the columns; they are built on first use and cached in
+    ``_rows``.
     """
 
     _rows: tuple | None = None
@@ -223,6 +225,14 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
     except (AttributeError, TypeError, ValueError) as exc:
         raise CorpusError(str(exc), path=path.name) from None
     return obj
+
+
+def string_list(value: object, key: str) -> list[str]:
+    """``value`` if it is a JSON list of strings, else a ValueError naming
+    ``key``; a bare string would otherwise pass for its characters."""
+    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
+        raise ValueError(f"{key}: expected a list of strings, got {value!r}")
+    return value
 
 
 #: JSON types accepted for a dataclass field, by the type of its default.

@@ -271,6 +271,24 @@ def test_predict_rejects_an_anchor_vmaf_the_vmaf_column_would(
     assert _predict_in_process(run_dir, out, *table) == 0
 
 
+def test_predict_takes_its_anchor_from_one_source(sim_dir, run_dir, tmp_path, capsys):
+    """A valid ``--anchor-vmaf`` beside ``--vmaf-table`` used to lose to the
+    table's anchor without a word."""
+    out = tmp_path / "predictions.csv"
+    vmaf_table = ["--vmaf-table", str(sim_dir / "vmaf_scores.csv")]
+    for flags in (vmaf_table, [*vmaf_table, "--content", "c00", "--recipe", "r1"]):
+        assert _predict_in_process(run_dir, out, "--anchor-vmaf", "88", *flags) == 2
+        record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert record == {"error": "ValueError", "command": "predict", "artifacts_written": [],
+                          "message": "--anchor-vmaf and --vmaf-table both give the anchor; "
+                                     "pass one"}
+        assert not out.exists()
+    # --content and --recipe label an --anchor-vmaf anchor
+    assert _predict_in_process(run_dir, out, "--anchor-vmaf", "88", "--content", "c00",
+                               "--recipe", "r1") == 0
+    assert out.read_text(encoding="utf-8").splitlines()[1].startswith("c00,r1,dec,")
+
+
 @pytest.mark.parametrize("value", ["0", "100"])
 def test_predict_accepts_an_anchor_vmaf_at_either_end_of_the_scale(run_dir, tmp_path, capsys,
                                                                     value):
@@ -608,6 +626,45 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
         record = _error_record(proc)
         assert record["error"] == "CorpusError"
         assert record["message"].startswith(f"mf_params.json: {message}")
+
+
+def _main_error_record(capsys, argv) -> dict:
+    assert cli.main([str(arg) for arg in argv]) == 2
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize(("removed", "message"), [
+    # a string used to be read as the set of its characters, removing nobody
+    ("o01", "screening.json: removed: expected a list of strings, got 'o01'"),
+    ([1], "screening.json: removed: expected a list of strings, got [1]"),
+    (["o01", "zz"], "screening.json: removed observer 'zz' has no rating"),
+], ids=["string", "number", "unknown-observer"])
+def test_screening_report_removes_listed_observers_with_ratings(
+    sim_dir, run_dir, tmp_path, capsys, removed, message
+):
+    report = json.loads((run_dir / "screening.json").read_text(encoding="utf-8"))
+    write_json(tmp_path / "screening.json", {**report, "removed": removed})
+    record = _main_error_record(capsys, [
+        "classify", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+        "--screening-report", tmp_path / "screening.json", "--out", tmp_path / "pairs.csv"])
+    assert record == {"error": "CorpusError", "message": message, "command": "classify",
+                      "artifacts_written": []}
+
+
+@pytest.mark.parametrize("refs", ["c00:r1:r2", {"c00:r1:r2": 0}, ["c00:r1:r2", 3]],
+                         ids=["string", "dict", "number"])
+def test_ranges_assignments_are_lists_of_pair_ids(run_dir, tmp_path, capsys, refs):
+    # a string or dict used to fail as pairs missing from pairs.csv, unnamed
+    ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))
+    range_id = sorted(ranges["assignments"])[0]
+    ranges["assignments"][range_id] = refs
+    write_json(tmp_path / "ranges.json", ranges)
+    record = _main_error_record(capsys, [
+        "fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
+        "--out-dir", tmp_path / "out"])
+    assert record["error"] == "CorpusError"
+    assert record["message"] == (
+        f"ranges.json: assignments[{range_id!r}]: expected a list of strings, got {refs!r}")
 
 
 def _duplicate_line_2(lines):

@@ -1,15 +1,18 @@
-"""The demos import only names the package defines, and run to the end."""
+"""The demos and the README's library example import only names the package
+defines, and run to the end."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_are_found():
@@ -36,3 +39,13 @@ def test_demo_imports_exist(demo):
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(demo), run_name="__main__")
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_library_example_runs(capsys):
+    """The one ``python`` block of README.md, under "Library use", run as written."""
+    (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
+                            re.DOTALL)
+    exec(compile(example, "README.md", "exec"), {"__name__": "__main__"})
+    prediction, pairs = capsys.readouterr().out.splitlines()
+    assert len(prediction.split()) == 3
+    assert "RatedPair(content_id=" in pairs

@@ -41,7 +41,7 @@ from jndmap.mapping import (
 )
 from jndmap.ranges import assign_pairs, decompose_balanced, decompose_explicit
 from jndmap.screening import apply_screening, screen_bt500
-from jndmap.significance import RatedPair, classify_pairs
+from jndmap.significance import PairTable, classify_pairs
 from jndmap.simulate import SimSpec, simulate_corpus
 from jndmap.tableio import json_text, write_json
 
@@ -69,11 +69,11 @@ def _codist_fixture():
         for i, (r, v) in enumerate(vm.items())
     )
     corpus = Corpus(stimuli, (), ())
-    pairs = [
-        RatedPair("c1", "a", "b", 1.0, 0.50, 0),
-        RatedPair("c1", "a", "c", 1.2, 0.40, 0),
-        RatedPair("c1", "a", "d", 7.5, 0.001, 1),
-    ]
+    pairs = PairTable(*zip(
+        ("c1", "a", "b", 1.0, 0.50, 0),
+        ("c1", "a", "c", 1.2, 0.40, 0),
+        ("c1", "a", "d", 7.5, 0.001, 1),
+    ))
     decomp = assign_pairs(pairs, decompose_explicit([0.0, 50.0]), corpus)
     return decomp.ranges[0], pairs
 
@@ -97,13 +97,13 @@ def test_codistribution_conserves_counts():
         n = int(rng.integers(5, 60))
         deltas = rng.uniform(0.05, 25.0, size=n)
         sigs = rng.integers(0, 2, size=n)
-        pairs = [
-            RatedPair("c1", f"x{i}", f"y{i}", float(d), 0.5, int(s))
+        pairs = PairTable(*zip(*(
+            ("c1", f"x{i}", f"y{i}", float(d), 0.5, int(s))
             for i, (d, s) in enumerate(zip(deltas, sigs))
-        ]
+        )))
         from jndmap.ranges import SubQualityRange
 
-        srange = SubQualityRange(0.0, 50.0, "(0,50]", tuple(p.pair_id for p in pairs))
+        srange = SubQualityRange(0.0, 50.0, "(0,50]", tuple(pairs.pair_ids))
         cd = build_codistribution(srange, pairs, bin_width=2.0)
         assert sum(cd.f_sim) + sum(cd.f_dif) == n
         assert sum(cd.f_sim) == int(np.sum(sigs == 0))
@@ -120,7 +120,7 @@ def test_codistribution_input_guards():
     with pytest.raises(ValueError):
         build_codistribution(srange, pairs, bin_width=0.0)
     with pytest.raises(ValueError):
-        build_codistribution(srange, [])  # referenced pairs missing
+        build_codistribution(srange, PairTable(*[()] * 6))  # referenced pairs missing
     from jndmap.ranges import SubQualityRange
 
     empty = SubQualityRange(0.0, 50.0, "(0,50]", ())
@@ -132,9 +132,9 @@ def test_codistribution_counts_missing_and_repeated_pairs_by_id():
     srange, pairs = _codist_fixture()
     # a repeat of one pair does not stand in for a missing one
     with pytest.raises(ValueError, match=r"references 1 pair\(s\) not in the given list"):
-        build_codistribution(srange, [pairs[0], pairs[0], pairs[2]])
+        build_codistribution(srange, pairs.take(np.array([0, 0, 2])))
     with pytest.raises(ValueError, match=r"the given list repeats 1 pair\(s\)"):
-        build_codistribution(srange, pairs + [pairs[1]])
+        build_codistribution(srange, pairs.take(np.array([0, 1, 2, 1])))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -191,10 +191,10 @@ def test_glm_separated_pairs_hit_slope_cap():
     # Perfect separation with a narrow margin around delta 5: the slope has
     # to blow up to fit it, so IRLS pins it at the cap and re-solves the
     # intercept, leaving the 0.5-crossing at the middle of the margin.
-    pairs = [
-        RatedPair("c1", "a", f"s{i}", d, 0.5, int(d > 5.0))
+    pairs = PairTable(*zip(*(
+        ("c1", "a", f"s{i}", d, 0.5, int(d > 5.0))
         for i, d in enumerate((1.0, 3.0, 4.95, 5.05, 7.0, 9.0))
-    ]
+    )))
     pts = [PsdPoint(p.delta_obj, float(p.sig), 1) for p in pairs]
     mf = fit_mapping(pts, "glm", pairs_for_glm=pairs)
     assert "separation" in mf.fit_report.flags
@@ -361,7 +361,8 @@ def _study_points(spec: SimSpec, k: int, range_id: str, bin_width: float) -> lis
     corpus = apply_screening(corpus, screen_bt500(corpus))
     pairs = classify_pairs(corpus, test="welch")
     decomp = assign_pairs(pairs, decompose_balanced(corpus, k), corpus)
-    return psd_points(build_codistribution(decomp.by_id(range_id), pairs, bin_width=bin_width))
+    (srange,) = (r for r in decomp.ranges if r.range_id == range_id)
+    return psd_points(build_codistribution(srange, pairs, bin_width=bin_width))
 
 
 #: Small noisy studies whose logistic5 fit has a worse local minimum on the
@@ -478,7 +479,7 @@ def test_a_range_fits_the_same_alone_and_in_any_batch(study, default_sim):
     for srange in decomp.ranges:
         points = psd_points(codists[srange.range_id])
         refs = set(srange.pair_refs)
-        glm_pairs = [p for p in pairs if p.pair_id in refs]
+        glm_pairs = pairs.take(np.flatnonzero([pair_id in refs for pair_id in pairs.pair_ids]))
         for family in FAMILIES:
             alone = fit_mapping(points, family, pairs_for_glm=glm_pairs)
             assert models[srange.range_id][family] == alone  # params, report, flags
@@ -581,14 +582,13 @@ def test_fit_all_and_serialization(tmp_path):
     )
     corpus = Corpus(stimuli, (), ())
     recipes = list(vm)
-    pairs = []
+    rows = []
     for i, rx in enumerate(recipes):
         for ry in recipes[i + 1 :]:
             delta = abs(vm[rx] - vm[ry])
             p_true = 1.0 / (1.0 + np.exp(-0.8 * (delta - 6.0)))
-            pairs.append(
-                RatedPair("c1", rx, ry, delta, 0.5, int(rng.uniform() < p_true))
-            )
+            rows.append(("c1", rx, ry, delta, 0.5, int(rng.uniform() < p_true)))
+    pairs = PairTable(*zip(*rows))
     decomp = assign_pairs(pairs, decompose_explicit([50.0, 75.0, 100.0]), corpus)
     codists, models = fit_all(decomp, pairs, families=FAMILIES, bin_width=2.0)
     assert set(models) <= set(decomp.range_ids())

@@ -1,6 +1,6 @@
 """The columnar pair table's array programs against per-pair oracles.
 
-Random small corpora and ``RatedPair`` lists in random order, with repeated
+Random small corpora and pair tables with rows in random order, with repeated
 pairs, pairs of unknown stimuli and random explicit bounds that need not
 cover every stimulus.  ``assign_pairs`` must give each range the refs a
 per-endpoint loop over the ranges gives it, or fail at the same endpoint; each
@@ -24,7 +24,7 @@ from jndmap.corpus import Corpus, Recipe, Stimulus
 from jndmap.errors import FitError
 from jndmap.mapping import build_codistribution, fit_all
 from jndmap.ranges import assign_pairs, decompose_explicit
-from jndmap.significance import PairTable, RatedPair
+from jndmap.significance import PairTable
 
 from conftest import range_of
 
@@ -35,7 +35,7 @@ VMAFS = st.one_of(st.sampled_from((0.0, 20.0, 35.5, 50.0, 80.0, 100.0)), st.floa
 
 
 @st.composite
-def studies(draw) -> tuple[Corpus, list[RatedPair], list[float]]:
+def studies(draw) -> tuple[Corpus, PairTable, list[float]]:
     """A corpus, pairs of its stimuli (and maybe of an unknown one) in random
     order with maybe a repeat, and increasing explicit bounds, which cover
     every stimulus three times in four."""
@@ -52,12 +52,10 @@ def studies(draw) -> tuple[Corpus, list[RatedPair], list[float]]:
     keys = draw(st.lists(st.sampled_from(candidates), min_size=1, unique=True))
     if draw(st.integers(0, 7)) == 0:
         keys.append((stimuli[0].content_id, stimuli[0].recipe_id, "zz"))  # an unknown stimulus
-    pairs = [
-        RatedPair(*key, draw(st.floats(0.0, 60.0)), 0.5, draw(st.integers(0, 1))) for key in keys
-    ]
+    rows = [(*key, draw(st.floats(0.0, 60.0)), 0.5, draw(st.integers(0, 1))) for key in keys]
     if draw(st.integers(0, 7)) == 0:
-        pairs.append(draw(st.sampled_from(pairs)))
-    pairs = draw(st.permutations(pairs))
+        rows.append(draw(st.sampled_from(rows)))
+    pairs = PairTable(*zip(*draw(st.permutations(rows))))
     # tenths of a VMAF unit or a stimulus's VMAF, so bounds often fall on one
     edges = st.one_of(st.integers(0, 1000).map(lambda b: b / 10.0),
                       st.sampled_from([s.vmaf for s in stimuli]))
@@ -110,7 +108,6 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
         return
     assigned = assign_pairs(pairs, decomp, corpus)
     assert {r.range_id: r.pair_refs for r in assigned.ranges} == expected
-    assert assign_pairs(PairTable.of(pairs), decomp, corpus) == assigned
 
     glm_inputs = []
 

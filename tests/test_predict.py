@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -13,10 +14,10 @@ from jndmap.errors import FitError
 from jndmap.mapping import FitReport, MappingFunction, evaluate_mf
 from jndmap.predict import (
     INVERSION_TOL,
+    PredictionTable,
     invert_at_threshold,
     predict_jnd,
     predictions_csv_text,
-    select_range,
 )
 from jndmap.ranges import decompose_explicit
 from jndmap.tableio import write_csv_text
@@ -93,14 +94,6 @@ def test_inversion_roundtrip_property(b1, b2, thr):
         assert abs(evaluate_mf(mf, delta) - thr) <= INVERSION_TOL
 
 
-def test_select_range_snapping():
-    decomp = decompose_explicit([30.0, 79.0, 86.0, 90.0, 95.0, 100.0])
-    assert select_range(decomp, 92.0) == ("(90,95]", False)
-    assert select_range(decomp, 79.0) == ("(30,79]", False)
-    assert select_range(decomp, 101.0) == ("(95,100]", True)
-    assert select_range(decomp, 20.0) == ("(30,79]", True)
-
-
 EDGES = (30.0, 79.0, 86.0, 90.0, 95.0, 100.0)
 
 
@@ -145,8 +138,6 @@ def test_a_nan_anchor_lies_in_no_range():
     message = r"^'vmaf nan outside coverage \(30.0, 100.0\]'$"
     with pytest.raises(KeyError, match=message):
         predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")
-    with pytest.raises(KeyError, match=message):
-        select_range(decomp, math.nan)
 
 
 def test_predict_jnd_decrease(ladder_stimuli, single_range_models):
@@ -191,7 +182,7 @@ def test_predictions_csv(tmp_path, ladder_stimuli, single_range_models):
     corpus = Corpus(ladder_stimuli, (), (JndTruth("c1", "r1", "dec", "r3", 1),))
     anchor = corpus.stimulus("c1", "r1")
     pred = predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")
-    text = predictions_csv_text([pred])
+    text = predictions_csv_text(PredictionTable(*zip(dataclasses.astuple(pred))))
     header, row = text.splitlines()
     assert header.startswith("content_id,anchor_recipe_id,direction,range_id")
     assert row.startswith("c1,r1,dec,")

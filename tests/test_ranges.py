@@ -23,7 +23,7 @@ from jndmap.ranges import (
     decomposition_to_json_dict,
     read_ranges_json,
 )
-from jndmap.significance import RatedPair
+from jndmap.significance import PairTable
 from jndmap.tableio import write_json
 
 from conftest import make_stimuli, range_of
@@ -138,20 +138,24 @@ def test_fixed_width_warns_on_empty_ranges(caplog):
     corpus = _corpus([0.0, 90.0, 95.0, 100.0])
     with caplog.at_level(logging.WARNING, logger="jndmap.ranges"):
         decompose_fixed(10.0, corpus)
-    empty = ", ".join(f"({lo},{lo + 10}]" for lo in range(0, 80, 10))
+    # the first and last three of the 8 empty ranges
+    shown = "(0,10], (10,20], (20,30], ..., (50,60], (60,70], (70,80]"
     assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
-        (logging.WARNING, f"8 fixed-width range(s) hold no stimuli: {empty}")
+        (logging.WARNING, f"8 fixed-width range(s) hold no stimuli: {shown}")
     ]
 
 
-def test_find_range_boundaries():
-    decomp = decompose_explicit([30.0, 79.0, 86.0])
-    assert decomp.find_range(79.0).range_id == "(30,79]"  # upper edge inclusive
-    assert decomp.find_range(79.0001).range_id == "(79,86]"
-    with pytest.raises(KeyError):
-        decomp.find_range(30.0)  # lower edge exclusive
-    with pytest.raises(KeyError):
-        decomp.find_range(86.5)
+def test_fixed_width_warning_is_one_short_line_at_any_width(caplog):
+    # at width 0.1 all but 3 of the 1000 ranges are empty; listing them all
+    # made one line of thousands of characters
+    corpus = _corpus([0.0, 90.0, 95.0, 100.0])
+    with caplog.at_level(logging.WARNING, logger="jndmap.ranges"):
+        decompose_fixed(0.1, corpus)
+    (record,) = caplog.records
+    assert record.getMessage() == (
+        "997 fixed-width range(s) hold no stimuli: (0,0.1], (0.1,0.2], (0.2,0.3], ..., "
+        "(99.6,99.7], (99.7,99.8], (99.8,99.9]"
+    )
 
 
 @st.composite
@@ -178,11 +182,6 @@ def test_locate_matches_a_loop_over_the_ranges(study):
     )
     for v in values:
         assert tuple(map(int, decomp.locate(v))) == range_of(decomp, v)
-        if range_of(decomp, v)[1]:
-            with pytest.raises(KeyError, match="outside coverage"):
-                decomp.find_range(v)
-        else:
-            assert decomp.find_range(v) == decomp.ranges[range_of(decomp, v)[0]]
 
 
 def test_duplicate_formatted_ids_get_disambiguated():
@@ -204,11 +203,11 @@ def _pairs_and_corpus():
         (),
         (),
     )
-    pairs = [
-        RatedPair("c1", "a", "b", 4.0, 0.2, 0),   # both endpoints in (85,95]
-        RatedPair("c1", "a", "c", 14.0, 0.01, 1),  # straddles two ranges
-        RatedPair("c1", "c", "d", 18.0, 0.001, 1),  # straddles two ranges
-    ]
+    pairs = PairTable(*zip(
+        ("c1", "a", "b", 4.0, 0.2, 0),   # both endpoints in (85,95]
+        ("c1", "a", "c", 14.0, 0.01, 1),  # straddles two ranges
+        ("c1", "c", "d", 18.0, 0.001, 1),  # straddles two ranges
+    ))
     return corpus, pairs
 
 
