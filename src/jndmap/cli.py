@@ -304,6 +304,12 @@ def cmd_fit(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
     pairs = significance_mod.read_pairs_csv(args.pairs)
     decomp = ranges_mod.read_ranges_json(args.ranges)
+    for srange in decomp.ranges:
+        missing = sorted(set(srange.pair_refs) - pairs.index.keys())
+        if missing:
+            raise CorpusError(f"range {srange.range_id} references {len(missing)} pair(s) not "
+                              f"in {Path(args.pairs).name}, e.g. {missing[:3]}",
+                              path=Path(args.ranges).name)
     _fit(cfg, decomp, pairs, Path(args.out_dir), written)
 
 

@@ -46,7 +46,8 @@ is rejected, flagged ``flat``: that is all a monotone curve can make of a
 decreasing trend.  Fits are accepted only if the curve, clipped to [0, 1], is
 non-decreasing on a 1000-point grid over its domain; for the least-squares
 families this check is a safety net, and for ``glm`` it is the rule.  The
-pairwise ``glm`` fits the table's |dVMAF| and sig columns at the range's rows.
+pairwise ``glm`` fits the table's |dVMAF| and sig columns at the range's rows,
+by IRLS with closed-form 2x2 steps over point sums, so no fit calls BLAS.
 """
 
 from __future__ import annotations
@@ -646,28 +647,21 @@ class _Glm(Family):
         """Binomial logit by IRLS: on ``pairs`` as Bernoulli data when given, else
         on the points as grouped binomial data with their support as trials."""
         if pairs is not None:
-            if len(pairs) < 2:
-                raise FitError(f"{self.name}: need >= 2 pair observations, got {len(pairs)}")
-            x = pairs.delta_obj
-            y = pairs.sig.astype(float)
-            trials = np.ones_like(x)
+            x, y, trials = pairs.delta_obj, pairs.sig.astype(float), np.ones(len(pairs))
         else:
             x, y, trials = x_points, y_points, w_points
-
-        flags: list[str] = []
+        if len(np.unique(x)) < 2:  # the slope is not identified
+            raise FitError(f"glm: need >= 2 distinct |dVMAF| values, got {len(np.unique(x))}")
         if np.all(y == 0.0) or np.all(y == 1.0):
             # Degenerate all-similar / all-different data: no finite MLE exists,
             # so pin a flat curve at the observed rate and let prediction flag
             # the clamped inversion.  (Constant rates strictly inside (0, 1) are
             # fine -- IRLS converges to slope 0 at the logit of the rate.)
             b0 = IRLS_SLOPE_CAP if y[0] == 1.0 else -IRLS_SLOPE_CAP
-            params = np.array([b0, 0.0])
-            flags.append("constant_labels")
-            iterations = 0
+            params, iterations, flags = np.array([b0, 0.0]), 0, ["constant_labels"]
         else:
             params, iterations, separated = _irls(x, y, trials)
-            if separated:
-                flags.append("separation")
+            flags = ["separation"] if separated else []
 
         deviance, grad_norm = _glm_deviance(params, x, y, trials)
         monotone = bool(params[1] >= -MONOTONE_SLACK) and is_monotone(self.name, params, domain)
@@ -678,38 +672,36 @@ class _Glm(Family):
 def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, int, bool]:
     """Iteratively reweighted least squares for the binomial logit model.
 
-    ``y`` holds observed proportions, ``trials`` the binomial weights.
-    Diverging slope (|b1| past the cap) is diagnosed as separation: the slope
-    is pinned at the cap and the intercept re-solved conditionally.  The step
-    test is relative to the size of beta: with tens of thousands of
-    observations the gradient's rounding floor sits above 1e-10, and the
-    last steps stall at a few ulps of beta instead of reaching zero.
+    ``y`` holds observed proportions, ``trials`` the binomial weights.  Each
+    step solves [[Sw, Swx], [Swx, Swxx]] d = (Sr, Srx) in closed form, from one
+    pass of point sums with w = trials*mu*(1-mu) and r = trials*(y-mu).  A
+    slope past the cap is separation: it is pinned there and the intercept
+    re-solved.  The step test is relative to |beta|, as the gradient's rounding
+    floor exceeds 1e-10 with tens of thousands of observations.
     """
-    X = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
-    for iteration in range(1, IRLS_MAX_ITER + 1):
-        eta = X @ beta
-        mu = np.clip(_sigmoid(eta), 1e-12, 1.0 - 1e-12)
-        weight = trials * mu * (1.0 - mu)
-        z = eta + (y - mu) / (mu * (1.0 - mu))
-        xtw = X.T * weight
-        try:
-            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
-        except np.linalg.LinAlgError:
-            beta_new = np.linalg.lstsq(xtw @ X, xtw @ z, rcond=None)[0]
-        if abs(beta_new[1]) > IRLS_SLOPE_CAP:
-            slope = math.copysign(IRLS_SLOPE_CAP, beta_new[1])
-            intercept = _solve_intercept(x, y, trials, slope)
-            return np.array([intercept, slope]), iteration, True
-        step = float(np.max(np.abs(beta_new - beta)))
-        beta = beta_new
-        _, grad_norm = _glm_deviance(beta, x, y, trials)
-        if grad_norm < 1e-10 or step < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
+    for iteration in range(IRLS_MAX_ITER + 1):  # the steps taken so far
+        mu = np.clip(_sigmoid(beta[0] + beta[1] * x), 1e-12, 1.0 - 1e-12)
+        w, r = trials * mu * (1.0 - mu), trials * (y - mu)
+        sw, swx, swxx, sr, srx = _point_sum(np.stack([w, w * x, w * x * x, r, r * x], axis=1))
+        grad_norm = 2.0 * math.hypot(sr, srx)
+        if grad_norm < 1e-10:
             return beta, iteration, False
-    raise FitError(
-        f"glm: IRLS did not converge within {IRLS_MAX_ITER} iterations (final "
-        f"b1={beta[1]:.3g}, deviance gradient norm {grad_norm:.3g})"
-    )
+        if iteration == IRLS_MAX_ITER:
+            raise FitError(
+                f"glm: IRLS did not converge within {IRLS_MAX_ITER} iterations (final "
+                f"b1={beta[1]:.3g}, deviance gradient norm {grad_norm:.3g})"
+            )
+        det = sw * swxx - swx * swx  # > 0 for two or more distinct x, but for rounding
+        if not det > 0.0:
+            raise FitError(f"glm: singular IRLS normal equations at b1={beta[1]:.3g}")
+        step = np.array([swxx * sr - swx * srx, sw * srx - swx * sr]) / det
+        beta = beta + step
+        if abs(beta[1]) > IRLS_SLOPE_CAP:
+            slope = math.copysign(IRLS_SLOPE_CAP, beta[1])
+            return np.array([_solve_intercept(x, y, trials, slope), slope]), iteration + 1, True
+        if np.max(np.abs(step)) < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
+            return beta, iteration + 1, False
 
 
 def _solve_intercept(x: np.ndarray, y: np.ndarray, trials: np.ndarray, slope: float) -> float:
@@ -756,14 +748,13 @@ def _solve_intercept(x: np.ndarray, y: np.ndarray, trials: np.ndarray, slope: fl
 def _glm_deviance(
     beta: np.ndarray, x: np.ndarray, y: np.ndarray, trials: np.ndarray
 ) -> tuple[float, float]:
-    """Binomial deviance and the norm of its gradient in beta."""
-    X = np.column_stack([np.ones_like(x), x])
-    mu = np.clip(_sigmoid(X @ beta), 1e-12, 1.0 - 1e-12)
+    """Binomial deviance and the norm of its gradient in beta, from point sums."""
+    mu = np.clip(_sigmoid(beta[0] + beta[1] * x), 1e-12, 1.0 - 1e-12)
     yc = np.clip(y, 1e-12, 1.0 - 1e-12)
     dev_terms = y * np.log(yc / mu) + (1.0 - y) * np.log((1.0 - yc) / (1.0 - mu))
-    deviance = float(2.0 * np.sum(trials * dev_terms))
-    grad = -2.0 * (X.T @ (trials * (y - mu)))
-    return deviance, float(np.linalg.norm(grad))
+    r = trials * (y - mu)
+    dev, sr, srx = _point_sum(np.stack([trials * dev_terms, r, r * x], axis=1))
+    return float(2.0 * dev), 2.0 * math.hypot(sr, srx)
 
 
 # -- the family table and the fits -------------------------------------------

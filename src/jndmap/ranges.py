@@ -45,8 +45,7 @@ MAX_FIXED_RANGES = 1000
 
 
 def _fmt_bound(value: float, digits: int = 6) -> str:
-    text = f"{value:.{digits}g}"
-    return text
+    return f"{value:.{digits}g}"
 
 
 @dataclass(frozen=True)
@@ -269,12 +268,17 @@ def decomposition_to_json_dict(decomp: Decomposition) -> dict:
 
 
 def decomposition_from_json_dict(data: dict) -> Decomposition:
+    bounds, assignments = data["bounds"], data.get("assignments", {})
     if data["strategy"] not in STRATEGIES:
         raise ValueError(f"unknown strategy {data['strategy']!r}; expected one of {STRATEGIES}")
-    decomp = _build(data["strategy"], [float(b) for b in data["bounds"]])
+    if not (isinstance(bounds, list) and all(type(b) in (int, float) for b in bounds)):
+        raise ValueError(f"bounds: expected a list of numbers, got {bounds!r}")
+    if not isinstance(assignments, dict):
+        raise ValueError(f"assignments: expected an object of pair-id lists, got {assignments!r}")
+    decomp = _build(data["strategy"], [float(b) for b in bounds])
     assignments = {
         range_id: tableio.string_list(refs, f"assignments[{range_id!r}]")
-        for range_id, refs in data.get("assignments", {}).items()
+        for range_id, refs in assignments.items()
     }
     ranges = tuple(replace(r, pair_refs=tuple(assignments.get(r.range_id, ())))
                    for r in decomp.ranges)

@@ -80,9 +80,8 @@ class SimSpec:
             raise ValueError(f"observer_count must be >= 2, got {self.observer_count}")
         if not 0.0 <= self.ladder_jitter < 0.5:
             raise ValueError("ladder_jitter must be in [0, 0.5) to keep rungs ordered")
-        for name in ("detection_slope",):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if self.detection_slope <= 0:
+            raise ValueError("detection_slope must be positive")
         for name in ("rating_noise_sd", "jnd_jitter_sd", "content_spread", "jnd_scale"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

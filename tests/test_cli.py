@@ -667,6 +667,39 @@ def test_ranges_assignments_are_lists_of_pair_ids(run_dir, tmp_path, capsys, ref
         f"ranges.json: assignments[{range_id!r}]: expected a list of strings, got {refs!r}")
 
 
+def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_path, capsys):
+    ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))
+    range_id = sorted(ranges["assignments"])[0]
+    ranges["assignments"][range_id].append("zz:a:b")
+    write_json(tmp_path / "ranges.json", ranges)
+    record = _main_error_record(capsys, [
+        "fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
+        "--out-dir", tmp_path / "out"])
+    assert record == {
+        "error": "CorpusError",
+        "message": f"ranges.json: range {range_id} references 1 pair(s) not in pairs.csv, "
+                   "e.g. ['zz:a:b']",
+        "command": "fit",
+        "artifacts_written": [],
+    }
+
+
+@pytest.mark.parametrize(("key", "value", "message"), [
+    ("assignments", [1], "assignments: expected an object of pair-id lists, got [1]"),
+    ("bounds", "x", "bounds: expected a list of numbers, got 'x'"),
+    ("bounds", [0, "80", 100], "bounds: expected a list of numbers, got [0, '80', 100]"),
+], ids=["assignments-list", "bounds-string", "bounds-item-string"])
+def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, value, message):
+    # these used to surface Python's own message, without the key
+    ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))
+    write_json(tmp_path / "ranges.json", {**ranges, key: value})
+    record = _main_error_record(capsys, [
+        "fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
+        "--out-dir", tmp_path / "out"])
+    assert record["error"] == "CorpusError"
+    assert record["message"] == f"ranges.json: {message}"
+
+
 def _duplicate_line_2(lines):
     return lines[:2] + [lines[1]] + lines[2:]
 

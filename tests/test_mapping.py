@@ -17,6 +17,7 @@ from jndmap.mapping import (
     FAMILIES,
     FAMILY_TABLE,
     IRLS_MAX_ITER,
+    IRLS_SLOPE_CAP,
     LSQ_MAX_NFEV,
     CoDistribution,
     FitReport,
@@ -25,6 +26,8 @@ from jndmap.mapping import (
     _eval_raw,
     _glm_deviance,
     _irls,
+    _sigmoid,
+    _solve_intercept,
     build_codistribution,
     codist_csv_text,
     curve_samples_csv_text,
@@ -535,6 +538,95 @@ def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
     assert not separated and iterations < IRLS_MAX_ITER
     assert beta == pytest.approx([-2.5, 0.76], abs=0.1)
     assert _glm_deviance(beta, x, y, trials)[1] < 1e-8
+
+
+def _reference_irls(x, y, trials):
+    """IRLS as the package once wrote it, the oracle of the closed-form step:
+    each iteration solves the 2x2 normal equations in the working response z
+    with ``np.linalg.solve`` (``lstsq`` when singular) and then evaluates the
+    deviance gradient at the new beta; the stop rules are the package's."""
+    X = np.column_stack([np.ones_like(x), x])
+    beta = np.zeros(2)
+    for iteration in range(1, IRLS_MAX_ITER + 1):
+        eta = X @ beta
+        mu = np.clip(_sigmoid(eta), 1e-12, 1.0 - 1e-12)
+        z = eta + (y - mu) / (mu * (1.0 - mu))
+        xtw = X.T * (trials * mu * (1.0 - mu))
+        try:
+            beta_new = np.linalg.solve(xtw @ X, xtw @ z)
+        except np.linalg.LinAlgError:
+            beta_new = np.linalg.lstsq(xtw @ X, xtw @ z, rcond=None)[0]
+        if abs(beta_new[1]) > IRLS_SLOPE_CAP:
+            slope = float(np.copysign(IRLS_SLOPE_CAP, beta_new[1]))
+            return np.array([_solve_intercept(x, y, trials, slope), slope]), iteration, True
+        step = float(np.max(np.abs(beta_new - beta)))
+        beta = beta_new
+        mu = np.clip(_sigmoid(X @ beta), 1e-12, 1.0 - 1e-12)
+        grad_norm = float(np.linalg.norm(-2.0 * (X.T @ (trials * (y - mu)))))
+        if grad_norm < 1e-10 or step < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
+            return beta, iteration, False
+    raise AssertionError("the reference IRLS did not converge")
+
+
+def _bernoulli_problem(seed, n, b0, b1, top):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, top, n)
+    y = (rng.uniform(size=n) < 1.0 / (1.0 + np.exp(-(b0 + b1 * x)))).astype(float)
+    return x, y, np.ones_like(x)
+
+
+def _binomial_problem(seed, n_bins, b0, b1):
+    # bin centres 1, 3, 5, ... with a random support each, as psd_points gives
+    rng = np.random.default_rng(seed)
+    x = 2.0 * np.arange(n_bins) + 1.0
+    trials = rng.integers(1, 60, n_bins).astype(float)
+    y = rng.binomial(trials.astype(int), 1.0 / (1.0 + np.exp(-(b0 + b1 * x)))) / trials
+    return x, y, trials
+
+
+IRLS_PROBLEMS = {
+    "bernoulli-30000": _bernoulli_problem(11, 30000, -2.5, 0.76, 12.0),
+    "bernoulli-2000": _bernoulli_problem(3, 2000, -4.0, 0.45, 20.0),
+    "bernoulli-60": _bernoulli_problem(5, 60, 0.3, 0.2, 15.0),
+    "bernoulli-falling": _bernoulli_problem(7, 500, 1.0, -0.3, 10.0),
+    "binomial-8": _binomial_problem(13, 8, -3.0, 0.5),
+    "binomial-25": _binomial_problem(17, 25, -6.0, 0.35),
+    "binomial-flat": _binomial_problem(19, 6, 0.4, 0.0),
+    "separated": (np.array([1.0, 3.0, 4.95, 5.05, 7.0, 9.0]),
+                  np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), np.ones(6)),
+    "separated-grouped": (np.array([1.0, 4.95, 5.05, 7.0]), np.array([0.0, 0.0, 1.0, 1.0]),
+                          np.array([4.0, 9.0, 2.0, 5.0])),
+}
+
+
+@pytest.mark.parametrize("name", list(IRLS_PROBLEMS))
+def test_closed_form_irls_matches_the_linalg_reference(name):
+    x, y, trials = IRLS_PROBLEMS[name]
+    beta, iterations, separated = _irls(x, y, trials)
+    ref_beta, _, ref_separated = _reference_irls(x, y, trials)
+    assert separated == ref_separated == name.startswith("separated")
+    np.testing.assert_allclose(beta, ref_beta, rtol=1e-10, atol=0.0)
+    assert 0 < iterations < IRLS_MAX_ITER
+
+
+@pytest.mark.parametrize("deltas", [(5.0,), (5.0, 5.0, 5.0, 5.0)], ids=["one-pair", "equal-deltas"])
+def test_glm_needs_two_distinct_pair_deltas(deltas):
+    # the points are any two; the pairwise GLM fits the pairs' own |dVMAF|,
+    # and with one value the slope is not identified
+    pairs = PairTable(*zip(*(
+        ("c1", "a", f"s{i}", d, 0.5, i % 2) for i, d in enumerate(deltas)
+    )))
+    pts = [PsdPoint(1.0, 0.0, 1), PsdPoint(5.0, 1.0, 1)]
+    with pytest.raises(FitError, match=r"^glm: need >= 2 distinct \|dVMAF\| values, got 1$"):
+        fit_mapping(pts, "glm", pairs_for_glm=pairs)
+
+
+def test_irls_on_indistinguishable_deltas_is_a_fit_error():
+    # three deltas within 2e-9 of 50: distinct, but the normal equations'
+    # determinant cancels to rounding, so there is no step to take
+    x = np.array([50.0, 50.0 + 1e-9, 50.0 + 2e-9])
+    with pytest.raises(FitError, match=r"^glm: singular IRLS normal equations at b1=0$"):
+        _irls(x, np.array([0.0, 1.0, 1.0]), np.ones(3))
 
 
 def test_irls_non_convergence_reports_state_not_a_guess(monkeypatch):
