@@ -26,12 +26,10 @@ from .evaluate import EvalGrid, EvalGridSpec, evaluate_grid, ground_truth_delta
 from .mapping import (
     CoDistribution,
     MappingFunction,
-    PsdPoint,
     build_codistribution,
     evaluate_mf,
     fit_all,
     fit_mapping,
-    psd_points,
 )
 from .predict import JndPrediction, invert_at_threshold, predict_jnd
 from .ranges import (
@@ -79,10 +77,8 @@ __all__ = [
     "decompose_explicit",
     "assign_pairs",
     "CoDistribution",
-    "PsdPoint",
     "MappingFunction",
     "build_codistribution",
-    "psd_points",
     "fit_mapping",
     "fit_all",
     "evaluate_mf",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 from . import tableio
 from .mapping import FAMILIES, GLM_MODES, family_spec
-from .ranges import check_settings
+from .ranges import check_settings, check_width
 from .screening import METHODS as SCREENING_METHODS
 from .significance import TESTS
 
@@ -44,8 +44,7 @@ class RunConfig:
             )
         dc = self.decomposition
         check_settings(dc.strategy, dc.k, dc.width, dc.bounds, dc.balance)
-        if self.bin_width <= 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
+        check_width(self.bin_width, "bin_width", "bins")
         for family in self.families:
             family_spec(family)  # raises on an unknown family
         for thr in self.thresholds:

@@ -9,8 +9,9 @@ perceived difference is then
 
     p_sd = f_dif / (f_dif + f_sim)
 
-and the (bin center, p_sd) points -- weighted by bin support -- are fitted by
-one of four monotone curve families:
+and the (bin center, p_sd) points of the non-empty bins -- weighted by bin
+support, three arrays from :meth:`CoDistribution.points` -- are fitted by one
+of four monotone curve families:
 
 * ``logistic5``  p = b1*(0.5 - 1/(1+exp(b2*(d-b3)))) + b4*d + b5
 * ``cubic4``     p = b1 + b2*d + b3*d**2 + b4*d**3
@@ -24,16 +25,17 @@ The table is the one place to add or change a family: ``FAMILIES``, the
 config check, the artifact reader, the report labels and ``predict
 --family`` all read it.
 
-Evaluated values are clamped to [0, 1].  Every least-squares fit is
-non-decreasing on its domain by construction, through one fit path: each
-family is fitted in coordinates in which every point gives a non-decreasing
-curve, by one batched, unbounded Levenberg-Marquardt solve per family
-(:func:`least_squares`).  Every start of every range is one lane of that
-solve, of at most ``LSQ_MAX_NFEV`` function evaluations (a fit whose best
-start stops there is flagged ``budget``).  Sums over points run in point
-order, so a lane's iterates depend on nothing but its own inputs, and a
-range's fit does not depend on the batch it is solved in: ``fit_mapping`` on
-one range gives what ``fit_all`` gives for it.  The fit coordinates are:
+A fitted curve is read in one way: clamped into its domain and clipped to
+[0, 1].  Every least-squares fit is non-decreasing on its domain by
+construction, through one fit path: each family is fitted in coordinates in
+which every point gives a non-decreasing curve, by one batched, unbounded
+Levenberg-Marquardt solve per family (:func:`least_squares`).  Every start
+of every range is one lane of that solve, of at most ``LSQ_MAX_NFEV``
+function evaluations (a fit whose best start stops there is flagged
+``budget``).  Sums over points run in point order, so a lane's iterates
+depend on nothing but its own inputs, and a range's fit does not depend on
+the batch it is solved in: ``fit_mapping`` on one range gives what
+``fit_all`` gives for it.  The fit coordinates are:
 
 * ``logistic5`` in (a1, a2, b3, a4, b5) with b1 = a1**2, b2 = a2**2 and
   b4 = a4**2, so its slope b1*b2*s*(1-s) + b4 is never negative;
@@ -63,7 +65,7 @@ import numpy as np
 
 from . import tableio
 from .errors import CorpusError, FitError
-from .ranges import Decomposition, SubQualityRange
+from .ranges import Decomposition, SubQualityRange, check_width
 from .significance import PairTable
 
 log = logging.getLogger(__name__)
@@ -92,6 +94,14 @@ class CoDistribution:
     def n_bins(self) -> int:
         return len(self.f_dif)
 
+    def points(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fit's points: the bin center, f_dif/(f_dif+f_sim) and the
+        support of each non-empty bin, as three arrays."""
+        edges, f_dif = np.asarray(self.bin_edges), np.asarray(self.f_dif, dtype=float)
+        support = f_dif + self.f_sim
+        kept = support > 0
+        return 0.5 * (edges[:-1] + edges[1:])[kept], f_dif[kept] / support[kept], support[kept]
+
 
 #: codist.csv: one row per bin.  ``p_sd`` is f_dif / (f_dif + f_sim), empty
 #: for an empty bin; the reader rebuilds it from the counts.
@@ -110,13 +120,6 @@ CURVE_TABLE: tableio.Schema = {
     "delta_obj": tableio.number,
     "p_sd": tableio.number,
 }
-
-
-@dataclass(frozen=True)
-class PsdPoint:
-    delta_obj: float
-    p_sd: float
-    support: int
 
 
 @dataclass(frozen=True)
@@ -141,7 +144,8 @@ class Family:
     """One curve family: an entry of :data:`FAMILY_TABLE`.
 
     ``curve(params, x)`` is p at ``x``.  ``fit_ranges(problems)`` fits each
-    problem (x, y, w, pairs, domain): the points (x, y) with weights w.  Per
+    problem (x, y, w, pairs, domain): the points (x, y) with weights w, and
+    the range's (|dVMAF|, sig) pair columns for the pairwise GLM.  Per
     problem it returns the params, whether the curve is monotone, the
     iterations, the flags and the extras of the fit report, or the
     :class:`FitError` that stands for a failed fit.
@@ -170,22 +174,20 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def _eval_raw(family: str, params: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return family_spec(family).curve(params, x)
+def _clipped_curve(family: str, params, domain: tuple, x: np.ndarray) -> np.ndarray:
+    """The curve at ``x`` clamped into ``domain``, clipped to [0, 1]: the one
+    reading of a fitted curve."""
+    return family_spec(family).curve(np.asarray(params), x.clip(*domain)).clip(0.0, 1.0)
 
 
 def evaluate_mf(mf: MappingFunction, delta_obj: float) -> float:
     """Evaluate the fitted curve at ``delta_obj``, clamped to domain and [0, 1]."""
-    lo, hi = mf.domain
-    d = min(max(delta_obj, lo), hi)
-    raw = _eval_raw(mf.family, np.asarray(mf.params), np.asarray([d], dtype=float))
-    return float(np.clip(raw, 0.0, 1.0)[0])
+    return float(_clipped_curve(mf.family, mf.params, mf.domain, np.array([delta_obj], float))[0])
 
 
 def is_monotone(family: str, params: np.ndarray, domain: tuple[float, float]) -> bool:
     grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
-    values = np.clip(_eval_raw(family, params, grid), 0.0, 1.0)
-    return bool(np.all(np.diff(values) >= -MONOTONE_SLACK))
+    return bool(np.all(np.diff(_clipped_curve(family, params, domain, grid)) >= -MONOTONE_SLACK))
 
 
 # -- co-distribution ---------------------------------------------------------
@@ -198,10 +200,11 @@ def build_codistribution(
 
     ``pairs`` may be the full pair table; only those referenced by the range
     are counted.  Bins run from 0 to the smallest multiple of ``bin_width``
-    covering ceil(max |dVMAF|); each pair lands in exactly one bin.
+    covering ceil(max |dVMAF|); each pair lands in exactly one bin.  The
+    width is checked as a fixed range width is, for at most
+    ``MAX_FIXED_RANGES`` bins over [0, 100].
     """
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    check_width(bin_width, "bin_width", "bins")
     rows = _rows_in_range(srange, pairs)
     deltas, sig = pairs.delta_obj[rows], pairs.sig[rows].astype(bool)
     top = math.ceil(float(deltas.max()))
@@ -237,18 +240,6 @@ def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
             raise ValueError(f"the given list repeats {repeats} pair(s) of "
                              f"range {srange.range_id}")
     return np.sort(np.fromiter(map(index.__getitem__, refs), np.intp, len(refs)))
-
-
-def psd_points(cd: CoDistribution) -> list[PsdPoint]:
-    """One (bin center, f_dif/(f_dif+f_sim), support) point per non-empty bin."""
-    points = []
-    for i in range(cd.n_bins):
-        support = cd.f_dif[i] + cd.f_sim[i]
-        if support == 0:
-            continue
-        center = 0.5 * (cd.bin_edges[i] + cd.bin_edges[i + 1])
-        points.append(PsdPoint(delta_obj=center, p_sd=cd.f_dif[i] / support, support=support))
-    return points
 
 
 # -- least-squares families --------------------------------------------------
@@ -498,7 +489,7 @@ class _LeastSquaresFamily(Family):
         params = self.to_params(sol.x[:, best], domain)
         flags = ["budget"] if sol.status[best] == 0 else []
         monotone = is_monotone(self.name, params, domain)
-        lo, hi = np.clip(self.curve(params, np.asarray(domain, dtype=float)), 0.0, 1.0)
+        lo, hi = _clipped_curve(self.name, params, domain, np.asarray(domain, dtype=float))
         if hi - lo <= FLAT_RISE:
             monotone = False
             flags.append("flat")
@@ -643,11 +634,12 @@ class _Glm(Family):
         b0, b1 = params
         return _sigmoid(b0 + b1 * x)
 
-    def fit(self, x_points, y_points, w_points, pairs: PairTable | None, domain) -> tuple:
-        """Binomial logit by IRLS: on ``pairs`` as Bernoulli data when given, else
-        on the points as grouped binomial data with their support as trials."""
+    def fit(self, x_points, y_points, w_points, pairs: tuple | None, domain) -> tuple:
+        """Binomial logit by IRLS: on the (|dVMAF|, sig) columns ``pairs`` as
+        Bernoulli data when given, else on the points as grouped binomial data
+        with their support as trials."""
         if pairs is not None:
-            x, y, trials = pairs.delta_obj, pairs.sig.astype(float), np.ones(len(pairs))
+            x, y, trials = pairs[0], pairs[1].astype(float), np.ones(len(pairs[0]))
         else:
             x, y, trials = x_points, y_points, w_points
         if len(np.unique(x)) < 2:  # the slope is not identified
@@ -790,22 +782,17 @@ def family_spec(family: str) -> Family:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}") from None
 
 
-def _fit_family(
-    spec: Family, problems: list[tuple[list[PsdPoint], PairTable | None]]
-) -> list[MappingFunction | FitError]:
-    """Fit ``spec`` to each problem, p_sd points and GLM pairs, in one
-    ``fit_ranges`` call; a FitError stands for each fit that fails."""
+def _fit_family(spec: Family, problems: list[tuple]) -> list[MappingFunction | FitError]:
+    """Fit ``spec`` to each problem, its (x, y, w) p_sd points and its GLM
+    pair columns, in one ``fit_ranges`` call; a FitError stands for each fit
+    that fails."""
     results: list = [None] * len(problems)
     ready, arrays = [], []
     for i, (points, pairs) in enumerate(problems):
-        if len(points) < spec.min_points:
-            results[i] = FitError(
-                f"{spec.name}: need >= {spec.min_points} points, got {len(points)}"
-            )
+        x, y, w = (np.asarray(column, dtype=float) for column in points)
+        if len(x) < spec.min_points:
+            results[i] = FitError(f"{spec.name}: need >= {spec.min_points} points, got {len(x)}")
             continue
-        x = np.array([p.delta_obj for p in points], dtype=float)
-        y = np.array([p.p_sd for p in points], dtype=float)
-        w = np.array([p.support for p in points], dtype=float)
         domain = (0.0, float(x.max()))
         if not domain[0] < domain[1]:
             raise ValueError(f"empty domain {domain}")
@@ -840,19 +827,21 @@ def _fit_family(
 
 
 def fit_mapping(
-    points: list[PsdPoint],
+    points: tuple[np.ndarray, np.ndarray, np.ndarray],
     family: str,
     pairs_for_glm: PairTable | None = None,
 ) -> MappingFunction:
-    """Fit one curve family to p_sd points (support-weighted) over the domain
-    (0, largest point |dVMAF|): the one-range call of ``fit_all``'s path.
+    """Fit one curve family to the (|dVMAF|, p_sd, support) arrays of
+    :meth:`CoDistribution.points`, support-weighted, over the domain (0,
+    largest point |dVMAF|): the one-range call of ``fit_all``'s path.
 
-    The IRLS fitter (``glm``) uses raw per-pair (|dVMAF|, sig) observations
-    as Bernoulli data when ``pairs_for_glm`` is given; otherwise the points
-    act as grouped binomial observations with their support as trials.  The
-    least-squares fitter ignores ``pairs_for_glm``.
+    The IRLS fitter (``glm``) uses the table's per-pair (|dVMAF|, sig)
+    columns as Bernoulli data when ``pairs_for_glm`` is given; otherwise the
+    points act as grouped binomial observations with their support as
+    trials.  The least-squares fitter ignores ``pairs_for_glm``.
     """
-    (fitted,) = _fit_family(family_spec(family), [(points, pairs_for_glm)])
+    glm_pairs = None if pairs_for_glm is None else (pairs_for_glm.delta_obj, pairs_for_glm.sig)
+    (fitted,) = _fit_family(family_spec(family), [(points, glm_pairs)])
     if isinstance(fitted, FitError):
         raise fitted
     return fitted
@@ -882,10 +871,9 @@ def fit_all(
             continue
         cd = build_codistribution(srange, pairs, bin_width)
         codists[srange.range_id] = cd
-        glm_pairs = (
-            pairs.take(_rows_in_range(srange, pairs)) if glm_mode == "pairwise" else None
-        )
-        problems.append((psd_points(cd), glm_pairs))
+        rows = _rows_in_range(srange, pairs) if glm_mode == "pairwise" else None
+        glm_pairs = None if rows is None else (pairs.delta_obj[rows], pairs.sig[rows])
+        problems.append((cd.points(), glm_pairs))
     fits = [_fit_family(spec, problems) for spec in specs]
     models: dict[str, dict[str, MappingFunction]] = {}
     for i, range_id in enumerate(codists):
@@ -972,10 +960,8 @@ def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str
     for range_id in sorted(models):
         for family in sorted(models[range_id]):
             mf = models[range_id][family]
-            lo, hi = mf.domain
-            deltas = np.linspace(lo, hi, CURVE_SAMPLES)
-            raw = _eval_raw(family, np.asarray(mf.params), np.minimum(np.maximum(deltas, lo), hi))
-            p_sd = np.clip(raw, 0.0, 1.0)
+            deltas = np.linspace(*mf.domain, CURVE_SAMPLES)
+            p_sd = _clipped_curve(family, mf.params, mf.domain, deltas)
             rows += zip(repeat(range_id), repeat(family), deltas.tolist(), p_sd.tolist())
     return tableio.rows_to_csv_text(CURVE_TABLE, rows)
 

@@ -40,7 +40,7 @@ LOW_EDGE_EPSILON = 1e-9
 STRATEGIES = ("balanced", "fixed_width", "explicit")
 BALANCES = ("stimuli", "pairs")
 #: The most ranges a fixed width may make: each range is fitted, so the work
-#: grows as 100 / width.
+#: grows as 100 / width.  A |dVMAF| bin width is bounded the same way.
 MAX_FIXED_RANGES = 1000
 
 
@@ -125,17 +125,23 @@ def check_settings(strategy: str, k: int = 5, width: float = 10.0,
         if balance not in BALANCES:
             raise ValueError(f"balance must be 'stimuli' or 'pairs', got {balance!r}")
     elif strategy == "fixed_width":
-        if not 0.0 < width < math.inf:
-            raise ValueError(f"width must be positive and finite, got {width}")
-        count = 100.0 / width
-        if count > MAX_FIXED_RANGES:
-            shown = math.ceil(count) if count < math.inf else count
-            raise ValueError(f"width {width} makes {shown} ranges, more than "
-                             f"{MAX_FIXED_RANGES}")
+        check_width(width)
     elif bounds is None or len(bounds) < 2:
         raise ValueError(f"explicit decomposition needs at least two bounds, got {bounds}")
     elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"bounds must be strictly increasing, got {list(bounds)}")
+
+
+def check_width(width: float, name: str = "width", parts: str = "ranges") -> None:
+    """Raise ValueError unless ``width`` is positive and finite and splits
+    [0, 100] into at most ``MAX_FIXED_RANGES`` ``parts``: the rule of the
+    fixed range width and of the |dVMAF| bin width alike."""
+    if not 0.0 < width < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {width}")
+    count = 100.0 / width
+    if count > MAX_FIXED_RANGES:
+        shown = math.ceil(count) if count < 1e15 else f"{count:.3g}"
+        raise ValueError(f"{name} {width} makes {shown} {parts}, more than {MAX_FIXED_RANGES}")
 
 
 def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Decomposition:
@@ -275,7 +281,13 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
         raise ValueError(f"bounds: expected a list of numbers, got {bounds!r}")
     if not isinstance(assignments, dict):
         raise ValueError(f"assignments: expected an object of pair-id lists, got {assignments!r}")
-    decomp = _build(data["strategy"], [float(b) for b in bounds])
+    bounds = [float(b) for b in bounds]
+    check_settings("explicit", bounds=bounds)
+    decomp = _build(data["strategy"], bounds)
+    unknown = sorted(assignments.keys() - set(decomp.range_ids()))
+    if unknown:
+        raise ValueError(f"assignments: {len(unknown)} key(s) name no range of the bounds, "
+                         f"e.g. {unknown[:3]}")
     assignments = {
         range_id: tableio.string_list(refs, f"assignments[{range_id!r}]")
         for range_id, refs in assignments.items()

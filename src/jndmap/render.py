@@ -7,7 +7,7 @@ package stays free of plotting dependencies.
 
 from __future__ import annotations
 
-from .mapping import CoDistribution, psd_points
+from .mapping import CoDistribution
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 50
@@ -76,9 +76,10 @@ def render_svg(
     if codists:
         for idx, range_id in enumerate(sorted(codists)):
             color = PALETTE[idx % len(PALETTE)]
-            for point in psd_points(codists[range_id]):
+            centers, p_sd, _ = codists[range_id].points()
+            for x, y in zip(centers.tolist(), p_sd.tolist()):
                 parts.append(
-                    f'<circle cx="{px(point.delta_obj):.1f}" cy="{py(point.p_sd):.1f}" '
+                    f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" '
                     f'r="2.5" fill="{color}" fill-opacity="0.6"/>'
                 )
 

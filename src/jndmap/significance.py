@@ -101,13 +101,6 @@ class PairTable(tableio.RowSequence[RatedPair]):
         self.sig = np.asarray(sig, dtype=np.int64)
         self.codes, self.keys = codes, keys
 
-    def take(self, rows: np.ndarray) -> PairTable:
-        """The table of the pairs at positions ``rows``, in that order,
-        without the stimulus codes."""
-        columns = (self.content_id, self.recipe_x, self.recipe_y, self.delta_obj, self.p_value,
-                   self.sig)
-        return PairTable(*(column[rows] for column in columns))
-
     def columns(self) -> tuple[Sequence, ...]:
         """The columns of :data:`PAIR_TABLE` as Python values."""
         return (self.content_id, self.recipe_x, self.recipe_y, self.delta_obj.tolist(),

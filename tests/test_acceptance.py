@@ -22,14 +22,12 @@ from jndmap.corpus import save_corpus
 from jndmap.evaluate import EvalGrid, EvalGridSpec, evaluate_grid, format_grid_table
 from jndmap.mapping import (
     FAMILIES,
-    PsdPoint,
-    _eval_raw,
+    FAMILY_TABLE,
     build_codistribution,
     evaluate_mf,
     fit_all,
     fit_mapping,
     is_monotone,
-    psd_points,
 )
 from jndmap.predict import invert_at_threshold
 from jndmap.ranges import SubQualityRange, decompose_balanced, decompose_explicit, assign_pairs
@@ -77,10 +75,10 @@ def test_criterion_1_codistribution_conservation():
         assert list(cd.f_sim) == expect_sim, f"trial {trial}: f_sim mismatch"
         assert sum(cd.f_dif) + sum(cd.f_sim) == n
 
-        for point in psd_points(cd):
-            idx = min(int(point.delta_obj / width), n_bins - 1)
+        for center, p_sd, _ in zip(*cd.points()):
+            idx = min(int(center / width), n_bins - 1)
             fd, fs = cd.f_dif[idx], cd.f_sim[idx]
-            assert point.p_sd == fd / (fd + fs)
+            assert p_sd == fd / (fd + fs)
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0, f"took {elapsed:.3f}s, budget 1s"
     print(f"criterion 1 PASS: 100 randomized co-distributions exact ({elapsed:.3f}s)")
@@ -103,9 +101,8 @@ def test_criterion_2_four_family_recovery():
     xs = np.linspace(0.5, 14.5, 15)
     worst = 0.0
     for family, params in TRUE_PARAMS.items():
-        truth = _eval_raw(family, np.asarray(params, float), xs)
-        points = [PsdPoint(float(x), float(y), 25) for x, y in zip(xs, truth)]
-        mf = fit_mapping(points, family)
+        truth = FAMILY_TABLE[family].curve(np.asarray(params, float), xs)
+        mf = fit_mapping((xs, truth, np.full(len(xs), 25.0)), family)
         fitted = np.array([evaluate_mf(mf, float(x)) for x in xs])
         rms = float(np.sqrt(np.mean((fitted - truth) ** 2)))
         worst = max(worst, rms)
@@ -132,9 +129,8 @@ def test_criterion_3_monotonicity_and_inversion():
     thresholds = np.linspace(0.05, 0.95, 19)
     checked = 0
     for family, params in TRUE_PARAMS.items():
-        truth = _eval_raw(family, np.asarray(params, float), xs)
-        points = [PsdPoint(float(x), float(y), 25) for x, y in zip(xs, truth)]
-        mf = fit_mapping(points, family)
+        truth = FAMILY_TABLE[family].curve(np.asarray(params, float), xs)
+        mf = fit_mapping((xs, truth, np.full(len(xs), 25.0)), family)
         assert mf.fit_report.monotone
         assert is_monotone(mf.family, np.asarray(mf.params), mf.domain)
         lo, hi = mf.domain

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import json
@@ -335,6 +336,11 @@ def test_render_svg(run_dir, tmp_path):
     text = out.read_text()
     assert text.startswith("<svg")
     assert "polyline" in text
+    # the P_SD scatter: one point per bin that holds a pair
+    with open(run_dir / "codist.csv", newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    non_empty = sum(int(row["f_dif"]) + int(row["f_sim"]) > 0 for row in rows)
+    assert text.count("<circle") == non_empty > 0
 
 
 def test_version_flag():
@@ -502,8 +508,17 @@ def test_flags_replace_config_values(tmp_path):
          ("ValueError", "explicit decomposition needs at least two bounds, got (50.0,)")),
         ([], {"decomposition": {"balance": "pair"}},
          ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
+        # the bin width follows the fixed width's rule; nan used to fail in fit
+        # after three artifacts, inf to fit nothing and 1e-300 to overflow numpy
+        (["--bin-width", "nan"], None,
+         ("ValueError", "bin_width must be positive and finite, got nan")),
+        (["--bin-width", "inf"], None,
+         ("ValueError", "bin_width must be positive and finite, got inf")),
+        (["--bin-width", "1e-300"], None,
+         ("ValueError", "bin_width 1e-300 makes 1e+302 bins, more than 1000")),
     ],
-    ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "balance"],
+    ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "balance",
+         "bin-width-nan", "bin-width-inf", "bin-width-tiny"],
 )
 def test_bad_decomposition_setting_exits_before_any_stage(
     sim_dir, tmp_path, capsys, flags, config, error
@@ -688,7 +703,13 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
     ("assignments", [1], "assignments: expected an object of pair-id lists, got [1]"),
     ("bounds", "x", "bounds: expected a list of numbers, got 'x'"),
     ("bounds", [0, "80", 100], "bounds: expected a list of numbers, got [0, '80', 100]"),
-], ids=["assignments-list", "bounds-string", "bounds-item-string"])
+    # these three used to fit nothing and exit 0
+    ("bounds", [100, 50, 0], "bounds must be strictly increasing, got [100.0, 50.0, 0.0]"),
+    ("bounds", [50], "explicit decomposition needs at least two bounds, got [50.0]"),
+    ("assignments", {"(0,1]": []},
+     "assignments: 1 key(s) name no range of the bounds, e.g. ['(0,1]']"),
+], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-reversed",
+        "bounds-one", "assignments-unknown-range"])
 def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, value, message):
     # these used to surface Python's own message, without the key
     ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))

@@ -46,6 +46,8 @@ def test_readme_library_example_runs(capsys):
     (example,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(encoding="utf-8"),
                             re.DOTALL)
     exec(compile(example, "README.md", "exec"), {"__name__": "__main__"})
-    prediction, pairs = capsys.readouterr().out.splitlines()
+    prediction, pairs, one_range = capsys.readouterr().out.splitlines()
     assert len(prediction.split()) == 3
     assert "RatedPair(content_id=" in pairs
+    # fit_mapping on one range's points gives what fit_all gave for it
+    assert one_range.split()[0] == "True"

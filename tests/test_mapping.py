@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -22,8 +23,6 @@ from jndmap.mapping import (
     CoDistribution,
     FitReport,
     MappingFunction,
-    PsdPoint,
-    _eval_raw,
     _glm_deviance,
     _irls,
     _sigmoid,
@@ -37,7 +36,6 @@ from jndmap.mapping import (
     is_monotone,
     models_from_json_dict,
     models_to_json_dict,
-    psd_points,
     read_codist_csv,
     read_curve_samples_csv,
     read_mf_params_json,
@@ -58,10 +56,19 @@ TRUE_PARAMS = {
 }
 
 
-def _noiseless_points(family: str, n: int = 15) -> list[PsdPoint]:
+def _points(xs, ys, support: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (|dVMAF|, p_sd, support) arrays of ``fit_mapping``, one support for all."""
+    return np.asarray(xs, float), np.asarray(ys, float), np.full(len(xs), float(support))
+
+
+def _noiseless_points(family: str, n: int = 15) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xs = np.linspace(0.5, 14.5, n)
-    ys = _eval_raw(family, np.asarray(TRUE_PARAMS[family], float), xs)
-    return [PsdPoint(float(x), float(y), 25) for x, y in zip(xs, ys)]
+    return _points(xs, FAMILY_TABLE[family].curve(np.asarray(TRUE_PARAMS[family], float), xs), 25)
+
+
+def _take(pairs: PairTable, rows: np.ndarray) -> PairTable:
+    """The table of the pairs at positions ``rows``, in that order."""
+    return PairTable(*(np.asarray(column)[rows] for column in pairs.columns()))
 
 
 def _codist_fixture():
@@ -87,11 +94,36 @@ def test_codistribution_worked_example():
     assert cd.bin_edges == (0.0, 2.0, 4.0, 6.0, 8.0)
     assert cd.f_sim == (2, 0, 0, 0)
     assert cd.f_dif == (0, 0, 0, 1)
-    pts = psd_points(cd)
-    assert [(p.delta_obj, p.p_sd, p.support) for p in pts] == [
-        (1.0, 0.0, 2),
-        (7.0, 1.0, 1),
-    ]
+    assert [column.tolist() for column in cd.points()] == [[1.0, 7.0], [0.0, 1.0], [2.0, 1.0]]
+
+
+def _points_by_bin(cd: CoDistribution) -> list[tuple[float, float, int]]:
+    """One (bin center, f_dif/(f_dif+f_sim), support) point per non-empty bin,
+    by a loop over the bins."""
+    points = []
+    for i in range(cd.n_bins):
+        support = cd.f_dif[i] + cd.f_sim[i]
+        if support == 0:
+            continue
+        center = 0.5 * (cd.bin_edges[i] + cd.bin_edges[i + 1])
+        points.append((center, cd.f_dif[i] / support, support))
+    return points
+
+
+def test_codistribution_points_equal_a_loop_over_bins():
+    rng = np.random.default_rng(23)
+    empty = 0
+    for _ in range(50):
+        n_bins = int(rng.integers(1, 40))
+        width = float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+        # about half of each count is zero, so many bins are empty on one side or both
+        f_dif, f_sim = (rng.integers(0, 5, n_bins) * (rng.uniform(size=n_bins) < 0.5)
+                        for _ in range(2))
+        empty += int(np.sum(f_dif + f_sim == 0))
+        cd = CoDistribution("(0,100]", tuple((np.arange(n_bins + 1) * width).tolist()),
+                            tuple(f_dif.tolist()), tuple(f_sim.tolist()))
+        assert list(zip(*(column.tolist() for column in cd.points()))) == _points_by_bin(cd)
+    assert empty > 0
 
 
 def test_codistribution_conserves_counts():
@@ -111,17 +143,18 @@ def test_codistribution_conserves_counts():
         assert sum(cd.f_sim) + sum(cd.f_dif) == n
         assert sum(cd.f_sim) == int(np.sum(sigs == 0))
         # The empirical probability is exactly the frequency ratio per bin.
-        for p in psd_points(cd):
-            idx = int(np.searchsorted(cd.bin_edges, p.delta_obj) - 1)
+        for center, p_sd, support in zip(*cd.points()):
+            idx = int(np.searchsorted(cd.bin_edges, center) - 1)
             fd, fs = cd.f_dif[idx], cd.f_sim[idx]
-            assert p.p_sd == fd / (fd + fs)
-            assert p.support == fd + fs
+            assert p_sd == fd / (fd + fs)
+            assert support == fd + fs
 
 
 def test_codistribution_input_guards():
     srange, pairs = _codist_fixture()
-    with pytest.raises(ValueError):
-        build_codistribution(srange, pairs, bin_width=0.0)
+    for width in (0.0, math.nan, math.inf, 1e-300):  # the rule of RunConfig.validate
+        with pytest.raises(ValueError, match="bin_width"):
+            build_codistribution(srange, pairs, bin_width=width)
     with pytest.raises(ValueError):
         build_codistribution(srange, PairTable(*[()] * 6))  # referenced pairs missing
     from jndmap.ranges import SubQualityRange
@@ -135,9 +168,9 @@ def test_codistribution_counts_missing_and_repeated_pairs_by_id():
     srange, pairs = _codist_fixture()
     # a repeat of one pair does not stand in for a missing one
     with pytest.raises(ValueError, match=r"references 1 pair\(s\) not in the given list"):
-        build_codistribution(srange, pairs.take(np.array([0, 0, 2])))
+        build_codistribution(srange, _take(pairs, np.array([0, 0, 2])))
     with pytest.raises(ValueError, match=r"the given list repeats 1 pair\(s\)"):
-        build_codistribution(srange, pairs.take(np.array([0, 1, 2, 1])))
+        build_codistribution(srange, _take(pairs, np.array([0, 1, 2, 1])))
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -160,8 +193,7 @@ def test_curve_samples_equal_evaluate_mf(family):
 def test_noiseless_recovery(family):
     points = _noiseless_points(family)
     mf = fit_mapping(points, family)
-    xs = np.array([p.delta_obj for p in points])
-    truth = _eval_raw(family, np.asarray(TRUE_PARAMS[family], float), xs)
+    xs, truth, _ = points
     fitted = np.array([evaluate_mf(mf, float(x)) for x in xs])
     assert np.sqrt(np.mean((fitted - truth) ** 2)) < 1e-8
     assert mf.fit_report.monotone
@@ -176,7 +208,7 @@ def test_glm_reports_deviance_gradient():
 
 def test_glm_flat_rate_recovers_intercept_only():
     # Constant 0.5 proportions: slope 0, curve pinned to the empirical rate.
-    pts = [PsdPoint(float(x), 0.5, 20) for x in (1.0, 3.0, 5.0, 7.0, 9.0)]
+    pts = _points([1.0, 3.0, 5.0, 7.0, 9.0], [0.5] * 5, 20)
     mf = fit_mapping(pts, "glm")
     assert mf.params[1] == pytest.approx(0.0, abs=1e-6)
     assert evaluate_mf(mf, 5.0) == pytest.approx(0.5, abs=1e-6)
@@ -184,7 +216,7 @@ def test_glm_flat_rate_recovers_intercept_only():
 
 
 def test_glm_constant_labels_short_circuit():
-    pts = [PsdPoint(float(x), 1.0, 5) for x in (1.0, 4.0, 8.0)]
+    pts = _points([1.0, 4.0, 8.0], [1.0] * 3, 5)
     mf = fit_mapping(pts, "glm")
     assert "constant_labels" in mf.fit_report.flags
     assert evaluate_mf(mf, 4.0) > 0.999
@@ -198,7 +230,7 @@ def test_glm_separated_pairs_hit_slope_cap():
         ("c1", "a", f"s{i}", d, 0.5, int(d > 5.0))
         for i, d in enumerate((1.0, 3.0, 4.95, 5.05, 7.0, 9.0))
     )))
-    pts = [PsdPoint(p.delta_obj, float(p.sig), 1) for p in pairs]
+    pts = _points(pairs.delta_obj, pairs.sig, 1)
     mf = fit_mapping(pts, "glm", pairs_for_glm=pairs)
     assert "separation" in mf.fit_report.flags
     assert abs(mf.params[1]) == pytest.approx(50.0)
@@ -210,14 +242,13 @@ def test_glm_separated_pairs_hit_slope_cap():
 def test_decreasing_trend_is_rejected_not_flattened(family):
     xs = np.linspace(1.0, 14.0, 10)
     ys = np.linspace(0.9, 0.1, 10)
-    pts = [PsdPoint(float(x), float(y), 10) for x, y in zip(xs, ys)]
-    mf = fit_mapping(pts, family)
+    mf = fit_mapping(_points(xs, ys, 10), family)
     assert not mf.fit_report.monotone
     # a monotone fit can only follow this with a flat line; it is rejected as such
     assert mf.fit_report.flags == ("flat",)
 
 
-def _lsq_cases() -> dict[str, list[PsdPoint]]:
+def _lsq_cases() -> dict[str, tuple]:
     """A dip an unconstrained fit bends down into (``dip``), noisy data an
     unconstrained fit ends non-monotone on (``noisy``), a decreasing trend
     (``decreasing``) and noiseless logistic5 data (``noiseless``)."""
@@ -227,10 +258,7 @@ def _lsq_cases() -> dict[str, list[PsdPoint]]:
     rng = np.random.default_rng(3)
     noisy = np.clip(1.0 / (1.0 + np.exp(-0.6 * (xs - 5.0))) + rng.normal(0, 0.12, 13), 0, 1)
     cases = {"dip": dip, "noisy": noisy, "decreasing": np.linspace(0.9, 0.1, 13)}
-    out = {
-        name: [PsdPoint(float(x), float(y), 15) for x, y in zip(xs, ys)]
-        for name, ys in cases.items()
-    }
+    out = {name: _points(xs, ys, 15) for name, ys in cases.items()}
     out["noiseless"] = _noiseless_points("logistic5")
     return out
 
@@ -239,10 +267,6 @@ LSQ_CASES = _lsq_cases()
 
 #: The families fitted by least squares: those with an analytic Jacobian.
 LSQ_FAMILIES = [family for family, spec in FAMILY_TABLE.items() if hasattr(spec, "jacobian")]
-
-
-def _xy(points: list[PsdPoint]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([p.delta_obj for p in points]), np.array([p.p_sd for p in points])
 
 
 @pytest.mark.parametrize("case", sorted(LSQ_CASES))
@@ -258,7 +282,7 @@ def test_logistics_solve_unbounded_by_lm_with_analytic_jacobian(case, monkeypatc
     for family in ("logistic5", "logistic2"):
         calls.clear()
         fit_mapping(LSQ_CASES[case], family)
-        starts = FAMILY_TABLE[family].starts(*_xy(LSQ_CASES[case]))
+        starts = FAMILY_TABLE[family].starts(*LSQ_CASES[case][:2])
         # one batched call per fit, with one lane per start
         assert len(calls) == 1
         x0, kwargs = calls[0]
@@ -284,7 +308,7 @@ def test_least_squares_fit_is_monotone_or_flat(family, case):
     # the raw curve, not the clipped one, is monotone by construction, even
     # when the fit is rejected as flat
     grid = np.linspace(mf.domain[0], mf.domain[1], 20_000)
-    raw = _eval_raw(family, np.asarray(mf.params), grid)
+    raw = FAMILY_TABLE[family].curve(np.asarray(mf.params), grid)
     assert np.all(np.diff(raw) >= -mapping_mod.MONOTONE_SLACK)
     assert mf.fit_report.flags == (("flat",) if case == "decreasing" else ())
     assert mf.fit_report.monotone == (case != "decreasing")
@@ -357,7 +381,7 @@ def test_noisy_panel_fits_are_all_usable():
     assert unusable == []
 
 
-def _study_points(spec: SimSpec, k: int, range_id: str, bin_width: float) -> list[PsdPoint]:
+def _study_points(spec: SimSpec, k: int, range_id: str, bin_width: float) -> tuple:
     """The p_sd points of one range of a simulated study, screened, Welch-classified
     and decomposed into ``k`` balanced ranges."""
     corpus, _ = simulate_corpus(spec)
@@ -365,7 +389,7 @@ def _study_points(spec: SimSpec, k: int, range_id: str, bin_width: float) -> lis
     pairs = classify_pairs(corpus, test="welch")
     decomp = assign_pairs(pairs, decompose_balanced(corpus, k), corpus)
     (srange,) = (r for r in decomp.ranges if r.range_id == range_id)
-    return psd_points(build_codistribution(srange, pairs, bin_width=bin_width))
+    return build_codistribution(srange, pairs, bin_width=bin_width).points()
 
 
 #: Small noisy studies whose logistic5 fit has a worse local minimum on the
@@ -402,7 +426,7 @@ def test_logistic5_needs_more_than_its_first_start(monkeypatch):
     spec = SimSpec(n_contents=3, ladder=SimSpec().ladder[:10], observer_count=2,
                    jnd_scale=2.0958626354058416, rating_noise_sd=0.23474921031692686, seed=88343)
     points = _study_points(spec, 3, "(80.2503,87.6959]", 2.0)
-    assert len(points) == 8
+    assert len(points[0]) == 8
     assert fit_mapping(points, "logistic5").fit_report.residual_norm == pytest.approx(
         0.42793, abs=1e-5
     )
@@ -447,11 +471,11 @@ def test_a_repeated_fit_is_bit_identical(family):
     assert all(mf == fits[0] for mf in fits[1:])
 
 
-def _lanes(family: str, points: list[PsdPoint], lanes: int) -> tuple:
+def _lanes(family: str, points: tuple, lanes: int) -> tuple:
     """The residuals and Jacobian of one range's points, ``lanes`` times over."""
     spec = FAMILY_TABLE[family]
-    x, y = (np.repeat(v[:, None], lanes, axis=1) for v in _xy(points))
-    sw = np.sqrt(np.array([[p.support] * lanes for p in points], dtype=float))
+    x, y, w = (np.repeat(v[:, None], lanes, axis=1) for v in points)
+    sw = np.sqrt(w)
     domain = (0.0, np.full(lanes, x.max()))
 
     def fun(theta):
@@ -477,21 +501,21 @@ def test_a_range_fits_the_same_alone_and_in_any_batch(study, default_sim):
     pairs = classify_pairs(corpus)
     decomp = assign_pairs(pairs, decompose_balanced(corpus, k), corpus)
     codists, models = fit_all(decomp, pairs, FAMILIES, bin_width=bin_width)
-    sizes = {range_id: len(psd_points(cd)) for range_id, cd in codists.items()}
+    sizes = {range_id: len(cd.points()[0]) for range_id, cd in codists.items()}
     assert len(set(sizes.values())) > 1  # so some ranges are padded
     for srange in decomp.ranges:
-        points = psd_points(codists[srange.range_id])
+        points = codists[srange.range_id].points()
         refs = set(srange.pair_refs)
-        glm_pairs = pairs.take(np.flatnonzero([pair_id in refs for pair_id in pairs.pair_ids]))
+        glm_pairs = _take(pairs, np.flatnonzero([pair_id in refs for pair_id in pairs.pair_ids]))
         for family in FAMILIES:
             alone = fit_mapping(points, family, pairs_for_glm=glm_pairs)
             assert models[srange.range_id][family] == alone  # params, report, flags
 
     # one lane alone and the same lane among all starts, on the most points
-    points = psd_points(codists[max(sizes, key=sizes.get)])
-    assert len(points) >= 8
+    points = codists[max(sizes, key=sizes.get)].points()
+    assert len(points[0]) >= 8
     for family in LSQ_FAMILIES:
-        x0 = np.column_stack(FAMILY_TABLE[family].starts(*_xy(points)))
+        x0 = np.column_stack(FAMILY_TABLE[family].starts(*points[:2]))
         fun, jac = _lanes(family, points, x0.shape[1])
         batch = mapping_mod.least_squares(fun, x0, jac=jac, max_nfev=LSQ_MAX_NFEV)
         fun, jac = _lanes(family, points, 1)
@@ -516,7 +540,7 @@ def test_fit_work_of_a_tiny_study_is_bounded_by_the_budget():
     codists, models = fit_all(decomp, pairs, FAMILIES, bin_width=2.0)
     budgeted = []
     for range_id, per_range in models.items():
-        x, y = _xy(psd_points(codists[range_id]))
+        x, y, _ = codists[range_id].points()
         for family in LSQ_FAMILIES:
             report = per_range[family].fit_report
             assert report.iterations <= len(FAMILY_TABLE[family].starts(x, y)) * LSQ_MAX_NFEV
@@ -576,7 +600,7 @@ def _bernoulli_problem(seed, n, b0, b1, top):
 
 
 def _binomial_problem(seed, n_bins, b0, b1):
-    # bin centres 1, 3, 5, ... with a random support each, as psd_points gives
+    # bin centres 1, 3, 5, ... with a random support each, as CoDistribution.points gives
     rng = np.random.default_rng(seed)
     x = 2.0 * np.arange(n_bins) + 1.0
     trials = rng.integers(1, 60, n_bins).astype(float)
@@ -616,7 +640,7 @@ def test_glm_needs_two_distinct_pair_deltas(deltas):
     pairs = PairTable(*zip(*(
         ("c1", "a", f"s{i}", d, 0.5, i % 2) for i, d in enumerate(deltas)
     )))
-    pts = [PsdPoint(1.0, 0.0, 1), PsdPoint(5.0, 1.0, 1)]
+    pts = _points([1.0, 5.0], [0.0, 1.0], 1)
     with pytest.raises(FitError, match=r"^glm: need >= 2 distinct \|dVMAF\| values, got 1$"):
         fit_mapping(pts, "glm", pairs_for_glm=pairs)
 
@@ -655,9 +679,9 @@ def test_is_monotone_direct():
 def test_fit_input_guards():
     points = _noiseless_points("logistic5")
     with pytest.raises(FitError):
-        fit_mapping(points[:3], "logistic5")
+        fit_mapping([column[:3] for column in points], "logistic5")
     with pytest.raises(FitError):
-        fit_mapping(points[:1], "glm")
+        fit_mapping([column[:1] for column in points], "glm")
     unknown = re.escape(f"unknown family 'spline9'; expected one of {FAMILIES}")
     with pytest.raises(ValueError, match=unknown):
         fit_mapping(points, "spline9")
@@ -824,7 +848,7 @@ def test_cubic4_lukacs_coordinates_give_the_stated_slope():
 def test_decreasing_glm_fit_is_marked_non_monotone_and_serializes():
     xs = np.linspace(1.0, 14.0, 10)
     ys = np.linspace(0.9, 0.1, 10)
-    mf = fit_mapping([PsdPoint(float(x), float(y), 10) for x, y in zip(xs, ys)], "glm")
+    mf = fit_mapping(_points(xs, ys, 10), "glm")
     assert mf.fit_report.monotone is False
     data = models_to_json_dict({"(0,100]": {"glm": mf}})
     assert data["(0,100]"]["glm"]["fit_report"]["monotone"] is False

@@ -113,7 +113,7 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
 
     def record(spec, problems):
         glm_inputs.extend(
-            list(zip(pairs.delta_obj.tolist(), pairs.sig.tolist())) for _, pairs in problems
+            list(zip(delta.tolist(), sig.tolist())) for _, (delta, sig) in problems
         )
         return [FitError("recorded")] * len(problems)
 
