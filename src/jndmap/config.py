@@ -50,6 +50,10 @@ class RunConfig:
         for thr in self.thresholds:
             if not 0.0 < thr < 1.0:
                 raise ValueError(f"thresholds must be in (0, 1), got {thr}")
+        for key in ("families", "thresholds"):
+            values = getattr(self, key)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key}: each may be listed once, got {list(values)}")
         if self.glm_mode not in GLM_MODES:
             raise ValueError(f"glm_mode must be one of {GLM_MODES}, got {self.glm_mode!r}")
 

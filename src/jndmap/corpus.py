@@ -256,8 +256,14 @@ class Corpus:
             columns = list(zip(*map(attrgetter(*RATING_TABLE), ratings))) or [()] * 4
             ratings = RatingTable(self.stimuli, *columns)
         object.__setattr__(self, "ratings", ratings)
+        seen: set[JndTruth] = set()
         for i, truth in enumerate(self.truths):
             row = ("truths", i)
+            if truth in seen:
+                raise CorpusError(f"duplicate truth {truth.content_id}/{truth.anchor_recipe_id} "
+                                  f"{truth.direction} {truth.jnd_recipe_id} order {truth.order}",
+                                  row=row)
+            seen.add(truth)
             if truth.direction not in DIRECTIONS:
                 raise CorpusError(f"bad direction {truth.direction!r}", column="direction", row=row)
             if truth.order < 1:

@@ -56,7 +56,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -222,7 +221,7 @@ def build_codistribution(
 
 def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
     """The rows of the pairs the range references, ascending; a ValueError
-    when it references none, a pair not in ``table`` or a pair listed twice."""
+    when it references none or a pair not in ``table``."""
     refs = dict.fromkeys(srange.pair_refs)
     if not refs:
         raise ValueError(f"range {srange.range_id} has no assigned pairs")
@@ -233,12 +232,6 @@ def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
             f"range {srange.range_id} references {len(missing)} pair(s) not in the "
             f"given list, e.g. {sorted(missing)[:3]}"
         )
-    if len(index) < len(table):
-        listed = Counter(table.pair_ids)
-        repeats = sum(listed[ref] - 1 for ref in refs)
-        if repeats:
-            raise ValueError(f"the given list repeats {repeats} pair(s) of "
-                             f"range {srange.range_id}")
     return np.sort(np.fromiter(map(index.__getitem__, refs), np.intp, len(refs)))
 
 

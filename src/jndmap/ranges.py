@@ -13,9 +13,10 @@ A decomposition splits (lo, 100] into contiguous half-open intervals
 A pair belongs to every range containing either of its endpoints, so a pair
 spanning a boundary is counted in both ranges (and the total pair multiplicity
 lies between n_pairs and 2*n_pairs).  :func:`assign_pairs` is an array
-program over the pair table: it looks up both endpoints' VMAF by the stimulus
-codes the table holds and locates them all in one call of
-:meth:`Decomposition.locate`, the one range rule that every lookup goes through.
+program over the pair table, which lists each pair once: it finds both
+endpoints of every pair in the corpus by key, reads their VMAF and locates
+them all in one call of :meth:`Decomposition.locate`, the one range rule that
+every lookup goes through.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def check_settings(strategy: str, k: int = 5, width: float = 10.0,
     elif strategy == "fixed_width":
         check_width(width)
     elif bounds is None or len(bounds) < 2:
-        raise ValueError(f"explicit decomposition needs at least two bounds, got {bounds}")
+        raise ValueError(f"bounds: need at least two, got {bounds}")
     elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(f"bounds must be strictly increasing, got {list(bounds)}")
+        raise ValueError(f"bounds: must be strictly increasing, got {list(bounds)}")
 
 
 def check_width(width: float, name: str = "width", parts: str = "ranges") -> None:
@@ -225,8 +226,7 @@ def assign_pairs(pairs: PairTable, decomp: Decomposition, corpus: Corpus) -> Dec
     """Attach pair ids to every range containing either pair endpoint.
 
     Idempotent and independent of the order of ``pairs``; re-assignment
-    replaces any previous refs.  Each range's refs are sorted by pair id, and
-    a pair listed twice is referenced once.
+    replaces any previous refs.  Each range's refs are sorted by pair id.
     """
     table = corpus.ratings
     codes = pairs.endpoint_codes(table)
@@ -242,15 +242,9 @@ def assign_pairs(pairs: PairTable, decomp: Decomposition, corpus: Corpus) -> Dec
         )
     ids = pairs.pair_ids
     order = sorted(range(len(ids)), key=ids.__getitem__)
-    sorted_ids = np.array([ids[i] for i in order], dtype=object)
-    where = where[order]
-    # a repeated id sorts next to its first copy and shares its group
-    group = np.cumsum(np.append(True, sorted_ids[1:] != sorted_ids[:-1]))
-    refs = []
-    for k in range(len(decomp.ranges)):
-        (inside,) = np.nonzero((where == k).any(axis=1))
-        first = np.diff(group[inside], prepend=0) != 0
-        refs.append(tuple(sorted_ids[inside[first]].tolist()))
+    sorted_ids, where = np.array([ids[i] for i in order], dtype=object), where[order]
+    refs = [tuple(sorted_ids[(where == k).any(axis=1)].tolist())
+            for k in range(len(decomp.ranges))]
     new_ranges = tuple(replace(r, pair_refs=ref) for r, ref in zip(decomp.ranges, refs))
     assigned = sum(len(r.pair_refs) for r in new_ranges)
     log.info(

@@ -17,10 +17,11 @@ once; ``welch_t_test``, ``student_t_test`` and ``paired_t_test`` run it on
 one pair of vectors.
 
 The labelled pairs are one columnar :class:`PairTable`: ids, |dVMAF|, p-value
-and sig bit per pair, and, when it comes from a corpus, the stimulus codes of
-both endpoints.  Pair assignment, the co-distributions, the pairwise GLM and
-``pairs.csv`` take this table and read its columns; :class:`RatedPair`
-objects are only a view of them, built when the table is iterated or indexed.
+and sig bit per pair.  A table lists each pair once, whatever the order of its
+two recipes, and finds its endpoints in a corpus by their keys.  Pair
+assignment, the co-distributions, the pairwise GLM and ``pairs.csv`` take
+this table and read its columns; :class:`RatedPair` objects are only a view
+of them, built when the table is iterated or indexed.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import numpy as np
 
 from . import tableio
 from .corpus import Corpus, RatingTable
+from .errors import CorpusError
 
 log = logging.getLogger(__name__)
 
@@ -80,10 +82,7 @@ class PairTable(tableio.RowSequence[RatedPair]):
     """Rated pairs as columns, one entry per pair.
 
     ``content_id``, ``recipe_x`` and ``recipe_y`` are object arrays of ids,
-    ``delta_obj`` and ``p_value`` float arrays and ``sig`` an int array.  A
-    table that :func:`classify_pairs` makes also holds ``codes``, the stimulus
-    codes of each pair's two endpoints as an ``(n, 2)`` array, and ``keys``,
-    the key list of the :class:`RatingTable` they index.
+    ``delta_obj`` and ``p_value`` float arrays and ``sig`` an int array.
 
     As a sequence, the table is the pairs as :class:`RatedPair` objects, a
     view built from the columns on first use.
@@ -91,15 +90,22 @@ class PairTable(tableio.RowSequence[RatedPair]):
 
     def __init__(self, content_id: Sequence[str], recipe_x: Sequence[str],
                  recipe_y: Sequence[str], delta_obj: Sequence[float], p_value: Sequence[float],
-                 sig: Sequence[int], codes: np.ndarray | None = None,
-                 keys: list[tuple[str, str]] | None = None) -> None:
+                 sig: Sequence[int]) -> None:
+        """The table of the given columns.  Raises :class:`CorpusError` with
+        ``row=("pairs", index)`` at the first pair listed again: the same
+        content and the same two recipes, in either order."""
         self.content_id, self.recipe_x, self.recipe_y = (
             np.asarray(ids, dtype=object) for ids in (content_id, recipe_x, recipe_y)
         )
         self.delta_obj = np.asarray(delta_obj, dtype=float)
         self.p_value = np.asarray(p_value, dtype=float)
         self.sig = np.asarray(sig, dtype=np.int64)
-        self.codes, self.keys = codes, keys
+        lo, hi = np.minimum(self.recipe_x, self.recipe_y), np.maximum(self.recipe_x, self.recipe_y)
+        pairs = list(zip(self.content_id.tolist(), lo.tolist(), hi.tolist()))
+        if len(set(pairs)) < len(pairs):
+            seen: set[tuple[str, str, str]] = set()
+            i = next(i for i, pair in enumerate(pairs) if pair in seen or seen.add(pair))
+            raise CorpusError(f"duplicate pair {self.pair_ids[i]}", row=("pairs", i))
 
     def columns(self) -> tuple[Sequence, ...]:
         """The columns of :data:`PAIR_TABLE` as Python values."""
@@ -119,14 +125,12 @@ class PairTable(tableio.RowSequence[RatedPair]):
 
     @functools.cached_property
     def index(self) -> dict[str, int]:
-        """The row of each pair id (of one of its rows, for an id listed twice)."""
+        """The row of each pair id."""
         return dict(zip(self.pair_ids, itertools.count()))
 
     def endpoint_codes(self, table: RatingTable) -> np.ndarray:
-        """The ``(n, 2)`` codes in ``table`` of each pair's two stimuli; -1
-        for a stimulus that ``table`` does not hold."""
-        if self.codes is not None and self.keys is table.keys:
-            return self.codes
+        """The ``(n, 2)`` codes in ``table`` of each pair's two stimuli, found
+        by key; -1 for a stimulus that ``table`` does not hold."""
         get = table.codes.get
         ends = [
             np.fromiter(map(get, zip(self.content_id, recipes), itertools.repeat(-1)), np.intp,
@@ -228,7 +232,7 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     """Label every within-content pair with |dVMAF|, p-value, and sig bit.
 
     The pairs come sorted by (content, recipe_x, recipe_y), with recipe_x <
-    recipe_y, as one :class:`PairTable` that holds the endpoint codes.
+    recipe_y, as one :class:`PairTable`.
 
     The test runs over all pairs at once, on the per-stimulus statistics of
     :meth:`RatingTable.panels`, through the same kernel as ``welch_t_test`` /
@@ -266,7 +270,7 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
         raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
     keys = np.array(table.keys, dtype=object)
     pairs = PairTable(keys[x, 0], keys[x, 1], keys[y, 1], np.abs(table.vmaf[x] - table.vmaf[y]),
-                      p, p < alpha, np.column_stack((x, y)), table.keys)
+                      p, p < alpha)
     n_sig = int(pairs.sig.sum())
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
     return pairs
@@ -301,15 +305,13 @@ def read_pairs_csv(path: str | Path) -> PairTable:
     recipe_y; a :class:`CorpusError` names the line of the first row that is
     out of order or repeats an earlier one."""
     table = tableio.read_table(path, PAIR_TABLE)
-    pairs = PairTable(*table.columns)
-    recipes = zip(itertools.count(), pairs.recipe_x, pairs.recipe_y)
-    unordered = next((i for i, x, y in recipes if x >= y), len(pairs))
-    ids, seen = pairs.pair_ids, set()
-    repeat = next((i for i, pair_id in enumerate(ids) if pair_id in seen or seen.add(pair_id)),
-                  len(pairs))
-    if unordered < repeat:
-        raise table.error(f"recipe_y {pairs.recipe_y[unordered]!r} does not sort after "
-                          f"recipe_x {pairs.recipe_x[unordered]!r}", unordered, "recipe_y")
-    if repeat < len(pairs):
-        raise table.error(f"duplicate pair {ids[repeat]}", repeat)
+    recipes = zip(itertools.count(), table.columns[1], table.columns[2])
+    ordered = next((i for i, x, y in recipes if x >= y), len(table.lines))
+    try:  # the rows before the first one out of order, which may repeat a pair
+        pairs = PairTable(*(column[:ordered] for column in table.columns))
+    except CorpusError as exc:
+        raise table.error(exc.message, exc.row[1]) from None
+    if ordered < len(table.lines):
+        raise table.error(f"recipe_y {table.columns[2][ordered]!r} does not sort after "
+                          f"recipe_x {table.columns[1][ordered]!r}", ordered, "recipe_y")
     return pairs

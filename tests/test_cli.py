@@ -503,9 +503,9 @@ def test_flags_replace_config_values(tmp_path):
         (["--strategy", "fixed_width", "--width", "1e-9"], None,
          ("ValueError", "width 1e-09 makes 100000000000 ranges, more than 1000")),
         (["--strategy", "explicit", "--bounds", "0,90,80,100"], None,
-         ("ValueError", "bounds must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
+         ("ValueError", "bounds: must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
         (["--strategy", "explicit", "--bounds", "50"], None,
-         ("ValueError", "explicit decomposition needs at least two bounds, got (50.0,)")),
+         ("ValueError", "bounds: need at least two, got (50.0,)")),
         ([], {"decomposition": {"balance": "pair"}},
          ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
         # the bin width follows the fixed width's rule; nan used to fail in fit
@@ -516,9 +516,19 @@ def test_flags_replace_config_values(tmp_path):
          ("ValueError", "bin_width must be positive and finite, got inf")),
         (["--bin-width", "1e-300"], None,
          ("ValueError", "bin_width 1e-300 makes 1e+302 bins, more than 1000")),
+        # a repeated family or threshold would write each of its
+        # predictions.csv rows twice
+        (["--families", "glm,glm"], None,
+         ("ValueError", "families: each may be listed once, got ['glm', 'glm']")),
+        (["--thresholds", "0.5,0.5"], None,
+         ("ValueError", "thresholds: each may be listed once, got [0.5, 0.5]")),
+        ([], {"thresholds": [0.9, 0.75, 0.9]},
+         ("CorpusError",
+          "config.json: thresholds: each may be listed once, got [0.9, 0.75, 0.9]")),
     ],
     ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "balance",
-         "bin-width-nan", "bin-width-inf", "bin-width-tiny"],
+         "bin-width-nan", "bin-width-inf", "bin-width-tiny", "families-repeat",
+         "thresholds-repeat", "thresholds-repeat-config"],
 )
 def test_bad_decomposition_setting_exits_before_any_stage(
     sim_dir, tmp_path, capsys, flags, config, error
@@ -704,8 +714,8 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
     ("bounds", "x", "bounds: expected a list of numbers, got 'x'"),
     ("bounds", [0, "80", 100], "bounds: expected a list of numbers, got [0, '80', 100]"),
     # these three used to fit nothing and exit 0
-    ("bounds", [100, 50, 0], "bounds must be strictly increasing, got [100.0, 50.0, 0.0]"),
-    ("bounds", [50], "explicit decomposition needs at least two bounds, got [50.0]"),
+    ("bounds", [100, 50, 0], "bounds: must be strictly increasing, got [100.0, 50.0, 0.0]"),
+    ("bounds", [50], "bounds: need at least two, got [50.0]"),
     ("assignments", {"(0,1]": []},
      "assignments: 1 key(s) name no range of the bounds, e.g. ['(0,1]']"),
 ], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-reversed",
@@ -761,6 +771,8 @@ def _swap_anchor_and_jnd(lines):
                      "truth jnd references unknown stimulus c00/zz", id="unknown-jnd"),
         pytest.param("jnd_truth.csv", _swap_anchor_and_jnd, "line 2",
                      "dec truth for c00 moves up in quality", id="truth-moves-wrong-way"),
+        pytest.param("jnd_truth.csv", _duplicate_line_2, "line 3",
+                     "duplicate truth c00/r1 dec r3 order 1", id="truth-duplicate"),
         pytest.param("pairs.csv", _edit_line_2(0, ""), "line 2:content_id", "empty value",
                      id="pair-empty-id"),
         pytest.param("pairs.csv", _edit_line_2(4, "7.5"), "line 2:p_value",

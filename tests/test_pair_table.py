@@ -1,11 +1,12 @@
 """The columnar pair table's array programs against per-pair oracles.
 
-Random small corpora and pair tables with rows in random order, with repeated
-pairs, pairs of unknown stimuli and random explicit bounds that need not
-cover every stimulus.  ``assign_pairs`` must give each range the refs a
-per-endpoint loop over the ranges gives it, or fail at the same endpoint; each
-range's co-distribution and the pairwise GLM's inputs must equal a loop over
-the pairs the range references.
+Random small corpora and pair tables with rows in random order, with pairs
+of unknown stimuli and random explicit bounds that need not cover every
+stimulus; a table that lists a pair twice is refused when it is built.
+``assign_pairs`` must give each range the refs a per-endpoint loop over the
+ranges gives it, or fail at the same endpoint; each range's co-distribution
+and the pairwise GLM's inputs must equal a loop over the pairs the range
+references.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import bisect
 import itertools
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jndmap import mapping
 from jndmap.corpus import Corpus, Recipe, Stimulus
-from jndmap.errors import FitError
+from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import build_codistribution, fit_all
 from jndmap.ranges import assign_pairs, decompose_explicit
 from jndmap.significance import PairTable
@@ -37,8 +37,9 @@ VMAFS = st.one_of(st.sampled_from((0.0, 20.0, 35.5, 50.0, 80.0, 100.0)), st.floa
 @st.composite
 def studies(draw) -> tuple[Corpus, PairTable, list[float]]:
     """A corpus, pairs of its stimuli (and maybe of an unknown one) in random
-    order with maybe a repeat, and increasing explicit bounds, which cover
-    every stimulus three times in four."""
+    order, and increasing explicit bounds, which cover every stimulus three
+    times in four.  Now and then a pair is listed again, its recipes maybe
+    swapped, and the table must refuse it at its second copy."""
     stimuli = []
     for content_id in draw(st.lists(st.sampled_from(CONTENTS), min_size=1, unique=True)):
         recipes = draw(st.lists(st.sampled_from(RECIPES), min_size=2, unique=True))
@@ -53,9 +54,16 @@ def studies(draw) -> tuple[Corpus, PairTable, list[float]]:
     if draw(st.integers(0, 7)) == 0:
         keys.append((stimuli[0].content_id, stimuli[0].recipe_id, "zz"))  # an unknown stimulus
     rows = [(*key, draw(st.floats(0.0, 60.0)), 0.5, draw(st.integers(0, 1))) for key in keys]
+    rows = draw(st.permutations(rows))
     if draw(st.integers(0, 7)) == 0:
-        rows.append(draw(st.sampled_from(rows)))
-    pairs = PairTable(*zip(*draw(st.permutations(rows))))
+        first = draw(st.integers(0, len(rows) - 1))
+        content_id, x, y, *values = rows[first]
+        at = draw(st.integers(0, len(rows)))
+        again = (content_id, *draw(st.permutations((x, y))), *values)
+        with pytest.raises(CorpusError, match="duplicate pair ") as caught:
+            PairTable(*zip(*rows[:at], again, *rows[at:]))
+        assert caught.value.row == ("pairs", first + 1 if at <= first else at)
+    pairs = PairTable(*zip(*rows))
     # tenths of a VMAF unit or a stimulus's VMAF, so bounds often fall on one
     edges = st.one_of(st.integers(0, 1000).map(lambda b: b / 10.0),
                       st.sampled_from([s.vmaf for s in stimuli]))
@@ -81,11 +89,8 @@ def _oracle_refs(pairs, decomp, corpus) -> dict[str, tuple[str, ...]]:
 
 
 def _oracle_codistribution(srange, pairs, bin_width):
-    """Bin edges, f_dif and f_sim by a loop over the referenced pairs, or None
-    when the range references a pair listed twice."""
+    """Bin edges, f_dif and f_sim by a loop over the referenced pairs."""
     listed = [p for p in pairs if p.pair_id in set(srange.pair_refs)]
-    if len(listed) != len(set(srange.pair_refs)):
-        return None
     top = math.ceil(max(p.delta_obj for p in listed))
     n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
     edges = [float(i) * bin_width for i in range(n_bins + 1)]
@@ -122,10 +127,6 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
         if not srange.pair_refs:
             continue
         oracle = _oracle_codistribution(srange, pairs, bin_width)
-        if oracle is None:
-            with pytest.raises(ValueError, match="the given list repeats 1 pair"):
-                build_codistribution(srange, pairs, bin_width)
-            return
         cd = build_codistribution(srange, pairs, bin_width)
         assert (cd.bin_edges, cd.f_dif, cd.f_sim) == oracle
         refs = set(srange.pair_refs)
@@ -138,8 +139,7 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
 
 
 def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
-    """A table finds its endpoints' codes by id, unless it holds the codes of
-    the very key list asked about."""
+    """A table finds its endpoints' codes by id, in any corpus."""
     stimuli = tuple(
         Stimulus(c, Recipe(r, "1080p", 1), v)
         for c, recipes in (("c2", ("r2", "r10")), ("c1", ("r1", "r10", "r2")))
@@ -153,9 +153,18 @@ def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
         [corpus.code(c, x), corpus.code(c, y)]
         for c, x, y in zip(table.content_id, table.recipe_x, table.recipe_y)
     ]
-    coded = PairTable(*table.columns(), codes=np.array(codes), keys=corpus.ratings.keys)
-    assert coded.endpoint_codes(corpus.ratings) is coded.codes
-    assert list(coded) == list(table)
     # one more stimulus sorts first and moves every code by one
     shifted = Corpus((Stimulus("c0", Recipe("r1", "1080p", 1), 60.0), *stimuli), (), ())
-    assert coded.endpoint_codes(shifted.ratings).tolist() == (codes + 1).tolist()
+    assert table.endpoint_codes(shifted.ratings).tolist() == (codes + 1).tolist()
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["same-order", "recipes-swapped"])
+def test_a_pair_listed_twice_is_refused_at_its_second_copy(swap):
+    again = ("r10", "r1") if swap else ("r1", "r10")
+    columns = (["c1", "c2", "c1", "c1"], ["r1", "r1", "r2", again[0]],
+               ["r10", "r10", "r10", again[1]], [5.0] * 4, [0.5] * 4, [0, 1, 0, 1])
+    with pytest.raises(CorpusError, match=f"^duplicate pair c1:{again[0]}:{again[1]}$") as caught:
+        PairTable(*columns)
+    assert caught.value.row == ("pairs", 3)
+    # the same recipes in another content, or another recipe pair, are other pairs
+    assert len(PairTable(*(column[:3] for column in columns))) == 3
