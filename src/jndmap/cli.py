@@ -359,6 +359,12 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
 
 def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
     cfg = _resolve_config(args)
+    orders = None
+    if args.orders:
+        try:  # the rule of the order column: integers >= 1
+            orders = tuple(map(corpus_mod.TRUTH_TABLE["order"], args.orders.split(",")))
+        except ValueError as exc:
+            raise ValueError(f"--orders: {exc}") from None
     corpus = corpus_mod.load_corpus(args.vmaf, None, args.truth)
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
@@ -367,7 +373,6 @@ def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
             f"{Path(args.models).name} range ids {sorted(models)} are not all in "
             f"{Path(args.ranges).name} range ids {decomp.range_ids()}"
         )
-    orders = tuple(int(o) for o in args.orders.split(",")) if args.orders else None
     predictions = Path(args.predictions) if args.predictions else None
     _evaluate(cfg, corpus, models, decomp, Path(args.out), predictions, written, orders)
 

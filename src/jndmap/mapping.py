@@ -48,8 +48,15 @@ is rejected, flagged ``flat``: that is all a monotone curve can make of a
 decreasing trend.  Fits are accepted only if the curve, clipped to [0, 1], is
 non-decreasing on a 1000-point grid over its domain; for the least-squares
 families this check is a safety net, and for ``glm`` it is the rule.  The
-pairwise ``glm`` fits the table's |dVMAF| and sig columns at the range's rows,
-by IRLS with closed-form 2x2 steps over point sums, so no fit calls BLAS.
+pairwise ``glm`` fits the table's |dVMAF| and sig columns at the range's rows;
+the points ``glm`` fits them as grouped binomial data.  The GLM decides
+separation from its data, once, before any iteration.  Labels of one kind are
+pinned flat (``constant_labels``).  Labels that do not overlap -- every
+non-difference at or below every difference, or the reverse -- have no finite
+MLE, so the fit is a step of slope +-``IRLS_SLOPE_CAP`` that crosses 0.5 at
+the middle of their gap (``separation``, 0 iterations).  Only labels that
+overlap, whose MLE is finite, reach IRLS; its closed-form 2x2 steps over point
+sums call no BLAS, and ``IRLS_MAX_ITER`` bounds its work.
 """
 
 from __future__ import annotations
@@ -78,6 +85,8 @@ MONOTONE_SLACK = 1e-9
 # as flat: it spans at most one step of the default threshold grid
 FLAT_RISE = 0.05
 IRLS_MAX_ITER = 100
+# the |slope| of a separated GLM fit's step, and the |intercept| of a
+# constant-labels fit
 IRLS_SLOPE_CAP = 50.0
 CURVE_SAMPLES = 200
 
@@ -221,8 +230,8 @@ def build_codistribution(
 
 def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
     """The rows of the pairs the range references, ascending; a ValueError
-    when it references none or a pair not in ``table``."""
-    refs = dict.fromkeys(srange.pair_refs)
+    when it references none, a pair not in ``table`` or a pair twice."""
+    refs = srange.pair_refs
     if not refs:
         raise ValueError(f"range {srange.range_id} has no assigned pairs")
     index = table.index
@@ -232,7 +241,12 @@ def _rows_in_range(srange: SubQualityRange, table: PairTable) -> np.ndarray:
             f"range {srange.range_id} references {len(missing)} pair(s) not in the "
             f"given list, e.g. {sorted(missing)[:3]}"
         )
-    return np.sort(np.fromiter(map(index.__getitem__, refs), np.intp, len(refs)))
+    rows = np.sort(np.fromiter(map(index.__getitem__, refs), np.intp, len(refs)))
+    repeated = rows[1:][rows[1:] == rows[:-1]]
+    if repeated.size:
+        ref = table.pair_ids[repeated[0]]
+        raise ValueError(f"range {srange.range_id} lists pair {ref!r} twice")
+    return rows
 
 
 # -- least-squares families --------------------------------------------------
@@ -628,25 +642,36 @@ class _Glm(Family):
         return _sigmoid(b0 + b1 * x)
 
     def fit(self, x_points, y_points, w_points, pairs: tuple | None, domain) -> tuple:
-        """Binomial logit by IRLS: on the (|dVMAF|, sig) columns ``pairs`` as
-        Bernoulli data when given, else on the points as grouped binomial data
-        with their support as trials."""
+        """Binomial logit: on the (|dVMAF|, sig) columns ``pairs`` as Bernoulli
+        data when given, else on the points as grouped binomial data with their
+        support as trials.  Labels that do not overlap have no finite MLE, so
+        they get a step at the middle of their gap; IRLS fits the rest."""
         if pairs is not None:
             x, y, trials = pairs[0], pairs[1].astype(float), np.ones(len(pairs[0]))
         else:
             x, y, trials = x_points, y_points, w_points
         if len(np.unique(x)) < 2:  # the slope is not identified
             raise FitError(f"glm: need >= 2 distinct |dVMAF| values, got {len(np.unique(x))}")
-        if np.all(y == 0.0) or np.all(y == 1.0):
+        fails, wins = x[y < 1.0], x[y > 0.0]
+        if not (fails.size and wins.size):
             # Degenerate all-similar / all-different data: no finite MLE exists,
             # so pin a flat curve at the observed rate and let prediction flag
             # the clamped inversion.  (Constant rates strictly inside (0, 1) are
             # fine -- IRLS converges to slope 0 at the logit of the rate.)
             b0 = IRLS_SLOPE_CAP if y[0] == 1.0 else -IRLS_SLOPE_CAP
             params, iterations, flags = np.array([b0, 0.0]), 0, ["constant_labels"]
+        elif fails.max() <= wins.min() or wins.max() <= fails.min():
+            # Separation (Albert and Anderson, Biometrika 71(1), 1984): the
+            # likelihood rises as the slope grows, so the fit is a step at the
+            # cap, rising or falling, that crosses 0.5 at the middle of the gap.
+            rising = fails.max() <= wins.min()
+            below, above = (fails, wins) if rising else (wins, fails)
+            slope = IRLS_SLOPE_CAP if rising else -IRLS_SLOPE_CAP
+            middle = 0.5 * (below.max() + above.min())
+            params, iterations, flags = np.array([-slope * middle, slope]), 0, ["separation"]
         else:
-            params, iterations, separated = _irls(x, y, trials)
-            flags = ["separation"] if separated else []
+            params, iterations = _irls(x, y, trials)
+            flags = []
 
         deviance, grad_norm = _glm_deviance(params, x, y, trials)
         monotone = bool(params[1] >= -MONOTONE_SLACK) and is_monotone(self.name, params, domain)
@@ -654,15 +679,15 @@ class _Glm(Family):
         return params, monotone, iterations, flags, extras
 
 
-def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, int, bool]:
+def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray, int]:
     """Iteratively reweighted least squares for the binomial logit model.
 
-    ``y`` holds observed proportions, ``trials`` the binomial weights.  Each
-    step solves [[Sw, Swx], [Swx, Swxx]] d = (Sr, Srx) in closed form, from one
-    pass of point sums with w = trials*mu*(1-mu) and r = trials*(y-mu).  A
-    slope past the cap is separation: it is pinned there and the intercept
-    re-solved.  The step test is relative to |beta|, as the gradient's rounding
-    floor exceeds 1e-10 with tens of thousands of observations.
+    ``y`` holds observed proportions, ``trials`` the binomial weights, and the
+    labels overlap, so the MLE is finite.  Each step solves [[Sw, Swx], [Swx,
+    Swxx]] d = (Sr, Srx) in closed form, from one pass of point sums with w =
+    trials*mu*(1-mu) and r = trials*(y-mu).  The step test is relative to
+    |beta|, as the gradient's rounding floor exceeds 1e-10 with tens of
+    thousands of observations; ``IRLS_MAX_ITER`` bounds the work.
     """
     beta = np.zeros(2)
     for iteration in range(IRLS_MAX_ITER + 1):  # the steps taken so far
@@ -671,7 +696,7 @@ def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray,
         sw, swx, swxx, sr, srx = _point_sum(np.stack([w, w * x, w * x * x, r, r * x], axis=1))
         grad_norm = 2.0 * math.hypot(sr, srx)
         if grad_norm < 1e-10:
-            return beta, iteration, False
+            return beta, iteration
         if iteration == IRLS_MAX_ITER:
             raise FitError(
                 f"glm: IRLS did not converge within {IRLS_MAX_ITER} iterations (final "
@@ -682,52 +707,8 @@ def _irls(x: np.ndarray, y: np.ndarray, trials: np.ndarray) -> tuple[np.ndarray,
             raise FitError(f"glm: singular IRLS normal equations at b1={beta[1]:.3g}")
         step = np.array([swxx * sr - swx * srx, sw * srx - swx * sr]) / det
         beta = beta + step
-        if abs(beta[1]) > IRLS_SLOPE_CAP:
-            slope = math.copysign(IRLS_SLOPE_CAP, beta[1])
-            return np.array([_solve_intercept(x, y, trials, slope), slope]), iteration + 1, True
         if np.max(np.abs(step)) < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
-            return beta, iteration + 1, False
-
-
-def _solve_intercept(x: np.ndarray, y: np.ndarray, trials: np.ndarray, slope: float) -> float:
-    """1-d solve for the intercept with the slope held fixed.
-
-    The score is strictly decreasing in the intercept, so the root is unique;
-    bisection on an expanding bracket is used because plain Newton shoots off
-    along the saturated tails (the Hessian is ~0 there after clipping).
-    """
-
-    def score(b0: float) -> float:
-        mu = np.clip(_sigmoid(b0 + slope * x), 1e-12, 1.0 - 1e-12)
-        return float(np.sum(trials * (y - mu)))
-
-    center = -slope * float(np.mean(x))
-    width = 1.0
-    lo = hi = center
-    for _ in range(200):
-        lo = center - width
-        if score(lo) > 0.0:
-            break
-        width *= 2.0
-    else:
-        return lo
-    width = 1.0
-    for _ in range(200):
-        hi = center + width
-        if score(hi) < 0.0:
-            break
-        width *= 2.0
-    else:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if score(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+            return beta, iteration + 1
 
 
 def _glm_deviance(

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -282,10 +283,11 @@ def decomposition_from_json_dict(data: dict) -> Decomposition:
     if unknown:
         raise ValueError(f"assignments: {len(unknown)} key(s) name no range of the bounds, "
                          f"e.g. {unknown[:3]}")
-    assignments = {
-        range_id: tableio.string_list(refs, f"assignments[{range_id!r}]")
-        for range_id, refs in assignments.items()
-    }
+    for range_id, refs in assignments.items():
+        tableio.string_list(refs, f"assignments[{range_id!r}]")
+        repeated = [ref for ref, count in Counter(refs).items() if count > 1]
+        if repeated:
+            raise ValueError(f"assignments[{range_id!r}]: pair {repeated[0]!r} is listed twice")
     ranges = tuple(replace(r, pair_refs=tuple(assignments.get(r.range_id, ())))
                    for r in decomp.ranges)
     return Decomposition(strategy=decomp.strategy, ranges=ranges)

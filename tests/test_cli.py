@@ -718,17 +718,26 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
     ("bounds", [50], "bounds: need at least two, got [50.0]"),
     ("assignments", {"(0,1]": []},
      "assignments: 1 key(s) name no range of the bounds, e.g. ['(0,1]']"),
+    ("assignments", lambda a, range_id, ref: {**a, range_id: [*a[range_id], ref]},
+     "assignments[{range_id!r}]: pair {ref!r} is listed twice"),
 ], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-reversed",
-        "bounds-one", "assignments-unknown-range"])
+        "bounds-one", "assignments-unknown-range", "assignments-repeat"])
 def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, value, message):
-    # these used to surface Python's own message, without the key
+    # these used to surface Python's own message, without the key; a callable
+    # value is built from the file's assignments, its first range and that range's first pair
     ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))
+    if callable(value):
+        range_id = sorted(ranges["assignments"])[0]
+        ref = ranges["assignments"][range_id][0]
+        value = value(ranges["assignments"], range_id, ref)
+        message = message.format(range_id=range_id, ref=ref)
     write_json(tmp_path / "ranges.json", {**ranges, key: value})
     record = _main_error_record(capsys, [
         "fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
         "--out-dir", tmp_path / "out"])
     assert record["error"] == "CorpusError"
     assert record["message"] == f"ranges.json: {message}"
+    assert record["artifacts_written"] == []
 
 
 def _duplicate_line_2(lines):
@@ -846,6 +855,28 @@ def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path
         f"mf_params.json range ids {model_ids} are not all in ranges.json range ids {range_ids}"
     )
     assert not (tmp_path / "metrics.json").exists()
+
+
+@pytest.mark.parametrize(("orders", "message"), [
+    ("1", None),
+    ("1,x", "--orders: invalid literal for int() with base 10: 'x'"),
+    ("0", "--orders: 0 outside [1, inf]"),
+], ids=["order-1", "not-an-integer", "zero"])
+def test_evaluate_orders_follow_the_order_column_rule(sim_dir, run_dir, tmp_path, capsys,
+                                                       orders, message):
+    out = tmp_path / "metrics.json"
+    argv = [str(a) for a in [
+        "evaluate", "--vmaf", sim_dir / "vmaf_scores.csv", "--truth", sim_dir / "jnd_truth.csv",
+        "--models", run_dir / "mf_params.json", "--ranges", run_dir / "ranges.json",
+        "--out", out, "--orders", orders]]
+    if message is None:
+        # every truth of the simulated study is of order 1, so the filter keeps them all
+        assert cli.main(argv) == 0
+        assert out.read_bytes() == (run_dir / "metrics.json").read_bytes()
+    else:
+        record = _main_error_record(capsys, argv)
+        assert record["message"] == message
+        assert record["artifacts_written"] == []
 
 
 # -- the process entry and the cyclic collector --------------------------------

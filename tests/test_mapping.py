@@ -26,7 +26,6 @@ from jndmap.mapping import (
     _glm_deviance,
     _irls,
     _sigmoid,
-    _solve_intercept,
     build_codistribution,
     codist_csv_text,
     curve_samples_csv_text,
@@ -168,6 +167,10 @@ def test_codistribution_counts_missing_and_repeated_pairs_by_id():
     srange, pairs = _codist_fixture()
     with pytest.raises(ValueError, match=r"references 1 pair\(s\) not in the given list"):
         build_codistribution(srange, _take(pairs, np.array([0, 2])))
+    # a hand-built range that lists a pair again is refused, not counted once
+    repeated = dataclasses.replace(srange, pair_refs=(*srange.pair_refs, srange.pair_refs[1]))
+    with pytest.raises(ValueError, match=rf"^range \(0,50\] lists pair '{pairs.pair_ids[1]}' twice$"):
+        build_codistribution(repeated, pairs)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -220,9 +223,9 @@ def test_glm_constant_labels_short_circuit():
 
 
 def test_glm_separated_pairs_hit_slope_cap():
-    # Perfect separation with a narrow margin around delta 5: the slope has
-    # to blow up to fit it, so IRLS pins it at the cap and re-solves the
-    # intercept, leaving the 0.5-crossing at the middle of the margin.
+    # Perfect separation with a narrow margin around delta 5: no finite slope
+    # fits it, so the fit is a step at the cap whose 0.5-crossing is the
+    # middle of the margin.
     pairs = PairTable(*zip(*(
         ("c1", "a", f"s{i}", d, 0.5, int(d > 5.0))
         for i, d in enumerate((1.0, 3.0, 4.95, 5.05, 7.0, 9.0))
@@ -555,8 +558,8 @@ def test_irls_converges_on_thirty_thousand_bernoulli_pairs():
     x = rng.uniform(0, 12, 30000)
     y = (rng.uniform(size=30000) < 1 / (1 + np.exp(-(-2.5 + 0.76 * x)))).astype(float)
     trials = np.ones_like(x)
-    beta, iterations, separated = _irls(x, y, trials)
-    assert not separated and iterations < IRLS_MAX_ITER
+    beta, iterations = _irls(x, y, trials)
+    assert iterations < IRLS_MAX_ITER
     assert beta == pytest.approx([-2.5, 0.76], abs=0.1)
     assert _glm_deviance(beta, x, y, trials)[1] < 1e-8
 
@@ -565,7 +568,8 @@ def _reference_irls(x, y, trials):
     """IRLS as the package once wrote it, the oracle of the closed-form step:
     each iteration solves the 2x2 normal equations in the working response z
     with ``np.linalg.solve`` (``lstsq`` when singular) and then evaluates the
-    deviance gradient at the new beta; the stop rules are the package's."""
+    deviance gradient at the new beta; the stop rules are the package's, on
+    labels that overlap."""
     X = np.column_stack([np.ones_like(x), x])
     beta = np.zeros(2)
     for iteration in range(1, IRLS_MAX_ITER + 1):
@@ -577,15 +581,12 @@ def _reference_irls(x, y, trials):
             beta_new = np.linalg.solve(xtw @ X, xtw @ z)
         except np.linalg.LinAlgError:
             beta_new = np.linalg.lstsq(xtw @ X, xtw @ z, rcond=None)[0]
-        if abs(beta_new[1]) > IRLS_SLOPE_CAP:
-            slope = float(np.copysign(IRLS_SLOPE_CAP, beta_new[1]))
-            return np.array([_solve_intercept(x, y, trials, slope), slope]), iteration, True
         step = float(np.max(np.abs(beta_new - beta)))
         beta = beta_new
         mu = np.clip(_sigmoid(X @ beta), 1e-12, 1.0 - 1e-12)
         grad_norm = float(np.linalg.norm(-2.0 * (X.T @ (trials * (y - mu)))))
         if grad_norm < 1e-10 or step < 1e-13 * max(1.0, float(np.max(np.abs(beta)))):
-            return beta, iteration, False
+            return beta, iteration
     raise AssertionError("the reference IRLS did not converge")
 
 
@@ -613,21 +614,56 @@ IRLS_PROBLEMS = {
     "binomial-8": _binomial_problem(13, 8, -3.0, 0.5),
     "binomial-25": _binomial_problem(17, 25, -6.0, 0.35),
     "binomial-flat": _binomial_problem(19, 6, 0.4, 0.0),
-    "separated": (np.array([1.0, 3.0, 4.95, 5.05, 7.0, 9.0]),
-                  np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0]), np.ones(6)),
-    "separated-grouped": (np.array([1.0, 4.95, 5.05, 7.0]), np.array([0.0, 0.0, 1.0, 1.0]),
-                          np.array([4.0, 9.0, 2.0, 5.0])),
 }
 
 
 @pytest.mark.parametrize("name", list(IRLS_PROBLEMS))
 def test_closed_form_irls_matches_the_linalg_reference(name):
     x, y, trials = IRLS_PROBLEMS[name]
-    beta, iterations, separated = _irls(x, y, trials)
-    ref_beta, _, ref_separated = _reference_irls(x, y, trials)
-    assert separated == ref_separated == name.startswith("separated")
+    beta, iterations = _irls(x, y, trials)
+    ref_beta, _ = _reference_irls(x, y, trials)
     np.testing.assert_allclose(beta, ref_beta, rtol=1e-10, atol=0.0)
     assert 0 < iterations < IRLS_MAX_ITER
+
+
+# The (|dVMAF|, sig) pairs of range (69.7453,69.8683] of `run --k 200` on the
+# default simulated study (seed 1729): sig 0 only at the two smallest deltas,
+# so the labels are separated, though 4.53 to 6.82 is no narrow gap.
+K200_DELTAS = np.array([
+    24.457881018823286, 21.844304460160146, 20.374993157200805, 17.426698026082164,
+    15.210331521095497, 13.191928927943053, 11.330968860120379, 9.452773583037981,
+    6.817848229520536, 4.53076783066588, 2.164227416751473,
+])
+K200_SIG = np.array([1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0])
+
+# x, y and the trials of grouped data (None for Bernoulli pairs), the sign of
+# the step and the middle of the gap between the labels
+SEPARATED = {
+    "rising": ([1.0, 3.0, 4.95, 5.05, 7.0, 9.0], [0, 0, 0, 1, 1, 1], None, 1.0, 5.0),
+    "falling": ([1.0, 3.0, 4.95, 5.05, 7.0, 9.0], [1, 1, 1, 0, 0, 0], None, -1.0, 5.0),
+    "tie": ([1.0, 3.0, 5.0, 5.0, 7.0, 9.0], [0, 0, 0, 1, 1, 1], None, 1.0, 5.0),
+    "grouped": ([1.0, 4.95, 5.05, 7.0], [0.0, 0.0, 1.0, 1.0], [4.0, 9.0, 2.0, 5.0], 1.0, 5.0),
+    "grouped-tie": ([1.0, 3.0, 5.0, 7.0], [0.0, 0.0, 0.25, 1.0], [4.0, 9.0, 8.0, 5.0], 1.0, 5.0),
+    "k200-range": (K200_DELTAS, K200_SIG, None, 1.0, 0.5 * (4.53076783066588 + 6.817848229520536)),
+}
+
+
+@pytest.mark.parametrize(("x", "y", "trials", "sign", "middle"), list(SEPARATED.values()),
+                         ids=list(SEPARATED))
+def test_glm_fits_separated_labels_as_a_step_at_the_middle_of_the_gap(x, y, trials, sign, middle):
+    # no finite MLE: the slope sits at the cap, IRLS is not run, and the curve
+    # crosses 0.5 halfway between the last label of one kind and the first of the other
+    x, y = np.array(x, dtype=float), np.array(y)
+    glm, domain = FAMILY_TABLE["glm"], (0.0, float(x.max()))
+    if trials is None:
+        params, monotone, iterations, flags, _ = glm.fit(None, None, None, (x, y), domain)
+    else:
+        params, monotone, iterations, flags, _ = glm.fit(x, y, np.array(trials), None, domain)
+    assert flags == ["separation"] and iterations == 0
+    assert params[1] == sign * IRLS_SLOPE_CAP
+    assert -params[0] / params[1] == pytest.approx(middle, rel=1e-15)
+    assert glm.curve(params, np.array([middle]))[0] == pytest.approx(0.5, abs=1e-12)
+    assert monotone == (sign > 0)
 
 
 @pytest.mark.parametrize("deltas", [(5.0,), (5.0, 5.0, 5.0, 5.0)], ids=["one-pair", "equal-deltas"])
