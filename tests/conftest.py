@@ -10,14 +10,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import special
 
 import jndmap
 from jndmap.corpus import Corpus, DcrRating, Recipe, Stimulus
 from jndmap.mapping import FitReport, MappingFunction
 from jndmap.predict import JndPrediction, invert_at_threshold
 from jndmap.ranges import Decomposition, decompose_explicit
-from jndmap.significance import TestResult
+from jndmap.significance import TestResult, _two_sided_p
 from jndmap.simulate import SimSpec, simulate_corpus
 
 # CLI subprocesses import the jndmap this session imports: its source
@@ -42,7 +41,9 @@ def make_stimuli(content_id: str, vmafs, prefix: str = "r") -> tuple[Stimulus, .
 def vector_test(a, b, test: str, alpha: float = 0.05) -> TestResult:
     """The reference two-sample tests, written on two score vectors in plain
     Python floats (so ``sa**2`` is C pow()): the oracle that the significance
-    kernel must equal bit for bit, with the same errors in the same order."""
+    kernel must equal bit for bit, with the same errors in the same order.
+    Its p is the package's own ``_two_sided_p`` on the one pair's t and df,
+    whose accuracy ``test_significance.py`` checks against mpmath."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError(f"need >= 2 observations per side, got {len(a)} and {len(b)}")
     if not 0.0 < alpha < 1.0:
@@ -76,7 +77,7 @@ def vector_test(a, b, test: str, alpha: float = 0.05) -> TestResult:
             raise ValueError(f"variances {va:.3g} and {vb:.3g} are too small for the Welch df: "
                              "their squares underflow")
         df = (sa + sb) ** 2 / denom
-    p = 1.0 if t == 0.0 else float(special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+    p = float(_two_sided_p(np.array([t]), np.array([df]))[0])
     return TestResult(t=t, df=df, p=p, sig=int(p < alpha))
 
 

@@ -348,12 +348,16 @@ def test_version_flag():
     assert proc.stdout.strip().startswith("jndmap ")
 
 
-def test_cli_import_loads_no_scipy_solver():
-    # the solvers are imported where a fit or a p-value first needs them
+def test_cli_import_loads_no_scipy_solver(sim_dir, tmp_path):
+    # neither the import nor a whole run loads scipy: the fits and the
+    # p-values are the package's own
     src = Path(cli.__file__).resolve().parents[1]
     probe = (
-        "import sys, jndmap.cli; "
-        "print([m for m in ('scipy.optimize', 'scipy.special') if m in sys.modules])"
+        "import sys, jndmap.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "print('scipy:', loaded(), file=sys.stderr)\n"
+        f"assert jndmap.cli.main({_run_argv(sim_dir, tmp_path / 'out')!r}) == 0\n"
+        "print('scipy:', loaded(), file=sys.stderr)\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", probe],
@@ -363,7 +367,9 @@ def test_cli_import_loads_no_scipy_solver():
         check=True,
         timeout=120,
     )
-    assert proc.stdout.strip() == "[]"
+    assert [line for line in proc.stderr.splitlines() if line.startswith("scipy:")] == [
+        "scipy: []", "scipy: []"]
+    assert (tmp_path / "out" / "pairs.csv").exists()
 
 
 def test_config_file_round_trip(sim_dir, tmp_path):

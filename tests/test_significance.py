@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import special, stats
 
+from jndmap import significance
 from jndmap.corpus import Corpus, DcrRating
 from jndmap.significance import (
+    TESTS,
     RatedPair,
     classify_pairs,
     paired_t_test,
@@ -20,6 +23,7 @@ from jndmap.significance import (
     student_t_test,
     welch_t_test,
 )
+from jndmap.simulate import SimSpec, simulate_corpus
 from jndmap.tableio import write_csv_text
 
 from conftest import make_stimuli, vector_test
@@ -280,3 +284,81 @@ def test_classify_matches_per_pair_vector_tests(test):
             [r.score for r in corpus.ratings_for(pair.content_id, pair.recipe_y)],
         )
         assert (pair.p_value, pair.sig) == (result.p, result.sig)
+
+
+# -- the p-value's incomplete beta ------------------------------------------
+
+
+def _mp_two_sided_p(t: float, df: float):
+    """I_x(df/2, 1/2), x = df / (df + t**2), at 40 digits from the exact t and df."""
+    with mpmath.workdps(40):
+        t, df = mpmath.mpf(t), mpmath.mpf(df)
+        return mpmath.betainc(df / 2, 0.5, 0, df / (df + t * t), regularized=True)
+
+
+def _t_grid(df: float) -> np.ndarray:
+    """t from 1e-6 to where p is near 1e-270, and both sides of the point
+    x = (a + 1) / (a + 2.5), a = df/2, where the fraction swaps to 1 - x."""
+    a = df / 2
+    far = min(math.sqrt(df * math.expm1(min(620.0 / a, 700.0))), 1e150)
+    swap = math.sqrt(df * 1.5 / (a + 1.0))
+    return np.concatenate([np.geomspace(1e-6, far, 24),
+                           swap * np.array([0.5, 0.9, 0.999, 0.99999, 1.00001, 1.001, 1.1, 2.0])])
+
+
+@pytest.mark.parametrize("df", [1.0, 1.5, 2.7, 10.0, 46.3, 200.0, 1000.0, 1e4])
+def test_two_sided_p_matches_mpmath(df):
+    """Relative error at most 1e-12 up to df = 1000, and 2e-16 * df above: the
+    continued fraction loses about df * eps near the swap point (1.3e-12 at
+    df = 1e4, 6.4e-11 at df = 1e6), and in the far tail the error follows
+    |ln p| * eps."""
+    t = _t_grid(df)
+    p = significance._two_sided_p(t, np.full(len(t), df))
+    bound = 1e-12 if df <= 1000 else 2e-16 * df
+    checked = 0
+    for ti, pi in zip(t.tolist(), p.tolist()):
+        ref = _mp_two_sided_p(ti, df)
+        if ref > 1e-300:  # below it, a double holds few digits of p
+            assert abs(pi - ref) <= bound * ref, (ti, pi, ref)
+            checked += 1
+    assert checked >= 30
+
+
+def test_two_sided_p_degenerate_inputs_do_not_raise():
+    t = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, 1.0, 1.0, np.nan, 0.0])
+    df = np.array([5.0, 5.0, 5.0, 5.0, 0.0, -1.0, np.nan, 5.0, 0.0])
+    with np.errstate(all="raise"):
+        p = significance._two_sided_p(t, df)
+    np.testing.assert_array_equal(p, [1.0, 1.0, 0.0, 0.0] + [np.nan] * 5)
+
+
+def test_two_sided_p_converges_well_inside_its_pass_limit(monkeypatch):
+    """At df = 1e6 every lane of the continued fraction has converged by pass
+    70 of CF_PASSES: with the limit lowered to 70 not one bit moves."""
+    t = np.concatenate([np.geomspace(1e-6, 40.0, 400), np.linspace(1.5, 2.0, 401)])
+    df = np.full(len(t), 1e6)
+    full = significance._two_sided_p(t, df)
+    monkeypatch.setattr(significance, "CF_PASSES", 70)
+    assert significance._two_sided_p(t, df).tobytes() == full.tobytes()
+
+
+def _scipy_two_sided_p(t, df):
+    with np.errstate(all="ignore"):
+        return np.where(t == 0.0, 1.0, special.betainc(0.5 * df, 0.5, df / (df + t * t)))
+
+
+@pytest.mark.parametrize("test", TESTS)
+@pytest.mark.parametrize("spec", [
+    SimSpec(),
+    SimSpec(n_contents=6, observer_count=9, rating_noise_sd=2.0, seed=4),
+], ids=["default-study", "noisy-panel"])
+def test_classify_sig_bits_equal_scipy_betainc(spec, test, monkeypatch):
+    """The package's p-values flip no sig bit of scipy's.  scipy, fed x
+    rounded, is off by up to 1.1e-9 relative at df near 46, so the p-values
+    may differ by that much."""
+    corpus, _ = simulate_corpus(spec)
+    ours = classify_pairs(corpus, test=test)
+    monkeypatch.setattr(significance, "_two_sided_p", _scipy_two_sided_p)
+    ref = classify_pairs(corpus, test=test)
+    np.testing.assert_array_equal(ours.sig, ref.sig)
+    np.testing.assert_allclose(ours.p_value, ref.p_value, rtol=2e-9, atol=0.0)
