@@ -16,80 +16,45 @@ The pipeline, in library form:
    (threshold x family) grid.
 8. :mod:`jndmap.simulate` -- generate seeded synthetic corpora with known JND
    scale for end-to-end validation.
+
+Importing the package loads none of these modules, and not numpy either:
+each public name is resolved from its module on first access (PEP 562), so
+the process entry (:mod:`jndmap.entry`) can set up the process before numpy
+loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .corpus import Corpus, DcrRating, JndTruth, Recipe, Stimulus, load_corpus
-from .errors import CorpusError, FitError, JndmapError
-from .evaluate import EvalGrid, EvalGridSpec, evaluate_grid, ground_truth_delta
-from .mapping import (
-    CoDistribution,
-    MappingFunction,
-    build_codistribution,
-    evaluate_mf,
-    fit_all,
-    fit_mapping,
-)
-from .predict import JndPrediction, invert_at_threshold, predict_jnd
-from .ranges import (
-    Decomposition,
-    SubQualityRange,
-    assign_pairs,
-    decompose_balanced,
-    decompose_explicit,
-    decompose_fixed,
-)
-from .screening import ScreeningReport, apply_screening, screen, screen_bt500
-from .significance import (
-    RatedPair,
-    classify_pairs,
-    paired_t_test,
-    student_t_test,
-    welch_t_test,
-)
-from .simulate import SimSpec, bisection_search, simulate_corpus
+#: Each public module and the names it exports, in ``__all__`` order.
+_EXPORTS = {
+    "corpus": ("Corpus", "DcrRating", "JndTruth", "Recipe", "Stimulus", "load_corpus"),
+    "errors": ("CorpusError", "FitError", "JndmapError"),
+    "screening": ("ScreeningReport", "screen", "screen_bt500", "apply_screening"),
+    "significance": ("RatedPair", "welch_t_test", "student_t_test", "paired_t_test",
+                     "classify_pairs"),
+    "ranges": ("Decomposition", "SubQualityRange", "decompose_balanced", "decompose_fixed",
+               "decompose_explicit", "assign_pairs"),
+    "mapping": ("CoDistribution", "MappingFunction", "build_codistribution", "fit_mapping",
+                "fit_all", "evaluate_mf"),
+    "predict": ("JndPrediction", "invert_at_threshold", "predict_jnd"),
+    "evaluate": ("EvalGrid", "EvalGridSpec", "evaluate_grid", "ground_truth_delta"),
+    "simulate": ("SimSpec", "simulate_corpus", "bisection_search"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Corpus",
-    "DcrRating",
-    "JndTruth",
-    "Recipe",
-    "Stimulus",
-    "load_corpus",
-    "CorpusError",
-    "FitError",
-    "JndmapError",
-    "ScreeningReport",
-    "screen",
-    "screen_bt500",
-    "apply_screening",
-    "RatedPair",
-    "welch_t_test",
-    "student_t_test",
-    "paired_t_test",
-    "classify_pairs",
-    "Decomposition",
-    "SubQualityRange",
-    "decompose_balanced",
-    "decompose_fixed",
-    "decompose_explicit",
-    "assign_pairs",
-    "CoDistribution",
-    "MappingFunction",
-    "build_codistribution",
-    "fit_mapping",
-    "fit_all",
-    "evaluate_mf",
-    "JndPrediction",
-    "invert_at_threshold",
-    "predict_jnd",
-    "EvalGrid",
-    "EvalGridSpec",
-    "evaluate_grid",
-    "ground_truth_delta",
-    "SimSpec",
-    "simulate_corpus",
-    "bisection_search",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first access and keep the name."""
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

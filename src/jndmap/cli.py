@@ -16,22 +16,26 @@ seed ``simulate`` only, and an explicit ``--seed`` beats the variable.
 Failures exit with status 2 and a one-line JSON error record on stderr naming
 the failure and any artifacts already written.
 
-The process entry is :func:`process_main`: ``python -m jndmap.cli`` and the
-``jndmap`` console script both call it.  It runs :func:`main` with the cyclic
-garbage collector off and freezes the heap when ``main`` returns or raises,
-so the process spends no time on collector passes during the run or on the
-interpreter's collection over the whole heap at exit.  A run leaves the same
-few hundred objects in reference cycles whatever the study's size (the
-argument parser and the JSON encoder's closures), and no output waits on a
-finalizer.  :func:`main` itself leaves the collector alone, so in-process
-callers keep theirs.
+The process entry is :func:`jndmap.entry.process_main`: ``python -m
+jndmap.cli`` hands this module over to it before any import below runs, and
+the ``jndmap`` console script calls it.  It sets the process up before numpy
+loads, then imports this module by its name and runs :func:`main`, which
+itself leaves the environment and the collector alone, so in-process callers
+keep theirs.  ``simulate`` and ``render`` import their modules when they run,
+so a ``run`` loads and compiles neither.
 """
 
 from __future__ import annotations
 
+if __name__ == "__main__":  # python -m jndmap.cli: the entry runs before numpy loads
+    import sys
+
+    from .entry import process_main
+
+    sys.exit(process_main())
+
 import argparse
 import dataclasses
-import gc
 import hashlib
 import json
 import logging
@@ -45,11 +49,11 @@ from . import evaluate as evaluate_mod
 from . import mapping as mapping_mod
 from . import predict as predict_mod
 from . import ranges as ranges_mod
-from . import render as render_mod
 from . import screening as screening_mod
 from . import significance as significance_mod
-from . import simulate as simulate_mod
 from .errors import CorpusError, JndmapError
+
+log = logging.getLogger(__name__)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -72,18 +76,6 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record, sort_keys=True), file=sys.stderr)
         return 2
     return 0
-
-
-def process_main() -> int:
-    """``main()`` for a process that exits when it returns: the collector
-    stays off during the run, and the heap is frozen before the exit, so that
-    the interpreter's collections at exit skip every object the process
-    holds."""
-    gc.disable()
-    try:
-        return main()
-    finally:
-        gc.freeze()
 
 
 # -- shared helpers ----------------------------------------------------------
@@ -189,7 +181,9 @@ def _evaluate(
     orders: tuple[int, ...] | None = None,
 ) -> evaluate_mod.EvalGrid:
     """Write the grid metrics (and optionally every prediction), print the
-    tables; raises ValueError when no grid cell scored a prediction."""
+    tables, and log one warning with the grid's totals when any prediction is
+    clamped or skipped; raises ValueError when no grid cell scored a
+    prediction."""
     grid = evaluate_mod.evaluate_grid(
         corpus,
         models,
@@ -212,6 +206,11 @@ def _evaluate(
         f"[evaluate] best cell: direction={key[0]} family={key[1]} thr={key[2]:g} "
         f"mae={best.mae:.4f} rmse={best.rmse:.4f} (n={best.n}, clamped={best.clamped})"
     )
+    cells = grid.cells.values()
+    clamped, skipped = sum(c.clamped for c in cells), sum(c.skipped for c in cells)
+    if clamped or skipped:
+        log.warning("%d of %d grid predictions clamped and %d skipped (per cell in %s)",
+                    clamped, sum(c.n + c.skipped for c in cells), skipped, out.name)
     return grid
 
 
@@ -255,6 +254,8 @@ def cmd_run(args: argparse.Namespace, written: list[str]) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
+    from . import simulate as simulate_mod
+
     spec = (
         simulate_mod.read_sim_spec_json(args.spec)
         if args.spec
@@ -378,6 +379,8 @@ def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
 
 
 def cmd_render(args: argparse.Namespace, written: list[str]) -> None:
+    from . import render as render_mod
+
     curves = mapping_mod.read_curve_samples_csv(args.curves)
     codists = mapping_mod.read_codist_csv(args.codist) if args.codist else None
     _write(Path(args.out), render_mod.render_svg(curves, codists), written)
@@ -513,6 +516,3 @@ def _build_parser() -> argparse.ArgumentParser:
         sub.allow_abbrev = False  # so that no flag passes for a longer one
     return parser
 
-
-if __name__ == "__main__":
-    sys.exit(process_main())

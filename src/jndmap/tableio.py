@@ -127,6 +127,21 @@ class Table:
         return CorpusError(message, path=self.name, line=self.lines[index], column=column)
 
 
+def _not_utf8(path: Path) -> CorpusError:
+    """The error for a file whose bytes are not UTF-8: it names the file and
+    the line of the first bad byte.  The whole file is decoded here, because a
+    decoder that reads in chunks reports an offset within its chunk."""
+    data = path.read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]  # line ends as universal newlines count them
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return CorpusError(f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})",
+                           path=path.name, line=line)
+    return CorpusError("not UTF-8", path=path.name)
+
+
 def read_table(path: str | Path, schema: Schema) -> Table:
     """The data rows of a strict CSV, their values parsed by ``schema``.
 
@@ -139,29 +154,33 @@ def read_table(path: str | Path, schema: Schema) -> Table:
     path = Path(path)
     names = list(schema)
     width = len(names)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusError("empty file (missing header)", path=path.name) from None
-        if header != names:
-            raise CorpusError(f"bad header {header!r}, expected {names!r}", path=path.name, line=1)
-        table = Table(path.name, [], [])
-        cells: list[str] = []  # row by row: a row list is dropped once copied
-        short = None
-        end = reader.line_num
-        add_line = table.lines.append
-        for raw in reader:
-            # a quoted cell may hold line breaks: a row starts after the last one ends
-            lineno, end = end + 1, reader.line_num
-            if not raw:
-                continue  # tolerate a trailing blank line
-            add_line(lineno)
-            if len(raw) != width:
-                short = table.error(f"expected {width} fields, got {len(raw)}", -1)
-                break
-            cells += raw
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CorpusError("empty file (missing header)", path=path.name) from None
+            if header != names:
+                raise CorpusError(f"bad header {header!r}, expected {names!r}",
+                                  path=path.name, line=1)
+            table = Table(path.name, [], [])
+            cells: list[str] = []  # row by row: a row list is dropped once copied
+            short = None
+            end = reader.line_num
+            add_line = table.lines.append
+            for raw in reader:
+                # a quoted cell may hold line breaks: a row starts after the last one ends
+                lineno, end = end + 1, reader.line_num
+                if not raw:
+                    continue  # tolerate a trailing blank line
+                add_line(lineno)
+                if len(raw) != width:
+                    short = table.error(f"expected {width} fields, got {len(raw)}", -1)
+                    break
+                cells += raw
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     faults = []
     for i, parse in enumerate(schema.values()):
         column = cells[i::width]
@@ -216,6 +235,8 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
         raise CorpusError(
             exc.msg, path=path.name, line=exc.lineno, column=f"column {exc.colno}"
         ) from None
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
     try:
         obj = parse(data)
         if hasattr(obj, "validate"):

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import jndmap
 from jndmap import cli, predict, significance
 from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.ranges import read_ranges_json
@@ -630,6 +631,23 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
         check=False,
     )
     assert _error_record(proc)["message"].startswith("ranges.json: unknown strategy 'bogus'")
+    # bytes that are not UTF-8 used to exit with a UnicodeDecodeError that named no file
+    text = (run_dir / "ranges.json").read_text(encoding="utf-8").splitlines(keepends=True)
+    (tmp_path / "ranges.json").write_bytes("".join(text[:2]).encode() + b"\xff"
+                                           + "".join(text[2:]).encode())
+    (tmp_path / "config.json").write_bytes(b"\xff\xfe{}")
+    for message, extra in [
+        ("ranges.json:line 3: not UTF-8: byte 0xff (invalid start byte)",
+         ["--ranges", tmp_path / "ranges.json"]),
+        ("config.json:line 1: not UTF-8: byte 0xff (invalid start byte)",
+         ["--ranges", run_dir / "ranges.json", "--config", tmp_path / "config.json"]),
+    ]:
+        proc = run_cli(
+            ["fit", "--pairs", run_dir / "pairs.csv", "--out-dir", tmp_path / "out", *extra],
+            check=False,
+        )
+        assert _error_record(proc) == {"error": "CorpusError", "message": message,
+                                       "command": "fit", "artifacts_written": []}
     models = json.loads((run_dir / "mf_params.json").read_text())
     range_id = sorted(models)[0]
     glm = models[range_id]["glm"]
@@ -759,6 +777,16 @@ def _edit_line_2(index, value):
     return edit
 
 
+def _bad_byte_on_line(n):
+    """End line ``n`` with the byte 0xff, which the test writes through
+    ``surrogateescape``."""
+
+    def edit(lines):
+        return lines[:n - 1] + [lines[n - 1] + "\udcff"] + lines[n:]
+
+    return edit
+
+
 def _swap_pair_recipes(lines):
     content_id, recipe_x, recipe_y, *rest = lines[1].split(",")
     return [lines[0], ",".join([content_id, recipe_y, recipe_x, *rest])] + lines[2:]
@@ -808,6 +836,11 @@ def _swap_anchor_and_jnd(lines):
                      "id 'r1:r2' contains ':'", id="colon-in-truth-recipe-id"),
         pytest.param("pairs.csv", _edit_line_2(1, "r0:r1"), "line 2:recipe_x",
                      "id 'r0:r1' contains ':'", id="colon-in-pair-recipe-id"),
+        # these used to exit with a UnicodeDecodeError that named no file
+        pytest.param("dcr_ratings.csv", _bad_byte_on_line(100), "line 100",
+                     "not UTF-8: byte 0xff (invalid start byte)", id="ratings-not-utf8"),
+        pytest.param("pairs.csv", _bad_byte_on_line(3), "line 3",
+                     "not UTF-8: byte 0xff (invalid start byte)", id="pairs-not-utf8"),
     ],
 )
 def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, edit, where, message):
@@ -815,7 +848,7 @@ def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, 
     tables["pairs.csv"] = run_dir / "pairs.csv"
     lines = tables[table].read_text().splitlines()
     tables[table] = tmp_path / table
-    tables[table].write_text("\n".join(edit(lines)) + "\n")
+    tables[table].write_bytes(("\n".join(edit(lines)) + "\n").encode("utf-8", "surrogateescape"))
     if table == "pairs.csv":
         argv = ["fit", "--pairs", tables["pairs.csv"], "--ranges", run_dir / "ranges.json"]
     else:
@@ -825,6 +858,36 @@ def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, 
     record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert record["error"] == "CorpusError"
     assert record["message"].startswith(f"{table}:{where}: {message}")
+
+
+@pytest.mark.parametrize("command", ["run", "evaluate"])
+@pytest.mark.parametrize("thresholds", ["0.75,0.8,0.85,0.9,0.95", "0.5"],
+                         ids=["some-clamped", "none-clamped"])
+def test_degraded_predictions_get_one_warning_with_the_totals(
+    sim_dir, run_dir, tmp_path, caplog, command, thresholds
+):
+    """A grid with clamped or skipped predictions says so in one WARNING line
+    whose totals are the sums over ``metrics.json``'s cells; a grid without
+    any says nothing."""
+    out = tmp_path / "out"
+    if command == "run":
+        argv = _run_argv(sim_dir, out)
+    else:
+        argv = ["evaluate", "--vmaf", sim_dir / "vmaf_scores.csv", "--truth",
+                sim_dir / "jnd_truth.csv", "--models", run_dir / "mf_params.json",
+                "--ranges", run_dir / "ranges.json", "--out", out / "metrics.json"]
+    assert cli.main([str(a) for a in [*argv, "--thresholds", thresholds]]) == 0
+    metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+    cells = [c for fams in metrics.values() for thr in fams.values() for c in thr.values()]
+    clamped, skipped = sum(c["clamped"] for c in cells), sum(c["skipped"] for c in cells)
+    total = sum(c["n"] + c["skipped"] for c in cells)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "jndmap.cli"]
+    if thresholds == "0.5":
+        assert clamped == skipped == 0 and warnings == []
+    else:
+        assert clamped > 0
+        assert warnings == [f"{clamped} of {total} grid predictions clamped and {skipped} "
+                            "skipped (per cell in metrics.json)"]
 
 
 def test_run_builds_no_pair_or_prediction_objects(sim_dir, run_dir, tmp_path, monkeypatch):
@@ -895,14 +958,17 @@ def _run_argv(study, out):
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
 def test_main_leaves_the_collector_as_it_found_it(sim_dir, tmp_path, enabled):
-    """Only the process entry turns the collector off and freezes the heap:
-    ``main`` called in-process leaves both as its caller set them."""
+    """Only the process entry sets ``OPENBLAS_NUM_THREADS``, turns the
+    collector off and freezes the heap: ``main`` called in-process leaves the
+    environment and the collector as its caller set them."""
     was_enabled, frozen = gc.isenabled(), gc.get_freeze_count()
+    environment = dict(os.environ)
     (gc.enable if enabled else gc.disable)()
     try:
         assert cli.main(_run_argv(sim_dir, tmp_path / "out")) == 0
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == frozen
+        assert dict(os.environ) == environment
     finally:
         (gc.enable if was_enabled else gc.disable)()
 
@@ -941,11 +1007,104 @@ sys.argv[0] = "jndmap"
 _PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
+def _console_script_target() -> tuple[str, str]:
+    """The module and function of ``[project.scripts] jndmap``."""
+    return re.search(r'^jndmap = "([\w.]+):(\w+)"$', _PYPROJECT.read_text(), re.M).groups()
+
+
 def _console_script_launch():
     """The code a console-script wrapper runs for ``[project.scripts] jndmap``."""
-    target = re.search(r'^jndmap = "([\w.]+):(\w+)"$', _PYPROJECT.read_text(), re.M)
-    module, func = target.groups()
+    module, func = _console_script_target()
     return f"from {module} import {func}\nsys.exit({func}())\n"
+
+
+def _child(code: str, *args, env=None) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)], capture_output=True,
+                          text=True, timeout=120, env=env)
+
+
+def test_console_script_runs_the_entry_of_python_m():
+    """The ``[project.scripts]`` target is the function that ``python -m
+    jndmap.cli`` hands the process to, so the two cannot drift apart."""
+    module, func = _console_script_target()
+    proc = _child(f"""\
+import importlib, runpy, sys
+import jndmap.entry
+target, entry = getattr(importlib.import_module({module!r}), {func!r}), jndmap.entry.process_main
+jndmap.entry.process_main = lambda: print("reached; script target is the entry:", target is entry)
+sys.argv[0] = "jndmap"
+runpy.run_module("jndmap.cli", run_name="__main__", alter_sys=True)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "reached; script target is the entry: True\n"
+
+
+_THREADS_PROBE = """\
+import atexit, json, os, sys
+atexit.register(lambda: print(json.dumps({
+    "threads": len(os.listdir(f"/proc/{os.getpid()}/task")),
+    "OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "numpy": "numpy" in sys.modules,
+    "lazy": sorted({"jndmap.simulate", "jndmap.render"} & set(sys.modules)),
+}), file=sys.stderr))
+import runpy
+sys.argv[0] = "jndmap"
+runpy.run_module("jndmap.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+@pytest.mark.parametrize("given", [None, "2"], ids=["unset", "caller-2"])
+def test_process_entry_starts_no_blas_worker(sim_dir, run_dir, tmp_path, given):
+    """``python -m jndmap.cli run`` sets ``OPENBLAS_NUM_THREADS=1`` before
+    numpy loads, so the process ends with its one thread; a caller's value is
+    kept, and the artifacts do not depend on it.  A run loads neither
+    ``simulate`` nor ``render``.  (On a 1-CPU machine OpenBLAS starts no
+    worker either way, so there the thread count shows nothing.)"""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "JNDMAP_SEED")}
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    out = tmp_path / "out"
+    proc = _child(_THREADS_PROBE, *_run_argv(sim_dir, out), env=env)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert state["OPENBLAS_NUM_THREADS"] == (given or "1")
+    assert state["numpy"] and state["lazy"] == []
+    if given is None:
+        assert state["threads"] == 1
+    for name in RUN_ARTIFACTS:
+        assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+
+def test_package_import_is_lazy():
+    """``import jndmap`` loads no numpy and no module of the package; each
+    public name is then the object of its defining module."""
+    proc = _child("""\
+import json, sys
+import jndmap
+loaded = sorted(m for m in sys.modules
+                if m.partition(".")[0] == "numpy" or m.startswith("jndmap."))
+origin = {}
+for name in jndmap.__all__[1:]:
+    value = getattr(jndmap, name)
+    module = sys.modules[value.__module__]
+    origin[name] = module.__name__ if getattr(module, name) is value else None
+try:
+    jndmap.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({"loaded": loaded, "origin": origin, "unknown": unknown,
+                  "dir": sorted(set(jndmap.__all__) - set(dir(jndmap)))}))
+""")
+    assert proc.returncode == 0, proc.stderr
+    found = json.loads(proc.stdout)
+    assert found["loaded"] == []
+    assert list(found["origin"]) == jndmap.__all__[1:]
+    assert all(str(module).startswith("jndmap.") for module in found["origin"].values()), found
+    assert found["unknown"] == "module 'jndmap' has no attribute 'no_such_name'"
+    assert found["dir"] == []
 
 
 @pytest.mark.parametrize("entry", ["module", "script"])
