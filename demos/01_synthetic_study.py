@@ -29,8 +29,8 @@ print(f"{len(corpus.stimuli)} stimuli, {len(corpus.ratings)} ratings,",
 # References are rated against themselves, so their scores sit at 5; the
 # deeper rungs drift down as the impairment grows.
 for stim in corpus.stimuli[:7]:
-    scores = [r.score for r in corpus.ratings_for(stim.content_id, stim.recipe.recipe_id)]
-    print(f"  {stim.content_id}/{stim.recipe.recipe_id}  vmaf={stim.vmaf:6.2f}  "
+    scores = [r.score for r in corpus.ratings_for(stim.content_id, stim.recipe_id)]
+    print(f"  {stim.content_id}/{stim.recipe_id}  vmaf={stim.vmaf:6.2f}  "
           f"mean score={np.mean(scores):.2f}")
 
 # 3. planted ground truth ------------------------------------------------

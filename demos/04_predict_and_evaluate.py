@@ -33,7 +33,7 @@ for thr in (0.75, 0.85, 0.95):
 # 2. predict from a concrete anchor ----------------------------------------
 anchor = corpus.stimulus("c02", "r01")
 pred = predict_jnd(models, decomp, anchor, "dec", threshold=0.95, family="glm")
-print(f"\nanchor {anchor.content_id}/{anchor.recipe.recipe_id} at vmaf={anchor.vmaf:.2f}:")
+print(f"\nanchor {anchor.content_id}/{anchor.recipe_id} at vmaf={anchor.vmaf:.2f}:")
 print(f"  one JND down sits near vmaf {pred.target_vmaf:.2f} "
       f"(delta {pred.delta_obj_jnd:.2f}, range {pred.range_id})")
 

@@ -325,11 +325,8 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
     if args.anchor_vmaf is not None:
-        anchor = corpus_mod.Stimulus(
-            content_id=args.content or "anchor",
-            recipe=corpus_mod.Recipe(args.recipe or "anchor", "other", 0),
-            vmaf=args.anchor_vmaf,
-        )
+        anchor = corpus_mod.Stimulus(args.content or "anchor", args.recipe or "anchor", "other",
+                                     0, args.anchor_vmaf)
     elif args.vmaf_table and args.content and args.recipe:
         corpus = corpus_mod.load_corpus(args.vmaf_table, None)
         anchor = corpus.stimulus(args.content, args.recipe)

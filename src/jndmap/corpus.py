@@ -1,7 +1,9 @@
 """Data model and CSV ingestion for stimuli, DCR ratings, and JND ground truth.
 
 A *stimulus* is one encoded rendition of a content, identified by
-``(content_id, recipe_id)`` and carrying a VMAF score in [0, 100].  DCR
+``(content_id, recipe_id)`` and carrying a VMAF score in [0, 100]: a
+:class:`Stimulus` is one ``vmaf_scores.csv`` row, its fields the columns in
+order, as a :class:`JndTruth` is one ``jnd_truth.csv`` row.  DCR
 ratings are 5-level degradation-category scores (5 = imperceptible) given by
 named observers.  Optional ground-truth rows record, per content and
 direction, which rendition sits one (or more) just-noticeable difference away
@@ -14,11 +16,14 @@ its index among the corpus's stimuli sorted by ``(content_id, recipe_id)``, so
 each content's stimuli have consecutive codes; an observer's code is its index
 among the sorted observer ids.  CSR-style offsets mark each stimulus's block of ratings.  Screening,
 classification and pair assignment run as array programs over this table.
-``corpus.ratings`` is the table; iterating or indexing it builds the
-:class:`DcrRating` objects from its columns, in input order, once.
-:func:`load_corpus` fills the table from the columns
-:func:`jndmap.tableio.read_table` parses from ``dcr_ratings.csv``, without
-them.
+``corpus.ratings`` is the table.  :func:`load_corpus` fills it from the
+columns :func:`jndmap.tableio.read_table` parses from ``dcr_ratings.csv``, the
+simulator from the columns it draws, and :meth:`RatingTable.columns` gives
+them back in input order for the writer, so none of these builds a
+:class:`DcrRating` per rating.  Two object forms stay, because the benchmark
+under ``perfbench/`` reads them: iterating or indexing the table builds the
+:class:`DcrRating` objects from its columns, once, and a :class:`Corpus` may
+be given its ratings as such objects.
 
 Ingestion is a pure function of the file bytes: loading the same files twice
 and re-serializing yields identical text.
@@ -46,33 +51,18 @@ DIRECTIONS = ("inc", "dec")
 
 
 @dataclass(frozen=True)
-class Recipe:
-    """An encoding recipe: identifier plus descriptive resolution/level tags.
+class Stimulus:
+    """One encoded rendition of a content; ``resolution`` and ``level`` are
+    carried through for reporting but never interpreted."""
 
-    ``level`` is carried through for reporting but never interpreted.
-    """
-
+    content_id: str
     recipe_id: str
     resolution: str
     level: int
-
-
-@dataclass(frozen=True)
-class Stimulus:
-    content_id: str
-    recipe: Recipe
     vmaf: float
 
-    @property
-    def recipe_id(self) -> str:
-        return self.recipe.recipe_id
 
-
-def _stimulus(content_id: str, recipe_id: str, resolution: str, level: int, vmaf: float) -> Stimulus:
-    return Stimulus(content_id, Recipe(recipe_id, resolution, level), vmaf)
-
-
-#: vmaf_scores.csv: one row per encoded stimulus, read by :func:`_stimulus`.
+#: vmaf_scores.csv: the fields of :class:`Stimulus`, in order.
 VMAF_TABLE: tableio.Schema = {
     "content_id": tableio.ident,
     "recipe_id": tableio.ident,
@@ -136,7 +126,8 @@ class RatingTable(tableio.RowSequence[DcrRating]):
     is their number.
 
     As a sequence, the table is the ratings in input order as
-    :class:`DcrRating` objects, a view built from the columns on first use.
+    :class:`DcrRating` objects, a view built from :meth:`columns` on first
+    use; the benchmark's study writer reads it.
     """
 
     def __init__(self, stimuli: Sequence[Stimulus], content_ids: Sequence[str],
@@ -221,14 +212,15 @@ class RatingTable(tableio.RowSequence[DcrRating]):
             codes = np.flatnonzero(self.counts == n)
             yield codes, self.score[self.block(codes, n)].astype(float)
 
-    def _build(self) -> tuple[DcrRating, ...]:
+    def columns(self) -> tuple[Sequence, ...]:
+        """The columns of :data:`RATING_TABLE`, in input order."""
         order = np.argsort(self.row)
-        keys, ids = self.keys, self.observer_ids
-        return tuple(
-            DcrRating(*keys[s], ids[o], score)
-            for s, o, score in zip(self.stimulus[order].tolist(),
-                                   self.observer[order].tolist(), self.score[order].tolist())
-        )
+        keys = np.array(self.keys, dtype=object).reshape(-1, 2)[self.stimulus[order]]
+        observer = np.array(self.observer_ids, dtype=object)[self.observer[order]]
+        return keys[:, 0], keys[:, 1], observer, self.score[order].tolist()
+
+    def _build(self) -> tuple[DcrRating, ...]:
+        return tuple(map(DcrRating, *self.columns()))
 
     def __len__(self) -> int:
         return len(self.score)
@@ -238,9 +230,10 @@ class RatingTable(tableio.RowSequence[DcrRating]):
 class Corpus:
     """Immutable bundle of stimuli, ratings, and optional ground truth.
 
-    ``ratings`` may be given as any sequence of :class:`DcrRating`; it is
-    held as a :class:`RatingTable` of ``stimuli``, built once at
-    construction from the objects' fields, which also codes the stimuli.
+    ``ratings`` may be given as any sequence of :class:`DcrRating`, as the
+    benchmark's study writer gives them; it is held as a :class:`RatingTable`
+    of ``stimuli``, built once at construction from the objects' fields,
+    which also codes the stimuli.
     Accessors return copies.  Mutate by building a new corpus (see
     :func:`jndmap.screening.apply_screening`).
     """
@@ -331,7 +324,8 @@ class Corpus:
         return list(self.ratings.observer_ids)
 
     def ratings_for(self, content_id: str, recipe_id: str) -> list[DcrRating]:
-        """The stimulus's ratings, ordered by observer id."""
+        """The stimulus's ratings, ordered by observer id, as objects for
+        reading one stimulus at a time (``demos/01``)."""
         table = self.ratings
         code = self.code(content_id, recipe_id)
         span = slice(table.offsets[code], table.offsets[code + 1])
@@ -352,11 +346,11 @@ def load_corpus(
 ) -> Corpus:
     """Load and cross-validate the interchange tables into a :class:`Corpus`.
 
-    ``ratings_table`` may be None for evaluation-only corpora.  The ratings
-    go from their columns into a :class:`RatingTable` without a
-    :class:`DcrRating` per row.  Raises :class:`CorpusError` naming file,
-    line, and column on the first malformed cell, duplicate key, dangling
-    reference, or out-of-range value.
+    ``ratings_table`` may be None for evaluation-only corpora.  Each table
+    goes from its columns into the corpus, the ratings into a
+    :class:`RatingTable` without a :class:`DcrRating` per row.  Raises
+    :class:`CorpusError` naming file, line, and column on the first malformed
+    cell, duplicate key, dangling reference, or out-of-range value.
     """
     tables = {
         "stimuli": (vmaf_table, VMAF_TABLE),
@@ -369,7 +363,7 @@ def load_corpus(
         for name, (path, schema) in tables.items()
     }
     try:
-        stimuli = tuple(map(_stimulus, *read["stimuli"].columns))
+        stimuli = tuple(map(Stimulus, *read["stimuli"].columns))
         ratings = RatingTable(stimuli, *read["ratings"].columns)
         corpus = Corpus(stimuli, ratings, tuple(map(JndTruth, *read["truths"].columns)))
     except CorpusError as exc:
@@ -387,15 +381,11 @@ def load_corpus(
 
 
 def vmaf_csv_text(corpus: Corpus) -> str:
-    rows = [
-        (s.content_id, s.recipe_id, s.recipe.resolution, s.recipe.level, s.vmaf)
-        for s in corpus.stimuli
-    ]
-    return tableio.rows_to_csv_text(VMAF_TABLE, rows)
+    return tableio.rows_to_csv_text(VMAF_TABLE, map(attrgetter(*VMAF_TABLE), corpus.stimuli))
 
 
 def ratings_csv_text(corpus: Corpus) -> str:
-    return tableio.rows_to_csv_text(RATING_TABLE, map(attrgetter(*RATING_TABLE), corpus.ratings))
+    return tableio.rows_to_csv_text(RATING_TABLE, zip(*corpus.ratings.columns()))
 
 
 def truth_csv_text(corpus: Corpus) -> str:

@@ -10,7 +10,9 @@ down (``dec``) or up (``inc``) and clipping into [0, 100].  That chain is one
 array program, :func:`predict_step`, which :func:`predict_jnd` runs on one
 anchor and :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
 predictions are held as one columnar :class:`PredictionTable`, which
-``predictions.csv`` is written from.
+``predictions.csv`` is written from; it has no row view.  A
+:class:`JndPrediction` is only what :func:`predict_jnd` returns for its one
+anchor.
 """
 
 from __future__ import annotations
@@ -152,13 +154,11 @@ def predict_jnd(
 # -- serialization ----------------------------------------------------------
 
 
-class PredictionTable(tableio.RowSequence[JndPrediction]):
+class PredictionTable:
     """Predictions as columns, in :data:`PREDICTION_COLUMNS` order: ``ids``,
     five object arrays (content, anchor recipe, direction, range, family),
     ``numbers``, three float arrays (threshold, |dVMAF|, target VMAF), and
-    the bool array ``clamped``.  As a sequence, the table is the
-    :class:`JndPrediction` objects, a view built from the columns on first
-    use."""
+    the bool array ``clamped``."""
 
     def __init__(self, *columns: Sequence) -> None:
         self.ids = [np.asarray(column, dtype=object) for column in columns[:5]]
@@ -169,10 +169,6 @@ class PredictionTable(tableio.RowSequence[JndPrediction]):
         """The columns as Python values, ``clamped`` as 0 or 1."""
         numbers = [column.tolist() for column in self.numbers]
         return [*self.ids, *numbers, self.clamped.astype(int).tolist()]
-
-    def _build(self) -> tuple[JndPrediction, ...]:
-        *fields, _ = self.cells()
-        return tuple(map(JndPrediction, *fields, self.clamped.tolist()))
 
     def __len__(self) -> int:
         return len(self.clamped)

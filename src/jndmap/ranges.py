@@ -6,9 +6,12 @@ A decomposition splits (lo, 100] into contiguous half-open intervals
 * ``balanced`` -- boundaries at empirical quantiles so each range holds the
   same number of stimuli (+/- 1).  Ties go to the lower range.  The lowest
   bound sits an epsilon below the smallest VMAF so that stimulus is covered
-  despite the exclusive lower edge; the top bound is forced to 100.
+  despite the exclusive lower edge; the top bound is forced to 100.  The
+  quantiles come from the corpus's VMAF column, ``corpus.ratings.vmaf``: one
+  sort, one cumulative sum of the weights and one ``np.searchsorted``.
 * ``fixed_width`` -- equal-width bins over (0, 100].
-* ``explicit`` -- caller-supplied boundaries, kept verbatim.
+* ``explicit`` -- caller-supplied boundaries, kept verbatim; they must be
+  finite and strictly increasing.
 
 A pair belongs to every range containing either of its endpoints, so a pair
 spanning a boundary is counted in both ranges (and the total pair multiplicity
@@ -130,6 +133,8 @@ def check_settings(strategy: str, k: int = 5, width: float = 10.0,
         check_width(width)
     elif bounds is None or len(bounds) < 2:
         raise ValueError(f"bounds: need at least two, got {bounds}")
+    elif not all(map(math.isfinite, bounds)):
+        raise ValueError(f"bounds: must be finite, got {list(bounds)}")
     elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
         raise ValueError(f"bounds: must be strictly increasing, got {list(bounds)}")
 
@@ -154,31 +159,25 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
     instead.
     """
     check_settings("balanced", k=k, balance=balance)
-    stimuli = sorted(corpus.stimuli, key=lambda s: s.vmaf)
-    if not stimuli:
+    table = corpus.ratings
+    if not len(table.vmaf):
         raise ValueError("corpus has no stimuli")
-    values = [s.vmaf for s in stimuli]
-    if len(set(values)) < k:
-        raise ValueError(
-            f"need at least {k} distinct VMAF values, got {len(set(values))}"
-        )
+    order = np.argsort(table.vmaf, kind="stable")
+    values = table.vmaf[order]
+    distinct = len(np.unique(values))
+    if distinct < k:
+        raise ValueError(f"need at least {k} distinct VMAF values, got {distinct}")
     if balance == "stimuli":
-        weights = [1.0] * len(values)
+        weights = np.ones(len(values))
     else:
-        counts = {c: len(corpus.stimuli_for_content(c)) for c in corpus.contents()}
-        weights = [float(counts[s.content_id] - 1) for s in stimuli]
-
-    total = sum(weights)
-    cuts = []
-    acc = 0.0
-    target_idx = 1
-    for value, weight in zip(values, weights):
-        acc += weight
-        # A boundary lands on the last value at or past each weight quantile.
-        while target_idx < k and acc >= target_idx * total / k - 1e-12:
-            cuts.append(value)
-            target_idx += 1
-    decomp = _build("balanced", [values[0] - LOW_EDGE_EPSILON, *cuts[: k - 1], 100.0])
+        sizes = [len(codes) for codes in table.content_codes.values()]
+        weights = np.repeat(np.subtract(sizes, 1.0), sizes)[order]
+    # A boundary lands on the first value whose cumulative weight reaches each
+    # weight quantile.  The weights are whole numbers, so the sums are exact,
+    # and a tie block ends on the same sum whatever the order inside it.
+    acc = np.cumsum(weights)
+    cuts = values[np.searchsorted(acc, np.arange(1, k) * acc[-1] / k - 1e-12)]
+    decomp = _build("balanced", [float(values[0]) - LOW_EDGE_EPSILON, *cuts.tolist(), 100.0])
     for r, held in zip(decomp.ranges, _held(decomp, values)):
         if not r.lo < r.hi:
             raise ValueError(
@@ -207,7 +206,7 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
     bounds = [min(i * width, 100.0) for i in range(n)] + [100.0]
     decomp = _build("fixed_width", bounds)
     if corpus is not None:
-        held = _held(decomp, [s.vmaf for s in corpus.stimuli])
+        held = _held(decomp, corpus.ratings.vmaf)
         empty = [r.range_id for r, count in zip(decomp.ranges, held) if not count]
         if empty:
             shown = empty if len(empty) <= 6 else [*empty[:3], "...", *empty[-3:]]

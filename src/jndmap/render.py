@@ -93,7 +93,7 @@ def render_svg(
         )
         parts.append(
             f'<text x="{WIDTH - MARGIN - 150}" y="{legend_y}" font-size="10" '
-            f'fill="{color}">{_escape(range_id)} {family}</text>'
+            f'fill="{color}">{_escape(range_id)} {_escape(family)}</text>'
         )
         legend_y += 13
     parts.append("</svg>")

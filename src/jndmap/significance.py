@@ -87,7 +87,7 @@ class PairTable(tableio.RowSequence[RatedPair]):
     ``delta_obj`` and ``p_value`` float arrays and ``sig`` an int array.
 
     As a sequence, the table is the pairs as :class:`RatedPair` objects, a
-    view built from the columns on first use.
+    view built from the columns on first use; the benchmark's tracer reads it.
     """
 
     def __init__(self, content_id: Sequence[str], recipe_x: Sequence[str],

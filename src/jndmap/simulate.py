@@ -14,7 +14,10 @@ running the same bisection protocol a subjective ladder study would:
 All randomness comes from counter-based Philox4x64 generators keyed as
 ``(seed, stream)`` -- stream 2**62 drives observer offsets, stream i drives
 content i -- so contents are reproducible independently of generation order
-and the whole corpus is a pure function of the ``SimSpec``.
+and the whole corpus is a pure function of the ``SimSpec``.  Each rung's
+panel is scored as one array, and the ratings go into the corpus's
+:class:`jndmap.corpus.RatingTable` as columns, without a rating object each.
+Every float setting must be finite.
 """
 
 from __future__ import annotations
@@ -22,13 +25,13 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import tableio
-from .corpus import Corpus, DcrRating, JndTruth, Recipe, Stimulus
+from .corpus import Corpus, JndTruth, RatingTable, Stimulus
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +69,10 @@ class SimSpec:
     ladder_jitter: float = 0.2  # per-rung jitter as a fraction of the min gap
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.n_contents < 1:
             raise ValueError(f"n_contents must be >= 1, got {self.n_contents}")
         if len(self.ladder) < 3:
@@ -170,7 +177,7 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
 
     jitter_abs = spec.ladder_jitter * spec._min_gap()
     stimuli: list[Stimulus] = []
-    ratings: list[DcrRating] = []
+    scores: list[int] = []
     truths: list[JndTruth] = []
     true_deltas: dict[tuple[str, str], float] = {}
     beyond: list[tuple[str, str]] = []
@@ -182,25 +189,19 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
         rung_jitter = gen.uniform(-jitter_abs, jitter_abs, size=n_rungs) if jitter_abs else np.zeros(n_rungs)
         vmafs = [v + offset + float(j) for (_, v), j in zip(spec.ladder, rung_jitter)]
         for idx, ((recipe_id, _), vmaf) in enumerate(zip(spec.ladder, vmafs)):
-            stimuli.append(
-                Stimulus(content_id, Recipe(recipe_id, "1080p", idx + 1), vmaf)
-            )
+            stimuli.append(Stimulus(content_id, recipe_id, "1080p", idx + 1, vmaf))
         ref_vmaf = vmafs[0]
 
         # DCR panel: one score per (rung, observer), rung-major order.
-        for idx, (recipe_id, _) in enumerate(spec.ladder):
-            impairment = min(IMPAIRMENT_SLOPE * (ref_vmaf - vmafs[idx]), IMPAIRMENT_MAX)
+        for vmaf in vmafs:
+            impairment = min(IMPAIRMENT_SLOPE * (ref_vmaf - vmaf), IMPAIRMENT_MAX)
             noise = (
                 gen.normal(0.0, spec.rating_noise_sd, size=spec.observer_count)
                 if spec.rating_noise_sd > 0
                 else np.zeros(spec.observer_count)
             )
-            for obs, eps in zip(observers, noise):
-                raw = 5.0 - impairment + float(eps)
-                score = int(np.floor(raw + 0.5))  # round half away from zero
-                ratings.append(
-                    DcrRating(content_id, recipe_id, obs, max(1, min(5, score)))
-                )
+            raw = 5.0 - impairment + noise
+            scores += np.clip(np.floor(raw + 0.5), 1, 5).astype(int).tolist()  # round half up
 
         # JND truths: majority-panel bisection in both directions.
         def make_detector(anchor_vmaf: float) -> Callable[[int], bool]:
@@ -234,7 +235,9 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
             )
             true_deltas[(content_id, direction)] = abs(vmafs[anchor_idx] - vmafs[found])
 
-    corpus = Corpus(stimuli=tuple(stimuli), ratings=tuple(ratings), truths=tuple(truths))
+    keys = [(s.content_id, s.recipe_id) for s in stimuli for _ in observers]
+    ratings = RatingTable(tuple(stimuli), *zip(*keys), observers * len(stimuli), scores)
+    corpus = Corpus(stimuli=ratings.stimuli, ratings=ratings, truths=tuple(truths))
     info = {
         "spec": spec.to_json_dict(),
         "true_deltas": true_deltas,

@@ -17,8 +17,12 @@ bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
 :func:`read_json` only.
 
 A table held in memory is its columns, the one form the pipeline's stages
-take.  :class:`RowSequence` makes it read as a sequence of row objects too: a
-view of the columns, built only when it is iterated or indexed.
+and writers take.  Only the rating and pair tables keep a row view, a
+:class:`RowSequence` built from the columns when it is iterated or indexed:
+the benchmark under ``perfbench/`` reads them as rows (its study writer
+relabels each rating, its tracer counts significant pairs), and its files are
+held fixed so that runs of two commits compare.  The views go once the
+benchmark reads columns.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import jndmap
-from jndmap.corpus import Corpus, DcrRating, Recipe, Stimulus
+from jndmap.corpus import Corpus, DcrRating, Stimulus
 from jndmap.mapping import FitReport, MappingFunction
 from jndmap.predict import JndPrediction, invert_at_threshold
 from jndmap.ranges import Decomposition, decompose_explicit
@@ -33,7 +33,7 @@ LADDER_VMAFS = (95.0, 90.0, 85.0, 82.0, 78.0, 70.0)
 
 def make_stimuli(content_id: str, vmafs, prefix: str = "r") -> tuple[Stimulus, ...]:
     return tuple(
-        Stimulus(content_id, Recipe(f"{prefix}{i}", "1080p", i + 1), float(v))
+        Stimulus(content_id, f"{prefix}{i}", "1080p", i + 1, float(v))
         for i, v in enumerate(vmafs)
     )
 
@@ -149,7 +149,7 @@ def build_inverted_observer_corpus() -> Corpus:
     for i in range(12):
         rid = f"r{i + 1:02d}"
         consensus = 5 if i < 6 else 1
-        stimuli.append(Stimulus("c1", Recipe(rid, "1080p", i + 1), 95.0 - 2.0 * i))
+        stimuli.append(Stimulus("c1", rid, "1080p", i + 1, 95.0 - 2.0 * i))
         for obs in observers:
             score = (6 - consensus) if obs == "bad" else consensus
             ratings.append(DcrRating("c1", rid, obs, score))

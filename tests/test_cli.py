@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import csv
 import dataclasses
 import gc
@@ -12,14 +13,16 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import jndmap
-from jndmap import cli, predict, significance
+from jndmap import cli, corpus, predict, significance, simulate
 from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.ranges import read_ranges_json
-from jndmap.tableio import write_json
+from jndmap.mapping import CURVE_TABLE
+from jndmap.tableio import rows_to_csv_text, write_json
 
 from conftest import SMALL_SPEC, cli_command
 
@@ -344,6 +347,17 @@ def test_render_svg(run_dir, tmp_path):
     assert text.count("<circle") == non_empty > 0
 
 
+def test_render_escapes_range_id_and_family(tmp_path):
+    """Markup characters in a range id or a family are text in the SVG."""
+    curves = tmp_path / "curve_samples.csv"
+    rows = [("(0,5]<&>", "a<b&c>", x, x / 10.0) for x in (0.0, 5.0, 10.0)]
+    curves.write_text(rows_to_csv_text(CURVE_TABLE, rows), encoding="utf-8")
+    out = tmp_path / "curves.svg"
+    assert cli.main(["render", "--curves", str(curves), "--out", str(out)]) == 0
+    texts = [node.text for node in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
+    assert "(0,5]<&> a<b&c>" in texts
+
+
 def test_version_flag():
     proc = run_cli(["--version"])
     assert proc.stdout.strip().startswith("jndmap ")
@@ -513,6 +527,11 @@ def test_flags_replace_config_values(tmp_path):
          ("ValueError", "bounds: must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
         (["--strategy", "explicit", "--bounds", "50"], None,
          ("ValueError", "bounds: need at least two, got (50.0,)")),
+        # these two used to write Infinity into ranges.json and the manifest
+        (["--strategy", "explicit", "--bounds", "0,50,inf"], None,
+         ("ValueError", "bounds: must be finite, got [0.0, 50.0, inf]")),
+        (["--strategy", "explicit", "--bounds=-inf,80,90,100"], None,
+         ("ValueError", "bounds: must be finite, got [-inf, 80.0, 90.0, 100.0]")),
         ([], {"decomposition": {"balance": "pair"}},
          ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
         # the bin width follows the fixed width's rule; nan used to fail in fit
@@ -533,7 +552,8 @@ def test_flags_replace_config_values(tmp_path):
          ("CorpusError",
           "config.json: thresholds: each may be listed once, got [0.9, 0.75, 0.9]")),
     ],
-    ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "balance",
+    ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "bounds-inf",
+         "bounds-minus-inf", "balance",
          "bin-width-nan", "bin-width-inf", "bin-width-tiny", "families-repeat",
          "thresholds-repeat", "thresholds-repeat-config"],
 )
@@ -589,6 +609,21 @@ def test_mistyped_spec_names_file_and_key(tmp_path):
     record = _error_record(run_cli(["simulate", "--spec", spec, "--out-dir", tmp_path], check=False))
     assert record["error"] == "CorpusError"
     assert record["message"] == "spec.json: n_contents: expected int, got '3'"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("content_spread", math.nan),  # used to end in an OverflowError traceback
+    ("jnd_scale", math.inf),  # these three used to write Infinity or NaN into sim_truth.json
+    ("detection_slope", math.inf),
+    ("rating_noise_sd", math.nan),
+])
+def test_non_finite_spec_setting_exits_2(tmp_path, capsys, name, value):
+    write_json(tmp_path / "spec.json", {name: value})
+    record = _main_error_record(capsys, ["simulate", "--spec", tmp_path / "spec.json",
+                                         "--out-dir", tmp_path / "out"])
+    assert record == {"error": "CorpusError", "message": f"spec.json: {name} must be finite, "
+                      f"got {value}", "command": "simulate", "artifacts_written": []}
+    assert not (tmp_path / "out").exists()
 
 
 def test_mf_params_without_fit_report_names_file(run_dir, tmp_path):
@@ -737,6 +772,8 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
     ("assignments", [1], "assignments: expected an object of pair-id lists, got [1]"),
     ("bounds", "x", "bounds: expected a list of numbers, got 'x'"),
     ("bounds", [0, "80", 100], "bounds: expected a list of numbers, got [0, '80', 100]"),
+    # the file holds Infinity, which a strict JSON parser rejects
+    ("bounds", [0, 50, math.inf], "bounds: must be finite, got [0.0, 50.0, inf]"),
     # these three used to fit nothing and exit 0
     ("bounds", [100, 50, 0], "bounds: must be strictly increasing, got [100.0, 50.0, 0.0]"),
     ("bounds", [50], "bounds: need at least two, got [50.0]"),
@@ -744,8 +781,8 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
      "assignments: 1 key(s) name no range of the bounds, e.g. ['(0,1]']"),
     ("assignments", lambda a, range_id, ref: {**a, range_id: [*a[range_id], ref]},
      "assignments[{range_id!r}]: pair {ref!r} is listed twice"),
-], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-reversed",
-        "bounds-one", "assignments-unknown-range", "assignments-repeat"])
+], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-infinity",
+        "bounds-reversed", "bounds-one", "assignments-unknown-range", "assignments-repeat"])
 def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, value, message):
     # these used to surface Python's own message, without the key; a callable
     # value is built from the file's assignments, its first range and that range's first pair
@@ -890,19 +927,29 @@ def test_degraded_predictions_get_one_warning_with_the_totals(
                             "skipped (per cell in metrics.json)"]
 
 
-def test_run_builds_no_pair_or_prediction_objects(sim_dir, run_dir, tmp_path, monkeypatch):
-    """``run`` keeps its pairs and predictions as columns from classify to the
-    artifacts: with the row constructors refusing, it writes the same bytes."""
+def test_simulate_save_and_run_build_no_row_objects(sim_dir, run_dir, tmp_path, monkeypatch):
+    """The simulator, the corpus writer and ``run`` keep ratings, pairs and
+    predictions as columns: counted by their constructors, no row object is
+    built, and the bytes are those of the ``simulate`` and ``run`` commands."""
+    built = collections.Counter()
 
-    def refuse(self, *args, **kwargs):
-        raise AssertionError(f"a {type(self).__name__} was built")
+    def counting(init):
+        def __init__(self, *args, **kwargs):
+            built[type(self).__name__] += 1
+            init(self, *args, **kwargs)
+        return __init__
 
-    monkeypatch.setattr(significance.RatedPair, "__init__", refuse)
-    monkeypatch.setattr(predict.JndPrediction, "__init__", refuse)
+    for row in (corpus.DcrRating, significance.RatedPair, predict.JndPrediction):
+        monkeypatch.setattr(row, "__init__", counting(row.__init__))
+    tables = corpus.save_corpus(simulate.simulate_corpus(SMALL_SPEC)[0], tmp_path / "sim")
+    assert built == {}
+    for path in tables.values():
+        assert path.read_bytes() == (sim_dir / path.name).read_bytes(), path.name
     out = tmp_path / "out"
     argv = ["run", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
             "--truth", sim_dir / "jnd_truth.csv", "--out-dir", out, "--k", "2"]
     assert cli.main([str(a) for a in argv]) == 0
+    assert built == {}
     for name in RUN_ARTIFACTS:
         assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 

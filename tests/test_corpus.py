@@ -11,7 +11,6 @@ from jndmap.corpus import (
     Corpus,
     DcrRating,
     JndTruth,
-    Recipe,
     Stimulus,
     load_corpus,
     ratings_csv_text,

@@ -10,7 +10,7 @@ import math
 import pytest
 
 from jndmap import predict as predict_mod
-from jndmap.corpus import Corpus, JndTruth, Recipe, Stimulus
+from jndmap.corpus import Corpus, JndTruth, Stimulus
 from jndmap.errors import FitError
 from jndmap.evaluate import (
     CellMetrics,
@@ -42,8 +42,8 @@ def test_mae_rmse_hand_case(single_range_models):
     # One-step prediction from any anchor lands DSTAR below it; add renditions
     # whose true JND sits 1 above and 2 below those landing spots.
     extra = (
-        Stimulus("c1", Recipe("t1", "1080p", 7), 90.0 - (DSTAR - 1.0)),
-        Stimulus("c1", Recipe("t2", "1080p", 8), 85.0 - (DSTAR + 2.0)),
+        Stimulus("c1", "t1", "1080p", 7, 90.0 - (DSTAR - 1.0)),
+        Stimulus("c1", "t2", "1080p", 8, 85.0 - (DSTAR + 2.0)),
     )
     truths = (
         JndTruth("c1", "r1", "dec", "t1", 1),
@@ -113,7 +113,7 @@ def test_missing_family_counts_as_skipped(single_range_models):
 def test_clamped_predictions_counted(single_range_models):
     decomp, models = single_range_models
     stimuli = make_stimuli("c1", LADDER_VMAFS) + (
-        Stimulus("c1", Recipe("hi", "1080p", 9), 98.0),
+        Stimulus("c1", "hi", "1080p", 9, 98.0),
     )
     # Anchor at 95 moving up: the raw target 95 + DSTAR clips to 100 and the
     # prediction flags itself as clamped.
@@ -235,7 +235,7 @@ def _assert_matches_scalar_grid(corpus, models, decomp, spec):
     grid = evaluate_grid(corpus, models, decomp, spec)
     cells, predictions = _scalar_grid(corpus, models, decomp, spec)
     assert grid.cells == cells
-    assert tuple(grid.predictions) == predictions
+    assert list(zip(*grid.predictions.cells())) == list(map(dataclasses.astuple, predictions))
     return grid
 
 
@@ -316,8 +316,8 @@ def test_chained_snap_breaks_ties_by_recipe_id(single_range_models):
     spec = EvalGridSpec(thresholds=(0.75,), families=("logistic2",))
     grid = _assert_matches_scalar_grid(corpus, {"(0,100]": {"logistic2": flat}}, decomp, spec)
     # the second step starts from r1 in both contents: at 80 in c1, at 70 in c2
-    assert [p.anchor_recipe_id for p in grid.predictions] == ["r1", "r1"]
-    assert [p.target_vmaf for p in grid.predictions] == [60.0, 50.0]
+    assert grid.predictions.ids[1].tolist() == ["r1", "r1"]
+    assert grid.predictions.numbers[2].tolist() == [60.0, 50.0]
 
 
 def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
@@ -338,8 +338,8 @@ def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
     with caplog.at_level(logging.WARNING):
         grid = _assert_matches_scalar_grid(corpus, models, decomp, spec)
     assert grid.cell("inc", "logistic2", 0.75).clamped == 1
-    (prediction,) = grid.predictions
-    assert prediction.anchor_recipe_id == "r1" and not prediction.clamped
+    assert grid.predictions.ids[1].tolist() == ["r1"]
+    assert grid.predictions.clamped.tolist() == [False]
     assert any("outside coverage" in r.getMessage() for r in caplog.records)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from jndmap import mapping as mapping_mod
-from jndmap.corpus import Corpus, Recipe, Stimulus
+from jndmap.corpus import Corpus, Stimulus
 from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import (
     CURVE_SAMPLES,
@@ -74,7 +74,7 @@ def _codist_fixture():
     """Two similar pairs at small delta, one different pair at delta 7.5."""
     vm = {"a": 40.0, "b": 39.0, "c": 38.8, "d": 32.5}
     stimuli = tuple(
-        Stimulus("c1", Recipe(r, "1080p", i + 1), v)
+        Stimulus("c1", r, "1080p", i + 1, v)
         for i, (r, v) in enumerate(vm.items())
     )
     corpus = Corpus(stimuli, (), ())
@@ -726,7 +726,7 @@ def test_fit_all_and_serialization(tmp_path):
     rng = np.random.default_rng(5)
     vm = {f"s{i}": 90.0 - 3.0 * i for i in range(12)}
     stimuli = tuple(
-        Stimulus("c1", Recipe(r, "1080p", i + 1), v)
+        Stimulus("c1", r, "1080p", i + 1, v)
         for i, (r, v) in enumerate(vm.items())
     )
     corpus = Corpus(stimuli, (), ())
@@ -761,7 +761,7 @@ def test_fit_all_skips_empty_ranges(caplog):
     _, pairs = _codist_fixture()
     corpus = Corpus(
         tuple(
-            Stimulus("c1", Recipe(r, "1080p", i + 1), v)
+            Stimulus("c1", r, "1080p", i + 1, v)
             for i, (r, v) in enumerate(
                 (("a", 40.0), ("b", 39.0), ("c", 38.8), ("d", 32.5))
             )

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jndmap import mapping
-from jndmap.corpus import Corpus, Recipe, Stimulus
+from jndmap.corpus import Corpus, Stimulus
 from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import build_codistribution, fit_all
 from jndmap.ranges import assign_pairs, decompose_explicit
@@ -43,7 +43,7 @@ def studies(draw) -> tuple[Corpus, PairTable, list[float]]:
     stimuli = []
     for content_id in draw(st.lists(st.sampled_from(CONTENTS), min_size=1, unique=True)):
         recipes = draw(st.lists(st.sampled_from(RECIPES), min_size=2, unique=True))
-        stimuli += [Stimulus(content_id, Recipe(r, "1080p", 1), draw(VMAFS)) for r in recipes]
+        stimuli += [Stimulus(content_id, r, "1080p", 1, draw(VMAFS)) for r in recipes]
     corpus = Corpus(tuple(stimuli), (), ())
     candidates = [
         (x.content_id, *sorted((x.recipe_id, y.recipe_id)))
@@ -141,7 +141,7 @@ def test_assign_codistribution_and_glm_inputs_match_per_pair_loops(study, bin_wi
 def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
     """A table finds its endpoints' codes by id, in any corpus."""
     stimuli = tuple(
-        Stimulus(c, Recipe(r, "1080p", 1), v)
+        Stimulus(c, r, "1080p", 1, v)
         for c, recipes in (("c2", ("r2", "r10")), ("c1", ("r1", "r10", "r2")))
         for r, v in zip(recipes, (90.0, 70.0, 50.0))
     )
@@ -154,7 +154,7 @@ def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
         for c, x, y in zip(table.content_id, table.recipe_x, table.recipe_y)
     ]
     # one more stimulus sorts first and moves every code by one
-    shifted = Corpus((Stimulus("c0", Recipe("r1", "1080p", 1), 60.0), *stimuli), (), ())
+    shifted = Corpus((Stimulus("c0", "r1", "1080p", 1, 60.0), *stimuli), (), ())
     assert table.endpoint_codes(shifted.ratings).tolist() == (codes + 1).tolist()
 
 

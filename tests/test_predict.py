@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jndmap.corpus import Corpus, JndTruth, Recipe, Stimulus
+from jndmap.corpus import Corpus, JndTruth, Stimulus
 from jndmap.errors import FitError
 from jndmap.mapping import FitReport, MappingFunction, evaluate_mf
 from jndmap.predict import (
@@ -121,7 +121,7 @@ def test_predict_jnd_matches_the_scalar_reference(vmaf, direction, threshold):
     """Inside and outside the coverage, on the bounds, with a range without
     a model and one with a non-monotone fit."""
     decomp, models = _edge_models()
-    anchor = Stimulus("c1", Recipe("r1", "1080p", 1), vmaf)
+    anchor = Stimulus("c1", "r1", "1080p", 1, vmaf)
     try:
         expected = scalar_prediction(models, decomp, anchor, direction, threshold, "logistic2")
     except (KeyError, FitError) as exc:
@@ -134,7 +134,7 @@ def test_predict_jnd_matches_the_scalar_reference(vmaf, direction, threshold):
 
 def test_a_nan_anchor_lies_in_no_range():
     decomp, models = _edge_models()
-    anchor = Stimulus("c1", Recipe("r1", "1080p", 1), math.nan)
+    anchor = Stimulus("c1", "r1", "1080p", 1, math.nan)
     message = r"^'vmaf nan outside coverage \(30.0, 100.0\]'$"
     with pytest.raises(KeyError, match=message):
         predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")

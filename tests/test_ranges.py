@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jndmap.corpus import Corpus
+from jndmap.corpus import Corpus, Stimulus
 from jndmap.ranges import (
     LOW_EDGE_EPSILON,
     MAX_FIXED_RANGES,
@@ -86,6 +86,67 @@ def test_balanced_needs_enough_distinct_values():
 def test_balanced_ties_that_leave_a_range_empty_are_rejected(vmafs, message):
     with pytest.raises(ValueError, match=message):
         decompose_balanced(_corpus(vmafs), 3)
+
+
+def _balanced_loop(corpus, k, balance):
+    """The balanced bounds as a loop over the stimuli sorted by VMAF, in
+    corpus order within a tie: the oracle of ``decompose_balanced``."""
+    stimuli = sorted(corpus.stimuli, key=lambda s: s.vmaf)
+    if not stimuli:
+        raise ValueError("corpus has no stimuli")
+    values = [s.vmaf for s in stimuli]
+    if len(set(values)) < k:
+        raise ValueError(f"need at least {k} distinct VMAF values, got {len(set(values))}")
+    if balance == "stimuli":
+        weights = [1.0] * len(values)
+    else:
+        counts = {c: len(corpus.stimuli_for_content(c)) for c in corpus.contents()}
+        weights = [float(counts[s.content_id] - 1) for s in stimuli]
+    total = sum(weights)
+    cuts = []
+    acc = 0.0
+    target_idx = 1
+    for value, weight in zip(values, weights):
+        acc += weight
+        while target_idx < k and acc >= target_idx * total / k - 1e-12:
+            cuts.append(value)
+            target_idx += 1
+    bounds = [values[0] - LOW_EDGE_EPSILON, *cuts[: k - 1], 100.0]
+    for lo, hi in zip(bounds, bounds[1:]):
+        if not lo < hi:
+            raise ValueError(f"tied VMAF values prevent {k} non-empty balanced ranges "
+                             f"(boundary collision at {lo})")
+        if not any(lo < v <= hi for v in values):
+            raise ValueError(f"tied VMAF values leave balanced range ({lo},{hi}] without stimuli")
+    return bounds
+
+
+@st.composite
+def tied_corpora(draw):
+    """Up to six contents of one to eight stimuli, their VMAFs drawn from
+    six values, listed in a drawn order."""
+    pool = st.sampled_from((0.0, 12.5, 40.0, 40.0 + 1e-9, 77.7, 100.0))
+    stimuli = [
+        Stimulus(f"c{c}", f"r{r}", "1080p", r, draw(pool))
+        for c, size in enumerate(draw(st.lists(st.integers(1, 8), max_size=6)))
+        for r in range(size)
+    ]
+    return Corpus(tuple(draw(st.permutations(stimuli))), (), ())
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_corpora(), st.integers(2, 8), st.sampled_from(("stimuli", "pairs")))
+def test_balanced_bounds_match_the_per_stimulus_loop(corpus, k, balance):
+    """Sorted VMAFs, a cumulative sum and one search give the loop's bounds,
+    or its error, on heavily tied values with either balance."""
+    try:
+        expected = _balanced_loop(corpus, k, balance)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            decompose_balanced(corpus, k, balance)
+        assert str(raised.value) == str(exc)
+    else:
+        assert decompose_balanced(corpus, k, balance).bounds == expected
 
 
 def test_balanced_top_range_reaches_100():
@@ -192,12 +253,12 @@ def test_duplicate_formatted_ids_get_disambiguated():
 
 
 def _pairs_and_corpus():
-    from jndmap.corpus import Recipe, Stimulus
+    from jndmap.corpus import Stimulus
 
     vm = {"a": 92.0, "b": 88.0, "c": 78.0, "d": 60.0}
     corpus = Corpus(
         tuple(
-            Stimulus("c1", Recipe(name, "1080p", i + 1), vmaf)
+            Stimulus("c1", name, "1080p", i + 1, vmaf)
             for i, (name, vmaf) in enumerate(vm.items())
         ),
         (),

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jndmap.corpus import Corpus, DcrRating, Recipe, Stimulus
+from jndmap.corpus import Corpus, DcrRating, Stimulus
 from jndmap.screening import REJECT_BALANCE, REJECT_FREQUENCY, apply_screening, screen
 from jndmap.significance import classify_pairs
 from jndmap.simulate import SimSpec, simulate_corpus
@@ -36,7 +36,7 @@ def corpora(draw) -> tuple[Corpus, tuple[DcrRating, ...]]:
     for c in range(draw(st.integers(1, 3))):
         for r in range(draw(st.integers(1, 4))):
             vmaf = draw(st.floats(0.0, 100.0, allow_nan=False))
-            stimuli.append(Stimulus(f"c{c}", Recipe(f"r{r}", "1080p", r), vmaf))
+            stimuli.append(Stimulus(f"c{c}", f"r{r}", "1080p", r, vmaf))
             panel = draw(st.one_of(st.just(()), st.lists(
                 st.sampled_from(OBSERVERS), min_size=2, max_size=6, unique=True)))
             ratings += [DcrRating(f"c{c}", f"r{r}", obs, draw(st.sampled_from(alphabet)))

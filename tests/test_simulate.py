@@ -69,6 +69,15 @@ def test_spec_validation():
     SimSpec().validate()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", ["jnd_scale", "detection_slope", "rating_noise_sd",
+                                  "jnd_jitter_sd", "content_spread", "ladder_jitter"])
+def test_spec_float_settings_must_be_finite(name, value):
+    with pytest.raises(ValueError) as raised:
+        dataclasses.replace(SimSpec(), **{name: value}).validate()
+    assert str(raised.value) == f"{name} must be finite, got {value}"
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = SimSpec(n_contents=5, seed=99)
     path = tmp_path / "spec.json"
@@ -97,7 +106,7 @@ def test_simulation_levels_follow_ladder(small_spec):
     corpus, _ = simulate_corpus(small_spec)
     for content in corpus.contents():
         stims = corpus.stimuli_for_content(content)
-        levels = [s.recipe.level for s in stims]
+        levels = [s.level for s in stims]
         assert levels == sorted(levels)
         vmafs = [s.vmaf for s in stims]
         assert vmafs == sorted(vmafs, reverse=True)

@@ -1,8 +1,10 @@
 """Line counts of the package source: raw, code, docstring, comment and blank.
 
 Usage: ``python tools/src_lines.py [DIR]`` (default: ``src/jndmap`` next to
-this script's directory).  Each line of each ``.py`` file under DIR counts
-once, in the first of these that holds it:
+this script's directory).  It prints one row per ``.py`` file under DIR, by
+path, and then the total of all of them as the last line, in the same
+``raw N  code N  docstring N  comment N  blank N`` format.  Each line of a
+file counts once, in the first of these that holds it:
 
 * docstring -- a line of a module, class or function docstring, blank lines
   inside it included (found by the AST);
@@ -45,13 +47,20 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
+def row(counts: dict[str, int]) -> str:
+    """``counts`` as ``raw N  code N  docstring N  comment N  blank N``."""
+    return "  ".join(f"{kind} {counts[kind]}" for kind in KINDS)
+
+
 def main(argv: list[str]) -> None:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "jndmap"
     total = dict.fromkeys(KINDS, 0)
     for path in sorted(root.rglob("*.py")):
-        for kind, n in count(path.read_text(encoding="utf-8")).items():
+        counts = count(path.read_text(encoding="utf-8"))
+        print(f"{path.relative_to(root)}  {row(counts)}")
+        for kind, n in counts.items():
             total[kind] += n
-    print("  ".join(f"{kind} {total[kind]}" for kind in KINDS))
+    print(row(total))
 
 
 if __name__ == "__main__":
