@@ -16,14 +16,19 @@ its index among the corpus's stimuli sorted by ``(content_id, recipe_id)``, so
 each content's stimuli have consecutive codes; an observer's code is its index
 among the sorted observer ids.  CSR-style offsets mark each stimulus's block of ratings.  Screening,
 classification and pair assignment run as array programs over this table.
-``corpus.ratings`` is the table.  :func:`load_corpus` fills it from the
-columns :func:`jndmap.tableio.read_table` parses from ``dcr_ratings.csv``, the
-simulator from the columns it draws, and :meth:`RatingTable.columns` gives
-them back in input order for the writer, so none of these builds a
-:class:`DcrRating` per rating.  Two object forms stay, because the benchmark
-under ``perfbench/`` reads them: iterating or indexing the table builds the
-:class:`DcrRating` objects from its columns, once, and a :class:`Corpus` may
-be given its ratings as such objects.
+``corpus.ratings`` is the table.  It is built from the four rating columns
+as :class:`jndmap.tableio.Column` objects: each column's distinct values and
+one code per rating.  A rating's stimulus and observer codes are looked up
+from the distinct values with numpy, so the table takes no Python step per
+rating.  :func:`load_corpus` gives it the columns as
+:func:`jndmap.tableio.read_table` codes them while parsing
+``dcr_ratings.csv``, the simulator the columns it draws, and
+:meth:`RatingTable.columns` gives them back in input order for the writer,
+so none of these builds a :class:`DcrRating` per rating.  Two object forms
+stay, because the benchmark under ``perfbench/`` reads them: iterating or
+indexing the table builds the :class:`DcrRating` objects from its columns,
+once, and a :class:`Corpus` may be given its ratings as such objects, whose
+fields are coded as any columns are.
 
 Ingestion is a pure function of the file bytes: loading the same files twice
 and re-serializing yields identical text.
@@ -36,7 +41,7 @@ import logging
 import math
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import compress, count
 from operator import attrgetter
 from pathlib import Path
 
@@ -130,10 +135,12 @@ class RatingTable(tableio.RowSequence[DcrRating]):
     use; the benchmark's study writer reads it.
     """
 
-    def __init__(self, stimuli: Sequence[Stimulus], content_ids: Sequence[str],
-                 recipe_ids: Sequence[str], observer_ids: Sequence[str],
-                 scores: Sequence[int]) -> None:
-        """The table of the rating columns given in input order.
+    def __init__(self, stimuli: Sequence[Stimulus], content_ids: tableio.Column,
+                 recipe_ids: tableio.Column, observer_ids: tableio.Column,
+                 scores: tableio.Column) -> None:
+        """The table of the rating columns given in input order, each as
+        :class:`~jndmap.tableio.Column`: a rating's codes are looked up from
+        the distinct values of its column, not from the rating's own cells.
 
         Raises :class:`CorpusError` with ``row=("stimuli", index)`` at the
         first repeated stimulus key, and with ``row=("ratings", index)`` at
@@ -156,25 +163,42 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         ends = [*first.values(), len(self.keys)]
         self.content_codes = {c: range(a, b) for c, a, b in zip(first, ends, ends[1:])}
 
-        n = len(scores)
-        codes = self.codes
-        stimulus = np.fromiter(map(codes.get, zip(content_ids, recipe_ids), repeat(-1)), np.intp, n)
-        ids = sorted(set(observer_ids))
-        observer = np.fromiter(map(dict(zip(ids, count())).__getitem__, observer_ids), np.intp, n)
-        row = np.lexsort((observer, stimulus))  # stable: repeats keep their input order
-        stimulus, observer = stimulus[row], observer[row]
-        # an unknown stimulus sorts first, and a repeat right after the rating it repeats
+        # A key sorts as the number content rank * len(recipes) + recipe rank
+        # does, so a stimulus's code is that number's place among the keys'.
+        # The ratings are sorted by it (and observer) first, so that the
+        # search reads its needles in order.  An id that no stimulus has
+        # ranks -1, and its rating gets code -1.
+        recipes = sorted({recipe_id for _, recipe_id in self.keys})
+        ranks = dict(zip(self.content_codes, count())), dict(zip(recipes, count()))
+        keyed = np.array([ranks[0][c] * len(recipes) + ranks[1][r] for c, r in self.keys], np.intp)
+        content, recipe = (np.array([rank.get(v, -1) for v in column.values], np.intp)[column.codes]
+                           for rank, column in zip(ranks, (content_ids, recipe_ids)))
+        wanted = np.where((content >= 0) & (recipe >= 0), content * len(recipes) + recipe, -1)
+        del content, recipe  # a large table's memory peaks in the sort below
+        ids = sorted(set(observer_ids.values))
+        rank = dict(zip(ids, count()))
+        observer = np.array([rank[v] for v in observer_ids.values], np.intp)[observer_ids.codes]
+        row = np.lexsort((observer, wanted))  # stable: repeats keep their input order
+        wanted, observer = wanted[row], observer[row]
+        place = np.searchsorted(keyed, wanted)
+        stimulus = np.where((wanted >= 0) & (np.append(keyed, -1)[place] == wanted), place, -1)
+        del wanted, place
+        # a repeat sorts right after the rating it repeats
         repeats = (np.diff(stimulus) == 0) & (np.diff(observer) == 0)
         faults = np.concatenate((row[stimulus < 0], row[1:][repeats]))
         if faults.size:
             i = int(faults.min())
-            key = (content_ids[i], recipe_ids[i])
+            content_id, recipe_id, observer_id = (
+                column.values[column.codes[i]]
+                for column in (content_ids, recipe_ids, observer_ids))
             message = (
-                f"duplicate rating for {key[0]}/{key[1]} by {observer_ids[i]}" if key in codes
-                else f"rating references unknown stimulus {key[0]}/{key[1]}"
+                f"duplicate rating for {content_id}/{recipe_id} by {observer_id}"
+                if (content_id, recipe_id) in self.codes
+                else f"rating references unknown stimulus {content_id}/{recipe_id}"
             )
             raise CorpusError(message, row=("ratings", i))
-        self._set(ids, stimulus, observer, np.asarray(scores, np.int64)[row], row)
+        score = np.array(scores.values, np.int64)[scores.codes]
+        self._set(ids, stimulus, observer, score[row], row)
 
     def _set(self, observer_ids: list[str], stimulus: np.ndarray, observer: np.ndarray,
              score: np.ndarray, row: np.ndarray) -> None:
@@ -246,7 +270,7 @@ class Corpus:
         ratings = self.ratings
         if not (isinstance(ratings, RatingTable) and ratings.stimuli == self.stimuli):
             # a table of other stimuli is coded again, like any sequence
-            columns = list(zip(*map(attrgetter(*RATING_TABLE), ratings))) or [()] * 4
+            columns = map(tableio.Column.of, _fields(RATING_TABLE, ratings))
             ratings = RatingTable(self.stimuli, *columns)
         object.__setattr__(self, "ratings", ratings)
         seen: set[JndTruth] = set()
@@ -358,13 +382,13 @@ def load_corpus(
         "truths": (truth_table, TRUTH_TABLE),
     }
     read = {
-        name: tableio.Table("", [], [[]] * len(schema)) if path is None
+        name: tableio.Table("", [], [tableio.Column.of(())] * len(schema)) if path is None
         else tableio.read_table(path, schema)
         for name, (path, schema) in tables.items()
     }
     try:
         stimuli = tuple(map(Stimulus, *read["stimuli"].columns))
-        ratings = RatingTable(stimuli, *read["ratings"].columns)
+        ratings = RatingTable(stimuli, *read["ratings"].coded)
         corpus = Corpus(stimuli, ratings, tuple(map(JndTruth, *read["truths"].columns)))
     except CorpusError as exc:
         raise read[exc.row[0]].error(exc.message, exc.row[1], exc.column) from None
@@ -381,15 +405,20 @@ def load_corpus(
 
 
 def vmaf_csv_text(corpus: Corpus) -> str:
-    return tableio.rows_to_csv_text(VMAF_TABLE, map(attrgetter(*VMAF_TABLE), corpus.stimuli))
+    return tableio.csv_text(VMAF_TABLE, _fields(VMAF_TABLE, corpus.stimuli))
 
 
 def ratings_csv_text(corpus: Corpus) -> str:
-    return tableio.rows_to_csv_text(RATING_TABLE, zip(*corpus.ratings.columns()))
+    return tableio.csv_text(RATING_TABLE, corpus.ratings.columns())
 
 
 def truth_csv_text(corpus: Corpus) -> str:
-    return tableio.rows_to_csv_text(TRUTH_TABLE, map(attrgetter(*TRUTH_TABLE), corpus.truths))
+    return tableio.csv_text(TRUTH_TABLE, _fields(TRUTH_TABLE, corpus.truths))
+
+
+def _fields(schema: tableio.Schema, rows: Sequence) -> list[list]:
+    """The columns of ``schema`` read from the fields of the row objects."""
+    return [list(map(attrgetter(name), rows)) for name in schema]
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:

@@ -64,7 +64,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -864,16 +863,14 @@ def fit_all(
 
 
 def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
-    rows = []
+    columns: list[list] = [[] for _ in CODIST_TABLE]
     for range_id in sorted(codists):
         cd = codists[range_id]
-        for i in range(cd.n_bins):
-            support = cd.f_dif[i] + cd.f_sim[i]
-            p_sd = cd.f_dif[i] / support if support else ""
-            rows.append(
-                (range_id, cd.bin_edges[i], cd.bin_edges[i + 1], cd.f_dif[i], cd.f_sim[i], p_sd)
-            )
-    return tableio.rows_to_csv_text(CODIST_TABLE, rows)
+        p_sd = [d / (d + s) if d + s else "" for d, s in zip(cd.f_dif, cd.f_sim)]
+        for column, cells in zip(columns, ([range_id] * cd.n_bins, cd.bin_edges[:-1],
+                                           cd.bin_edges[1:], cd.f_dif, cd.f_sim, p_sd)):
+            column += cells
+    return tableio.csv_text(CODIST_TABLE, columns)
 
 
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
@@ -930,14 +927,16 @@ def read_mf_params_json(path: str | Path) -> dict[str, dict[str, MappingFunction
 def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str:
     """``CURVE_SAMPLES`` evenly spaced |dVMAF| over each fit's domain, and the
     curve at each as :func:`evaluate_mf` gives it, from one call of the curve."""
-    rows = []
+    columns: list[list] = [[] for _ in CURVE_TABLE]
     for range_id in sorted(models):
         for family in sorted(models[range_id]):
             mf = models[range_id][family]
             deltas = np.linspace(*mf.domain, CURVE_SAMPLES)
             p_sd = _clipped_curve(family, mf.params, mf.domain, deltas)
-            rows += zip(repeat(range_id), repeat(family), deltas.tolist(), p_sd.tolist())
-    return tableio.rows_to_csv_text(CURVE_TABLE, rows)
+            for column, cells in zip(columns, ([range_id] * CURVE_SAMPLES, [family] * CURVE_SAMPLES,
+                                               deltas.tolist(), p_sd.tolist())):
+                column += cells
+    return tableio.csv_text(CURVE_TABLE, [*columns[:2], *map(np.array, columns[2:])])
 
 
 def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple[float, float]]]:

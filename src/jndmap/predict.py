@@ -175,4 +175,5 @@ class PredictionTable:
 
 
 def predictions_csv_text(predictions: PredictionTable) -> str:
-    return tableio.rows_to_csv_text(PREDICTION_COLUMNS, zip(*predictions.cells()))
+    return tableio.csv_text(PREDICTION_COLUMNS, [*predictions.ids, *predictions.numbers,
+                                                 predictions.clamped.astype(int)])

@@ -176,7 +176,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
     # weight quantile.  The weights are whole numbers, so the sums are exact,
     # and a tie block ends on the same sum whatever the order inside it.
     acc = np.cumsum(weights)
-    cuts = values[np.searchsorted(acc, np.arange(1, k) * acc[-1] / k - 1e-12)]
+    cuts = values[np.searchsorted(acc, np.arange(1, k) * acc[-1] / k)]
     decomp = _build("balanced", [float(values[0]) - LOW_EDGE_EPSILON, *cuts.tolist(), 100.0])
     for r, held in zip(decomp.ranges, _held(decomp, values)):
         if not r.lo < r.hi:

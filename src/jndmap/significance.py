@@ -371,7 +371,8 @@ def _paired_differences(
 
 
 def pairs_csv_text(pairs: PairTable) -> str:
-    return tableio.rows_to_csv_text(PAIR_TABLE, zip(*pairs.columns()))
+    return tableio.csv_text(PAIR_TABLE, [pairs.content_id, pairs.recipe_x, pairs.recipe_y,
+                                         pairs.delta_obj, pairs.p_value, pairs.sig])
 
 
 def read_pairs_csv(path: str | Path) -> PairTable:

@@ -235,8 +235,14 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
             )
             true_deltas[(content_id, direction)] = abs(vmafs[anchor_idx] - vmafs[found])
 
-    keys = [(s.content_id, s.recipe_id) for s in stimuli for _ in observers]
-    ratings = RatingTable(tuple(stimuli), *zip(*keys), observers * len(stimuli), scores)
+    # the ratings are stimulus-major: each stimulus's ids repeat once per observer
+    per_rating = np.repeat(np.arange(len(stimuli)), len(observers))
+    ids = [tableio.Column.of([getattr(s, name) for s in stimuli])
+           for name in ("content_id", "recipe_id")]
+    columns = [*(tableio.Column(c.values, c.codes[per_rating]) for c in ids),
+               tableio.Column(observers, np.tile(np.arange(len(observers)), len(stimuli))),
+               tableio.Column.of(scores)]
+    ratings = RatingTable(tuple(stimuli), *columns)
     corpus = Corpus(stimuli=ratings.stimuli, ratings=ratings, truths=tuple(truths))
     info = {
         "spec": spec.to_json_dict(),

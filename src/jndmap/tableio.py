@@ -7,12 +7,16 @@ returns the cell's value or raises ``ValueError``.  The declarations are built
 from ``int``, :func:`text`, :func:`ident` and the :func:`checked` parsers
 :data:`number`, :func:`within` and :func:`one_of`.  :func:`read_table` is the
 one CSV reader: it checks the header against the schema, skips blank lines,
-and reports a wrong field count or a parser's ``ValueError`` as a :class:`CorpusError`
-naming the file, line and column.  It returns a :class:`Table`, the values
-column by column, whose :meth:`Table.error` names the line of a row that a
-check across rows rejects.  Writers take their header from the same
-schema and pass the cells to ``csv.writer`` as they are; it writes a float as
-its shortest round-trip ``repr``, so a value survives a write/read round trip
+and reports a wrong field count, a cell over ``csv.field_size_limit()`` or a
+parser's ``ValueError`` as a :class:`CorpusError` naming the file, line and
+column.  It splits a text without quotes or carriage returns itself, block by
+block, and hands any other text to ``csv.reader``.  It returns a
+:class:`Table`, the values column by column, each a :class:`Column` of the
+distinct values and one code per row, whose :meth:`Table.error` names the
+line of a row that a check across rows rejects.  :func:`csv_text` is the one
+CSV writer: it takes the header from the same schema and the table as
+columns, and writes the bytes ``csv.writer`` would, a float as its shortest
+round-trip ``repr``, so a value survives a write/read round trip
 bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
 :func:`read_json` only.
 
@@ -29,12 +33,16 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, TypeVar
+from typing import Any, NamedTuple, TypeVar
+
+import numpy as np
 
 from .errors import CorpusError
 
@@ -115,13 +123,40 @@ class RowSequence(Sequence[T]):
         return self._materialized() == tuple(other)
 
 
-@dataclasses.dataclass
+class Column(NamedTuple):
+    """A column as its distinct values and each row's index into them.
+
+    ``values`` holds one parsed value per distinct cell and ``codes`` one
+    index into ``values`` per row.  Cells that differ may parse to equal
+    values (``5`` and ``05``)."""
+
+    values: list
+    codes: np.ndarray
+
+    @classmethod
+    def of(cls, items: Sequence) -> Column:
+        """The column of the values ``items``, each distinct value once."""
+        index = dict.fromkeys(items)
+        for code, value in enumerate(index):
+            index[value] = code
+        return cls(list(index), np.fromiter(map(index.__getitem__, items), np.intp, len(items)))
+
+    def tolist(self) -> list:
+        return list(map(self.values.__getitem__, self.codes.tolist()))
+
+
+@dataclasses.dataclass(eq=False)
 class Table:
     """The data rows of a CSV file read by :func:`read_table`."""
 
     name: str  #: the file's name, for errors
     lines: list[int]  #: the 1-based file line each data row starts on
-    columns: list[list]  #: the parsed values, one list per schema column
+    coded: list[Column]  #: the parsed values, one column per schema column
+
+    @functools.cached_property
+    def columns(self) -> list[list]:
+        """The parsed values as one list per schema column."""
+        return [column.tolist() for column in self.coded]
 
     def rows(self) -> Iterator[tuple]:
         return zip(*self.columns)
@@ -133,8 +168,7 @@ class Table:
 
 def _not_utf8(path: Path) -> CorpusError:
     """The error for a file whose bytes are not UTF-8: it names the file and
-    the line of the first bad byte.  The whole file is decoded here, because a
-    decoder that reads in chunks reports an offset within its chunk."""
+    the line of the first bad byte."""
     data = path.read_bytes()
     try:
         data.decode("utf-8")
@@ -146,74 +180,191 @@ def _not_utf8(path: Path) -> CorpusError:
     return CorpusError("not UTF-8", path=path.name)
 
 
+#: A block of data rows: the file line each row starts on, the cells of each
+#: column, and the fault that ends the reading after these rows, as
+#: ``(line, message)``, or None.
+Block = tuple[Sequence[int], list[list[str]], tuple[int, str] | None]
+
+#: Characters per block of the split reader, a few thousand rating rows.
+BLOCK_CHARS = 1 << 16
+#: Rows per block of the CSV writer.
+BLOCK_ROWS = 4096
+
+
 def read_table(path: str | Path, schema: Schema) -> Table:
     """The data rows of a strict CSV, their values parsed by ``schema``.
 
     The header must equal the schema's columns exactly (same names, same
     order).  The first data row is line 2.  A fault raises at the first row
-    that has one, at its first bad column.  Each distinct cell of a column is
-    parsed once and its value shared by the cells that repeat it, as ids and
-    scores do.
+    that has one, at its first bad column: a cell its parser rejects, a row
+    whose field count is not the schema's, or a cell longer than
+    ``csv.field_size_limit()``.  Each distinct cell of a column is parsed once
+    and its value shared by the cells that repeat it, as ids and scores do.
+
+    A text with no ``"`` and no carriage return is split on its line breaks
+    and commas, a block of about :data:`BLOCK_CHARS` characters at a time; a
+    block that holds a blank line, a row of another width or a line over the
+    field limit goes through ``csv.reader``, which decides those.  Any other
+    text goes through ``csv.reader`` whole, as quoted cells need.  Either way
+    the rows are those ``csv.reader`` reads from the file.
     """
     path = Path(path)
-    names = list(schema)
-    width = len(names)
     try:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise CorpusError("empty file (missing header)", path=path.name) from None
-            if header != names:
-                raise CorpusError(f"bad header {header!r}, expected {names!r}",
-                                  path=path.name, line=1)
-            table = Table(path.name, [], [])
-            cells: list[str] = []  # row by row: a row list is dropped once copied
-            short = None
-            end = reader.line_num
-            add_line = table.lines.append
-            for raw in reader:
-                # a quoted cell may hold line breaks: a row starts after the last one ends
-                lineno, end = end + 1, reader.line_num
-                if not raw:
-                    continue  # tolerate a trailing blank line
-                add_line(lineno)
-                if len(raw) != width:
-                    short = table.error(f"expected {width} fields, got {len(raw)}", -1)
-                    break
-                cells += raw
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    faults = []
-    for i, parse in enumerate(schema.values()):
-        column = cells[i::width]
-        values = {}
-        for cell in set(column):
-            try:
-                values[cell] = parse(cell)
-            except ValueError as exc:
-                faults.append((column.index(cell), i, str(exc)))
-        table.columns.append(list(map(values.get, column)))
-    if faults:
-        index, i, message = min(faults)
-        raise table.error(message, index, names[i])
-    if short:
-        raise short
+    names = list(schema)
+    if '"' in text or "\r" in text:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        _check_header(reader, path.name, names)
+        blocks = [_csv_block(reader, 0, len(names))]
+    else:
+        end = text.find("\n")
+        end = len(text) if end < 0 else end
+        _check_header(csv.reader([text[:end]] if text else []), path.name, names)
+        blocks = _split_blocks(text, end + 1, len(names))
+    return _parse(path.name, blocks, schema)
+
+
+def _check_header(reader: Iterator[list[str]], name: str, names: list[str]) -> None:
+    """Read the header row from ``reader``; it must be ``names``."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CorpusError("empty file (missing header)", path=name) from None
+    except csv.Error as exc:
+        raise CorpusError(str(exc), path=name, line=1) from None
+    if header != names:
+        raise CorpusError(f"bad header {header!r}, expected {names!r}", path=name, line=1)
+
+
+def _csv_block(reader: Any, offset: int, width: int) -> Block:
+    """The rows that ``reader`` (a ``csv.reader``) reads, as one block; its
+    line 1 is file line ``offset + 1``.  Blank rows are skipped, and a row of
+    another width or a ``csv.Error`` (a cell over the field limit) ends the
+    reading."""
+    numbers: list[int] = []
+    cells: list[str] = []
+    stop = None
+    end = reader.line_num
+    try:
+        for row in reader:
+            # a quoted cell may hold line breaks: a row starts after the last one ends
+            number, end = offset + end + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != width:
+                stop = (number, f"expected {width} fields, got {len(row)}")
+                break
+            numbers.append(number)
+            cells += row
+    except csv.Error as exc:
+        stop = (offset + end + 1, str(exc))
+    return numbers, [cells[i::width] for i in range(width)], stop
+
+
+def _split_blocks(text: str, start: int, width: int) -> Iterator[Block]:
+    """The rows of a text without quotes or carriage returns from index
+    ``start`` (line 2) on, cut at line breaks into blocks of about
+    :data:`BLOCK_CHARS` characters.
+
+    A block's line breaks become ``,\\n,`` and the block is split on commas,
+    so each line ends in a ``\\n`` token.  The block's rows all have
+    ``width`` cells exactly when the text has ``width + 1`` tokens per line
+    and every ``width + 1``-th token is a line break; then column ``i`` is
+    every ``width + 1``-th token from ``i``.  Any other block, and one with a
+    cell over the field limit (looked for only in a block longer than the
+    limit), goes through :func:`_csv_block`.
+    """
+    limit = csv.field_size_limit()
+    last = len(text) - text.endswith("\n")  # the final line break ends no row
+    line = 2
+    while start < len(text):
+        end = text.find("\n", start + BLOCK_CHARS, last)
+        end = last if end < 0 else end
+        block = text[start:end]
+        breaks = block.count("\n")
+        tokens = block.replace("\n", ",\n,").split(",")
+        if (width > 1 and (len(block) <= limit or max(map(len, tokens)) <= limit)
+                and len(tokens) == (breaks + 1) * (width + 1) - 1
+                and tokens[width::width + 1].count("\n") == breaks):
+            yield range(line, line + breaks + 1), [tokens[i::width + 1] for i in range(width)], None
+        else:
+            yield _csv_block(csv.reader(block.split("\n")), line - 1, width)
+        line += breaks + 1
+        start = end + 1
+
+
+def _parse(name: str, blocks: Iterable[Block], schema: Schema) -> Table:
+    """The :class:`Table` of ``blocks``: each new distinct cell of a column is
+    parsed once and given the next free code; the first block with a fault
+    raises its first fault in row order."""
+    names, parsers = list(schema), list(schema.values())
+    index: list[dict[str, int]] = [{} for _ in names]  # cell -> code
+    values: list[list] = [[] for _ in names]  # code -> parsed value
+    codes: list[list[np.ndarray]] = [[] for _ in names]
+    table = Table(name, [], [])
+    for numbers, columns, stop in blocks:
+        first = len(table.lines)
+        table.lines += numbers
+        faults = []
+        for i, (parse, known, parsed, cells) in enumerate(zip(parsers, index, values, columns)):
+            for cell in set(cells).difference(known):
+                try:
+                    parsed.append(parse(cell))
+                except ValueError as exc:
+                    faults.append((first + cells.index(cell), i, str(exc)))
+                else:
+                    known[cell] = len(known)
+        if faults:
+            row, i, message = min(faults)
+            raise table.error(message, row, names[i])
+        for known, cells, parts in zip(index, columns, codes):
+            parts.append(np.fromiter(map(known.__getitem__, cells), np.intp, len(cells)))
+        if stop:
+            raise CorpusError(stop[1], path=name, line=stop[0])
+    table.coded = [Column(parsed, np.concatenate(parts) if parts else np.empty(0, np.intp))
+                   for parsed, parts in zip(values, codes)]
     return table
 
 
-def rows_to_csv_text(columns: Iterable[str], rows: Iterable[Iterable[object]]) -> str:
-    """Serialize rows to CSV text with a fixed header and ``\\n`` line endings.
+def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
+    """CSV text of ``columns`` under a fixed header, with ``\\n`` line endings:
+    the bytes ``csv.writer(lineterminator="\\n")`` writes for their rows.
 
-    Quoting is minimal (range ids carry commas), so output bytes are a pure
-    function of the cell values.
+    The rows are written :data:`BLOCK_ROWS` at a time.  In a block, each
+    column is made text in one pass, ``str(value)`` for a value that is not a
+    string, and each distinct text that needs it is quoted once.  Quoting is
+    minimal (range ids carry commas), so output bytes are a pure function of
+    the cell values.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(rows)
-    return buf.getvalue()
+    parts = [",".join(_csv_cells(list(header)))]
+    for start in range(0, len(columns[0]), BLOCK_ROWS):
+        cells = [_csv_cells(column[start:start + BLOCK_ROWS]) for column in columns]
+        parts.append("\n".join(map(",".join, zip(*cells))))
+    parts.append("")
+    return "\n".join(parts)
+
+
+def _csv_cells(column: Sequence) -> list[str]:
+    """The cells of one CSV column, as ``csv.writer`` writes them: quoted,
+    with quotes doubled, when they hold a comma, a quote or a line feed.
+
+    A numeric array's distinct values are made text once each, a float's by
+    its bits, so that ``-0.0`` and ``0.0`` stay apart."""
+    if isinstance(column, np.ndarray) and (column.dtype.kind in "iu" or column.dtype == float):
+        keys = column.view(np.int64) if column.dtype == float else column
+        distinct, codes = np.unique(keys, return_inverse=True)
+        texts = list(map(str, distinct.view(column.dtype).tolist()))
+        return list(map(texts.__getitem__, codes.tolist()))
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    cells = list(map(str, values))
+    probe = "".join(cells)
+    if "," in probe or '"' in probe or "\n" in probe:
+        quoted = {cell: '"' + cell.replace('"', '""') + '"' for cell in set(cells)
+                  if "," in cell or '"' in cell or "\n" in cell}
+        cells = list(map(quoted.get, cells, cells))
+    return cells
 
 
 def write_csv_text(path: str | Path, text: str) -> None:
@@ -221,8 +372,32 @@ def write_csv_text(path: str | Path, text: str) -> None:
 
 
 def json_text(obj: object) -> str:
-    """Canonical JSON text: 2-space indent, sorted keys, trailing newline."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Canonical JSON text: 2-space indent, sorted keys, trailing newline.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True)`` for objects with
+    string keys.  Objects and arrays are laid out here, so that an array of
+    strings, such as a range's pair ids in ``ranges.json``, goes through the
+    C string encoder in one pass rather than item by item through the
+    indenting encoder, which is pure Python.
+    """
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj: object, newline: str) -> str:
+    """``obj`` as :func:`json_text` lays it out, its lines after the first
+    starting with ``newline``."""
+    inner = newline + "  "
+    if isinstance(obj, dict) and obj:
+        items = (f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                 for key, value in sorted(obj.items()))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(obj, (list, tuple)) and obj:
+        if set(map(type, obj)) == {str}:
+            items = map(encode_basestring_ascii, obj)
+        else:
+            items = (_json(item, inner) for item in obj)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    return json.dumps(obj)
 
 
 def write_json(path: str | Path, obj: object) -> None:
@@ -241,6 +416,8 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
         ) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise CorpusError(str(exc), path=path.name) from None
     try:
         obj = parse(data)
         if hasattr(obj, "validate"):
@@ -267,8 +444,9 @@ _JSON_SCALARS = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
 def dataclass_from_json(cls: type[T], data: dict, **convert: Callable) -> T:
     """``cls(**data)`` for a dataclass of settings, with ``convert[key]`` applied
     to the value of ``key``.  Any other field with a number, string or bool
-    default must hold that kind of value; a wrong one or an unknown key raises
-    an error naming the key."""
+    default must hold that kind of value, and an integer given for a float
+    field becomes a float; a wrong value, an integer beyond the float range or
+    an unknown key raises an error naming the key."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
@@ -282,5 +460,10 @@ def dataclass_from_json(cls: type[T], data: dict, **convert: Callable) -> T:
                 raise ValueError(f"{key}: {exc}") from None
         elif kinds and type(value) not in kinds:
             raise TypeError(f"{key}: expected {type(defaults[key]).__name__}, got {value!r}")
+        elif float in kinds and type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ValueError(f"{key}: integer too large for a float") from None
         kwargs[key] = value
     return cls(**kwargs)

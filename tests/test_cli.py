@@ -22,7 +22,7 @@ from jndmap import cli, corpus, predict, significance, simulate
 from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.ranges import read_ranges_json
 from jndmap.mapping import CURVE_TABLE
-from jndmap.tableio import rows_to_csv_text, write_json
+from jndmap.tableio import csv_text, write_json
 
 from conftest import SMALL_SPEC, cli_command
 
@@ -351,7 +351,7 @@ def test_render_escapes_range_id_and_family(tmp_path):
     """Markup characters in a range id or a family are text in the SVG."""
     curves = tmp_path / "curve_samples.csv"
     rows = [("(0,5]<&>", "a<b&c>", x, x / 10.0) for x in (0.0, 5.0, 10.0)]
-    curves.write_text(rows_to_csv_text(CURVE_TABLE, rows), encoding="utf-8")
+    curves.write_text(csv_text(CURVE_TABLE, list(zip(*rows))), encoding="utf-8")
     out = tmp_path / "curves.svg"
     assert cli.main(["render", "--curves", str(curves), "--out", str(out)]) == 0
     texts = [node.text for node in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
@@ -717,6 +717,25 @@ def _main_error_record(capsys, argv) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+@pytest.mark.parametrize("command", ["simulate", "run"])
+@pytest.mark.parametrize(("zeros", "message"), [
+    (400, "{key}: integer too large for a float"),  # used to end in an OverflowError traceback
+    (5000, "Exceeds the limit (4300 digits) for integer string conversion"),  # named no file
+], ids=["float-range", "digit-limit"])
+def test_integer_beyond_the_float_range_exits_2(sim_dir, tmp_path, capsys, command, zeros,
+                                                message):
+    name, key = ("spec.json", "content_spread") if command == "simulate" else ("config.json", "alpha")
+    (tmp_path / name).write_text(f'{{"{key}": 1{"0" * zeros}}}', encoding="utf-8")
+    if command == "simulate":
+        argv = ["simulate", "--spec", tmp_path / name, "--out-dir", tmp_path / "out"]
+    else:
+        argv = [*_run_argv(sim_dir, tmp_path / "out"), "--config", tmp_path / name]
+    record = _main_error_record(capsys, argv)
+    assert record.pop("message").startswith(f"{name}: " + message.format(key=key))
+    assert record == {"error": "CorpusError", "command": command, "artifacts_written": []}
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(("removed", "message"), [
     # a string used to be read as the set of its characters, removing nobody
     ("o01", "screening.json: removed: expected a list of strings, got 'o01'"),
@@ -878,6 +897,12 @@ def _swap_anchor_and_jnd(lines):
                      "not UTF-8: byte 0xff (invalid start byte)", id="ratings-not-utf8"),
         pytest.param("pairs.csv", _bad_byte_on_line(3), "line 3",
                      "not UTF-8: byte 0xff (invalid start byte)", id="pairs-not-utf8"),
+        # a cell over csv's field limit used to end in a _csv.Error traceback; the
+        # split reader and csv.reader (which reads a file with quotes) decide it alike
+        pytest.param("vmaf_scores.csv", _edit_line_2(2, "x" * 140_000), "line 2",
+                     "field larger than field limit (131072)", id="cell-over-field-limit"),
+        pytest.param("vmaf_scores.csv", _edit_line_2(2, '"' + "x" * 140_000 + '"'), "line 2",
+                     "field larger than field limit (131072)", id="quoted-cell-over-field-limit"),
     ],
 )
 def test_bad_row_names_file_and_line(sim_dir, run_dir, tmp_path, capsys, table, edit, where, message):

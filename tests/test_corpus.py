@@ -126,6 +126,21 @@ def test_dangling_rating_rejected():
         Corpus(stimuli, (DcrRating("c1", "r9", "oA", 4),), ())
 
 
+@pytest.mark.parametrize(("stimuli", "content_id", "recipe_id"), [
+    (make_stimuli("c1", (90.0, 80.0)) + make_stimuli("c2", (85.0, 75.0)), "c2", "r9"),
+    (make_stimuli("c1", (90.0, 80.0)) + make_stimuli("c2", (85.0, 75.0)), "c9", "r1"),
+    ((), "c1", "r0"),
+], ids=["recipe-of-a-later-content", "content", "no-stimuli"])
+def test_rating_of_an_unknown_stimulus_is_named(stimuli, content_id, recipe_id):
+    """An id that no stimulus has never reads as another stimulus's key."""
+    ratings = [DcrRating(s.content_id, s.recipe_id, "oA", 4) for s in stimuli]
+    ratings.insert(len(ratings) // 2, DcrRating(content_id, recipe_id, "oZ", 4))
+    with pytest.raises(CorpusError) as err:
+        Corpus(stimuli, ratings, ())
+    assert err.value.message == f"rating references unknown stimulus {content_id}/{recipe_id}"
+    assert err.value.row == ("ratings", len(ratings) // 2)
+
+
 def test_truth_direction_consistency():
     # r0 has the higher VMAF, so a "dec" truth must point at a lower rendition.
     stimuli = make_stimuli("c1", (90.0, 80.0))
@@ -242,5 +257,5 @@ def test_truth_csv_includes_order():
 
 
 def test_numpy_scalars_are_written_as_numbers():
-    text = tableio.rows_to_csv_text(["x", "n"], [(np.float64(0.1), np.int64(3))])
+    text = tableio.csv_text(["x", "n"], [[np.float64(0.1)], [np.int64(3)]])
     assert text == "x,n\n0.1,3\n"

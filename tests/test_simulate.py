@@ -174,3 +174,10 @@ def test_truth_info_json(tmp_path, small_spec):
     path = tmp_path / "truth.json"
     write_json(path, data)
     assert path.exists()
+
+
+def test_integer_for_a_float_setting_becomes_a_float():
+    spec = SimSpec.from_json_dict({"jnd_scale": 3, "n_contents": 2})
+    assert type(spec.jnd_scale) is float and spec.jnd_scale == 3.0
+    assert type(spec.n_contents) is int
+    assert spec.to_json_dict()["jnd_scale"] == 3.0

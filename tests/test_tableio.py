@@ -1,0 +1,222 @@
+"""The table reader's two paths, and the CSV and JSON writers, against the
+standard library's own reader and writers."""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from jndmap import tableio
+from jndmap.errors import CorpusError
+
+#: Every fault a row can have: an empty text cell, a non-integer or an
+#: out-of-range level, and an id with a colon.
+SCHEMA: tableio.Schema = {
+    "a": tableio.text,
+    "b": tableio.within(int, 0, 9),
+    "c": tableio.ident,
+}
+#: The field limit while reading drawn files, so that a short cell can pass it.
+LIMIT = 8
+
+
+def _outcome(read, path) -> tuple:
+    """The table's lines and columns, or the error's message, line and column."""
+    try:
+        table = read(path, SCHEMA)
+    except CorpusError as exc:
+        return ("error", exc.message, exc.line, exc.column)
+    return ("table", table.lines, table.columns)
+
+
+def _read_by_csv_reader(path, schema) -> tableio.Table:
+    """``read_table`` with the text after the header read by ``csv.reader``,
+    whether or not it could be split."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableio, "_split_blocks", lambda text, start, width: [tableio._csv_block(
+            csv.reader(io.StringIO(text[start:], newline="")), 1, width)])
+        return tableio.read_table(path, schema)
+
+
+def _reference(data: bytes) -> tuple:
+    """What reading ``data`` gives with the field limit at ``LIMIT``, from the
+    rows ``csv.reader`` reads at its default limit: the first row with a
+    fault raises it (a cell over ``LIMIT``, a field count that is not the
+    schema's, or its first cell that does not parse), and blank rows are
+    skipped."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ("error", f"not UTF-8: byte 0x{data[exc.start]:02x} ({exc.reason})", line, None)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        return ("error", "empty file (missing header)", None, None)
+    if max(map(len, header), default=0) > LIMIT:
+        return ("error", f"field larger than field limit ({LIMIT})", 1, None)
+    if header != list(SCHEMA):
+        return ("error", f"bad header {header!r}, expected {list(SCHEMA)!r}", 1, None)
+    lines, rows, end = [], [], reader.line_num
+    for row in reader:
+        line, end = end + 1, reader.line_num
+        if not row:
+            continue
+        if max(map(len, row)) > LIMIT:
+            return ("error", f"field larger than field limit ({LIMIT})", line, None)
+        if len(row) != len(SCHEMA):
+            return ("error", f"expected {len(SCHEMA)} fields, got {len(row)}", line, None)
+        for (name, parse), cell in zip(SCHEMA.items(), row):
+            try:
+                parse(cell)
+            except ValueError as exc:
+                return ("error", str(exc), line, name)
+        lines.append(line)
+        rows.append([parse(cell) for parse, cell in zip(SCHEMA.values(), row)])
+    return ("table", lines, [list(column) for column in zip(*rows)] or [[]] * len(SCHEMA))
+
+
+#: Cells a plain file may hold: good and bad values of every column, and
+#: cells over the field limit.
+PLAIN_CELLS = st.sampled_from(["x", "y", "0", "7", "10", "-1", "", "p:q", "é", " 3", "\x00",
+                               "x" * LIMIT, "x" * (LIMIT + 1), "1" * (LIMIT + 3)])
+#: Cells that only a quoted field can hold.
+QUOTED_CELLS = st.sampled_from(["a,b", 'say ""hi""', "two\nlines", "cr\rhere", "crlf\r\n", ","])
+
+
+@st.composite
+def csv_files(draw) -> bytes:
+    """A table's bytes: a header, then rows of one to five cells and blank
+    lines, in a plain file or one with quoted cells, CRLF line ends or both,
+    sometimes with a byte that is not UTF-8."""
+    quoted, crlf = draw(st.booleans()), draw(st.booleans())
+    end = "\r\n" if crlf else "\n"
+    cells = st.one_of(PLAIN_CELLS, QUOTED_CELLS) if quoted else PLAIN_CELLS
+    lines = [draw(st.sampled_from(["a,b,c", "a,b,c", "a,c,b", ""]))]
+    for row in draw(st.lists(st.lists(cells, min_size=0, max_size=5), max_size=12)):
+        lines.append(",".join(
+            f'"{cell.replace(chr(34), 2 * chr(34))}"'
+            if any(ch in cell for ch in ',"\r\n') or (quoted and draw(st.booleans())) else cell
+            for cell in row))
+    text = end.join(lines) + end * draw(st.integers(0, 2))
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_files(), block_chars=st.integers(1, 40))
+# a short row and a long row whose cells add up to two full rows
+@example(data=b"a,b,c\nx,1\ny,2,z,w\nv,3,u\n", block_chars=40)
+# a cell over the limit in a block that splits cleanly
+@example(data=b"a,b,c\nx,1,y\n" + b"x" * (LIMIT + 1) + b",2,z\n", block_chars=40)
+def test_split_and_csv_reader_paths_read_the_same_table(tmp_path, data, block_chars):
+    """Both paths give the table, or the error, that the rows ``csv.reader``
+    reads give, whatever the blocks' size."""
+    path = tmp_path / "table.csv"
+    path.write_bytes(data)
+    expected = _reference(data)
+    limit = csv.field_size_limit(LIMIT)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tableio, "BLOCK_CHARS", block_chars)
+            assert _outcome(tableio.read_table, path) == expected
+            assert _outcome(_read_by_csv_reader, path) == expected
+    finally:
+        csv.field_size_limit(limit)
+
+
+def test_split_reader_reads_a_large_table_in_blocks(tmp_path):
+    """A table of several blocks reads as ``csv.reader`` reads it, and a bad
+    cell far down names its own line."""
+    rows = [f"c{i % 97},{i % 10},o:{i}" if i == 9000 else f"c{i % 97},{i % 10},o{i}"
+            for i in range(12000)]
+    path = tmp_path / "table.csv"
+    path.write_text("a,b,c\n" + "\n".join(rows[:9000]) + "\n", encoding="utf-8")
+    table = tableio.read_table(path, SCHEMA)
+    assert _outcome(tableio.read_table, path) == _outcome(_read_by_csv_reader, path)
+    assert table.lines == list(range(2, 9002))
+    assert table.columns[2][8999] == "o8999"
+    assert len(table.coded[0].values) == 97
+    path.write_text("a,b,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    with pytest.raises(CorpusError, match="^table.csv:line 9002:c: id 'o:9000' contains ':'$"):
+        tableio.read_table(path, SCHEMA)
+
+
+CELLS = st.one_of(
+    st.text(alphabet=',"\n\r aé€\\x0', max_size=6),
+    st.sampled_from(["", ","]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(width=32).map(np.float64),
+    st.integers(-10**20, 10**20),
+    st.integers(-5, 5).map(np.int64),
+    st.text(alphabet='a,"\n', max_size=3).map(np.str_),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.lists(st.text(alphabet='ab,"\n', min_size=1, max_size=3), min_size=2,
+                       max_size=4), data=st.data())
+def test_csv_text_writes_what_csv_writer_writes(header, data):
+    columns = [data.draw(st.lists(CELLS, min_size=n, max_size=n))
+               for n in [data.draw(st.integers(0, 6))] * len(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableio, "BLOCK_ROWS", data.draw(st.integers(1, 4)))
+        assert tableio.csv_text(header, columns) == buf.getvalue()
+        arrays = [np.array(column, dtype=object) for column in columns]
+        assert tableio.csv_text(header, arrays) == buf.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(floats=st.lists(st.floats(), min_size=1, max_size=12), data=st.data())
+def test_csv_text_writes_number_arrays_as_csv_writer_writes_their_values(floats, data):
+    """A float64 or int64 array is written as ``csv.writer`` writes its
+    values, ``-0.0`` and ``0.0`` apart."""
+    ints = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=len(floats),
+                              max_size=len(floats)))
+    zeros = [(0.0, -0.0)[i % 2] for i in range(len(floats))]
+    columns = [np.array(floats), np.array(ints, dtype=np.int64), np.array(zeros)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["x", "n", "z"])
+    writer.writerows(zip(*(column.tolist() for column in columns)))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tableio, "BLOCK_ROWS", data.draw(st.integers(1, 4)))
+        assert tableio.csv_text(["x", "n", "z"], columns) == buf.getvalue()
+
+
+IDS = st.text(alphabet='ab:"\\/é€\x01\n', max_size=5)
+JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), IDS),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(IDS, max_size=4).map(tuple),
+                            st.dictionaries(IDS, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=JSON)
+def test_json_text_is_json_dumps(obj):
+    assert tableio.json_text(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_ranges_json_layout_of_pair_ids():
+    ids = ['c"1:r0:r1', "c\\2:r0:r1", "cé:r0:r1", "c€:r0:r1"]
+    data = {"assignments": {"(0,50]": ids, "(50,100]": []}, "bounds": [0.0, 50.0, math.pi],
+            "strategy": "explicit"}
+    assert tableio.json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
