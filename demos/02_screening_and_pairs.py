@@ -27,7 +27,7 @@ corpus = Corpus(corpus.stimuli, (*corpus.ratings, *flipped), corpus.truths)
 
 report = screen(corpus)
 print("removed:", sorted(report.removed_observers))
-stats = report.per_observer_stats["obs_x"]
+stats = report.stats["obs_x"]
 print(f"  obs_x: P={stats.p_count} Q={stats.q_count} "
       f"ratio1={stats.ratio1:.3f} ratio2={stats.ratio2:.3f}")
 

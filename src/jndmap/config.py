@@ -60,22 +60,8 @@ class RunConfig:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunConfig":
-        return tableio.dataclass_from_json(
-            cls,
-            data,
-            decomposition=lambda dk: tableio.dataclass_from_json(
-                DecompositionConfig,
-                dk,
-                bounds=lambda bs: None if bs is None else tuple(float(b) for b in bs),
-            ),
-            families=tuple,
-            thresholds=lambda ts: tuple(float(t) for t in ts),
-        )
-
 
 def load_config(path: str | Path | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    return tableio.read_json(path, RunConfig.from_json_dict)
+    return tableio.read_json(path, lambda data: tableio.from_json(RunConfig, data))

@@ -873,14 +873,22 @@ def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
     return tableio.csv_text(CODIST_TABLE, columns)
 
 
+@dataclass(frozen=True)
+class _FitJson:
+    """A :class:`MappingFunction` as ``mf_params.json`` holds it, under its
+    range and family."""
+
+    params: tuple[float, ...]
+    domain: tuple[float, ...]  # lo < hi: checked, with its length, after the params
+    fit_report: FitReport
+
+
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
-    """Each fit's fields but its family, which keys it; empty flags and extras
-    are left out."""
+    """Each fit as its :class:`_FitJson`; empty flags and extras are left out."""
     out: dict = {}
     for range_id, per_range in models.items():
         for family, mf in per_range.items():
-            entry = asdict(mf)
-            del entry["family"]
+            entry = asdict(_FitJson(mf.params, mf.domain, mf.fit_report))
             for key in ("flags", "extras"):
                 if not entry["fit_report"][key]:
                     del entry["fit_report"][key]
@@ -888,35 +896,23 @@ def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
     return out
 
 
-def models_from_json_dict(data: dict) -> dict[str, dict[str, MappingFunction]]:
+def models_from_json_dict(data: object) -> dict[str, dict[str, MappingFunction]]:
     models: dict[str, dict[str, MappingFunction]] = {}
-    for range_id, families in data.items():
+    for range_id, families in tableio.from_json(dict[str, dict[str, _FitJson]], data).items():
         for family, entry in families.items():
             n_params = family_spec(family).n_params
-            params = tuple(float(p) for p in entry["params"])
+            params, domain = entry.params, entry.domain
             if len(params) != n_params:
                 raise ValueError(f"{range_id}/{family}: {len(params)} params, expected {n_params}")
             if not all(math.isfinite(p) for p in params):
                 raise ValueError(f"{range_id}/{family}: non-finite params {list(params)}")
-            domain = tuple(float(d) for d in entry["domain"])
             if len(domain) != 2 or not -math.inf < domain[0] < domain[1] < math.inf:
                 raise ValueError(
                     f"{range_id}/{family}: domain must be two finite numbers lo < hi, "
                     f"got {list(domain)}"
                 )
-            report = entry["fit_report"]
             models.setdefault(range_id, {})[family] = MappingFunction(
-                family=family,
-                params=params,
-                domain=domain,
-                fit_report=FitReport(
-                    residual_norm=float(report["residual_norm"]),
-                    monotone=bool(report["monotone"]),
-                    iterations=int(report["iterations"]),
-                    flags=tuple(report.get("flags", [])),
-                    extras={k: float(v) for k, v in report.get("extras", {}).items()},
-                ),
-            )
+                family, params, domain, entry.fit_report)
     return models
 
 

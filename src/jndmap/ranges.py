@@ -28,7 +28,7 @@ import logging
 import math
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -267,27 +267,30 @@ def decomposition_to_json_dict(decomp: Decomposition) -> dict:
     }
 
 
-def decomposition_from_json_dict(data: dict) -> Decomposition:
-    bounds, assignments = data["bounds"], data.get("assignments", {})
-    if data["strategy"] not in STRATEGIES:
-        raise ValueError(f"unknown strategy {data['strategy']!r}; expected one of {STRATEGIES}")
-    if not (isinstance(bounds, list) and all(type(b) in (int, float) for b in bounds)):
-        raise ValueError(f"bounds: expected a list of numbers, got {bounds!r}")
-    if not isinstance(assignments, dict):
-        raise ValueError(f"assignments: expected an object of pair-id lists, got {assignments!r}")
-    bounds = [float(b) for b in bounds]
-    check_settings("explicit", bounds=bounds)
-    decomp = _build(data["strategy"], bounds)
-    unknown = sorted(assignments.keys() - set(decomp.range_ids()))
+@dataclass(frozen=True)
+class _RangesJson:
+    """A :class:`Decomposition` as ``ranges.json`` holds it."""
+
+    strategy: str
+    bounds: tuple[float, ...]
+    assignments: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+def decomposition_from_json_dict(data: object) -> Decomposition:
+    read = tableio.from_json(_RangesJson, data)
+    if read.strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {read.strategy!r}; expected one of {STRATEGIES}")
+    check_settings("explicit", bounds=list(read.bounds))
+    decomp = _build(read.strategy, list(read.bounds))
+    unknown = sorted(read.assignments.keys() - set(decomp.range_ids()))
     if unknown:
         raise ValueError(f"assignments: {len(unknown)} key(s) name no range of the bounds, "
                          f"e.g. {unknown[:3]}")
-    for range_id, refs in assignments.items():
-        tableio.string_list(refs, f"assignments[{range_id!r}]")
+    for range_id, refs in read.assignments.items():
         repeated = [ref for ref, count in Counter(refs).items() if count > 1]
         if repeated:
-            raise ValueError(f"assignments[{range_id!r}]: pair {repeated[0]!r} is listed twice")
-    ranges = tuple(replace(r, pair_refs=tuple(assignments.get(r.range_id, ())))
+            raise ValueError(f"assignments/{range_id}: pair {repeated[0]!r} is listed twice")
+    ranges = tuple(replace(r, pair_refs=read.assignments.get(r.range_id, ()))
                    for r in decomp.ranges)
     return Decomposition(strategy=decomp.strategy, ranges=ranges)
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,32 +43,23 @@ class ObserverStats:
 
 @dataclass(frozen=True)
 class ScreeningReport:
+    """A screening's outcome as ``screening.json`` holds it: the removed
+    observers (:func:`screen` sorts them) and each observer's tallies."""
+
     method: str
-    removed_observers: frozenset[str]
-    per_observer_stats: dict[str, ObserverStats]
+    removed: tuple[str, ...]
+    stats: dict[str, ObserverStats]
+
+    @property
+    def removed_observers(self) -> frozenset[str]:
+        return frozenset(self.removed)
+
+    def validate(self) -> None:
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "removed": sorted(self.removed_observers),
-            "stats": {
-                obs: {
-                    "p_count": st.p_count,
-                    "q_count": st.q_count,
-                    "ratio1": st.ratio1,
-                    "ratio2": st.ratio2,
-                }
-                for obs, st in sorted(self.per_observer_stats.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ScreeningReport":
-        return cls(
-            method=data["method"],
-            removed_observers=frozenset(tableio.string_list(data["removed"], "removed")),
-            per_observer_stats={obs: ObserverStats(**st) for obs, st in data["stats"].items()},
-        )
+        return asdict(self)
 
 
 def screen(corpus: Corpus, method: str = "bt500") -> ScreeningReport:
@@ -78,7 +69,7 @@ def screen(corpus: Corpus, method: str = "bt500") -> ScreeningReport:
     if method == "bt500":
         return screen_bt500(corpus)
     stats = {obs: ObserverStats(0, 0, 0.0, 0.0) for obs in corpus.observers()}
-    return ScreeningReport(method=method, removed_observers=frozenset(), per_observer_stats=stats)
+    return ScreeningReport(method, (), stats)
 
 
 def screen_bt500(corpus: Corpus) -> ScreeningReport:
@@ -129,9 +120,7 @@ def screen_bt500(corpus: Corpus) -> ScreeningReport:
             removed.add(obs)
     if removed:
         log.info("screening removed %d observer(s): %s", len(removed), sorted(removed))
-    return ScreeningReport(
-        method="bt500", removed_observers=frozenset(removed), per_observer_stats=stats
-    )
+    return ScreeningReport("bt500", tuple(sorted(removed)), stats)
 
 
 def apply_screening(corpus: Corpus, report: ScreeningReport) -> Corpus:
@@ -147,4 +136,4 @@ def apply_screening(corpus: Corpus, report: ScreeningReport) -> Corpus:
 
 
 def read_report(path: str | Path) -> ScreeningReport:
-    return tableio.read_json(path, ScreeningReport.from_json_dict)
+    return tableio.read_json(path, lambda data: tableio.from_json(ScreeningReport, data))

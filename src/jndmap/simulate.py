@@ -81,6 +81,11 @@ class SimSpec:
         if any(not a > b for a, b in zip(vmafs, vmafs[1:])):
             raise ValueError("ladder VMAFs must be strictly decreasing")
         ids = [r for r, _ in self.ladder]
+        for i, recipe_id in enumerate(ids):
+            try:
+                tableio.ident(recipe_id)  # the rule of the recipe_id column
+            except ValueError as exc:
+                raise ValueError(f"ladder/{i}/0: {exc}") from None
         if len(set(ids)) != len(ids):
             raise ValueError("ladder recipe ids must be unique")
         if self.observer_count < 2:
@@ -105,12 +110,6 @@ class SimSpec:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SimSpec":
-        return tableio.dataclass_from_json(
-            cls, data, ladder=lambda rungs: tuple((str(r), float(v)) for r, v in rungs)
-        )
 
 
 def bisection_search(
@@ -274,4 +273,4 @@ def truth_info_json_dict(info: dict) -> dict:
 
 
 def read_sim_spec_json(path: str | Path) -> SimSpec:
-    return tableio.read_json(path, SimSpec.from_json_dict)
+    return tableio.read_json(path, lambda data: tableio.from_json(SimSpec, data))

@@ -17,8 +17,11 @@ line of a row that a check across rows rejects.  :func:`csv_text` is the one
 CSV writer: it takes the header from the same schema and the table as
 columns, and writes the bytes ``csv.writer`` would, a float as its shortest
 round-trip ``repr``, so a value survives a write/read round trip
-bit-for-bit.  JSON artifacts and inputs go through :func:`write_json` /
-:func:`read_json` only.
+bit-for-bit; it also quotes a cell holding a carriage return.  JSON artifacts
+go through :func:`write_json` and JSON inputs through :func:`read_json`,
+whose parsers read a file's decoded data with :func:`from_json` as a type
+expression, most often a dataclass: the type is the schema of a JSON input,
+as a :data:`Schema` is of a table, and an error names the key path.
 
 A table held in memory is its columns, the one form the pipeline's stages
 and writers take.  Only the rating and pair tables keep a row view, a
@@ -40,7 +43,8 @@ import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, NamedTuple, TypeVar
+from types import UnionType
+from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -330,7 +334,10 @@ def _parse(name: str, blocks: Iterable[Block], schema: Schema) -> Table:
 
 def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
     """CSV text of ``columns`` under a fixed header, with ``\\n`` line endings:
-    the bytes ``csv.writer(lineterminator="\\n")`` writes for their rows.
+    the bytes ``csv.writer(lineterminator="\\n")`` writes for their rows,
+    except that a cell holding a carriage return is quoted, as ``csv.writer``
+    quotes it under its default ``\\r\\n``, so that ``csv.reader`` reads it
+    back.
 
     The rows are written :data:`BLOCK_ROWS` at a time.  In a block, each
     column is made text in one pass, ``str(value)`` for a value that is not a
@@ -348,7 +355,8 @@ def csv_text(header: Iterable[str], columns: Sequence[Sequence]) -> str:
 
 def _csv_cells(column: Sequence) -> list[str]:
     """The cells of one CSV column, as ``csv.writer`` writes them: quoted,
-    with quotes doubled, when they hold a comma, a quote or a line feed.
+    with quotes doubled, when they hold a comma, a quote, a line feed or a
+    carriage return.
 
     A numeric array's distinct values are made text once each, a float's by
     its bits, so that ``-0.0`` and ``0.0`` stay apart."""
@@ -360,9 +368,9 @@ def _csv_cells(column: Sequence) -> list[str]:
     values = column.tolist() if isinstance(column, np.ndarray) else column
     cells = list(map(str, values))
     probe = "".join(cells)
-    if "," in probe or '"' in probe or "\n" in probe:
+    if "," in probe or '"' in probe or "\n" in probe or "\r" in probe:
         quoted = {cell: '"' + cell.replace('"', '""') + '"' for cell in set(cells)
-                  if "," in cell or '"' in cell or "\n" in cell}
+                  if "," in cell or '"' in cell or "\n" in cell or "\r" in cell}
         cells = list(map(quoted.get, cells, cells))
     return cells
 
@@ -409,61 +417,66 @@ def read_json(path: str | Path, parse: Callable[[object], T]) -> T:
     any failure raises :class:`CorpusError` naming the file."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        obj = parse(json.loads(path.read_text(encoding="utf-8")))
+        if hasattr(obj, "validate"):
+            obj.validate()
     except json.JSONDecodeError as exc:
         raise CorpusError(
             exc.msg, path=path.name, line=exc.lineno, column=f"column {exc.colno}"
         ) from None
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    except ValueError as exc:  # an integer of more digits than Python converts
-        raise CorpusError(str(exc), path=path.name) from None
-    try:
-        obj = parse(data)
-        if hasattr(obj, "validate"):
-            obj.validate()
-    except KeyError as exc:
-        raise CorpusError(f"missing key {exc.args[0]!r}", path=path.name) from None
-    except (AttributeError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a failed check, or an integer of too many digits to convert
         raise CorpusError(str(exc), path=path.name) from None
     return obj
 
 
-def string_list(value: object, key: str) -> list[str]:
-    """``value`` if it is a JSON list of strings, else a ValueError naming
-    ``key``; a bare string would otherwise pass for its characters."""
-    if not (isinstance(value, list) and all(isinstance(item, str) for item in value)):
-        raise ValueError(f"{key}: expected a list of strings, got {value!r}")
-    return value
+def from_json(kind: Any, value: object, key: str = "") -> Any:
+    """The decoded JSON ``value`` read as the type expression ``kind``: a
+    dataclass from an object by its field annotations (no unknown key, and no
+    missing one but where the field has a default), ``tuple[X, ...]`` or
+    ``tuple[X, Y]`` from a list, ``dict[str, X]`` from an object, ``X | None``,
+    ``float`` (any number but a bool), ``int``, ``bool`` or ``str``.  A value of
+    another shape raises ``ValueError`` naming its key path: the keys and list
+    indexes from ``key`` down to it, joined by ``/``."""
+    at, path = (f"{key}: ", f"{key}/") if key else ("", "")
+    origin, args = get_origin(kind), get_args(kind)
+    if origin is UnionType:  # X | None
+        return None if value is None else from_json(args[0], value, key)
+    if dataclasses.is_dataclass(kind) or origin is dict:
+        if type(value) is not dict:
+            raise ValueError(f"{at}expected an object, got {value!r}")
+        if origin is dict:
+            return {name: from_json(args[1], item, path + name) for name, item in value.items()}
+        types = _type_hints(kind)
+        unknown = sorted(value.keys() - types.keys())
+        if unknown:
+            raise ValueError(f"{at}unknown key {unknown[0]!r}; expected one of {list(types)}")
+        missing = [f.name for f in dataclasses.fields(kind) if f.name not in value
+                   and f.default is dataclasses.MISSING is f.default_factory]
+        if missing:
+            raise ValueError(f"{at}missing key {missing[0]!r}")
+        return kind(**{name: from_json(types[name], item, path + name)
+                       for name, item in value.items()})
+    if origin is tuple:
+        if type(value) is not list:
+            raise ValueError(f"{at}expected a list, got {value!r}")
+        if args[-1] is Ellipsis and set(map(type, value)) <= {args[0]}:
+            return tuple(value)  # every item has the item type already, as pair ids do
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(kinds):
+            raise ValueError(f"{at}expected a list of {len(kinds)}, got {value!r}")
+        return tuple(from_json(k, item, f"{path}{i}")
+                     for i, (k, item) in enumerate(zip(kinds, value)))
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{at}integer too large for a float") from None
+    raise ValueError(f"{at}expected {kind.__name__}, got {value!r}")
 
 
-#: JSON types accepted for a dataclass field, by the type of its default.
-_JSON_SCALARS = {float: (int, float), int: (int,), str: (str,), bool: (bool,)}
-
-
-def dataclass_from_json(cls: type[T], data: dict, **convert: Callable) -> T:
-    """``cls(**data)`` for a dataclass of settings, with ``convert[key]`` applied
-    to the value of ``key``.  Any other field with a number, string or bool
-    default must hold that kind of value, and an integer given for a float
-    field becomes a float; a wrong value, an integer beyond the float range or
-    an unknown key raises an error naming the key."""
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in defaults:
-            raise ValueError(f"unknown key {key!r}; expected one of {list(defaults)}")
-        kinds = _JSON_SCALARS.get(type(defaults[key]))
-        if key in convert:
-            try:
-                value = convert[key](value)
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{key}: {exc}") from None
-        elif kinds and type(value) not in kinds:
-            raise TypeError(f"{key}: expected {type(defaults[key]).__name__}, got {value!r}")
-        elif float in kinds and type(value) is int:
-            try:
-                value = float(value)
-            except OverflowError:
-                raise ValueError(f"{key}: integer too large for a float") from None
-        kwargs[key] = value
-    return cls(**kwargs)
+#: A dataclass's field types, its string annotations resolved once.
+_type_hints = functools.cache(get_type_hints)

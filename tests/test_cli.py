@@ -640,7 +640,9 @@ def test_mf_params_without_fit_report_names_file(run_dir, tmp_path):
     )
     record = _error_record(proc)
     assert record["error"] == "CorpusError"
-    assert record["message"] == "mf_params.json: missing key 'fit_report'"
+    range_id = sorted(data)[0]
+    family = sorted(data[range_id])[0]
+    assert record["message"] == f"mf_params.json: {range_id}/{family}: missing key 'fit_report'"
 
 
 def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
@@ -738,8 +740,8 @@ def test_integer_beyond_the_float_range_exits_2(sim_dir, tmp_path, capsys, comma
 
 @pytest.mark.parametrize(("removed", "message"), [
     # a string used to be read as the set of its characters, removing nobody
-    ("o01", "screening.json: removed: expected a list of strings, got 'o01'"),
-    ([1], "screening.json: removed: expected a list of strings, got [1]"),
+    ("o01", "screening.json: removed: expected a list, got 'o01'"),
+    ([1], "screening.json: removed/0: expected str, got 1"),
     (["o01", "zz"], "screening.json: removed observer 'zz' has no rating"),
 ], ids=["string", "number", "unknown-observer"])
 def test_screening_report_removes_listed_observers_with_ratings(
@@ -754,9 +756,12 @@ def test_screening_report_removes_listed_observers_with_ratings(
                       "artifacts_written": []}
 
 
-@pytest.mark.parametrize("refs", ["c00:r1:r2", {"c00:r1:r2": 0}, ["c00:r1:r2", 3]],
-                         ids=["string", "dict", "number"])
-def test_ranges_assignments_are_lists_of_pair_ids(run_dir, tmp_path, capsys, refs):
+@pytest.mark.parametrize(("refs", "message"), [
+    ("c00:r1:r2", ": expected a list, got 'c00:r1:r2'"),
+    ({"c00:r1:r2": 0}, ": expected a list, got {'c00:r1:r2': 0}"),
+    (["c00:r1:r2", 3], "/1: expected str, got 3"),
+], ids=["string", "dict", "number"])
+def test_ranges_assignments_are_lists_of_pair_ids(run_dir, tmp_path, capsys, refs, message):
     # a string or dict used to fail as pairs missing from pairs.csv, unnamed
     ranges = json.loads((run_dir / "ranges.json").read_text(encoding="utf-8"))
     range_id = sorted(ranges["assignments"])[0]
@@ -766,8 +771,7 @@ def test_ranges_assignments_are_lists_of_pair_ids(run_dir, tmp_path, capsys, ref
         "fit", "--pairs", run_dir / "pairs.csv", "--ranges", tmp_path / "ranges.json",
         "--out-dir", tmp_path / "out"])
     assert record["error"] == "CorpusError"
-    assert record["message"] == (
-        f"ranges.json: assignments[{range_id!r}]: expected a list of strings, got {refs!r}")
+    assert record["message"] == f"ranges.json: assignments/{range_id}{message}"
 
 
 def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_path, capsys):
@@ -788,9 +792,9 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
 
 
 @pytest.mark.parametrize(("key", "value", "message"), [
-    ("assignments", [1], "assignments: expected an object of pair-id lists, got [1]"),
-    ("bounds", "x", "bounds: expected a list of numbers, got 'x'"),
-    ("bounds", [0, "80", 100], "bounds: expected a list of numbers, got [0, '80', 100]"),
+    ("assignments", [1], "assignments: expected an object, got [1]"),
+    ("bounds", "x", "bounds: expected a list, got 'x'"),
+    ("bounds", [0, "80", 100], "bounds/1: expected float, got '80'"),
     # the file holds Infinity, which a strict JSON parser rejects
     ("bounds", [0, 50, math.inf], "bounds: must be finite, got [0.0, 50.0, inf]"),
     # these three used to fit nothing and exit 0
@@ -799,7 +803,7 @@ def test_fit_names_both_files_for_a_pair_missing_from_pairs_csv(run_dir, tmp_pat
     ("assignments", {"(0,1]": []},
      "assignments: 1 key(s) name no range of the bounds, e.g. ['(0,1]']"),
     ("assignments", lambda a, range_id, ref: {**a, range_id: [*a[range_id], ref]},
-     "assignments[{range_id!r}]: pair {ref!r} is listed twice"),
+     "assignments/{range_id}: pair {ref!r} is listed twice"),
 ], ids=["assignments-list", "bounds-string", "bounds-item-string", "bounds-infinity",
         "bounds-reversed", "bounds-one", "assignments-unknown-range", "assignments-repeat"])
 def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, value, message):
@@ -818,6 +822,117 @@ def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, v
     assert record["error"] == "CorpusError"
     assert record["message"] == f"ranges.json: {message}"
     assert record["artifacts_written"] == []
+
+
+# one value of each JSON kind, and the kinds that a leaf of a valid file
+# admits by the kind it has there: a float setting also takes an integer, and
+# the one null leaf (a default config's decomposition bounds) takes a list
+JSON_KINDS = {type(None): None, bool: True, int: 1, float: 1.5, str: "x", list: [], dict: {}}
+ADMITTED = {bool: {bool}, int: {int}, float: {int, float}, str: {str},
+            type(None): {type(None), list}}
+
+
+def _json_leaves(value, path=()):
+    """The key path and value of every leaf (not an object or a list) of ``value``."""
+    if type(value) not in (dict, list):
+        yield path, value
+        return
+    for key, item in value.items() if type(value) is dict else enumerate(value):
+        yield from _json_leaves(item, (*path, key))
+
+
+def _json_replaced(value, path, new):
+    """``value`` with the item at key path ``path`` set to ``new``."""
+    if not path:
+        return new
+    copy = dict(value) if type(value) is dict else list(value)
+    copy[path[0]] = _json_replaced(copy[path[0]] if path[1:] else None, path[1:], new)
+    return copy
+
+
+def _json_input(name, sim_dir, run_dir, path):
+    """A valid ``name`` file's data, and the argv of a command that reads it from ``path``."""
+    predict_argv = ["predict", "--anchor-vmaf", "88.0", "--direction", "dec"]
+    if name == "config.json":
+        data = RunConfig().to_json_dict()
+        argv = ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", run_dir / "ranges.json",
+                "--out-dir", path.parent / "out", "--config", path]
+    elif name == "spec.json":
+        data = json.loads((sim_dir / "sim_truth.json").read_text(encoding="utf-8"))["spec"]
+        argv = ["simulate", "--spec", path, "--out-dir", path.parent / "out"]
+    elif name == "screening.json":
+        data = json.loads((run_dir / name).read_text(encoding="utf-8"))
+        argv = ["classify", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+                "--screening-report", path, "--out", path.parent / "pairs.csv"]
+    elif name == "ranges.json":
+        data = json.loads((run_dir / name).read_text(encoding="utf-8"))
+        argv = [*predict_argv, "--models", run_dir / "mf_params.json", "--ranges", path]
+    else:
+        data = json.loads((run_dir / name).read_text(encoding="utf-8"))
+        argv = [*predict_argv, "--models", path, "--ranges", run_dir / "ranges.json"]
+    return json.loads(json.dumps(data)), [str(arg) for arg in argv]
+
+
+@pytest.mark.parametrize("name", ["config.json", "spec.json", "screening.json", "ranges.json",
+                                  "mf_params.json"])
+def test_a_leaf_of_another_json_kind_names_file_and_key_path(sim_dir, run_dir, tmp_path,
+                                                             capsys, name):
+    """Each leaf of a valid input, swapped for a value of each JSON kind that
+    its type does not admit, exits 2 naming the file and the leaf's key path."""
+    path = tmp_path / name
+    data, argv = _json_input(name, sim_dir, run_dir, path)
+    write_json(path, data)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    tried = 0
+    for keys, leaf in _json_leaves(data):
+        key = "/".join(map(str, keys))
+        for kind, value in JSON_KINDS.items():
+            if kind in ADMITTED[type(leaf)]:
+                continue
+            write_json(path, _json_replaced(data, keys, value))
+            assert cli.main(argv) == 2, (key, value)
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"] == "CorpusError"
+            message = record["message"]
+            assert message.startswith(f"{name}: {key}: expected "), message
+            assert message.endswith(f", got {value!r}"), message
+            tried += 1
+    assert tried >= 5 * len(list(_json_leaves(data)))
+
+
+@pytest.mark.parametrize(("name", "keys", "value", "message"), [
+    ("mf_params.json", ("fit_report", "monotone"), "false",
+     "fit_report/monotone: expected bool, got 'false'"),
+    ("mf_params.json", ("params",), ["-5.6", "0.56"], "params/0: expected float, got '-5.6'"),
+    ("mf_params.json", ("fit_report", "flags"), "budget",
+     "fit_report/flags: expected a list, got 'budget'"),
+    ("mf_params.json", ("fit_report", "iterations"), 2.9,
+     "fit_report/iterations: expected int, got 2.9"),
+    ("screening.json", ("method",), "bogus",
+     "method must be one of ('bt500', 'none'), got 'bogus'"),
+    ("spec.json", ("ladder", 0), [1, "95"], "ladder/0/0: expected str, got 1"),
+    # an id that the tables it writes cannot hold: `run` used to reject them
+    ("spec.json", ("ladder", 0, 0), "r:1", "ladder/0/0: id 'r:1' contains ':'"),
+], ids=["monotone-string", "params-strings", "flags-string", "iterations-float",
+        "screening-method", "ladder-rung-types", "ladder-id-colon"])
+def test_json_values_accepted_before_now_exit_2(sim_dir, run_dir, tmp_path, capsys, name, keys,
+                                                value, message):
+    """Each of these was read and used, and the command exited 0; an
+    ``mf_params.json`` path starts at the first range's GLM fit."""
+    path = tmp_path / name
+    data, argv = _json_input(name, sim_dir, run_dir, path)
+    if name == "mf_params.json":
+        fit = (sorted(data)[0], "glm")
+        keys, message = (*fit, *keys), "/".join(fit) + "/" + message
+    write_json(path, _json_replaced(data, keys, value))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "CorpusError", "message": f"{name}: {message}",
+        "command": argv[0], "artifacts_written": []}
+    assert not (tmp_path / "out").exists()
 
 
 def _duplicate_line_2(lines):

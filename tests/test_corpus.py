@@ -171,6 +171,19 @@ def test_csv_round_trip(tmp_path):
     assert loaded.truths == corpus.truths
 
 
+def test_csv_round_trip_of_an_id_holding_a_carriage_return(tmp_path):
+    # a lone "\r" used to be written bare, and csv.reader read it as a line end
+    stimuli = make_stimuli("c1", (90.0, 80.0), prefix="r\rx")
+    ratings = tuple(DcrRating("c1", s.recipe_id, obs, 4) for s in stimuli for obs in ("oA", "oB"))
+    corpus = Corpus(stimuli, ratings, (JndTruth("c1", "r\rx0", "dec", "r\rx1", 1),))
+    paths = save_corpus(corpus, tmp_path)
+    assert b'"r\rx0"' in paths["vmaf_scores"].read_bytes()
+    loaded = load_corpus(paths["vmaf_scores"], paths["dcr_ratings"], paths["jnd_truth"])
+    assert loaded.stimuli == corpus.stimuli
+    assert loaded.ratings == corpus.ratings
+    assert loaded.truths == corpus.truths
+
+
 def test_ratings_table_optional(tmp_path):
     corpus = Corpus(make_stimuli("c1", (90.0, 80.0)), (), ())
     (tmp_path / "vmaf.csv").write_text(vmaf_csv_text(corpus))

@@ -748,7 +748,7 @@ def test_fit_all_and_serialization(tmp_path):
             assert len(mf.params) == FAMILY_TABLE[family].n_params
 
     data = models_to_json_dict(models)
-    restored = models_from_json_dict(data)
+    restored = models_from_json_dict(json.loads(json_text(data)))
     assert restored == models
     path = tmp_path / "mf_params.json"
     write_json(path, data)

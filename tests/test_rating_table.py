@@ -127,7 +127,7 @@ def test_screening_is_bit_equal_to_the_per_stimulus_loop(built):
     report = screen(corpus, "bt500")
     expected = _screen_oracle(ratings)
     stats = {obs: (s.p_count, s.q_count, s.ratio1.hex(), s.ratio2.hex())
-             for obs, s in report.per_observer_stats.items()}
+             for obs, s in report.stats.items()}
     assert stats == {obs: (p, q, r1.hex(), r2.hex()) for obs, (p, q, r1, r2) in expected.items()}
     assert report.removed_observers == {
         obs for obs, (_, _, r1, r2) in expected.items()

@@ -39,12 +39,12 @@ def _consensus_corpus(outlier: str | None = None, outlier_score: int = 5) -> Cor
 def test_inverted_observer_removed(inverted_observer_corpus):
     report = screen_bt500(inverted_observer_corpus)
     assert report.removed_observers == frozenset({"bad"})
-    stats = report.per_observer_stats["bad"]
+    stats = report.stats["bad"]
     # Deviations land in both tails equally: erratic, hence removable.
     assert (stats.p_count, stats.q_count) == (6, 6)
     assert stats.ratio1 == 1.0
     assert stats.ratio2 == 0.0
-    assert report.per_observer_stats["o01"].p_count == 0
+    assert report.stats["o01"].p_count == 0
 
 
 def test_consistent_bias_is_kept():
@@ -53,7 +53,7 @@ def test_consistent_bias_is_kept():
     corpus = _consensus_corpus(outlier="opt", outlier_score=5)
     report = screen_bt500(corpus)
     assert report.removed_observers == frozenset()
-    stats = report.per_observer_stats["opt"]
+    stats = report.stats["opt"]
     assert stats.p_count == 6 and stats.q_count == 0
     assert stats.ratio2 == 1.0
 
@@ -110,4 +110,4 @@ def test_report_round_trip(tmp_path, inverted_observer_corpus):
     loaded = read_report(path)
     assert loaded.method == report.method
     assert loaded.removed_observers == report.removed_observers
-    assert loaded.per_observer_stats == report.per_observer_stats
+    assert loaded.stats == report.stats

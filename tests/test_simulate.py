@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from jndmap.simulate import (
     simulate_corpus,
     truth_info_json_dict,
 )
-from jndmap.tableio import write_json
+from jndmap.tableio import from_json, json_text, write_json
 
 
 LADDER12 = list(range(12))
@@ -99,7 +100,7 @@ def test_simulation_shape(small_spec):
     assert len(corpus.truths) + len(info["beyond_ladder"]) == (
         2 * small_spec.n_contents
     )
-    assert SimSpec.from_json_dict(info["spec"]) == small_spec
+    assert from_json(SimSpec, json.loads(json_text(info["spec"]))) == small_spec
 
 
 def test_simulation_levels_follow_ladder(small_spec):
@@ -177,7 +178,7 @@ def test_truth_info_json(tmp_path, small_spec):
 
 
 def test_integer_for_a_float_setting_becomes_a_float():
-    spec = SimSpec.from_json_dict({"jnd_scale": 3, "n_contents": 2})
+    spec = from_json(SimSpec, {"jnd_scale": 3, "n_contents": 2})
     assert type(spec.jnd_scale) is float and spec.jnd_scale == 3.0
     assert type(spec.n_contents) is int
     assert spec.to_json_dict()["jnd_scale"] == 3.0

@@ -4,6 +4,7 @@ standard library's own reader and writers."""
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -166,20 +167,24 @@ CELLS = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(header=st.lists(st.text(alphabet='ab,"\n', min_size=1, max_size=3), min_size=2,
+@given(header=st.lists(st.text(alphabet='ab,"\n\r', min_size=1, max_size=3), min_size=2,
                        max_size=4), data=st.data())
 def test_csv_text_writes_what_csv_writer_writes(header, data):
     columns = [data.draw(st.lists(CELLS, min_size=n, max_size=n))
                for n in [data.draw(st.integers(0, 6))] * len(header)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(zip(*columns))
+    # the one exception to csv.writer(lineterminator="\n"): a cell holding a
+    # carriage return is quoted, as csv.writer quotes it under its default
+    # "\r\n", so each row is written that way and ended by "\n" instead
+    expected = ""
+    for row in [header, *zip(*columns)]:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        expected += buf.getvalue().removesuffix("\r\n") + "\n"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableio, "BLOCK_ROWS", data.draw(st.integers(1, 4)))
-        assert tableio.csv_text(header, columns) == buf.getvalue()
+        assert tableio.csv_text(header, columns) == expected
         arrays = [np.array(column, dtype=object) for column in columns]
-        assert tableio.csv_text(header, arrays) == buf.getvalue()
+        assert tableio.csv_text(header, arrays) == expected
 
 
 @settings(max_examples=200, deadline=None)
@@ -220,3 +225,51 @@ def test_ranges_json_layout_of_pair_ids():
     data = {"assignments": {"(0,50]": ids, "(50,100]": []}, "bounds": [0.0, 50.0, math.pi],
             "strategy": "explicit"}
     assert tableio.json_text(data) == json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Inner:
+    x: float
+    flag: bool = False
+
+
+@dataclasses.dataclass(frozen=True)
+class _Outer:
+    inner: _Inner
+    pairs: tuple[tuple[str, int], ...] = ()
+    named: dict[str, tuple[float, ...]] = dataclasses.field(default_factory=dict)
+    bound: float | None = None
+
+
+def test_from_json_reads_the_type_it_is_given():
+    value = {"inner": {"x": 1}, "pairs": [["a", 2]], "named": {"k": [1, 2.5]}, "bound": None}
+    assert tableio.from_json(_Outer, value) == _Outer(_Inner(1.0), (("a", 2),), {"k": (1.0, 2.5)})
+    assert type(tableio.from_json(_Outer, value).inner.x) is float
+    assert tableio.from_json(_Outer, {"inner": {"x": 0.5, "flag": True}, "bound": 3}) == _Outer(
+        _Inner(0.5, True), bound=3.0)
+
+
+@pytest.mark.parametrize(("value", "message"), [
+    ([], "expected an object, got []"),
+    ({"inner": {"x": True}}, "inner/x: expected float, got True"),
+    ({"inner": {"x": 1, "flag": 0}}, "inner/flag: expected bool, got 0"),
+    ({"inner": {"x": 1, "y": 2}}, "inner: unknown key 'y'; expected one of ['x', 'flag']"),
+    ({"inner": {}}, "inner: missing key 'x'"),
+    ({"inner": {"x": 10**400}}, "inner/x: integer too large for a float"),
+    ({"inner": {"x": 1}, "pairs": [["a", 1, 2]]}, "pairs/0: expected a list of 2, got ['a', 1, 2]"),
+    ({"inner": {"x": 1}, "pairs": [["a"]]}, "pairs/0: expected a list of 2, got ['a']"),
+    ({"inner": {"x": 1}, "pairs": [["a", 1.0]]}, "pairs/0/1: expected int, got 1.0"),
+    ({"inner": {"x": 1}, "pairs": {}}, "pairs: expected a list, got {}"),
+    ({"inner": {"x": 1}, "named": {"k": ["1"]}}, "named/k/0: expected float, got '1'"),
+    ({"inner": {"x": 1}, "named": []}, "named: expected an object, got []"),
+    ({"inner": {"x": 1}, "bound": "x"}, "bound: expected float, got 'x'"),
+], ids=["not-object", "bool-for-float", "int-for-bool", "unknown-key", "missing-key",
+        "huge-int", "long-pair", "short-pair", "float-for-int", "object-for-list",
+        "string-for-float-item", "list-for-object", "string-for-optional"])
+def test_from_json_names_the_key_path(value, message):
+    with pytest.raises(ValueError) as info:
+        tableio.from_json(_Outer, value)
+    assert str(info.value) == message
+    with pytest.raises(ValueError) as info:
+        tableio.from_json(_Outer, value, "top")
+    assert str(info.value) == ("top: " if message.startswith("expected") else "top/") + message

@@ -1,10 +1,14 @@
-"""Line counts of the package source: raw, code, docstring, comment and blank.
+"""Line counts of the package source: raw, code, docstring, comment and blank,
+and the time to compile each module.
 
 Usage: ``python tools/src_lines.py [DIR]`` (default: ``src/jndmap`` next to
 this script's directory).  It prints one row per ``.py`` file under DIR, by
 path, and then the total of all of them as the last line, in the same
-``raw N  code N  docstring N  comment N  blank N`` format.  Each line of a
-file counts once, in the first of these that holds it:
+``raw N  code N  docstring N  comment N  blank N  compile_ms X`` format.
+``compile_ms`` is the median of :data:`COMPILE_REPEATS` timed ``compile()``
+calls of the file's source, in milliseconds: a process that writes no
+bytecode (``PYTHONDONTWRITEBYTECODE=1``) pays it at every import.  Each line
+of a file counts once, in the first of these that holds it:
 
 * docstring -- a line of a module, class or function docstring, blank lines
   inside it included (found by the AST);
@@ -16,10 +20,14 @@ file counts once, in the first of these that holds it:
 from __future__ import annotations
 
 import ast
+import statistics
 import sys
+import time
 from pathlib import Path
 
 KINDS = ("raw", "code", "docstring", "comment", "blank")
+#: Timed ``compile()`` calls per file; their median is reported.
+COMPILE_REPEATS = 7
 
 
 def docstring_lines(tree: ast.AST) -> set[int]:
@@ -47,20 +55,34 @@ def count(source: str) -> dict[str, int]:
     return counts
 
 
-def row(counts: dict[str, int]) -> str:
-    """``counts`` as ``raw N  code N  docstring N  comment N  blank N``."""
-    return "  ".join(f"{kind} {counts[kind]}" for kind in KINDS)
+def compile_ms(source: str, name: str) -> float:
+    """The median time of :data:`COMPILE_REPEATS` ``compile()`` calls of
+    ``source``, in milliseconds."""
+    times = []
+    for _ in range(COMPILE_REPEATS):
+        start = time.perf_counter()
+        compile(source, name, "exec", dont_inherit=True)
+        times.append(time.perf_counter() - start)
+    return 1000.0 * statistics.median(times)
+
+
+def row(counts: dict[str, int], ms: float) -> str:
+    """``counts`` and ``ms`` as ``raw N  code N  docstring N  comment N  blank N  compile_ms X``."""
+    return "  ".join(f"{kind} {counts[kind]}" for kind in KINDS) + f"  compile_ms {ms:.2f}"
 
 
 def main(argv: list[str]) -> None:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "jndmap"
     total = dict.fromkeys(KINDS, 0)
+    total_ms = 0.0
     for path in sorted(root.rglob("*.py")):
-        counts = count(path.read_text(encoding="utf-8"))
-        print(f"{path.relative_to(root)}  {row(counts)}")
+        source = path.read_text(encoding="utf-8")
+        counts, ms = count(source), compile_ms(source, str(path))
+        print(f"{path.relative_to(root)}  {row(counts, ms)}")
         for kind, n in counts.items():
             total[kind] += n
-    print(row(total))
+        total_ms += ms
+    print(row(total, total_ms))
 
 
 if __name__ == "__main__":
