@@ -38,7 +38,7 @@ _EXPORTS = {
                "decompose_explicit", "assign_pairs"),
     "mapping": ("CoDistribution", "MappingFunction", "build_codistribution", "fit_mapping",
                 "fit_all", "evaluate_mf"),
-    "predict": ("JndPrediction", "invert_at_threshold", "predict_jnd"),
+    "predict": ("JndPrediction", "invert_at_threshold", "invert_family", "predict_jnd"),
     "evaluate": ("EvalGrid", "EvalGridSpec", "evaluate_grid", "ground_truth_delta"),
     "simulate": ("SimSpec", "simulate_corpus", "bisection_search"),
 }

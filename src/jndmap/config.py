@@ -52,6 +52,8 @@ class RunConfig:
                 raise ValueError(f"thresholds must be in (0, 1), got {thr}")
         for key in ("families", "thresholds"):
             values = getattr(self, key)
+            if not values:
+                raise ValueError(f"{key}: need at least one value, got []")
             if len(set(values)) < len(values):
                 raise ValueError(f"{key}: each may be listed once, got {list(values)}")
         if self.glm_mode not in GLM_MODES:

@@ -232,7 +232,7 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         A reduction along axis 1 treats each row as numpy treats the row's own
         vector, so per-stimulus statistics come out bit-equal to a loop.
         """
-        for n in np.unique(self.counts[self.counts > 0]).tolist():
+        for n in tableio.distinct(self.counts[self.counts > 0]).tolist():
             codes = np.flatnonzero(self.counts == n)
             yield codes, self.score[self.block(codes, n)].astype(float)
 

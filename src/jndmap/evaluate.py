@@ -11,8 +11,10 @@ step the working anchor snaps to the content's rendition nearest the
 predicted target, mimicking how a ladder is walked in practice.  Chaining can
 be disabled, in which case every truth is scored like a first JND.
 
-Each curve is inverted once per threshold: one inversion memo, keyed by
-(range, family, threshold), serves every anchor and chained step of a grid.
+Each curve is inverted once per threshold: before any step, one array
+bisection per family, :func:`jndmap.predict.invert_family`, fills the
+inversion memo, keyed by (range, family, threshold), that serves every anchor
+and chained step of a grid.
 A cell is one array program over its truths, sorted by (content, direction,
 order, anchor): each chained step is one :func:`jndmap.predict.predict_step`
 over the working anchors, the prediction step that
@@ -33,7 +35,7 @@ from .corpus import Corpus, JndTruth
 from .mapping import FAMILIES, MappingFunction, family_spec
 # evaluate_grid does not call predict_jnd; the benchmark's tracer wraps
 # evaluate.predict_jnd by name, so it stays importable from here
-from .predict import PredictionTable, predict_jnd, predict_step  # noqa: F401
+from .predict import PredictionTable, invert_family, predict_jnd, predict_step  # noqa: F401
 from .ranges import Decomposition
 
 log = logging.getLogger(__name__)
@@ -129,6 +131,8 @@ def evaluate_grid(
     truth_directions = np.array([t.direction for t in truths])
     range_ids = decomp.range_ids()
     inversions: dict = {}
+    for family in spec.families:
+        inversions.update(invert_family(models, range_ids, family, spec.thresholds))
 
     def walk(members: np.ndarray, direction: str, family: str, threshold: float) -> tuple:
         """The truths ``members`` through their chained steps.  Returns which

@@ -181,7 +181,7 @@ def _sigmoid(z: np.ndarray | float) -> np.ndarray | float:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
 
 
-def _clipped_curve(family: str, params, domain: tuple, x: np.ndarray) -> np.ndarray:
+def clipped_curve(family: str, params, domain: tuple, x: np.ndarray) -> np.ndarray:
     """The curve at ``x`` clamped into ``domain``, clipped to [0, 1]: the one
     reading of a fitted curve."""
     return family_spec(family).curve(np.asarray(params), x.clip(*domain)).clip(0.0, 1.0)
@@ -189,12 +189,12 @@ def _clipped_curve(family: str, params, domain: tuple, x: np.ndarray) -> np.ndar
 
 def evaluate_mf(mf: MappingFunction, delta_obj: float) -> float:
     """Evaluate the fitted curve at ``delta_obj``, clamped to domain and [0, 1]."""
-    return float(_clipped_curve(mf.family, mf.params, mf.domain, np.array([delta_obj], float))[0])
+    return float(clipped_curve(mf.family, mf.params, mf.domain, np.array([delta_obj], float))[0])
 
 
 def is_monotone(family: str, params: np.ndarray, domain: tuple[float, float]) -> bool:
     grid = np.linspace(domain[0], domain[1], MONOTONE_GRID_POINTS)
-    return bool(np.all(np.diff(_clipped_curve(family, params, domain, grid)) >= -MONOTONE_SLACK))
+    return bool(np.all(np.diff(clipped_curve(family, params, domain, grid)) >= -MONOTONE_SLACK))
 
 
 # -- co-distribution ---------------------------------------------------------
@@ -495,7 +495,7 @@ class _LeastSquaresFamily(Family):
         params = self.to_params(sol.x[:, best], domain)
         flags = ["budget"] if sol.status[best] == 0 else []
         monotone = is_monotone(self.name, params, domain)
-        lo, hi = _clipped_curve(self.name, params, domain, np.asarray(domain, dtype=float))
+        lo, hi = clipped_curve(self.name, params, domain, np.asarray(domain, dtype=float))
         if hi - lo <= FLAT_RISE:
             monotone = False
             flags.append("flat")
@@ -520,7 +520,10 @@ def _start_scales(x: np.ndarray, y: np.ndarray) -> tuple:
     x_mid = 0.5 * float(x[max(first - 1, 0)] + x[first])
     s0 = 4.0 * yrange / span
     slopes = [0.25 * s0, s0, 4.0 * s0, 16.0 * s0]
-    centers = [x_mid, float(np.median(x))]
+    # np.median's value, formed as it forms it, without its numpy.ma import
+    ordered, half = np.sort(x), len(x) // 2
+    median = ordered[half] if len(x) % 2 else (ordered[half - 1] + ordered[half]) / 2.0
+    centers = [x_mid, float(median)]
     return ymin, yrange, mid_level, s0, slopes, centers
 
 
@@ -649,8 +652,9 @@ class _Glm(Family):
             x, y, trials = pairs[0], pairs[1].astype(float), np.ones(len(pairs[0]))
         else:
             x, y, trials = x_points, y_points, w_points
-        if len(np.unique(x)) < 2:  # the slope is not identified
-            raise FitError(f"glm: need >= 2 distinct |dVMAF| values, got {len(np.unique(x))}")
+        n_distinct = len(tableio.distinct(x))
+        if n_distinct < 2:  # the slope is not identified
+            raise FitError(f"glm: need >= 2 distinct |dVMAF| values, got {n_distinct}")
         fails, wins = x[y < 1.0], x[y > 0.0]
         if not (fails.size and wins.size):
             # Degenerate all-similar / all-different data: no finite MLE exists,
@@ -928,7 +932,7 @@ def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str
         for family in sorted(models[range_id]):
             mf = models[range_id][family]
             deltas = np.linspace(*mf.domain, CURVE_SAMPLES)
-            p_sd = _clipped_curve(family, mf.params, mf.domain, deltas)
+            p_sd = clipped_curve(family, mf.params, mf.domain, deltas)
             for column, cells in zip(columns, ([range_id] * CURVE_SAMPLES, [family] * CURVE_SAMPLES,
                                                deltas.tolist(), p_sd.tolist())):
                 column += cells

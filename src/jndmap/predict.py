@@ -3,9 +3,11 @@
 Given an anchor rendition, we pick the sub-quality range containing its VMAF,
 look up the requested curve family, and find the smallest |dVMAF| in the
 curve's domain whose predicted probability of a perceived difference reaches
-the decision threshold.  Monotone curves make that a bisection; when the
-threshold is not strictly bracketed inside the domain the nearest endpoint is
-returned with ``clamped`` set.  The target VMAF follows by stepping the anchor
+the decision threshold.  Monotone curves make that a bisection, one array
+program over every (range, threshold) of a family in :func:`invert_family`
+and over one lane in :func:`invert_at_threshold`; when the threshold is not
+strictly bracketed inside the domain the nearest endpoint is returned with
+``clamped`` set.  The target VMAF follows by stepping the anchor
 down (``dec``) or up (``inc``) and clipping into [0, 100].  That chain is one
 array program, :func:`predict_step`, which :func:`predict_jnd` runs on one
 anchor and :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
@@ -26,7 +28,9 @@ import numpy as np
 from . import tableio
 from .corpus import Stimulus
 from .errors import FitError
-from .mapping import MappingFunction, evaluate_mf
+# the benchmark's tracer wraps predict.evaluate_mf by name, so it stays
+# importable from here
+from .mapping import MappingFunction, clipped_curve, evaluate_mf  # noqa: F401
 from .ranges import Decomposition
 
 log = logging.getLogger(__name__)
@@ -58,6 +62,44 @@ class JndPrediction:
     clamped: bool
 
 
+def _check_threshold(threshold: float) -> None:
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+
+
+def _non_monotone(family: str) -> FitError:
+    return FitError(f"{family} fit is flagged non-monotone; refusing to invert")
+
+
+def _bisect(
+    family: str, curves: Sequence[MappingFunction], thresholds: Sequence[float]
+) -> tuple[list[float], list[bool]]:
+    """Lane i inverts ``curves[i]``, a monotone ``family`` fit, at
+    ``thresholds[i]``, all lanes in one array program: the two endpoint
+    checks, then up to 100 halvings, each one :func:`clipped_curve` call over
+    every lane, until a lane's bracket is within ``INVERSION_TOL * 1e-3``.
+    Each lane takes the halvings and the values a one-curve bisection would."""
+    params = np.array([mf.params for mf in curves]).T  # one row per parameter
+    start, end = np.array([mf.domain for mf in curves]).T
+    threshold = np.array(thresholds, dtype=float)
+
+    def curve(x: np.ndarray) -> np.ndarray:
+        return clipped_curve(family, params, (start, end), x)
+
+    at_start = curve(start) >= threshold
+    clamped = at_start | (curve(end) < threshold)
+    lo, hi, going = start, end, ~clamped
+    # 100 halvings shrink the bracket far below the 1e-6 reporting tolerance.
+    for _ in range(100):
+        if not going.any():
+            break
+        mid = 0.5 * (lo + hi)
+        up = curve(mid) >= threshold
+        hi, lo = np.where(going & up, mid, hi), np.where(going & ~up, mid, lo)
+        going &= ~(hi - lo <= INVERSION_TOL * 1e-3)
+    return np.where(at_start, start, hi).tolist(), clamped.tolist()
+
+
 def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, bool]:
     """Smallest delta in the domain with ``mf(delta) >= threshold``.
 
@@ -65,27 +107,42 @@ def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, b
     not strictly bracketed: the curve already meets it at the domain start, or
     never reaches it (then ``delta`` is the domain end).
     """
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    _check_threshold(threshold)
     if not mf.fit_report.monotone:
-        raise FitError(
-            f"{mf.family} fit is flagged non-monotone; refusing to invert"
-        )
-    lo, hi = mf.domain
-    if evaluate_mf(mf, lo) >= threshold:
-        return lo, True
-    if evaluate_mf(mf, hi) < threshold:
-        return hi, True
-    # 100 halvings shrink the bracket far below the 1e-6 reporting tolerance.
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if evaluate_mf(mf, mid) >= threshold:
-            hi = mid
+        raise _non_monotone(mf.family)
+    (delta,), (clamped,) = _bisect(mf.family, [mf], [threshold])
+    return delta, clamped
+
+
+def invert_family(
+    models: dict[str, dict[str, MappingFunction]], range_ids: Sequence[str], family: str,
+    thresholds: Sequence[float],
+) -> dict:
+    """The inversion memo entries of ``family`` for each range in
+    ``range_ids`` at each threshold, keyed (range id, family, threshold): the
+    ``(delta, clamped)`` of :func:`invert_at_threshold`, or the KeyError (no
+    model) or FitError (non-monotone fit) that stops the range's anchors.
+    Every curve is inverted in one array bisection."""
+    for threshold in thresholds:
+        _check_threshold(threshold)
+    entries: dict = {}
+    lanes = []
+    for range_id in range_ids:
+        mf = models.get(range_id, {}).get(family)
+        if mf is None:
+            stop = KeyError(f"no fitted {family} model for range {range_id}")
         else:
-            lo = mid
-        if hi - lo <= INVERSION_TOL * 1e-3:
-            break
-    return hi, False
+            stop = None if mf.fit_report.monotone else _non_monotone(family)
+        for threshold in thresholds:
+            key = (range_id, family, threshold)
+            if stop is None:
+                lanes.append((key, mf, threshold))
+            else:
+                entries[key] = stop
+    if lanes:
+        keys, curves, levels = zip(*lanes)
+        entries.update(zip(keys, zip(*_bisect(family, curves, levels))))
+    return entries
 
 
 def predict_step(
@@ -110,15 +167,10 @@ def predict_step(
                     anchor_vmaf, decomp.coverage, range_ids[k])
     inverted = np.zeros((len(range_ids), 2))  # |dVMAF| and clamped, per inverted range
     stopped: dict[int, Exception] = {}
-    for k in np.unique(index[~lost]).tolist():
+    for k in tableio.distinct(index[~lost]).tolist():
         key = (range_ids[k], family, threshold)
         if key not in inversions:  # the inversion, or the error that stops its anchors
-            try:
-                inversions[key] = invert_at_threshold(models[range_ids[k]][family], threshold)
-            except KeyError:
-                inversions[key] = KeyError(f"no fitted {family} model for range {range_ids[k]}")
-            except FitError as exc:
-                inversions[key] = exc
+            inversions.update(invert_family(models, [range_ids[k]], family, [threshold]))
         if isinstance(inversions[key], Exception):
             stopped[k] = inversions[key]
         else:

@@ -164,7 +164,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
         raise ValueError("corpus has no stimuli")
     order = np.argsort(table.vmaf, kind="stable")
     values = table.vmaf[order]
-    distinct = len(np.unique(values))
+    distinct = len(tableio.distinct(values))
     if distinct < k:
         raise ValueError(f"need at least {k} distinct VMAF values, got {distinct}")
     if balance == "stimuli":

@@ -357,7 +357,7 @@ def _paired_differences(
     ddof=1 variance of the score differences where they do."""
     same = np.zeros(len(x), bool)
     diff, var = np.full(len(x), np.nan), np.full(len(x), np.nan)
-    for n in np.unique(table.counts[x]).tolist():
+    for n in tableio.distinct(table.counts[x]).tolist():
         (sel,) = np.nonzero((table.counts[x] == n) & (table.counts[y] == n))
         ix, iy = table.block(x[sel], n), table.block(y[sel], n)
         same[sel] = (table.observer[ix] == table.observer[iy]).all(axis=1)

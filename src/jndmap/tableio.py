@@ -149,6 +149,16 @@ class Column(NamedTuple):
         return list(map(self.values.__getitem__, self.codes.tolist()))
 
 
+def distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a NaN-free array, as ``np.unique(values)``
+    gives them.  numpy 2.4's ``np.unique`` without options imports
+    ``numpy.ma``, about 10 ms in a fresh process; this imports nothing."""
+    ordered = np.sort(values, axis=None)
+    first = np.ones(len(ordered), bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    return ordered[first]
+
+
 @dataclasses.dataclass(eq=False)
 class Table:
     """The data rows of a CSV file read by :func:`read_table`."""

@@ -13,8 +13,9 @@ import pytest
 
 import jndmap
 from jndmap.corpus import Corpus, DcrRating, Stimulus
-from jndmap.mapping import FitReport, MappingFunction
-from jndmap.predict import JndPrediction, invert_at_threshold
+from jndmap.errors import FitError
+from jndmap.mapping import FitReport, MappingFunction, evaluate_mf
+from jndmap.predict import INVERSION_TOL, JndPrediction
 from jndmap.ranges import Decomposition, decompose_explicit
 from jndmap.significance import TestResult, _two_sided_p
 from jndmap.simulate import SimSpec, simulate_corpus
@@ -92,10 +93,36 @@ def range_of(decomp: Decomposition, vmaf: float) -> tuple[int, bool]:
     return (0 if vmaf <= decomp.ranges[0].lo else len(decomp.ranges) - 1), True
 
 
+def scalar_inversion(mf: MappingFunction, threshold: float) -> tuple[float, bool]:
+    """The smallest delta in the domain with ``mf(delta) >= threshold``, and
+    whether it is clamped, by a bisection of scalar ``evaluate_mf`` calls: the
+    two endpoint checks, then up to 100 halvings until the bracket is within
+    ``INVERSION_TOL * 1e-3``.  The reference whose bits ``invert_at_threshold``
+    and ``invert_family`` must equal."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    if not mf.fit_report.monotone:
+        raise FitError(f"{mf.family} fit is flagged non-monotone; refusing to invert")
+    lo, hi = mf.domain
+    if evaluate_mf(mf, lo) >= threshold:
+        return lo, True
+    if evaluate_mf(mf, hi) < threshold:
+        return hi, True
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if evaluate_mf(mf, mid) >= threshold:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= INVERSION_TOL * 1e-3:
+            break
+    return hi, False
+
+
 def scalar_prediction(models, decomp: Decomposition, anchor: Stimulus, direction: str,
                       threshold: float, family: str) -> JndPrediction:
     """One JND step from ``anchor`` on plain Python floats: the range by
-    :func:`range_of`, the curve bisected afresh by ``invert_at_threshold``
+    :func:`range_of`, the curve bisected afresh by :func:`scalar_inversion`
     and the target clipped by ``min`` and ``max``.  Raises the KeyError (no
     model) or FitError (non-monotone fit) that stops the anchor.  The
     reference that ``predict_jnd`` and each step of ``evaluate_grid`` must
@@ -104,7 +131,7 @@ def scalar_prediction(models, decomp: Decomposition, anchor: Stimulus, direction
     range_id = decomp.ranges[index].range_id
     if family not in models.get(range_id, {}):
         raise KeyError(f"no fitted {family} model for range {range_id}")
-    delta, inverse_clamped = invert_at_threshold(models[range_id][family], threshold)
+    delta, inverse_clamped = scalar_inversion(models[range_id][family], threshold)
     raw = anchor.vmaf - delta if direction == "dec" else anchor.vmaf + delta
     target = min(max(raw, 0.0), 100.0)
     return JndPrediction(anchor.content_id, anchor.recipe_id, direction, range_id, family,

@@ -6,6 +6,7 @@ import collections
 import csv
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
@@ -18,13 +19,13 @@ from xml.etree import ElementTree
 import pytest
 
 import jndmap
-from jndmap import cli, corpus, predict, significance, simulate
+from jndmap import cli, corpus, mapping, predict, significance, simulate
 from jndmap.config import DecompositionConfig, RunConfig
 from jndmap.ranges import read_ranges_json
 from jndmap.mapping import CURVE_TABLE
 from jndmap.tableio import csv_text, write_json
 
-from conftest import SMALL_SPEC, cli_command
+from conftest import SMALL_SPEC, cli_command, scalar_prediction
 
 RUN_ARTIFACTS = [
     "screening.json",
@@ -304,6 +305,38 @@ def test_predict_accepts_an_anchor_vmaf_at_either_end_of_the_scale(run_dir, tmp_
     assert out.read_text(encoding="utf-8").splitlines()[1].startswith("anchor,anchor,dec,")
 
 
+@pytest.fixture(scope="module")
+def default_run_dir(tmp_path_factory):
+    """``run --truth`` on the default simulated study, in-process."""
+    sim, out = tmp_path_factory.mktemp("default_sim"), tmp_path_factory.mktemp("default_run")
+    assert cli.main(["simulate", "--seed", str(simulate.SimSpec().seed), "--out-dir", str(sim)]) == 0
+    assert cli.main(["run", str(sim / "vmaf_scores.csv"), str(sim / "dcr_ratings.csv"),
+                     "--truth", str(sim / "jnd_truth.csv"), "--out-dir", str(out)]) == 0
+    return out
+
+
+def test_predict_prints_what_the_scalar_bisection_gives(default_run_dir, capsys):
+    """On the default study, ``predict`` prints the record of the scalar
+    ``evaluate_mf`` bisection, bit for bit: every family, both directions, an
+    anchor in each range and one below the coverage, at three thresholds."""
+    models = mapping.read_mf_params_json(default_run_dir / "mf_params.json")
+    decomp = read_ranges_json(default_run_dir / "ranges.json")
+    anchors = [5.0] + [0.5 * (r.lo + r.hi) for r in decomp.ranges]
+    capsys.readouterr()
+    for family, direction, threshold, vmaf in itertools.product(
+            mapping.FAMILIES, ("dec", "inc"), (0.6, 0.8, 0.95), anchors):
+        assert cli.main(["predict", "--models", str(default_run_dir / "mf_params.json"),
+                         "--ranges", str(default_run_dir / "ranges.json"),
+                         "--anchor-vmaf", repr(vmaf), "--direction", direction,
+                         "--threshold", repr(threshold), "--family", family]) == 0
+        anchor = corpus.Stimulus("anchor", "anchor", "other", 0, vmaf)
+        pred = scalar_prediction(models, decomp, anchor, direction, threshold, family)
+        expected = {"range_id": pred.range_id, "family": family, "threshold": threshold,
+                    "delta_obj_jnd": pred.delta_obj_jnd, "target_vmaf": pred.target_vmaf,
+                    "clamped": pred.clamped}
+        assert capsys.readouterr().out == json.dumps(expected, sort_keys=True) + "\n"
+
+
 def test_evaluate_from_artifacts(sim_dir, run_dir, tmp_path):
     out = tmp_path / "metrics.json"
     run_cli(
@@ -551,11 +584,17 @@ def test_flags_replace_config_values(tmp_path):
         ([], {"thresholds": [0.9, 0.75, 0.9]},
          ("CorpusError",
           "config.json: thresholds: each may be listed once, got [0.9, 0.75, 0.9]")),
+        # with no family nothing is fitted, and with no threshold no cell is scored
+        ([], {"families": []},
+         ("CorpusError", "config.json: families: need at least one value, got []")),
+        ([], {"thresholds": []},
+         ("CorpusError", "config.json: thresholds: need at least one value, got []")),
     ],
     ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "bounds-inf",
          "bounds-minus-inf", "balance",
          "bin-width-nan", "bin-width-inf", "bin-width-tiny", "families-repeat",
-         "thresholds-repeat", "thresholds-repeat-config"],
+         "thresholds-repeat", "thresholds-repeat-config", "families-empty-config",
+         "thresholds-empty-config"],
 )
 def test_bad_decomposition_setting_exits_before_any_stage(
     sim_dir, tmp_path, capsys, flags, config, error

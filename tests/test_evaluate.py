@@ -240,18 +240,24 @@ def _assert_matches_scalar_grid(corpus, models, decomp, spec):
 
 
 def test_each_curve_is_inverted_once_per_threshold(small_study, monkeypatch):
+    """Each family's curves are read in one array bisection per grid: two
+    endpoint checks plus at most 100 halvings, each over one lane per
+    (range, threshold)."""
     corpus, models, decomp = small_study
     spec = EvalGridSpec()
     assert sum(map(len, models.values())) == len(decomp.ranges) * len(spec.families)
     calls = []
-    evaluate_mf = predict_mod.evaluate_mf
-    monkeypatch.setattr(
-        predict_mod, "evaluate_mf", lambda mf, d: calls.append(d) or evaluate_mf(mf, d)
-    )
+    clipped_curve = predict_mod.clipped_curve
+    monkeypatch.setattr(predict_mod, "clipped_curve", lambda family, params, domain, x: (
+        calls.append((family, len(x))) or clipped_curve(family, params, domain, x)))
     grid = evaluate_grid(corpus, models, decomp, spec)
     assert len(grid.predictions) > len(decomp.ranges) * len(spec.families) * len(spec.thresholds)
-    # two endpoint checks plus at most 100 halvings per (range, family, threshold)
-    assert 0 < len(calls) <= len(decomp.ranges) * len(spec.families) * len(spec.thresholds) * 102
+    assert [family for family, _ in calls] == sorted(
+        (family for family, _ in calls), key=spec.families.index)
+    lanes = len(decomp.ranges) * len(spec.thresholds)
+    for family in spec.families:
+        sizes = [n for called, n in calls if called == family]
+        assert 2 < len(sizes) <= 102 and set(sizes) == {lanes}
 
 
 def test_inversion_table_matches_per_truth_inversion(small_study):

@@ -4,6 +4,7 @@ BLAS kernel that numpy's OpenBLAS picks for the CPU."""
 from __future__ import annotations
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -85,3 +86,33 @@ def test_artifacts_do_not_depend_on_the_openblas_kernel(tmp_path):
         outputs[name] = {a: (out / a).read_bytes() for a in RUN_ARTIFACTS}
     differing = [a for a in RUN_ARTIFACTS if outputs["default"][a] != outputs["haswell"][a]]
     assert differing == []
+
+
+_MODULES_PROBE = """\
+import atexit, json, sys
+atexit.register(lambda: print(json.dumps(sorted(
+    m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))), file=sys.stderr))
+import runpy
+sys.argv[0] = "jndmap"
+runpy.run_module("jndmap.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_run_child_loads_no_numpy_ma(tmp_path):
+    """``run --truth`` in a child process loads no ``numpy.ma``, whose import
+    takes about 10 ms of a fresh process.  In numpy 2.4 two entry points
+    import it on their first call: ``np.unique`` without options and
+    ``np.median``.  The package takes sorted distinct values from
+    ``tableio.distinct`` and forms the fits' start median itself."""
+    env = {k: v for k, v in os.environ.items() if k != "JNDMAP_SEED"}
+    cli = [sys.executable, "-m", "jndmap.cli"]
+    subprocess.run(cli + ["simulate", "--out-dir", str(tmp_path / "sim")],
+                   env=env, check=True, capture_output=True, timeout=300)
+    sim = tmp_path / "sim"
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, "run", str(sim / "vmaf_scores.csv"),
+         str(sim / "dcr_ratings.csv"), "--truth", str(sim / "jnd_truth.csv"),
+         "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1]) == []

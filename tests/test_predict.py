@@ -16,13 +16,14 @@ from jndmap.predict import (
     INVERSION_TOL,
     PredictionTable,
     invert_at_threshold,
+    invert_family,
     predict_jnd,
     predictions_csv_text,
 )
 from jndmap.ranges import decompose_explicit
 from jndmap.tableio import write_csv_text
 
-from conftest import DSTAR, scalar_prediction
+from conftest import DSTAR, scalar_inversion, scalar_prediction
 
 
 def _logistic(b1: float, b2: float, domain=(0.0, 20.0)) -> MappingFunction:
@@ -208,3 +209,107 @@ def test_higher_threshold_needs_larger_delta(exact_model):
     ]
     assert deltas == sorted(deltas)
     assert math.isfinite(deltas[-1])
+
+
+# -- the array bisection against the scalar one ------------------------------
+
+#: Per family, the interval of each drawn parameter: curves that cross the
+#: thresholds inside a domain of up to 60 |dVMAF|, and ones that do not.
+PARAM_RANGES = {
+    "logistic5": ((0.0, 3.0), (0.0, 5.0), (-5.0, 40.0), (0.0, 0.05), (-1.0, 1.0)),
+    "cubic4": ((-0.5, 1.0), (-0.1, 0.3), (-0.01, 0.01), (-1e-3, 1e-3)),
+    "logistic2": ((0.0, 5.0), (-5.0, 40.0)),
+    "glm": ((-20.0, 5.0), (-1.0, 5.0)),
+}
+
+
+def _curve(family: str, params, domain, monotone: bool = True) -> MappingFunction:
+    return MappingFunction(family, tuple(params), tuple(domain), FitReport(0.0, monotone, 0))
+
+
+def _assert_inverts_as_the_scalar_loop(models, range_ids, family, thresholds):
+    """``invert_family`` and, per curve, ``invert_at_threshold`` equal
+    :func:`scalar_inversion` bit for bit: the delta's bits, the clamped flag,
+    or the type and text of the error that stops the range."""
+    entries = invert_family(models, range_ids, family, thresholds)
+    assert set(entries) == {(r, family, t) for r in range_ids for t in thresholds}
+    for range_id in range_ids:
+        mf = models.get(range_id, {}).get(family)
+        for threshold in thresholds:
+            entry = entries[(range_id, family, threshold)]
+            if mf is None:
+                assert isinstance(entry, KeyError)
+                assert entry.args == (f"no fitted {family} model for range {range_id}",)
+                continue
+            try:
+                expected = scalar_inversion(mf, threshold)
+            except FitError as exc:
+                assert isinstance(entry, FitError) and str(entry) == str(exc)
+                with pytest.raises(FitError, match=str(exc)):
+                    invert_at_threshold(mf, threshold)
+                continue
+            single = invert_at_threshold(mf, threshold)
+            for got in (entry, single):
+                assert type(got[1]) is bool and got[1] == expected[1]
+                assert float.hex(got[0]) == float.hex(expected[0])
+
+
+@st.composite
+def _family_curves(draw):
+    """One family's curves over 1-4 ranges, each fitted and monotone, flagged
+    non-monotone or missing, and 1-5 thresholds."""
+    family = draw(st.sampled_from(sorted(PARAM_RANGES)))
+    models, range_ids = {}, []
+    for i in range(draw(st.integers(1, 4))):
+        range_id = f"r{i}"
+        range_ids.append(range_id)
+        state = draw(st.sampled_from(("fitted", "fitted", "fitted", "non-monotone", "missing")))
+        if state == "missing":
+            continue
+        params = [draw(st.floats(lo, hi)) for lo, hi in PARAM_RANGES[family]]
+        lo = draw(st.floats(0.0, 5.0))
+        domain = (lo, lo + draw(st.floats(1e-3, 60.0)))
+        models[range_id] = {family: _curve(family, params, domain, state == "fitted")}
+    thresholds = draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                               min_size=1, max_size=5, unique=True))
+    return models, range_ids, family, thresholds
+
+
+@settings(max_examples=300, deadline=None)
+@given(_family_curves())
+def test_array_bisection_equals_the_scalar_loop(curves):
+    _assert_inverts_as_the_scalar_loop(*curves)
+
+
+@pytest.mark.parametrize(("family", "params", "domain", "kind"), [
+    ("logistic2", (2.0, -10.0), (0.0, 20.0), "met at the domain start"),
+    ("logistic2", (0.5, 6.0), (0.0, 20.0), "never reached"),
+    ("glm", (0.0, 0.0), (0.0, 20.0), "flat"),
+    ("cubic4", (0.05, 0.08, 0.001, -2e-5), (0.0, 20.0), "bracketed"),
+    ("logistic5", (1.0, 0.8, 9.0, 0.01, 0.1), (0.0, 20.0), "bracketed"),
+    # 1e25 / 2**100 is far above the stop width, so all 100 halvings run
+    ("logistic2", (0.5, 6.0), (0.0, 1e25), "bracketed"),
+])
+def test_array_bisection_equals_the_scalar_loop_at_each_outcome(family, params, domain, kind):
+    """Beside each named curve, a range whose fit is flagged non-monotone
+    (FitError) and one without a model (KeyError)."""
+    models = {"a": {family: _curve(family, params, domain)},
+              "b": {family: _curve(family, params, domain, monotone=False)}}
+    thresholds = [0.55, 0.75, 0.9999]
+    _assert_inverts_as_the_scalar_loop(models, ["a", "b", "missing"], family, thresholds)
+    outcomes = [invert_at_threshold(models["a"][family], t) for t in thresholds]
+    start, end = domain
+    if kind == "met at the domain start":
+        assert outcomes == [(start, True)] * 3
+    elif kind == "never reached":
+        assert outcomes[-1] == (end, True)
+    elif kind == "flat":  # sigmoid(0) = 0.5 everywhere reaches no threshold above it
+        assert outcomes == [(end, True)] * 3
+    else:
+        assert [clamped for _, clamped in outcomes[:2]] == [False, False]
+
+
+def test_invert_family_rejects_a_threshold_outside_the_unit_interval():
+    for bad in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ValueError, match="threshold must be in"):
+            invert_family({}, ["missing"], "glm", [0.5, bad])

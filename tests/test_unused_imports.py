@@ -13,9 +13,11 @@ import jndmap
 PACKAGE = Path(jndmap.__file__).resolve().parent
 
 #: (module, name) imports kept unused on purpose.  ``evaluate_grid`` does not
-#: call ``predict_jnd``, but the benchmark's tracer (``perfbench/tracing.py``)
-#: wraps ``evaluate.predict_jnd`` by name, so the name must stay importable.
-KEPT = {("evaluate.py", "predict_jnd")}
+#: call ``predict_jnd``, and the inversion does not call ``evaluate_mf``, but
+#: the benchmark's tracer (``perfbench/tracing.py``) wraps
+#: ``evaluate.predict_jnd`` and ``predict.evaluate_mf`` by name, so the names
+#: must stay importable.
+KEPT = {("evaluate.py", "predict_jnd"), ("predict.py", "evaluate_mf")}
 
 
 def _unused_imports(tree: ast.Module) -> list[tuple[int, str]]:

@@ -24,8 +24,10 @@ A mark is the child's ``time.monotonic()`` (one clock for every process) and
 ``time.process_time()`` (every thread of the child); the exit's CPU time is the
 child's ``getrusage`` total less the CPU time at its last mark.  For each
 setting the tool prints the median wall and CPU seconds of each phase and of
-the whole child, and the children's thread counts at exit, read from
-``/proc/<pid>/task``.  The settings:
+the whole child, the children's thread counts at exit, read from
+``/proc/<pid>/task``, and the modules that the children first import during
+the pipeline phase, with their count, so that a lazy import (a module a
+library loads on the first call of some function) shows up.  The settings:
 
 * ``default`` -- ``OPENBLAS_NUM_THREADS`` unset, so the entry sets it to 1,
   and every module of the package compiled from source
@@ -46,6 +48,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import textwrap
 import time
 from pathlib import Path
 
@@ -60,10 +63,12 @@ first = (time.monotonic(), time.process_time())
 import atexit, json, os, runpy, sys
 
 marks = {"start": first}
+modules = {}
 
 
 def mark(name):
     marks[name] = (time.monotonic(), time.process_time())
+    modules[name] = list(sys.modules)
 
 
 class Timer:
@@ -92,7 +97,8 @@ class Timer:
 
 sys.meta_path.insert(0, Timer())
 atexit.register(lambda: print(json.dumps(
-    {"marks": marks, "threads": len(os.listdir(f"/proc/{os.getpid()}/task"))}), file=sys.stderr))
+    {"marks": marks, "threads": len(os.listdir(f"/proc/{os.getpid()}/task")),
+     "imported": sorted(set(modules["main<"]) - set(modules["jndmap.cli<"]))}), file=sys.stderr))
 sys.argv[0] = "jndmap"
 try:
     runpy.run_module("jndmap.cli", run_name="__main__", alter_sys=True)
@@ -102,9 +108,9 @@ except SystemExit:
 '''
 
 
-def child(argv: list[str], env: dict) -> tuple[dict[str, tuple[float, float]], int]:
-    """One probed ``jndmap`` child: per phase (wall, CPU) seconds, and its
-    thread count at exit."""
+def child(argv: list[str], env: dict) -> tuple[dict[str, tuple[float, float]], int, list[str]]:
+    """One probed ``jndmap`` child: per phase (wall, CPU) seconds, its
+    thread count at exit, and the modules first imported in the pipeline."""
     spawned = time.monotonic()
     proc = subprocess.Popen([sys.executable, "-c", PROBE, *argv], env=env,
                             stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -127,7 +133,7 @@ def child(argv: list[str], env: dict) -> tuple[dict[str, tuple[float, float]], i
         "exit": (ended - m["main<"][0], cpu - m["main<"][1]),
         "total": (ended - spawned, cpu),
     }
-    return phases, report["threads"]
+    return phases, report["threads"], report["imported"]
 
 
 def fresh_src(root: Path, name: str) -> Path:
@@ -175,10 +181,14 @@ def main() -> int:
         print(f"\n{name}:")
         print(f"  {'phase':<18} {'wall s':>8} {'CPU s':>8}")
         for phase in (*PHASES, "total"):
-            wall = statistics.median(phases[phase][0] for phases, _ in runs)
-            cpu = statistics.median(phases[phase][1] for phases, _ in runs)
+            wall = statistics.median(phases[phase][0] for phases, _, _ in runs)
+            cpu = statistics.median(phases[phase][1] for phases, _, _ in runs)
             print(f"  {phase:<18} {wall:>8.3f} {cpu:>8.3f}")
-        print(f"  threads at exit: {sorted(threads for _, threads in runs)}")
+        print(f"  threads at exit: {sorted(threads for _, threads, _ in runs)}")
+        imported = sorted(set().union(*(names for _, _, names in runs)))
+        print(f"  modules first imported in the pipeline: {len(imported)}")
+        print(textwrap.fill(", ".join(imported), width=88, initial_indent="    ",
+                            subsequent_indent="    ") if imported else "    (none)")
     return 0
 
 
