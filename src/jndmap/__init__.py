@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 #: Each public module and the names it exports, in ``__all__`` order.
 _EXPORTS = {
     "corpus": ("Corpus", "DcrRating", "JndTruth", "Stimulus", "load_corpus"),
-    "errors": ("CorpusError", "FitError", "JndmapError"),
+    "errors": ("ConfigError", "CorpusError", "FitError", "JndmapError"),
     "screening": ("ScreeningReport", "screen", "screen_bt500", "apply_screening"),
     "significance": ("RatedPair", "welch_t_test", "student_t_test", "paired_t_test",
                      "classify_pairs"),

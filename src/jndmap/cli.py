@@ -11,7 +11,10 @@ standalone SVG.
 
 Configuration comes from an optional JSON file (see :mod:`jndmap.config`); a
 flag replaces the file's value, and each stage command takes only the flags of
-the settings it reads.  ``--seed`` and the ``JNDMAP_SEED`` environment variable
+the settings it reads.  A flag that the run would not read (another strategy's
+setting, ``--glm-mode`` without the glm family, ``run --thresholds`` or
+``--no-chain`` without ``--truth``) or a value out of its range exits as a
+:class:`~jndmap.errors.ConfigError` naming the flag.  ``--seed`` and the ``JNDMAP_SEED`` environment variable
 seed ``simulate`` only, and an explicit ``--seed`` beats the variable.
 Failures exit with status 2 and a one-line JSON error record on stderr naming
 the failure and any artifacts already written.
@@ -51,7 +54,7 @@ from . import predict as predict_mod
 from . import ranges as ranges_mod
 from . import screening as screening_mod
 from . import significance as significance_mod
-from .errors import CorpusError, JndmapError
+from .errors import ConfigError, CorpusError, JndmapError
 
 log = logging.getLogger(__name__)
 
@@ -82,14 +85,34 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _resolve_config(args: argparse.Namespace) -> config_mod.RunConfig:
-    """The ``--config`` file's settings, each replaced by its flag when given."""
+    """The ``--config`` file's settings, each replaced by its flag when given;
+    ``--strategy`` replaces the file's decomposition with that strategy's
+    defaults.  A flag that the resolved settings or the command's inputs leave
+    unread, or a value out of its range, raises ConfigError naming the flag."""
     cfg = config_mod.load_config(args.config)
     given = {d: getattr(args, d) for d in CONFIG_FLAGS if getattr(args, d, None) is not None}
-    decomp = {d: given.pop(d) for d in list(given) if hasattr(cfg.decomposition, d)}
-    cfg = dataclasses.replace(
-        cfg, decomposition=dataclasses.replace(cfg.decomposition, **decomp), **given
-    )
-    cfg.validate()
+    decomp = cfg.decomposition
+    if "strategy" in given:
+        decomp = ranges_mod.STRATEGIES[given.pop("strategy")]()
+    unread = [(d, f"the {decomp.strategy} strategy does not read it")
+              for d in given if not hasattr(cfg, d) and not hasattr(decomp, d)]
+    families = given.get("families", cfg.families)
+    if "glm_mode" in given and "glm" not in families:
+        unread.append(("glm_mode", f"read only for the glm family, got {list(families)}"))
+    if args.command == "run" and not args.truth:
+        unread += [(d, "read only with --truth") for d in ("thresholds", "chain_orders")
+                   if d in given]
+    if unread:
+        dest, reason = unread[0]
+        raise ConfigError(f"{CONFIG_FLAGS[dest][0]}: {reason}")
+    decomp = dataclasses.replace(decomp, **{d: given.pop(d) for d in list(given)
+                                            if not hasattr(cfg, d)})
+    cfg = dataclasses.replace(cfg, decomposition=decomp, **given)
+    try:
+        cfg.validate()
+    except ValueError as exc:  # the message starts with the setting's key path
+        key, _, problem = str(exc).partition(": ")
+        raise ConfigError(f"{CONFIG_FLAGS[key.rpartition('/')[2]][0]}: {problem}") from None
     return cfg
 
 
@@ -140,14 +163,7 @@ def _decompose(
     out: Path,
     written: list[str],
 ) -> ranges_mod.Decomposition:
-    dc = cfg.decomposition
-    if dc.strategy == "balanced":
-        decomp = ranges_mod.decompose_balanced(corpus, dc.k, dc.balance)
-    elif dc.strategy == "fixed_width":
-        decomp = ranges_mod.decompose_fixed(dc.width, corpus)
-    else:
-        decomp = ranges_mod.decompose_explicit(list(dc.bounds))
-    decomp = ranges_mod.assign_pairs(pairs, decomp, corpus)
+    decomp = ranges_mod.assign_pairs(pairs, cfg.decomposition.decompose(corpus), corpus)
     _write(out, ranges_mod.decomposition_to_json_dict(decomp), written)
     print(f"[decompose] {len(decomp.ranges)} ranges ({decomp.strategy})")
     return decomp
@@ -319,9 +335,11 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
         try:  # the rule of the vmaf column: finite and in [0, 100]
             corpus_mod.VMAF_TABLE["vmaf"](args.anchor_vmaf)
         except ValueError as exc:
-            raise ValueError(f"--anchor-vmaf: {exc}") from None
+            raise ConfigError(f"--anchor-vmaf: {exc}") from None
         if args.vmaf_table:
-            raise ValueError("--anchor-vmaf and --vmaf-table both give the anchor; pass one")
+            raise ConfigError("--anchor-vmaf and --vmaf-table both give the anchor; pass one")
+    if not 0.0 < args.threshold < 1.0:
+        raise ConfigError(f"--threshold: must be in (0, 1), got {args.threshold}")
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
     if args.anchor_vmaf is not None:
@@ -331,7 +349,7 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
         corpus = corpus_mod.load_corpus(args.vmaf_table, None)
         anchor = corpus.stimulus(args.content, args.recipe)
     else:
-        raise ValueError(
+        raise ConfigError(
             "predict needs --anchor-vmaf, or --vmaf-table with --content and --recipe"
         )
     pred = predict_mod.predict_jnd(
@@ -362,7 +380,7 @@ def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
         try:  # the rule of the order column: integers >= 1
             orders = tuple(map(corpus_mod.TRUTH_TABLE["order"], args.orders.split(",")))
         except ValueError as exc:
-            raise ValueError(f"--orders: {exc}") from None
+            raise ConfigError(f"--orders: {exc}") from None
     corpus = corpus_mod.load_corpus(args.vmaf, None, args.truth)
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
@@ -396,7 +414,8 @@ def _str_list(text: str) -> tuple[str, ...]:
 
 
 #: One entry per config setting: its dest, its flag and its argparse options.
-#: A dest that names a ``DecompositionConfig`` field sets that field.
+#: A dest that is not a ``RunConfig`` field sets that field of the chosen
+#: strategy's settings class (``ranges.STRATEGIES``).
 CONFIG_FLAGS: dict[str, tuple[str, dict]] = {
     "alpha": ("--alpha", dict(type=float, help="significance level")),
     "test": ("--test", dict(choices=significance_mod.TESTS, help="two-sample test")),

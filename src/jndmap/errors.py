@@ -37,3 +37,10 @@ class CorpusError(JndmapError):
 
 class FitError(JndmapError):
     """Raised when a mapping-function fit cannot be produced or used."""
+
+
+class ConfigError(JndmapError):
+    """Raised for a setting that a command cannot take: a value out of its
+    range, or a flag that the run would not read.  The message names the flag
+    (``--k: must be >= 2, got 1``), or the config file and the key path
+    (``config.json: decomposition/k: must be >= 2, got 1``)."""

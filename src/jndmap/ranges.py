@@ -13,6 +13,11 @@ A decomposition splits (lo, 100] into contiguous half-open intervals
 * ``explicit`` -- caller-supplied boundaries, kept verbatim; they must be
   finite and strictly increasing.
 
+Each strategy's settings are one frozen class, :class:`Balanced`,
+:class:`FixedWidth` or :class:`Explicit`, listed by name in
+:data:`STRATEGIES`.  Its ``validate()`` is the rule that a flag, a config
+file, ``ranges.json`` and the ``decompose_*`` functions all check.
+
 A pair belongs to every range containing either of its endpoints, so a pair
 spanning a boundary is counted in both ranges (and the total pair multiplicity
 lies between n_pairs and 2*n_pairs).  :func:`assign_pairs` is an array
@@ -30,6 +35,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -42,7 +48,6 @@ log = logging.getLogger(__name__)
 #: Margin below the smallest VMAF used for the lowest balanced bound.
 LOW_EDGE_EPSILON = 1e-9
 
-STRATEGIES = ("balanced", "fixed_width", "explicit")
 BALANCES = ("stimuli", "pairs")
 #: The most ranges a fixed width may make: each range is fitted, so the work
 #: grows as 100 / width.  A |dVMAF| bin width is bounded the same way.
@@ -114,41 +119,85 @@ def _build(strategy: str, bounds: list[float]) -> Decomposition:
     return Decomposition(strategy=strategy, ranges=ranges)
 
 
-def check_settings(strategy: str, k: int = 5, width: float = 10.0,
-                   bounds: Sequence[float] | None = None, balance: str = "stimuli") -> None:
-    """Raise ValueError for a setting out of range among those that
-    ``strategy`` reads: ``k`` and ``balance`` (balanced), ``width``
-    (fixed_width, at most ``MAX_FIXED_RANGES`` ranges) or ``bounds``
-    (explicit).  The decompose functions and
-    the run configuration both check with it, so a bad setting is rejected
-    before any stage runs."""
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown decomposition strategy {strategy!r}")
-    if strategy == "balanced":
-        if k < 2:
-            raise ValueError(f"k must be >= 2, got {k}")
-        if balance not in BALANCES:
-            raise ValueError(f"balance must be 'stimuli' or 'pairs', got {balance!r}")
-    elif strategy == "fixed_width":
-        check_width(width)
-    elif bounds is None or len(bounds) < 2:
-        raise ValueError(f"bounds: need at least two, got {bounds}")
-    elif not all(map(math.isfinite, bounds)):
-        raise ValueError(f"bounds: must be finite, got {list(bounds)}")
-    elif any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
-        raise ValueError(f"bounds: must be strictly increasing, got {list(bounds)}")
-
-
 def check_width(width: float, name: str = "width", parts: str = "ranges") -> None:
-    """Raise ValueError unless ``width`` is positive and finite and splits
-    [0, 100] into at most ``MAX_FIXED_RANGES`` ``parts``: the rule of the
-    fixed range width and of the |dVMAF| bin width alike."""
+    """Raise ValueError, its message starting with ``name``, unless ``width``
+    is positive and finite and splits [0, 100] into at most
+    ``MAX_FIXED_RANGES`` ``parts``: the rule of the fixed range width and of
+    the |dVMAF| bin width alike."""
     if not 0.0 < width < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {width}")
+        raise ValueError(f"{name}: must be positive and finite, got {width}")
     count = 100.0 / width
     if count > MAX_FIXED_RANGES:
         shown = math.ceil(count) if count < 1e15 else f"{count:.3g}"
-        raise ValueError(f"{name} {width} makes {shown} {parts}, more than {MAX_FIXED_RANGES}")
+        raise ValueError(f"{name}: {width} makes {shown} {parts}, more than {MAX_FIXED_RANGES}")
+
+
+# -- strategy settings ---------------------------------------------------------
+#
+# One frozen class per strategy holds the settings that strategy reads and no
+# other.  ``validate()`` raises ValueError for a setting out of range, its
+# message starting with the setting's name; ``decompose(corpus)`` runs the
+# strategy through this module's ``decompose_*`` function.
+
+
+@dataclass(frozen=True)
+class Balanced:
+    """``k`` ranges of near-equal stimulus (or, with ``balance="pairs"``,
+    pair) counts."""
+
+    strategy: ClassVar[str] = "balanced"
+    k: int = 5
+    balance: str = "stimuli"
+
+    def validate(self) -> None:
+        if self.k < 2:
+            raise ValueError(f"k: must be >= 2, got {self.k}")
+        if self.balance not in BALANCES:
+            raise ValueError(f"balance: must be 'stimuli' or 'pairs', got {self.balance!r}")
+
+    def decompose(self, corpus: Corpus) -> Decomposition:
+        return decompose_balanced(corpus, self.k, self.balance)
+
+
+@dataclass(frozen=True)
+class FixedWidth:
+    """Ranges of one ``width`` over (0, 100]: at most ``MAX_FIXED_RANGES``."""
+
+    strategy: ClassVar[str] = "fixed_width"
+    width: float = 10.0
+
+    def validate(self) -> None:
+        check_width(self.width)
+
+    def decompose(self, corpus: Corpus) -> Decomposition:
+        return decompose_fixed(self.width, corpus)
+
+
+@dataclass(frozen=True)
+class Explicit:
+    """Ranges between the given ``bounds``: two or more, finite and strictly
+    increasing."""
+
+    strategy: ClassVar[str] = "explicit"
+    bounds: tuple[float, ...] = ()
+
+    def validate(self) -> None:
+        bounds = list(self.bounds)
+        if len(bounds) < 2:
+            raise ValueError(f"bounds: need at least two, got {bounds}")
+        if not all(map(math.isfinite, bounds)):
+            raise ValueError(f"bounds: must be finite, got {bounds}")
+        if any(not b2 > b1 for b1, b2 in zip(bounds, bounds[1:])):
+            raise ValueError(f"bounds: must be strictly increasing, got {bounds}")
+
+    def decompose(self, corpus: Corpus) -> Decomposition:
+        return decompose_explicit(list(self.bounds))
+
+
+#: One strategy's settings, as a config's ``decomposition`` holds them.
+Strategy = Balanced | FixedWidth | Explicit
+#: Each strategy's settings class by its name.
+STRATEGIES = {kind.strategy: kind for kind in get_args(Strategy)}
 
 
 def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Decomposition:
@@ -158,7 +207,7 @@ def decompose_balanced(corpus: Corpus, k: int, balance: str = "stimuli") -> Deco
     pairs it participates in, approximately equalizing pair membership
     instead.
     """
-    check_settings("balanced", k=k, balance=balance)
+    Balanced(k, balance).validate()
     table = corpus.ratings
     if not len(table.vmaf):
         raise ValueError("corpus has no stimuli")
@@ -201,7 +250,7 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
     """Equal-width ranges covering (0, 100]; the top range is clipped at 100.
     Given a corpus, one warning counts the ranges that hold none of its
     stimuli and names the first and last three."""
-    check_settings("fixed_width", width=width)
+    FixedWidth(width).validate()
     n = math.ceil(100.0 / width)
     bounds = [min(i * width, 100.0) for i in range(n)] + [100.0]
     decomp = _build("fixed_width", bounds)
@@ -218,7 +267,7 @@ def decompose_fixed(width: float, corpus: Corpus | None = None) -> Decomposition
 
 def decompose_explicit(bounds: list[float]) -> Decomposition:
     """Ranges from caller-supplied boundaries, e.g. [30, 79, 86, 90, 95, 100]."""
-    check_settings("explicit", bounds=bounds)
+    Explicit(tuple(bounds)).validate()
     return _build("explicit", [float(b) for b in bounds])
 
 
@@ -279,8 +328,8 @@ class _RangesJson:
 def decomposition_from_json_dict(data: object) -> Decomposition:
     read = tableio.from_json(_RangesJson, data)
     if read.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {read.strategy!r}; expected one of {STRATEGIES}")
-    check_settings("explicit", bounds=list(read.bounds))
+        raise ValueError(f"unknown strategy {read.strategy!r}; expected one of {tuple(STRATEGIES)}")
+    Explicit(read.bounds).validate()
     decomp = _build(read.strategy, list(read.bounds))
     unknown = sorted(read.assignments.keys() - set(decomp.range_ids()))
     if unknown:

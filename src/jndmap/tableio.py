@@ -445,19 +445,26 @@ def from_json(kind: Any, value: object, key: str = "") -> Any:
     """The decoded JSON ``value`` read as the type expression ``kind``: a
     dataclass from an object by its field annotations (no unknown key, and no
     missing one but where the field has a default), ``tuple[X, ...]`` or
-    ``tuple[X, Y]`` from a list, ``dict[str, X]`` from an object, ``X | None``,
+    ``tuple[X, Y]`` from a list, ``dict[str, X]`` from an object, ``A | B | …``
+    (dataclasses that each name themselves in a ``strategy`` class variable)
+    from an object whose ``strategy`` key picks one, ``A`` when it is missing,
     ``float`` (any number but a bool), ``int``, ``bool`` or ``str``.  A value of
     another shape raises ``ValueError`` naming its key path: the keys and list
     indexes from ``key`` down to it, joined by ``/``."""
     at, path = (f"{key}: ", f"{key}/") if key else ("", "")
     origin, args = get_origin(kind), get_args(kind)
-    if origin is UnionType:  # X | None
-        return None if value is None else from_json(args[0], value, key)
-    if dataclasses.is_dataclass(kind) or origin is dict:
+    if dataclasses.is_dataclass(kind) or origin in (dict, UnionType):
         if type(value) is not dict:
             raise ValueError(f"{at}expected an object, got {value!r}")
         if origin is dict:
             return {name: from_json(args[1], item, path + name) for name, item in value.items()}
+        if origin is UnionType:
+            value = dict(value)
+            name = from_json(str, value.pop("strategy", args[0].strategy), path + "strategy")
+            kinds = {member.strategy: member for member in args}
+            if name not in kinds:
+                raise ValueError(f"{path}strategy: expected one of {list(kinds)}, got {name!r}")
+            kind = kinds[name]
         types = _type_hints(kind)
         unknown = sorted(value.keys() - types.keys())
         if unknown:

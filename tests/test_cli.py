@@ -20,8 +20,8 @@ import pytest
 
 import jndmap
 from jndmap import cli, corpus, mapping, predict, significance, simulate
-from jndmap.config import DecompositionConfig, RunConfig
-from jndmap.ranges import read_ranges_json
+from jndmap.config import RunConfig
+from jndmap.ranges import Balanced, Explicit, FixedWidth, read_ranges_json
 from jndmap.mapping import CURVE_TABLE
 from jndmap.tableio import csv_text, write_json
 
@@ -271,7 +271,7 @@ def test_predict_rejects_an_anchor_vmaf_the_vmaf_column_would(
     for flags in (["--anchor-vmaf", value], ["--anchor-vmaf", value, *table]):
         assert _predict_in_process(run_dir, out, *flags) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record == {"error": "ValueError", "message": f"--anchor-vmaf: {problem}",
+        assert record == {"error": "ConfigError", "message": f"--anchor-vmaf: {problem}",
                           "command": "predict", "artifacts_written": []}
         assert not out.exists()
     assert _predict_in_process(run_dir, out, *table) == 0
@@ -285,7 +285,7 @@ def test_predict_takes_its_anchor_from_one_source(sim_dir, run_dir, tmp_path, ca
     for flags in (vmaf_table, [*vmaf_table, "--content", "c00", "--recipe", "r1"]):
         assert _predict_in_process(run_dir, out, "--anchor-vmaf", "88", *flags) == 2
         record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert record == {"error": "ValueError", "command": "predict", "artifacts_written": [],
+        assert record == {"error": "ConfigError", "command": "predict", "artifacts_written": [],
                           "message": "--anchor-vmaf and --vmaf-table both give the anchor; "
                                      "pass one"}
         assert not out.exists()
@@ -293,6 +293,16 @@ def test_predict_takes_its_anchor_from_one_source(sim_dir, run_dir, tmp_path, ca
     assert _predict_in_process(run_dir, out, "--anchor-vmaf", "88", "--content", "c00",
                                "--recipe", "r1") == 0
     assert out.read_text(encoding="utf-8").splitlines()[1].startswith("c00,r1,dec,")
+
+
+@pytest.mark.parametrize("value", ["0", "1", "1.5", "nan"])
+def test_predict_rejects_a_threshold_outside_the_unit_interval(run_dir, tmp_path, capsys, value):
+    out = tmp_path / "predictions.csv"
+    assert _predict_in_process(run_dir, out, "--anchor-vmaf", "88", "--threshold", value) == 2
+    record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert record == {"error": "ConfigError", "command": "predict", "artifacts_written": [],
+                      "message": f"--threshold: must be in (0, 1), got {float(value)}"}
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("value", ["0", "100"])
@@ -464,7 +474,7 @@ CONFIG_FLAG_VALUES = {
     "--thresholds": "0.8,0.9",
     "--glm-mode": "points",
     "--no-chain": None,
-    "--strategy": "explicit",
+    "--strategy": "fixed_width",
     "--k": "3",
     "--width": "20",
     "--bounds": "0,50,100",
@@ -520,85 +530,149 @@ def test_unread_flag_exits_2(run_dir, tmp_path):
     assert not (tmp_path / "mf_params.json").exists()
 
 
+#: The flags of each strategy's settings.
+STRATEGY_FLAGS = {"balanced": ("--k", "--balance"), "fixed_width": ("--width",),
+                  "explicit": ("--bounds",)}
+
+
+def test_fit_refuses_glm_mode_without_the_glm_family(run_dir, tmp_path, capsys):
+    """``--glm-mode`` is refused when the resolved families lack glm; the
+    config file's ``glm_mode`` key stays allowed, as the file serves every
+    stage command."""
+    config = tmp_path / "config.json"
+    argv = ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", run_dir / "ranges.json",
+            "--out-dir", tmp_path / "out", "--config", config]
+    write_json(config, {"families": ["logistic2"]})
+    assert _main_error_record(capsys, [*argv, "--glm-mode", "points"]) == {
+        "error": "ConfigError", "message": "--glm-mode: read only for the glm family, "
+        "got ['logistic2']", "command": "fit", "artifacts_written": []}
+    assert not (tmp_path / "out").exists()
+    write_json(config, {"families": ["logistic2"], "glm_mode": "points"})
+    assert cli.main([str(arg) for arg in argv]) == 0
+
+
 def test_flags_replace_config_values(tmp_path):
     config = tmp_path / "config.json"
     write_json(
         config,
         {"alpha": 0.2, "decomposition": {"k": 7}, "families": ["glm"], "chain_orders": True},
     )
-    base = ["run", *COMMAND_ARGS["run"], "--config", str(config)]
+    base = ["run", *COMMAND_ARGS["run"], "--truth", "t.csv", "--config", str(config)]
     assert cli._resolve_config(cli._build_parser().parse_args(base)) == RunConfig(
-        alpha=0.2, decomposition=DecompositionConfig(k=7), families=("glm",)
+        alpha=0.2, decomposition=Balanced(k=7), families=("glm",)
     )
-    flags = [arg for flag, value in CONFIG_FLAG_VALUES.items() for arg in _flag_args(flag, value)]
-    assert cli._resolve_config(cli._build_parser().parse_args(base + flags)) == RunConfig(
-        alpha=0.01,
-        test="student",
-        screening="none",
-        decomposition=DecompositionConfig(
-            strategy="explicit", k=3, width=20.0, bounds=(0.0, 50.0, 100.0), balance="pairs"
-        ),
-        bin_width=3.0,
-        families=("glm", "cubic4"),
-        thresholds=(0.8, 0.9),
-        glm_mode="points",
-        chain_orders=False,
-    )
+    decomposition_flags = {flag for flags in STRATEGY_FLAGS.values() for flag in flags}
+    flags = [arg for flag, value in CONFIG_FLAG_VALUES.items()
+             if flag not in decomposition_flags | {"--strategy"} for arg in _flag_args(flag, value)]
+    expected = RunConfig(alpha=0.01, test="student", screening="none", bin_width=3.0,
+                         families=("glm", "cubic4"), thresholds=(0.8, 0.9), glm_mode="points",
+                         chain_orders=False)
+    # once per strategy: --strategy replaces the file's whole decomposition
+    # (its k of 7 too), and then that strategy's flags apply
+    for strategy, decomposition in [("balanced", Balanced(k=3, balance="pairs")),
+                                    ("fixed_width", FixedWidth(width=20.0)),
+                                    ("explicit", Explicit(bounds=(0.0, 50.0, 100.0)))]:
+        strategy_flags = [arg for flag in STRATEGY_FLAGS[strategy]
+                          for arg in _flag_args(flag, CONFIG_FLAG_VALUES[flag])]
+        argv = base + flags + ["--strategy", strategy] + strategy_flags
+        assert cli._resolve_config(cli._build_parser().parse_args(argv)) == dataclasses.replace(
+            expected, decomposition=decomposition)
+    argv = base + ["--strategy", "balanced", "--balance", "pairs"]
+    assert cli._resolve_config(cli._build_parser().parse_args(argv)) == RunConfig(
+        alpha=0.2, decomposition=Balanced(balance="pairs"), families=("glm",))
 
 
 @pytest.mark.parametrize(
     "flags, config, error",
     [
-        (["--k", "1"], None, ("ValueError", "k must be >= 2, got 1")),
+        (["--k", "1"], None, ("ConfigError", "--k: must be >= 2, got 1")),
         (["--strategy", "fixed_width", "--width", "-3"], None,
-         ("ValueError", "width must be positive and finite, got -3.0")),
+         ("ConfigError", "--width: must be positive and finite, got -3.0")),
         (["--strategy", "fixed_width", "--width", "inf"], None,  # no range at all
-         ("ValueError", "width must be positive and finite, got inf")),
+         ("ConfigError", "--width: must be positive and finite, got inf")),
         (["--strategy", "fixed_width", "--width", "1e-9"], None,
-         ("ValueError", "width 1e-09 makes 100000000000 ranges, more than 1000")),
+         ("ConfigError", "--width: 1e-09 makes 100000000000 ranges, more than 1000")),
         (["--strategy", "explicit", "--bounds", "0,90,80,100"], None,
-         ("ValueError", "bounds: must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
+         ("ConfigError", "--bounds: must be strictly increasing, got [0.0, 90.0, 80.0, 100.0]")),
         (["--strategy", "explicit", "--bounds", "50"], None,
-         ("ValueError", "bounds: need at least two, got (50.0,)")),
+         ("ConfigError", "--bounds: need at least two, got [50.0]")),
         # these two used to write Infinity into ranges.json and the manifest
         (["--strategy", "explicit", "--bounds", "0,50,inf"], None,
-         ("ValueError", "bounds: must be finite, got [0.0, 50.0, inf]")),
+         ("ConfigError", "--bounds: must be finite, got [0.0, 50.0, inf]")),
         (["--strategy", "explicit", "--bounds=-inf,80,90,100"], None,
-         ("ValueError", "bounds: must be finite, got [-inf, 80.0, 90.0, 100.0]")),
+         ("ConfigError", "--bounds: must be finite, got [-inf, 80.0, 90.0, 100.0]")),
         ([], {"decomposition": {"balance": "pair"}},
-         ("CorpusError", "config.json: balance must be 'stimuli' or 'pairs', got 'pair'")),
+         ("ConfigError",
+          "config.json: decomposition/balance: must be 'stimuli' or 'pairs', got 'pair'")),
         # the bin width follows the fixed width's rule; nan used to fail in fit
         # after three artifacts, inf to fit nothing and 1e-300 to overflow numpy
         (["--bin-width", "nan"], None,
-         ("ValueError", "bin_width must be positive and finite, got nan")),
+         ("ConfigError", "--bin-width: must be positive and finite, got nan")),
         (["--bin-width", "inf"], None,
-         ("ValueError", "bin_width must be positive and finite, got inf")),
+         ("ConfigError", "--bin-width: must be positive and finite, got inf")),
         (["--bin-width", "1e-300"], None,
-         ("ValueError", "bin_width 1e-300 makes 1e+302 bins, more than 1000")),
+         ("ConfigError", "--bin-width: 1e-300 makes 1e+302 bins, more than 1000")),
         # a repeated family or threshold would write each of its
         # predictions.csv rows twice
         (["--families", "glm,glm"], None,
-         ("ValueError", "families: each may be listed once, got ['glm', 'glm']")),
-        (["--thresholds", "0.5,0.5"], None,
-         ("ValueError", "thresholds: each may be listed once, got [0.5, 0.5]")),
+         ("ConfigError", "--families: each may be listed once, got ['glm', 'glm']")),
+        (["--thresholds", "0.5,0.5", "--truth", "jnd_truth.csv"], None,
+         ("ConfigError", "--thresholds: each may be listed once, got [0.5, 0.5]")),
         ([], {"thresholds": [0.9, 0.75, 0.9]},
-         ("CorpusError",
+         ("ConfigError",
           "config.json: thresholds: each may be listed once, got [0.9, 0.75, 0.9]")),
         # with no family nothing is fitted, and with no threshold no cell is scored
         ([], {"families": []},
-         ("CorpusError", "config.json: families: need at least one value, got []")),
+         ("ConfigError", "config.json: families: need at least one value, got []")),
         ([], {"thresholds": []},
-         ("CorpusError", "config.json: thresholds: need at least one value, got []")),
+         ("ConfigError", "config.json: thresholds: need at least one value, got []")),
+        (["--alpha", "2"], None, ("ConfigError", "--alpha: must be in (0, 1), got 2.0")),
+        (["--families", "foo"], None,
+         ("ConfigError", "--families: unknown family 'foo'; expected one of "
+                         "('logistic5', 'cubic4', 'logistic2', 'glm')")),
+        (["--bin-width", "0"], None,
+         ("ConfigError", "--bin-width: must be positive and finite, got 0.0")),
+        (["--thresholds", "1.5", "--truth", "jnd_truth.csv"], None,
+         ("ConfigError", "--thresholds: must be in (0, 1), got 1.5")),
+        (["--strategy", "explicit", "--bounds", "50,20"], None,
+         ("ConfigError", "--bounds: must be strictly increasing, got [50.0, 20.0]")),
+        (["--strategy", "explicit"], {"decomposition": {"strategy": "explicit",
+                                                        "bounds": [0, 50, 100]}},
+         ("ConfigError", "--bounds: need at least two, got []")),
+        ([], {"decomposition": {"k": 1}},
+         ("ConfigError", "config.json: decomposition/k: must be >= 2, got 1")),
+        ([], {"decomposition": {"strategy": "fixed_width", "k": 9}},
+         ("ConfigError", "config.json: decomposition: unknown key 'k'; "
+                         "expected one of ['strategy', 'width']")),
+        ([], {"decomposition": {"strategy": "even"}},
+         ("ConfigError", "config.json: decomposition/strategy: expected one of "
+                         "['balanced', 'fixed_width', 'explicit'], got 'even'")),
+        # each of these used to exit 0 and change nothing but run_manifest.json
+        (["--strategy", "fixed_width", "--k", "9", "--balance", "pairs"], None,
+         ("ConfigError", "--k: the fixed_width strategy does not read it")),
+        (["--bounds", "50,20"], None,
+         ("ConfigError", "--bounds: the balanced strategy does not read it")),
+        (["--families", "logistic2", "--glm-mode", "points"], None,
+         ("ConfigError", "--glm-mode: read only for the glm family, got ['logistic2']")),
+        (["--thresholds", "0.9", "--no-chain"], None,
+         ("ConfigError", "--thresholds: read only with --truth")),
+        (["--k", "3"], {"decomposition": {"strategy": "explicit", "bounds": [0, 50, 100]}},
+         ("ConfigError", "--k: the explicit strategy does not read it")),
     ],
     ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "bounds-inf",
          "bounds-minus-inf", "balance",
          "bin-width-nan", "bin-width-inf", "bin-width-tiny", "families-repeat",
          "thresholds-repeat", "thresholds-repeat-config", "families-empty-config",
-         "thresholds-empty-config"],
+         "thresholds-empty-config", "alpha", "families-unknown", "bin-width-zero",
+         "thresholds-outside", "bounds-reversed", "strategy-drops-config-bounds", "k-config",
+         "key-of-another-strategy-config", "unknown-strategy-config", "k-under-fixed-width",
+         "bounds-under-balanced", "glm-mode-without-glm", "thresholds-without-truth",
+         "k-under-config-explicit"],
 )
 def test_bad_decomposition_setting_exits_before_any_stage(
     sim_dir, tmp_path, capsys, flags, config, error
 ):
+    flags = [sim_dir / flag if flag == "jnd_truth.csv" else flag for flag in flags]
     argv = ["run", sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
             "--out-dir", tmp_path / "out", *flags]
     if config is not None:
@@ -611,16 +685,75 @@ def test_bad_decomposition_setting_exits_before_any_stage(
     assert not (tmp_path / "out").exists()
 
 
-def test_settings_of_other_strategies_are_not_checked():
-    odd = DecompositionConfig(k=1, width=-3.0, bounds=(50.0,), balance="pair")
-    for strategy in ("balanced", "fixed_width", "explicit"):
-        cfg = RunConfig(decomposition=dataclasses.replace(odd, strategy=strategy))
-        with pytest.raises(ValueError):
-            cfg.validate()
-    RunConfig(decomposition=dataclasses.replace(odd, strategy="fixed_width", width=5.0)).validate()
-    RunConfig(decomposition=dataclasses.replace(odd, k=3, balance="pairs")).validate()
-    RunConfig(decomposition=dataclasses.replace(
-        odd, strategy="explicit", bounds=(0.0, 50.0, 100.0))).validate()
+#: Each strategy's settings in the matrix's config file, which no flag of
+#: ``CONFIG_FLAG_VALUES`` repeats.
+MATRIX_DECOMPOSITIONS = {
+    "balanced": {"strategy": "balanced", "k": 2},
+    "fixed_width": {"strategy": "fixed_width", "width": 25.0},
+    "explicit": {"strategy": "explicit", "bounds": [0.0, 80.0, 100.0]},
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_study(sim_dir, tmp_path_factory):
+    """The small study without stimuli c00/r2 and c02/r2, so that its contents
+    hold unequal numbers of stimuli and ``--balance pairs`` moves the balanced
+    bound, and with one truth of order 2, which ``--no-chain`` scores in one
+    step, not two."""
+    out = tmp_path_factory.mktemp("matrix")
+    for name in ("vmaf_scores.csv", "dcr_ratings.csv", "jnd_truth.csv"):
+        lines = (sim_dir / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(("c00,r2,", "c02,r2,")))
+        (out / name).write_text(text + ("c00,r1,dec,r4,2\n" if name == "jnd_truth.csv" else ""),
+                                encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("truth", [False, True], ids=["no-truth", "truth"])
+@pytest.mark.parametrize("strategy", list(MATRIX_DECOMPOSITIONS))
+def test_each_flag_changes_an_artifact_or_is_refused(matrix_study, tmp_path, capsys, strategy,
+                                                     truth):
+    """Each config flag that ``run`` accepts changes an artifact other than
+    ``run_manifest.json``.  The flags of another strategy's settings, and
+    ``--thresholds`` and ``--no-chain`` without ``--truth``, exit 2 with a
+    ConfigError that names the flag, and write nothing."""
+    config = tmp_path / "config.json"
+    # two fast families keep the 84 runs short
+    write_json(config, {"decomposition": MATRIX_DECOMPOSITIONS[strategy],
+                        "families": ["logistic2", "glm"]})
+
+    def run(out, *flags):
+        study = matrix_study
+        argv = ["run", study / "vmaf_scores.csv", study / "dcr_ratings.csv", "--out-dir", out,
+                "--config", config, *(["--truth", study / "jnd_truth.csv"] if truth else []),
+                *flags]
+        return cli.main([str(a) for a in argv])
+
+    def artifacts(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()
+                if path.name != "run_manifest.json"}
+
+    assert run(tmp_path / "base") == 0
+    base = artifacts(tmp_path / "base")
+    refused = {flag for name, flags in STRATEGY_FLAGS.items() if name != strategy
+               for flag in flags}
+    if not truth:
+        refused |= {"--thresholds", "--no-chain"}
+    capsys.readouterr()
+    for i, (flag, value) in enumerate(CONFIG_FLAG_VALUES.items()):
+        out = tmp_path / f"out{i}"
+        code = run(out, *_flag_args(flag, value))
+        if flag in refused:
+            assert code == 2, flag
+            record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+            assert record["error"] == "ConfigError", record
+            assert record["message"].startswith(f"{flag}: "), record
+            assert record["artifacts_written"] == [] and not out.exists()
+        else:
+            assert code == 0, flag
+            assert artifacts(out).keys() == base.keys()
+            assert any(data != base[name] for name, data in artifacts(out).items()), flag
+            capsys.readouterr()
 
 
 def _error_record(proc):
@@ -638,7 +771,7 @@ def test_config_unknown_key_names_file_and_key(sim_dir, tmp_path, key):
         check=False,
     )
     record = _error_record(proc)
-    assert record["error"] == "CorpusError"
+    assert record["error"] == "ConfigError"
     assert record["message"].startswith(f"config.json: unknown key '{key}'")
 
 
@@ -712,17 +845,17 @@ def test_malformed_artifact_inputs_name_file(sim_dir, run_dir, tmp_path):
     (tmp_path / "ranges.json").write_bytes("".join(text[:2]).encode() + b"\xff"
                                            + "".join(text[2:]).encode())
     (tmp_path / "config.json").write_bytes(b"\xff\xfe{}")
-    for message, extra in [
-        ("ranges.json:line 3: not UTF-8: byte 0xff (invalid start byte)",
+    for error, message, extra in [
+        ("CorpusError", "ranges.json:line 3: not UTF-8: byte 0xff (invalid start byte)",
          ["--ranges", tmp_path / "ranges.json"]),
-        ("config.json:line 1: not UTF-8: byte 0xff (invalid start byte)",
+        ("ConfigError", "config.json:line 1: not UTF-8: byte 0xff (invalid start byte)",
          ["--ranges", run_dir / "ranges.json", "--config", tmp_path / "config.json"]),
     ]:
         proc = run_cli(
             ["fit", "--pairs", run_dir / "pairs.csv", "--out-dir", tmp_path / "out", *extra],
             check=False,
         )
-        assert _error_record(proc) == {"error": "CorpusError", "message": message,
+        assert _error_record(proc) == {"error": error, "message": message,
                                        "command": "fit", "artifacts_written": []}
     models = json.loads((run_dir / "mf_params.json").read_text())
     range_id = sorted(models)[0]
@@ -773,7 +906,8 @@ def test_integer_beyond_the_float_range_exits_2(sim_dir, tmp_path, capsys, comma
         argv = [*_run_argv(sim_dir, tmp_path / "out"), "--config", tmp_path / name]
     record = _main_error_record(capsys, argv)
     assert record.pop("message").startswith(f"{name}: " + message.format(key=key))
-    assert record == {"error": "CorpusError", "command": command, "artifacts_written": []}
+    error = "CorpusError" if command == "simulate" else "ConfigError"
+    assert record == {"error": error, "command": command, "artifacts_written": []}
     assert not (tmp_path / "out").exists()
 
 
@@ -864,11 +998,9 @@ def test_ranges_json_shape_errors_name_the_key(run_dir, tmp_path, capsys, key, v
 
 
 # one value of each JSON kind, and the kinds that a leaf of a valid file
-# admits by the kind it has there: a float setting also takes an integer, and
-# the one null leaf (a default config's decomposition bounds) takes a list
+# admits by the kind it has there: a float setting also takes an integer
 JSON_KINDS = {type(None): None, bool: True, int: 1, float: 1.5, str: "x", list: [], dict: {}}
-ADMITTED = {bool: {bool}, int: {int}, float: {int, float}, str: {str},
-            type(None): {type(None), list}}
+ADMITTED = {bool: {bool}, int: {int}, float: {int, float}, str: {str}}
 
 
 def _json_leaves(value, path=()):
@@ -932,7 +1064,7 @@ def test_a_leaf_of_another_json_kind_names_file_and_key_path(sim_dir, run_dir, t
             write_json(path, _json_replaced(data, keys, value))
             assert cli.main(argv) == 2, (key, value)
             record = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-            assert record["error"] == "CorpusError"
+            assert record["error"] == ("ConfigError" if name == "config.json" else "CorpusError")
             message = record["message"]
             assert message.startswith(f"{name}: {key}: expected "), message
             assert message.endswith(f", got {value!r}"), message
@@ -1170,7 +1302,7 @@ def test_evaluate_orders_follow_the_order_column_rule(sim_dir, run_dir, tmp_path
         assert out.read_bytes() == (run_dir / "metrics.json").read_bytes()
     else:
         record = _main_error_record(capsys, argv)
-        assert record["message"] == message
+        assert (record["error"], record["message"]) == ("ConfigError", message)
         assert record["artifacts_written"] == []
 
 

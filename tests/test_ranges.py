@@ -189,7 +189,7 @@ def test_fixed_width_covers_scale():
 
 def test_fixed_width_makes_at_most_max_fixed_ranges():
     assert len(decompose_fixed(0.1).ranges) == MAX_FIXED_RANGES == 1000
-    with pytest.raises(ValueError, match=r"^width 0.0999 makes 1002 ranges, more than 1000$"):
+    with pytest.raises(ValueError, match=r"^width: 0.0999 makes 1002 ranges, more than 1000$"):
         decompose_fixed(0.0999)
 
 

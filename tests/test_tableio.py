@@ -8,6 +8,7 @@ import dataclasses
 import io
 import json
 import math
+from typing import ClassVar
 
 import numpy as np
 import pytest
@@ -234,19 +235,34 @@ class _Inner:
 
 
 @dataclasses.dataclass(frozen=True)
+class _Dot:
+    strategy: ClassVar[str] = "dot"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Span:
+    strategy: ClassVar[str] = "span"
+    lo: float = 0.0
+    hi: float = 1.0
+
+
+@dataclasses.dataclass(frozen=True)
 class _Outer:
     inner: _Inner
     pairs: tuple[tuple[str, int], ...] = ()
     named: dict[str, tuple[float, ...]] = dataclasses.field(default_factory=dict)
-    bound: float | None = None
+    shape: _Dot | _Span = dataclasses.field(default_factory=_Dot)
 
 
 def test_from_json_reads_the_type_it_is_given():
-    value = {"inner": {"x": 1}, "pairs": [["a", 2]], "named": {"k": [1, 2.5]}, "bound": None}
+    value = {"inner": {"x": 1}, "pairs": [["a", 2]], "named": {"k": [1, 2.5]}, "shape": {}}
     assert tableio.from_json(_Outer, value) == _Outer(_Inner(1.0), (("a", 2),), {"k": (1.0, 2.5)})
     assert type(tableio.from_json(_Outer, value).inner.x) is float
-    assert tableio.from_json(_Outer, {"inner": {"x": 0.5, "flag": True}, "bound": 3}) == _Outer(
-        _Inner(0.5, True), bound=3.0)
+    assert tableio.from_json(_Outer, {"inner": {"x": 0.5, "flag": True},
+                                      "shape": {"strategy": "span", "hi": 3}}) == _Outer(
+        _Inner(0.5, True), shape=_Span(hi=3.0))
+    assert tableio.from_json(_Outer, {"inner": {"x": 1}, "shape": {"strategy": "dot"}}) == _Outer(
+        _Inner(1.0))
 
 
 @pytest.mark.parametrize(("value", "message"), [
@@ -262,10 +278,16 @@ def test_from_json_reads_the_type_it_is_given():
     ({"inner": {"x": 1}, "pairs": {}}, "pairs: expected a list, got {}"),
     ({"inner": {"x": 1}, "named": {"k": ["1"]}}, "named/k/0: expected float, got '1'"),
     ({"inner": {"x": 1}, "named": []}, "named: expected an object, got []"),
-    ({"inner": {"x": 1}, "bound": "x"}, "bound: expected float, got 'x'"),
+    ({"inner": {"x": 1}, "shape": "x"}, "shape: expected an object, got 'x'"),
+    # the strategy key picks the member, and the other members' keys are unknown
+    ({"inner": {"x": 1}, "shape": {"strategy": 1}}, "shape/strategy: expected str, got 1"),
+    ({"inner": {"x": 1}, "shape": {"strategy": "ring"}},
+     "shape/strategy: expected one of ['dot', 'span'], got 'ring'"),
+    ({"inner": {"x": 1}, "shape": {"hi": 2}}, "shape: unknown key 'hi'; expected one of ['strategy']"),
 ], ids=["not-object", "bool-for-float", "int-for-bool", "unknown-key", "missing-key",
         "huge-int", "long-pair", "short-pair", "float-for-int", "object-for-list",
-        "string-for-float-item", "list-for-object", "string-for-optional"])
+        "string-for-float-item", "list-for-object", "string-for-union", "number-for-strategy",
+        "unknown-strategy", "key-of-another-strategy"])
 def test_from_json_names_the_key_path(value, message):
     with pytest.raises(ValueError) as info:
         tableio.from_json(_Outer, value)
