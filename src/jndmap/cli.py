@@ -355,19 +355,9 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
     pred = predict_mod.predict_jnd(
         models, decomp, anchor, args.direction, args.threshold, args.family
     )
-    print(
-        json.dumps(
-            {
-                "range_id": pred.range_id,
-                "family": pred.family,
-                "threshold": pred.threshold,
-                "delta_obj_jnd": pred.delta_obj_jnd,
-                "target_vmaf": pred.target_vmaf,
-                "clamped": pred.clamped,
-            },
-            sort_keys=True,
-        )
-    )
+    shown = {key: value for key, value in dataclasses.asdict(pred).items()
+             if key not in ("content_id", "anchor_recipe_id", "direction")}
+    print(json.dumps(shown, sort_keys=True))
     if args.out:
         table = predict_mod.PredictionTable(*zip(dataclasses.astuple(pred)))
         _write(Path(args.out), predict_mod.predictions_csv_text(table), written)
@@ -505,7 +495,7 @@ def _build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--vmaf-table", dest="vmaf_table")
     predict.add_argument("--content")
     predict.add_argument("--recipe")
-    predict.add_argument("--direction", choices=("inc", "dec"), required=True)
+    predict.add_argument("--direction", choices=corpus_mod.DIRECTIONS, required=True)
     predict.add_argument("--threshold", type=float, default=0.95)
     predict.add_argument("--family", default="glm", choices=mapping_mod.FAMILIES)
     predict.add_argument("--out", help="optional predictions.csv")

@@ -7,6 +7,7 @@ from pathlib import Path
 
 from . import tableio
 from .errors import ConfigError, CorpusError
+from .evaluate import EvalGridSpec
 from .mapping import FAMILIES, GLM_MODES, family_spec
 from .ranges import Balanced, Strategy, check_width
 from .screening import METHODS as SCREENING_METHODS
@@ -22,7 +23,7 @@ class RunConfig:
     decomposition: Strategy = field(default_factory=Balanced)
     bin_width: float = 2.0
     families: tuple[str, ...] = FAMILIES
-    thresholds: tuple[float, ...] = (0.75, 0.8, 0.85, 0.9, 0.95)
+    thresholds: tuple[float, ...] = EvalGridSpec.thresholds
     glm_mode: str = "pairwise"
     chain_orders: bool = True
 

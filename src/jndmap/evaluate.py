@@ -12,15 +12,16 @@ predicted target, mimicking how a ladder is walked in practice.  Chaining can
 be disabled, in which case every truth is scored like a first JND.
 
 Each curve is inverted once per threshold: before any step, one array
-bisection per family, :func:`jndmap.predict.invert_family`, fills the
-inversion memo, keyed by (range, family, threshold), that serves every anchor
-and chained step of a grid.
+bisection per family, :func:`jndmap.predict.invert_family`, builds that
+family's inversion table, and each (threshold, family) cell reads its
+threshold's column of it for every anchor and chained step.
 A cell is one array program over its truths, sorted by (content, direction,
 order, anchor): each chained step is one :func:`jndmap.predict.predict_step`
 over the working anchors, the prediction step that
 :func:`jndmap.predict.predict_jnd` makes for one anchor, and then each target
-snaps to its content's nearest rendition.  The predictions are kept as a
-:class:`jndmap.predict.PredictionTable`.
+snaps to its content's nearest rendition.  An anchor outside the range
+coverage is logged once per grid, with the end range it used.  The
+predictions are kept as a :class:`jndmap.predict.PredictionTable`.
 """
 
 from __future__ import annotations
@@ -130,23 +131,27 @@ def evaluate_grid(
     stop = np.array([span.stop for span in spans], np.intp)
     truth_directions = np.array([t.direction for t in truths])
     range_ids = decomp.range_ids()
-    inversions: dict = {}
-    for family in spec.families:
-        inversions.update(invert_family(models, range_ids, family, spec.thresholds))
+    tables = {family: invert_family(models, range_ids, family, spec.thresholds)
+              for family in spec.families}
+    walked = np.zeros(len(table.vmaf), bool)  # per stimulus, whether any step starts there
 
-    def walk(members: np.ndarray, direction: str, family: str, threshold: float) -> tuple:
-        """The truths ``members`` through their chained steps.  Returns which
-        are scored, and per truth its last step's working anchor code, range,
-        |dVMAF|, target and clamped flag, and whether any step was clamped;
-        the numbers of a truth that is not scored mean nothing."""
+    def walk(members: np.ndarray, direction: str, family: str, threshold: float,
+             inverted: tuple) -> tuple:
+        """The truths ``members`` through their chained steps, each step read
+        from ``inverted``, the threshold's column of the family's inversion
+        table.  Returns which are scored, and per truth its last step's
+        working anchor code, range, |dVMAF|, target and clamped flag, and
+        whether any step was clamped; the numbers of a truth that is not
+        scored mean nothing."""
         n = len(members)
         code, scored = anchors[members], np.ones(n, bool)
         k_last, delta, target = np.zeros(n, np.intp), np.zeros(n), np.zeros(n)
         clamped, any_clamped = np.zeros(n, bool), np.zeros(n, bool)
         for step in range(int(steps[members].max())):
             (rows,) = np.nonzero(scored & (steps[members] > step))
-            k, d, t, c, faults = predict_step(models, decomp, table.vmaf[code[rows]], direction,
-                                              threshold, family, inversions)
+            walked[code[rows]] = True
+            k, d, t, c, faults = predict_step(decomp, table.vmaf[code[rows]], direction,
+                                              *inverted)
             for row, fault in zip(rows.tolist(), faults):
                 if fault is not None:
                     scored[row] = False
@@ -167,9 +172,11 @@ def evaluate_grid(
     for direction in sorted(set(truth_directions.tolist())):
         (members,) = np.nonzero(truth_directions == direction)
         for family in spec.families:
-            for threshold in spec.thresholds:
+            inverted_delta, inverted_clamped, stops = tables[family]
+            for column, threshold in enumerate(spec.thresholds):
+                inverted = inverted_delta[:, column], inverted_clamped[:, column], stops
                 scored, code, k, delta, target, clamped, any_clamped = walk(
-                    members, direction, family, threshold)
+                    members, direction, family, threshold, inverted)
                 at = members[scored]
                 errors = (np.abs(table.vmaf[anchors[at]] - target[scored]) - observed[at]).tolist()
                 if errors:
@@ -188,6 +195,10 @@ def evaluate_grid(
                 predictions.append((keys[code, 0], keys[code, 1], np.repeat(direction, n),
                                     ids[k[scored]], np.repeat(family, n), np.repeat(threshold, n),
                                     delta[scored], target[scored], clamped[scored]))
+    index, outside = decomp.locate(table.vmaf)
+    for code in np.nonzero(walked & outside)[0].tolist():
+        log.warning("anchor %s/%s vmaf %.3f outside coverage %s; using end range %s",
+                    *table.keys[code], table.vmaf[code], decomp.coverage, range_ids[index[code]])
     columns = [np.concatenate(column) for column in zip(*predictions)] or [()] * 9
     return EvalGrid(spec=spec, cells=cells, predictions=PredictionTable(*columns))
 

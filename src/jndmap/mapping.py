@@ -207,7 +207,8 @@ def build_codistribution(
 
     ``pairs`` may be the full pair table; only those referenced by the range
     are counted.  Bins run from 0 to the smallest multiple of ``bin_width``
-    covering ceil(max |dVMAF|); each pair lands in exactly one bin.  The
+    whose float value covers ceil(max |dVMAF|); each pair lands in exactly
+    one bin.  The
     width is checked as a fixed range width is, for at most
     ``MAX_FIXED_RANGES`` bins over [0, 100].
     """
@@ -215,7 +216,8 @@ def build_codistribution(
     rows = _rows_in_range(srange, pairs)
     deltas, sig = pairs.delta_obj[rows], pairs.sig[rows].astype(bool)
     top = math.ceil(float(deltas.max()))
-    n_bins = max(1, math.ceil(top / bin_width)) if top > 0 else 1
+    guess = math.ceil(top / bin_width)  # the quotient may round either way
+    n_bins = min(n for n in (guess - 1, guess, guess + 1) if n >= 1 and n * bin_width >= top)
     edges = np.arange(n_bins + 1, dtype=float) * bin_width
     f_dif, _ = np.histogram(deltas[sig], bins=edges)
     f_sim, _ = np.histogram(deltas[~sig], bins=edges)

@@ -7,10 +7,13 @@ the decision threshold.  Monotone curves make that a bisection, one array
 program over every (range, threshold) of a family in :func:`invert_family`
 and over one lane in :func:`invert_at_threshold`; when the threshold is not
 strictly bracketed inside the domain the nearest endpoint is returned with
-``clamped`` set.  The target VMAF follows by stepping the anchor
-down (``dec``) or up (``inc``) and clipping into [0, 100].  That chain is one
-array program, :func:`predict_step`, which :func:`predict_jnd` runs on one
-anchor and :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
+``clamped`` set.  A family's inversions form one table: (ranges x
+thresholds) arrays of |dVMAF| and clamped flags, and per range the error
+that stops its anchors, if any.  The target VMAF follows by stepping the
+anchor down (``dec``) or up (``inc``) and clipping into [0, 100].  That step
+is one array program over one threshold's column of the table,
+:func:`predict_step`, which :func:`predict_jnd` runs on one anchor and
+:func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
 predictions are held as one columnar :class:`PredictionTable`, which
 ``predictions.csv`` is written from; it has no row view.  A
 :class:`JndPrediction` is only what :func:`predict_jnd` returns for its one
@@ -20,13 +23,14 @@ anchor.
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tableio
-from .corpus import Stimulus
+from .corpus import DIRECTIONS, Stimulus
 from .errors import FitError
 # the benchmark's tracer wraps predict.evaluate_mf by name, so it stays
 # importable from here
@@ -73,7 +77,7 @@ def _non_monotone(family: str) -> FitError:
 
 def _bisect(
     family: str, curves: Sequence[MappingFunction], thresholds: Sequence[float]
-) -> tuple[list[float], list[bool]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Lane i inverts ``curves[i]``, a monotone ``family`` fit, at
     ``thresholds[i]``, all lanes in one array program: the two endpoint
     checks, then up to 100 halvings, each one :func:`clipped_curve` call over
@@ -97,7 +101,7 @@ def _bisect(
         up = curve(mid) >= threshold
         hi, lo = np.where(going & up, mid, hi), np.where(going & ~up, mid, lo)
         going &= ~(hi - lo <= INVERSION_TOL * 1e-3)
-    return np.where(at_start, start, hi).tolist(), clamped.tolist()
+    return np.where(at_start, start, hi), clamped
 
 
 def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, bool]:
@@ -110,78 +114,65 @@ def invert_at_threshold(mf: MappingFunction, threshold: float) -> tuple[float, b
     _check_threshold(threshold)
     if not mf.fit_report.monotone:
         raise _non_monotone(mf.family)
-    (delta,), (clamped,) = _bisect(mf.family, [mf], [threshold])
-    return delta, clamped
+    delta, clamped = _bisect(mf.family, [mf], [threshold])
+    return float(delta[0]), bool(clamped[0])
 
 
 def invert_family(
     models: dict[str, dict[str, MappingFunction]], range_ids: Sequence[str], family: str,
     thresholds: Sequence[float],
-) -> dict:
-    """The inversion memo entries of ``family`` for each range in
-    ``range_ids`` at each threshold, keyed (range id, family, threshold): the
-    ``(delta, clamped)`` of :func:`invert_at_threshold`, or the KeyError (no
-    model) or FitError (non-monotone fit) that stops the range's anchors.
-    Every curve is inverted in one array bisection."""
+) -> tuple[np.ndarray, np.ndarray, list[Exception | None]]:
+    """The inversion table of ``family`` over ``range_ids`` and ``thresholds``:
+    the (ranges x thresholds) arrays ``delta`` and ``clamped`` of
+    :func:`invert_at_threshold`, and per range the KeyError (no model) or
+    FitError (non-monotone fit) that stops its anchors, else None; a stopped
+    range's row is zero.  Every curve is inverted in one array bisection."""
     for threshold in thresholds:
         _check_threshold(threshold)
-    entries: dict = {}
-    lanes = []
+    stops: list[Exception | None] = []
     for range_id in range_ids:
         mf = models.get(range_id, {}).get(family)
         if mf is None:
-            stop = KeyError(f"no fitted {family} model for range {range_id}")
+            stops.append(KeyError(f"no fitted {family} model for range {range_id}"))
         else:
-            stop = None if mf.fit_report.monotone else _non_monotone(family)
-        for threshold in thresholds:
-            key = (range_id, family, threshold)
-            if stop is None:
-                lanes.append((key, mf, threshold))
-            else:
-                entries[key] = stop
+            stops.append(None if mf.fit_report.monotone else _non_monotone(family))
+    live = [stop is None for stop in stops]
+    curves = [models[range_id][family] for range_id, up in zip(range_ids, live) if up]
+    delta = np.zeros((len(range_ids), len(thresholds)))
+    clamped = np.zeros(delta.shape, bool)
+    lanes = [(mf, threshold) for mf in curves for threshold in thresholds]  # range-major
     if lanes:
-        keys, curves, levels = zip(*lanes)
-        entries.update(zip(keys, zip(*_bisect(family, curves, levels))))
-    return entries
+        found = _bisect(family, *zip(*lanes))
+        delta[live], clamped[live] = (column.reshape(len(curves), -1) for column in found)
+    return delta, clamped, stops
+
+
+def _check_direction(direction: str) -> None:
+    if direction not in DIRECTIONS:
+        raise ValueError(f"direction must be {' or '.join(map(repr, DIRECTIONS))}, "
+                         f"got {direction!r}")
 
 
 def predict_step(
-    models: dict[str, dict[str, MappingFunction]], decomp: Decomposition,
-    vmaf: Sequence[float] | np.ndarray, direction: str, threshold: float, family: str,
-    inversions: dict,
+    decomp: Decomposition, vmaf: Sequence[float] | np.ndarray, direction: str,
+    delta: np.ndarray, clamped: np.ndarray, stops: Sequence[Exception | None],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[Exception | None]]:
     """One JND step from each anchor VMAF in ``vmaf``: its range by
-    :meth:`Decomposition.locate` (an anchor outside the coverage is logged
-    and uses the nearest end range), the range's curve inverted once per
-    ``inversions`` memo, the step and the clip into [0, 100].  Returns per
-    anchor the range index, |dVMAF|, target VMAF, clamped flag, and the
-    KeyError (no model, NaN anchor) or FitError that stops it, else None."""
-    if direction not in ("inc", "dec"):
-        raise ValueError(f"direction must be 'inc' or 'dec', got {direction!r}")
+    :meth:`Decomposition.locate` (an anchor outside the coverage uses the
+    nearest end range), that range's cell of one threshold's column of an
+    :func:`invert_family` table (``delta``, ``clamped`` and ``stops``), the
+    step and the clip into [0, 100].  Returns per anchor the range index,
+    |dVMAF|, target VMAF, clamped flag, and the KeyError (no model, NaN
+    anchor) or FitError that stops it, else None."""
+    _check_direction(direction)
     vmaf = np.asarray(vmaf, dtype=float)
     index, outside = decomp.locate(vmaf)
-    lost = np.isnan(vmaf)
-    range_ids = decomp.range_ids()
-    for anchor_vmaf, k in zip(vmaf[outside & ~lost].tolist(), index[outside & ~lost].tolist()):
-        log.warning("anchor vmaf %.3f outside coverage %s; using end range %s",
-                    anchor_vmaf, decomp.coverage, range_ids[k])
-    inverted = np.zeros((len(range_ids), 2))  # |dVMAF| and clamped, per inverted range
-    stopped: dict[int, Exception] = {}
-    for k in tableio.distinct(index[~lost]).tolist():
-        key = (range_ids[k], family, threshold)
-        if key not in inversions:  # the inversion, or the error that stops its anchors
-            inversions.update(invert_family(models, [range_ids[k]], family, [threshold]))
-        if isinstance(inversions[key], Exception):
-            stopped[k] = inversions[key]
-        else:
-            inverted[k] = inversions[key]
-    faults = [decomp.uncovered(v) if nan else stopped.get(k)
-              for v, k, nan in zip(vmaf.tolist(), index.tolist(), lost.tolist())]
-    delta = inverted[index, 0]
-    raw = vmaf - delta if direction == "dec" else vmaf + delta
+    faults = [decomp.uncovered(v) if math.isnan(v) else stops[k]
+              for v, k in zip(vmaf.tolist(), index.tolist())]
+    step = delta[index]
+    raw = vmaf - step if direction == "dec" else vmaf + step
     target = np.minimum(np.maximum(raw, 0.0), 100.0)
-    clamped = outside | (inverted[index, 1] != 0.0) | (target != raw)
-    return index, delta, target, clamped, faults
+    return index, step, target, outside | clamped[index] | (target != raw), faults
 
 
 def predict_jnd(
@@ -193,14 +184,20 @@ def predict_jnd(
     family: str,
 ) -> JndPrediction:
     """Predict the |dVMAF| of one JND away from ``anchor`` and the target VMAF:
+    ``family`` inverted at ``threshold`` over every range, then
     :func:`predict_step` on the one anchor, raising the error that stops it."""
-    index, delta, target, clamped, (fault,) = predict_step(
-        models, decomp, [anchor.vmaf], direction, threshold, family, {})
+    _check_direction(direction)
+    deltas, clamps, stops = invert_family(models, decomp.range_ids(), family, [threshold])
+    (k,), delta, target, clamped, (fault,) = predict_step(
+        decomp, [anchor.vmaf], direction, deltas[:, 0], clamps[:, 0], stops)
+    range_id = decomp.ranges[k].range_id
+    if decomp.locate(anchor.vmaf)[1] and not math.isnan(anchor.vmaf):
+        log.warning("anchor vmaf %.3f outside coverage %s; using end range %s",
+                    anchor.vmaf, decomp.coverage, range_id)
     if fault is not None:
         raise fault
-    return JndPrediction(anchor.content_id, anchor.recipe_id, direction,
-                         decomp.ranges[index[0]].range_id, family, threshold,
-                         *delta.tolist(), *target.tolist(), *clamped.tolist())
+    return JndPrediction(anchor.content_id, anchor.recipe_id, direction, range_id, family,
+                         threshold, *delta.tolist(), *target.tolist(), *clamped.tolist())
 
 
 # -- serialization ----------------------------------------------------------

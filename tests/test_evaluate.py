@@ -346,7 +346,26 @@ def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
     assert grid.cell("inc", "logistic2", 0.75).clamped == 1
     assert grid.predictions.ids[1].tolist() == ["r1"]
     assert grid.predictions.clamped.tolist() == [False]
-    assert any("outside coverage" in r.getMessage() for r in caplog.records)
+    assert [r.getMessage() for r in caplog.records if "outside coverage" in r.getMessage()] == [
+        "anchor c1/r0 vmaf 45.000 outside coverage (50.0, 100.0); using end range (50,100]"]
+
+
+def test_an_anchor_outside_the_coverage_is_logged_once_per_grid(exact_model, caplog):
+    """Three truths start from one anchor below the coverage and are walked
+    in six cells; one warning names it.  The chained step's anchor at 53 and
+    the anchor at 61 lie inside the coverage and are not logged."""
+    decomp = decompose_explicit([50.0, 100.0])
+    models = {decomp.ranges[0].range_id: {"logistic2": exact_model}}
+    truths = (JndTruth("c1", "r0", "inc", "r3", 2), JndTruth("c1", "r0", "inc", "r1", 1),
+              JndTruth("c1", "r0", "dec", "r4", 1), JndTruth("c1", "r2", "inc", "r3", 1))
+    corpus = Corpus(make_stimuli("c1", (45.0, 53.0, 61.0, 70.0, 30.0)), (), truths)
+    spec = EvalGridSpec(thresholds=(0.6, 0.75, 0.9), families=("logistic2",))
+    with caplog.at_level(logging.WARNING):
+        grid = evaluate_grid(corpus, models, decomp, spec)
+    assert len(grid.cells) == 6 and len(grid.predictions) == 12
+    warnings = [r.getMessage() for r in caplog.records if "outside coverage" in r.getMessage()]
+    assert warnings == [
+        "anchor c1/r0 vmaf 45.000 outside coverage (50.0, 100.0); using end range (50,100]"]
 
 
 def test_best_cell(single_range_models):

@@ -125,21 +125,31 @@ def test_codistribution_points_equal_a_loop_over_bins():
     assert empty > 0
 
 
+def _pairs_at(deltas, sigs) -> tuple:
+    """A range referencing one pair per ``deltas`` value, and their table."""
+    from jndmap.ranges import SubQualityRange
+
+    pairs = PairTable(*zip(*(
+        ("c1", f"x{i}", f"y{i}", float(d), 0.5, int(s))
+        for i, (d, s) in enumerate(zip(deltas, sigs))
+    )))
+    return SubQualityRange(0.0, 50.0, "(0,50]", tuple(pairs.pair_ids)), pairs
+
+
 def test_codistribution_conserves_counts():
     rng = np.random.default_rng(11)
+    inputs = []
     for _ in range(10):
         n = int(rng.integers(5, 60))
-        deltas = rng.uniform(0.05, 25.0, size=n)
-        sigs = rng.integers(0, 2, size=n)
-        pairs = PairTable(*zip(*(
-            ("c1", f"x{i}", f"y{i}", float(d), 0.5, int(s))
-            for i, (d, s) in enumerate(zip(deltas, sigs))
-        )))
-        from jndmap.ranges import SubQualityRange
-
-        srange = SubQualityRange(0.0, 50.0, "(0,50]", tuple(pairs.pair_ids))
-        cd = build_codistribution(srange, pairs, bin_width=2.0)
+        inputs.append((rng.uniform(0.05, 25.0, size=n), rng.integers(0, 2, size=n), 2.0))
+    # 63 / 0.7 rounds to 90, whose float edge 90 * 0.7 falls just below 63
+    for width in (0.7, 0.35, 1.4):
+        inputs.append((np.array([63.0, 10.0, 53.0]), np.array([1, 0, 1]), width))
+    for deltas, sigs, width in inputs:
+        n = len(deltas)
+        cd = build_codistribution(*_pairs_at(deltas, sigs), bin_width=width)
         assert sum(cd.f_sim) + sum(cd.f_dif) == n
+        assert cd.bin_edges[-1] >= max(deltas) and cd.bin_edges[-2] < math.ceil(max(deltas))
         assert sum(cd.f_sim) == int(np.sum(sigs == 0))
         # The empirical probability is exactly the frequency ratio per bin.
         for center, p_sd, support in zip(*cd.points()):
@@ -147,6 +157,19 @@ def test_codistribution_conserves_counts():
             fd, fs = cd.f_dif[idx], cd.f_sim[idx]
             assert p_sd == fd / (fd + fs)
             assert support == fd + fs
+
+
+def test_codistribution_counts_the_top_pair_at_every_width():
+    """Every whole top 1-100 and every width k * 0.05 that bins it in at
+    most 100 bins (0.05 itself is refused): the last float edge reaches the
+    top |dVMAF|, so no pair is dropped."""
+    for top in range(1, 101):
+        srange, pairs = _pairs_at([top, top / 3, 0.01], [1, 0, 1])
+        for k in range(2, 101):
+            width = k / 20  # the double nearest k * 0.05, as 0.7 is written
+            if top / width <= 100:
+                cd = build_codistribution(srange, pairs, bin_width=width)
+                assert sum(cd.f_dif) + sum(cd.f_sim) == 3, (top, width)
 
 
 def test_codistribution_input_guards():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 import math
 
 import pytest
@@ -141,6 +142,15 @@ def test_a_nan_anchor_lies_in_no_range():
         predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")
 
 
+def test_predict_jnd_logs_an_anchor_outside_the_coverage_once(caplog):
+    decomp, models = _edge_models()
+    with caplog.at_level(logging.WARNING):
+        predict_jnd(models, decomp, Stimulus("c1", "r1", "1080p", 1, 20.0), "inc", 0.75,
+                    "logistic2")
+    assert [r.getMessage() for r in caplog.records] == [
+        "anchor vmaf 20.000 outside coverage (30.0, 100.0); using end range (30,79]"]
+
+
 def test_predict_jnd_decrease(ladder_stimuli, single_range_models):
     decomp, models = single_range_models
     corpus = Corpus(ladder_stimuli, (), ())
@@ -176,6 +186,22 @@ def test_predict_jnd_direction_guard(ladder_stimuli, single_range_models):
     anchor = corpus.stimulus("c1", "r1")
     with pytest.raises(ValueError):
         predict_jnd(models, decomp, anchor, "sideways", 0.75, "logistic2")
+
+
+@pytest.mark.parametrize(("vmaf", "direction", "threshold", "message"), [
+    (90.0, "sideways", 1.5, r"^direction must be 'inc' or 'dec', got 'sideways'$"),
+    (math.nan, "sideways", 0.75, r"^direction must be 'inc' or 'dec', got 'sideways'$"),
+    (90.0, "dec", 1.5, r"^threshold must be in \(0, 1\), got 1.5$"),
+    (math.nan, "dec", 0.0, r"^threshold must be in \(0, 1\), got 0.0$"),
+])
+def test_predict_jnd_checks_direction_then_threshold(single_range_models, vmaf, direction,
+                                                     threshold, message):
+    """An invalid direction is reported before an invalid threshold, and an
+    invalid threshold before a NaN anchor's KeyError."""
+    decomp, models = single_range_models
+    anchor = Stimulus("c1", "r1", "1080p", 1, vmaf)
+    with pytest.raises(ValueError, match=message):
+        predict_jnd(models, decomp, anchor, direction, threshold, "logistic2")
 
 
 def test_predictions_csv(tmp_path, ladder_stimuli, single_range_models):
@@ -228,28 +254,38 @@ def _curve(family: str, params, domain, monotone: bool = True) -> MappingFunctio
 
 
 def _assert_inverts_as_the_scalar_loop(models, range_ids, family, thresholds):
-    """``invert_family`` and, per curve, ``invert_at_threshold`` equal
-    :func:`scalar_inversion` bit for bit: the delta's bits, the clamped flag,
-    or the type and text of the error that stops the range."""
-    entries = invert_family(models, range_ids, family, thresholds)
-    assert set(entries) == {(r, family, t) for r in range_ids for t in thresholds}
-    for range_id in range_ids:
+    """``invert_family``'s table and, per curve, ``invert_at_threshold``
+    equal :func:`scalar_inversion` bit for bit: each cell's delta bits and
+    clamped flag, or the type and text of the error that stops the range
+    (its row then zero)."""
+    delta, clamped, stops = invert_family(models, range_ids, family, thresholds)
+    shape = (len(range_ids), len(thresholds))
+    assert delta.shape == clamped.shape == shape and clamped.dtype == bool
+    assert len(stops) == len(range_ids)
+    for row, (range_id, stop) in enumerate(zip(range_ids, stops)):
         mf = models.get(range_id, {}).get(family)
-        for threshold in thresholds:
-            entry = entries[(range_id, family, threshold)]
-            if mf is None:
-                assert isinstance(entry, KeyError)
-                assert entry.args == (f"no fitted {family} model for range {range_id}",)
-                continue
+        if mf is None:
+            assert isinstance(stop, KeyError)
+            assert stop.args == (f"no fitted {family} model for range {range_id}",)
+        elif not mf.fit_report.monotone:
+            assert isinstance(stop, FitError)
+        else:
+            assert stop is None
+        if stop is not None:
+            assert not delta[row].any() and not clamped[row].any()
+        if mf is None:
+            continue
+        for column, threshold in enumerate(thresholds):
             try:
                 expected = scalar_inversion(mf, threshold)
             except FitError as exc:
-                assert isinstance(entry, FitError) and str(entry) == str(exc)
+                assert str(stop) == str(exc)
                 with pytest.raises(FitError, match=str(exc)):
                     invert_at_threshold(mf, threshold)
                 continue
             single = invert_at_threshold(mf, threshold)
-            for got in (entry, single):
+            cell = (float(delta[row, column]), bool(clamped[row, column]))
+            for got in (cell, single):
                 assert type(got[1]) is bool and got[1] == expected[1]
                 assert float.hex(got[0]) == float.hex(expected[0])
 
