@@ -14,8 +14,9 @@ flag replaces the file's value, and each stage command takes only the flags of
 the settings it reads.  A flag that the run would not read (another strategy's
 setting, ``--glm-mode`` without the glm family, ``run --thresholds`` or
 ``--no-chain`` without ``--truth``) or a value out of its range exits as a
-:class:`~jndmap.errors.ConfigError` naming the flag.  ``--seed`` and the ``JNDMAP_SEED`` environment variable
-seed ``simulate`` only, and an explicit ``--seed`` beats the variable.
+:class:`~jndmap.errors.ConfigError` naming the flag.  ``--seed`` seeds
+``simulate`` only and beats the spec's ``seed``; no environment variable
+changes what a command writes.
 Failures exit with status 2 and a one-line JSON error record on stderr naming
 the failure and any artifacts already written.
 
@@ -42,7 +43,6 @@ import dataclasses
 import hashlib
 import json
 import logging
-import os
 import sys
 import time
 from pathlib import Path
@@ -142,7 +142,7 @@ def _screen(
 ) -> corpus_mod.Corpus:
     """Write the screening report; returns the corpus without removed observers."""
     report = screening_mod.screen(corpus, cfg.screening)
-    _write(out, report.to_json_dict(), written)
+    _write(out, tableio.to_json(report), written)
     print(f"[screen] removed: {sorted(report.removed_observers) or 'nobody'}")
     return screening_mod.apply_screening(corpus, report)
 
@@ -256,7 +256,7 @@ def cmd_run(args: argparse.Namespace, written: list[str]) -> None:
     else:
         print("[evaluate] skipped: no truth rows")
 
-    config = cfg.to_json_dict()
+    config = tableio.to_json(cfg)
     manifest = {
         "tool": "jndmap",
         "version": __version__,
@@ -355,7 +355,7 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
     pred = predict_mod.predict_jnd(
         models, decomp, anchor, args.direction, args.threshold, args.family
     )
-    shown = {key: value for key, value in dataclasses.asdict(pred).items()
+    shown = {key: value for key, value in tableio.to_json(pred).items()
              if key not in ("content_id", "anchor_recipe_id", "direction")}
     print(json.dumps(shown, sort_keys=True))
     if args.out:
@@ -453,8 +453,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("simulate", help="generate a synthetic corpus")
     sim.add_argument("--spec", help="simulator spec JSON (defaults built in)")
     sim.add_argument("--out-dir", required=True)
-    sim.add_argument("--seed", type=int, default=os.environ.get("JNDMAP_SEED"),
-                     help="seed override (default: $JNDMAP_SEED, else the spec's seed)")
+    sim.add_argument("--seed", type=int, help="seed override (default: the spec's seed)")
     sim.set_defaults(func=cmd_simulate)
 
     screen = subs.add_parser("screen", help="observer screening report")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import tableio
@@ -55,10 +55,6 @@ class RunConfig:
                 raise ValueError(f"{key}: need at least one value, got []")
             if len(set(values)) < len(values):
                 raise ValueError(f"{key}: each may be listed once, got {list(values)}")
-
-    def to_json_dict(self) -> dict:
-        decomposition = {"strategy": self.decomposition.strategy, **asdict(self.decomposition)}
-        return {**asdict(self), "decomposition": decomposition}
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tableio
 from .corpus import Corpus, JndTruth
 from .mapping import FAMILIES, MappingFunction, family_spec
 # evaluate_grid does not call predict_jnd; the benchmark's tracer wraps
@@ -210,13 +211,7 @@ def metrics_json_dict(grid: EvalGrid) -> dict:
     """Nested direction -> family -> threshold -> metric mapping."""
     out: dict = {}
     for (direction, family, threshold), cell in sorted(grid.cells.items()):
-        out.setdefault(direction, {}).setdefault(family, {})[f"{threshold:g}"] = {
-            "mae": cell.mae,
-            "rmse": cell.rmse,
-            "n": cell.n,
-            "clamped": cell.clamped,
-            "skipped": cell.skipped,
-        }
+        out.setdefault(direction, {}).setdefault(family, {})[f"{threshold:g}"] = tableio.to_json(cell)
     return out
 
 

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -891,15 +891,9 @@ class _FitJson:
 
 def models_to_json_dict(models: dict[str, dict[str, MappingFunction]]) -> dict:
     """Each fit as its :class:`_FitJson`; empty flags and extras are left out."""
-    out: dict = {}
-    for range_id, per_range in models.items():
-        for family, mf in per_range.items():
-            entry = asdict(_FitJson(mf.params, mf.domain, mf.fit_report))
-            for key in ("flags", "extras"):
-                if not entry["fit_report"][key]:
-                    del entry["fit_report"][key]
-            out.setdefault(range_id, {})[family] = entry
-    return out
+    return tableio.to_json({range_id: {family: _FitJson(mf.params, mf.domain, mf.fit_report)
+                                       for family, mf in per_range.items()}
+                            for range_id, per_range in models.items()})
 
 
 def models_from_json_dict(data: object) -> dict[str, dict[str, MappingFunction]]:

@@ -16,8 +16,11 @@ is one array program over one threshold's column of the table,
 :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
 predictions are held as one columnar :class:`PredictionTable`, which
 ``predictions.csv`` is written from; it has no row view.  A
-:class:`JndPrediction` is only what :func:`predict_jnd` returns for its one
-anchor.
+:class:`JndPrediction` is what :func:`predict_jnd` returns for its one
+anchor, and its fields are the one statement of a prediction's shape: the
+table holds one column per field under the field's name, ``predictions.csv``
+has the fields as its columns in field order, and ``predict`` prints the
+record through :func:`jndmap.tableio.to_json`.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,17 +43,6 @@ from .ranges import Decomposition
 log = logging.getLogger(__name__)
 
 INVERSION_TOL = 1e-6
-PREDICTION_COLUMNS = [
-    "content_id",
-    "anchor_recipe_id",
-    "direction",
-    "range_id",
-    "family",
-    "threshold",
-    "delta_obj_jnd",
-    "target_vmaf",
-    "clamped",
-]
 
 
 @dataclass(frozen=True)
@@ -64,6 +56,10 @@ class JndPrediction:
     delta_obj_jnd: float
     target_vmaf: float
     clamped: bool
+
+
+#: The columns of ``predictions.csv``: the fields of :class:`JndPrediction`.
+PREDICTION_COLUMNS = [f.name for f in fields(JndPrediction)]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -204,25 +200,21 @@ def predict_jnd(
 
 
 class PredictionTable:
-    """Predictions as columns, in :data:`PREDICTION_COLUMNS` order: ``ids``,
-    five object arrays (content, anchor recipe, direction, range, family),
-    ``numbers``, three float arrays (threshold, |dVMAF|, target VMAF), and
-    the bool array ``clamped``."""
+    """Predictions as columns, one array per :class:`JndPrediction` field,
+    given in field order and held under the field's name: object arrays for
+    the text fields, float arrays for the numbers and a bool array for
+    ``clamped``."""
 
     def __init__(self, *columns: Sequence) -> None:
-        self.ids = [np.asarray(column, dtype=object) for column in columns[:5]]
-        self.numbers = [np.asarray(column, dtype=float) for column in columns[5:8]]
-        self.clamped = np.asarray(columns[8], dtype=bool)
-
-    def cells(self) -> list[Sequence]:
-        """The columns as Python values, ``clamped`` as 0 or 1."""
-        numbers = [column.tolist() for column in self.numbers]
-        return [*self.ids, *numbers, self.clamped.astype(int).tolist()]
+        for f, column in zip(fields(JndPrediction), columns, strict=True):
+            setattr(self, f.name, np.asarray(column, object if f.type == "str" else f.type))
 
     def __len__(self) -> int:
         return len(self.clamped)
 
 
 def predictions_csv_text(predictions: PredictionTable) -> str:
-    return tableio.csv_text(PREDICTION_COLUMNS, [*predictions.ids, *predictions.numbers,
-                                                 predictions.clamped.astype(int)])
+    """``predictions.csv``: a column per field, ``clamped`` as 0 or 1."""
+    columns = [getattr(predictions, name) for name in PREDICTION_COLUMNS]
+    return tableio.csv_text(PREDICTION_COLUMNS, [column.astype(int) if column.dtype == bool
+                                                 else column for column in columns])

@@ -308,14 +308,6 @@ def assign_pairs(pairs: PairTable, decomp: Decomposition, corpus: Corpus) -> Dec
 # -- serialization ----------------------------------------------------------
 
 
-def decomposition_to_json_dict(decomp: Decomposition) -> dict:
-    return {
-        "strategy": decomp.strategy,
-        "bounds": decomp.bounds,
-        "assignments": {r.range_id: list(r.pair_refs) for r in decomp.ranges},
-    }
-
-
 @dataclass(frozen=True)
 class _RangesJson:
     """A :class:`Decomposition` as ``ranges.json`` holds it."""
@@ -323,6 +315,11 @@ class _RangesJson:
     strategy: str
     bounds: tuple[float, ...]
     assignments: dict[str, tuple[str, ...]] = field(default_factory=dict)
+
+
+def decomposition_to_json_dict(decomp: Decomposition) -> dict:
+    return tableio.to_json(_RangesJson(decomp.strategy, tuple(decomp.bounds),
+                                       {r.range_id: r.pair_refs for r in decomp.ranges}))
 
 
 def decomposition_from_json_dict(data: object) -> Decomposition:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,9 +57,6 @@ class ScreeningReport:
     def validate(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def screen(corpus: Corpus, method: str = "bt500") -> ScreeningReport:

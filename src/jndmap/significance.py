@@ -315,6 +315,8 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
     """
     if test not in TESTS:
         raise ValueError(f"unknown test {test!r}; expected one of {TESTS}")
+    if not 0.0 < alpha < 1.0:  # a fault of the call, not of any pair
+        raise ValueError(f"alpha: must be in (0, 1), got {alpha}")
     # sorted contents, each with its sorted recipe pairs: (content, recipe_x, recipe_y) order
     codes = [
         pair for c in corpus.contents() for pair in itertools.combinations(corpus.rated_codes(c), 2)

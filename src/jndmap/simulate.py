@@ -25,7 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -107,9 +107,6 @@ class SimSpec:
     def _min_gap(self) -> float:
         vmafs = [v for _, v in self.ladder]
         return min(a - b for a, b in zip(vmafs, vmafs[1:]))
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
 
 
 def bisection_search(
@@ -244,7 +241,7 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
     ratings = RatingTable(tuple(stimuli), *columns)
     corpus = Corpus(stimuli=ratings.stimuli, ratings=ratings, truths=tuple(truths))
     info = {
-        "spec": spec.to_json_dict(),
+        "spec": tableio.to_json(spec),
         "true_deltas": true_deltas,
         "beyond_ladder": beyond,
     }

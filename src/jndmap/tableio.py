@@ -21,7 +21,11 @@ bit-for-bit; it also quotes a cell holding a carriage return.  JSON artifacts
 go through :func:`write_json` and JSON inputs through :func:`read_json`,
 whose parsers read a file's decoded data with :func:`from_json` as a type
 expression, most often a dataclass: the type is the schema of a JSON input,
-as a :data:`Schema` is of a table, and an error names the key path.
+as a :data:`Schema` is of a table, and an error names the key path.  The
+writer side is its inverse, :func:`to_json`: each JSON artifact is one record
+type, a dataclass or a dict of them, turned into JSON data by its fields, so
+that ``from_json(T, to_json(x)) == x`` and the record's class is the one
+statement of the artifact's shape.
 
 A table held in memory is its columns, the one form the pipeline's stages
 and writers take.  Only the rating and pair tables keep a row view, a
@@ -497,3 +501,31 @@ def from_json(kind: Any, value: object, key: str = "") -> Any:
 
 #: A dataclass's field types, its string annotations resolved once.
 _type_hints = functools.cache(get_type_hints)
+
+
+#: The types of a JSON scalar; :func:`to_json` copies a list of them in one call.
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def to_json(value: object) -> Any:
+    """``value`` as the JSON data that :func:`from_json` reads back as its type:
+    a dataclass as an object of its fields, led by the ``strategy`` that its
+    class names, if any, and without a field that holds its empty default
+    (``()`` or ``{}``); a dict with each value turned; a tuple or list as a
+    list; anything else as it is."""
+    if dataclasses.is_dataclass(value):
+        kind = type(value)
+        out = {"strategy": kind.strategy} if hasattr(kind, "strategy") else {}
+        for f in dataclasses.fields(kind):
+            item = getattr(value, f.name)
+            if item in ((), {}) and (f.default == () or f.default_factory is dict):
+                continue  # from_json fills the empty default back in
+            out[f.name] = to_json(item)
+        return out
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        if set(map(type, value)) <= _SCALARS:
+            return list(value)
+        return [to_json(item) for item in value]
+    return value

@@ -303,9 +303,9 @@ def test_criterion_7_parallel_runs_byte_identical(tmp_path):
     sim = tmp_path / "sim"
     spec = SimSpec(n_contents=10)
     spec_path = tmp_path / "spec.json"
-    from jndmap.tableio import write_json
+    from jndmap.tableio import to_json, write_json
 
-    write_json(spec_path, spec.to_json_dict())
+    write_json(spec_path, to_json(spec))
     subprocess.run(
         cli_command() + ["simulate", "--spec", str(spec_path), "--out-dir", str(sim)],
         check=True,

@@ -19,11 +19,12 @@ from xml.etree import ElementTree
 import pytest
 
 import jndmap
-from jndmap import cli, corpus, mapping, predict, significance, simulate
-from jndmap.config import RunConfig
-from jndmap.ranges import Balanced, Explicit, FixedWidth, read_ranges_json
+from jndmap import cli, corpus, mapping, predict, screening, significance, simulate
+from jndmap.config import RunConfig, load_config
+from jndmap.ranges import (Balanced, Explicit, FixedWidth, decomposition_to_json_dict,
+                           read_ranges_json)
 from jndmap.mapping import CURVE_TABLE
-from jndmap.tableio import csv_text, write_json
+from jndmap.tableio import csv_text, json_text, to_json, write_json
 
 from conftest import SMALL_SPEC, cli_command, scalar_prediction
 
@@ -42,7 +43,6 @@ RUN_ARTIFACTS = [
 
 def run_cli(args, env_extra=None, check=True):
     env = dict(os.environ)
-    env.pop("JNDMAP_SEED", None)
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -64,7 +64,7 @@ def sim_dir(tmp_path_factory):
     """A small simulated corpus written once for the whole module."""
     out = tmp_path_factory.mktemp("sim")
     spec_path = out / "spec.json"
-    write_json(spec_path, SMALL_SPEC.to_json_dict())
+    write_json(spec_path, to_json(SMALL_SPEC))
     run_cli(["simulate", "--spec", spec_path, "--out-dir", out])
     return out
 
@@ -120,6 +120,25 @@ def test_metrics_structure(run_dir):
                 assert {"mae", "rmse", "n", "clamped", "skipped"} == set(cell)
 
 
+def test_each_json_artifact_reads_back_to_the_same_bytes(sim_dir, run_dir, tmp_path):
+    """Each JSON artifact of ``run --truth`` that a reader reads, and the
+    config in the manifest and the spec in ``sim_truth.json``, read by its
+    reader and written again through ``tableio.to_json``, gives its bytes."""
+    rewrites = {
+        "screening.json": lambda path: to_json(screening.read_report(path)),
+        "ranges.json": lambda path: decomposition_to_json_dict(read_ranges_json(path)),
+        "mf_params.json": lambda path: mapping.models_to_json_dict(
+            mapping.read_mf_params_json(path)),
+    }
+    for name, rewrite in rewrites.items():
+        assert json_text(rewrite(run_dir / name)) == (run_dir / name).read_text(), name
+    for path, key, reader in [(run_dir / "run_manifest.json", "config", load_config),
+                              (sim_dir / "sim_truth.json", "spec", simulate.read_sim_spec_json)]:
+        data = json.loads(path.read_text())
+        write_json(tmp_path / key, data[key])
+        assert json_text({**data, key: to_json(reader(tmp_path / key))}) == path.read_text()
+
+
 def test_corrupt_input_exits_2_with_json_error(sim_dir, tmp_path):
     bad = tmp_path / "vmaf_scores.csv"
     lines = (sim_dir / "vmaf_scores.csv").read_text().splitlines()
@@ -143,18 +162,21 @@ def test_corrupt_input_exits_2_with_json_error(sim_dir, tmp_path):
 
 
 def test_seed_precedence(tmp_path):
-    flag = tmp_path / "flag"
-    env = tmp_path / "env"
-    both = tmp_path / "both"
-    run_cli(["simulate", "--out-dir", flag, "--seed", "5"])
-    run_cli(["simulate", "--out-dir", env], env_extra={"JNDMAP_SEED": "5"})
-    run_cli(
-        ["simulate", "--out-dir", both, "--seed", "5"],
-        env_extra={"JNDMAP_SEED": "7"},
-    )
-    reference = (flag / "dcr_ratings.csv").read_bytes()
-    assert (env / "dcr_ratings.csv").read_bytes() == reference
-    assert (both / "dcr_ratings.csv").read_bytes() == reference
+    """``simulate --seed`` beats the spec's ``seed``, and the retired
+    ``JNDMAP_SEED`` variable changes none of the four files."""
+    files = ("vmaf_scores.csv", "dcr_ratings.csv", "jnd_truth.csv", "sim_truth.json")
+    for seed in (5, 7):
+        write_json(tmp_path / f"spec{seed}.json", to_json(dataclasses.replace(SMALL_SPEC, seed=seed)))
+    runs = {"spec5": (["--spec", tmp_path / "spec5.json"], None),
+            "flag": (["--spec", tmp_path / "spec7.json", "--seed", "5"], None),
+            "spec7": (["--spec", tmp_path / "spec7.json"], None),
+            "env": (["--spec", tmp_path / "spec7.json"], {"JNDMAP_SEED": "5"})}
+    written = {}
+    for name, (argv, env) in runs.items():
+        run_cli(["simulate", "--out-dir", tmp_path / name, *argv], env_extra=env)
+        written[name] = [(tmp_path / name / f).read_bytes() for f in files]
+    assert written["flag"] == written["spec5"] != written["spec7"]
+    assert written["env"] == written["spec7"]
 
 
 def test_truncated_json_input_names_file_and_line(run_dir, tmp_path):
@@ -1025,7 +1047,7 @@ def _json_input(name, sim_dir, run_dir, path):
     """A valid ``name`` file's data, and the argv of a command that reads it from ``path``."""
     predict_argv = ["predict", "--anchor-vmaf", "88.0", "--direction", "dec"]
     if name == "config.json":
-        data = RunConfig().to_json_dict()
+        data = to_json(RunConfig())
         argv = ["fit", "--pairs", run_dir / "pairs.csv", "--ranges", run_dir / "ranges.json",
                 "--out-dir", path.parent / "out", "--config", path]
     elif name == "spec.json":
@@ -1337,8 +1359,8 @@ def test_a_run_leaves_the_same_cyclic_garbage_at_any_study_size(sim_dir, tmp_pat
     collector finds as much after a run on a study as after one on the same
     study with three times the contents."""
     spec_path = tmp_path / "spec.json"
-    write_json(spec_path, dataclasses.replace(SMALL_SPEC, n_contents=3 * SMALL_SPEC.n_contents)
-               .to_json_dict())
+    write_json(spec_path, to_json(dataclasses.replace(SMALL_SPEC,
+                                                      n_contents=3 * SMALL_SPEC.n_contents)))
     assert cli.main(["simulate", "--spec", str(spec_path), "--out-dir", str(tmp_path)]) == 0
     was_enabled = gc.isenabled()
     gc.disable()
@@ -1419,8 +1441,7 @@ def test_process_entry_starts_no_blas_worker(sim_dir, run_dir, tmp_path, given):
     kept, and the artifacts do not depend on it.  A run loads neither
     ``simulate`` nor ``render``.  (On a 1-CPU machine OpenBLAS starts no
     worker either way, so there the thread count shows nothing.)"""
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OPENBLAS_NUM_THREADS", "JNDMAP_SEED")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if given is not None:
         env["OPENBLAS_NUM_THREADS"] = given
     out = tmp_path / "out"

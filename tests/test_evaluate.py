@@ -235,7 +235,8 @@ def _assert_matches_scalar_grid(corpus, models, decomp, spec):
     grid = evaluate_grid(corpus, models, decomp, spec)
     cells, predictions = _scalar_grid(corpus, models, decomp, spec)
     assert grid.cells == cells
-    assert list(zip(*grid.predictions.cells())) == list(map(dataclasses.astuple, predictions))
+    columns = [getattr(grid.predictions, name).tolist() for name in predict_mod.PREDICTION_COLUMNS]
+    assert list(zip(*columns)) == list(map(dataclasses.astuple, predictions))
     return grid
 
 
@@ -322,8 +323,8 @@ def test_chained_snap_breaks_ties_by_recipe_id(single_range_models):
     spec = EvalGridSpec(thresholds=(0.75,), families=("logistic2",))
     grid = _assert_matches_scalar_grid(corpus, {"(0,100]": {"logistic2": flat}}, decomp, spec)
     # the second step starts from r1 in both contents: at 80 in c1, at 70 in c2
-    assert grid.predictions.ids[1].tolist() == ["r1", "r1"]
-    assert grid.predictions.numbers[2].tolist() == [60.0, 50.0]
+    assert grid.predictions.anchor_recipe_id.tolist() == ["r1", "r1"]
+    assert grid.predictions.target_vmaf.tolist() == [60.0, 50.0]
 
 
 def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
@@ -344,7 +345,7 @@ def test_chained_truth_counts_a_clamped_first_step(exact_model, caplog):
     with caplog.at_level(logging.WARNING):
         grid = _assert_matches_scalar_grid(corpus, models, decomp, spec)
     assert grid.cell("inc", "logistic2", 0.75).clamped == 1
-    assert grid.predictions.ids[1].tolist() == ["r1"]
+    assert grid.predictions.anchor_recipe_id.tolist() == ["r1"]
     assert grid.predictions.clamped.tolist() == [False]
     assert [r.getMessage() for r in caplog.records if "outside coverage" in r.getMessage()] == [
         "anchor c1/r0 vmaf 45.000 outside coverage (50.0, 100.0); using end range (50,100]"]

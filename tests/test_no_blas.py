@@ -70,7 +70,7 @@ def test_artifacts_do_not_depend_on_the_openblas_kernel(tmp_path):
     kernel, gives the same nine artifacts byte for byte.  On a CPU whose own
     kernel is Haswell-class (AVX2 without AVX-512) both children run the same
     kernel, so there the test cannot tell a BLAS-dependent package apart."""
-    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_CORETYPE", "JNDMAP_SEED")}
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
     cli = [sys.executable, "-m", "jndmap.cli"]
     write_json(tmp_path / "spec.json", {"n_contents": 3})
     subprocess.run(cli + ["simulate", "--spec", str(tmp_path / "spec.json"),
@@ -104,15 +104,14 @@ def test_a_run_child_loads_no_numpy_ma(tmp_path):
     import it on their first call: ``np.unique`` without options and
     ``np.median``.  The package takes sorted distinct values from
     ``tableio.distinct`` and forms the fits' start median itself."""
-    env = {k: v for k, v in os.environ.items() if k != "JNDMAP_SEED"}
     cli = [sys.executable, "-m", "jndmap.cli"]
     subprocess.run(cli + ["simulate", "--out-dir", str(tmp_path / "sim")],
-                   env=env, check=True, capture_output=True, timeout=300)
+                   check=True, capture_output=True, timeout=300)
     sim = tmp_path / "sim"
     proc = subprocess.run(
         [sys.executable, "-c", _MODULES_PROBE, "run", str(sim / "vmaf_scores.csv"),
          str(sim / "dcr_ratings.csv"), "--truth", str(sim / "jnd_truth.csv"),
          "--out-dir", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stderr.strip().splitlines()[-1]) == []

@@ -12,7 +12,7 @@ from jndmap.screening import (
     screen,
     screen_bt500,
 )
-from jndmap.tableio import write_json
+from jndmap.tableio import to_json, write_json
 
 from conftest import make_stimuli
 
@@ -106,7 +106,7 @@ def test_unknown_method():
 def test_report_round_trip(tmp_path, inverted_observer_corpus):
     report = screen_bt500(inverted_observer_corpus)
     path = tmp_path / "screening.json"
-    write_json(path, report.to_json_dict())
+    write_json(path, to_json(report))
     loaded = read_report(path)
     assert loaded.method == report.method
     assert loaded.removed_observers == report.removed_observers

@@ -192,6 +192,20 @@ def test_classify_pairs_paired_panel_mismatch():
         classify_pairs(corpus, test="paired")
 
 
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
+def test_classify_pairs_rejects_an_alpha_outside_the_unit_interval(alpha):
+    """A bad alpha is a fault of the call, reported before any pair is tested:
+    also where a pair has a fault of its own (panels that differ, under the
+    paired test)."""
+    mismatched = Corpus(make_stimuli("c1", (90.0, 80.0)), tuple(
+        [DcrRating("c1", "r0", f"o{j}", 5) for j in range(4)]
+        + [DcrRating("c1", "r1", f"p{j}", 3) for j in range(4)]), ())
+    for corpus, test in ((_rated_corpus(), "welch"), (mismatched, "paired")):
+        with pytest.raises(ValueError) as raised:
+            classify_pairs(corpus, alpha=alpha, test=test)
+        assert str(raised.value) == f"alpha: must be in (0, 1), got {alpha}"
+
+
 def test_pairs_csv_round_trip(tmp_path):
     corpus = _rated_corpus()
     pairs = classify_pairs(corpus)

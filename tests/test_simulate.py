@@ -16,7 +16,7 @@ from jndmap.simulate import (
     simulate_corpus,
     truth_info_json_dict,
 )
-from jndmap.tableio import from_json, json_text, write_json
+from jndmap.tableio import from_json, json_text, to_json, write_json
 
 
 LADDER12 = list(range(12))
@@ -82,7 +82,7 @@ def test_spec_float_settings_must_be_finite(name, value):
 def test_spec_json_round_trip(tmp_path):
     spec = SimSpec(n_contents=5, seed=99)
     path = tmp_path / "spec.json"
-    write_json(path, spec.to_json_dict())
+    write_json(path, to_json(spec))
     assert read_sim_spec_json(path) == spec
 
 
@@ -181,4 +181,4 @@ def test_integer_for_a_float_setting_becomes_a_float():
     spec = from_json(SimSpec, {"jnd_scale": 3, "n_contents": 2})
     assert type(spec.jnd_scale) is float and spec.jnd_scale == 3.0
     assert type(spec.n_contents) is int
-    assert spec.to_json_dict()["jnd_scale"] == 3.0
+    assert to_json(spec)["jnd_scale"] == 3.0

@@ -16,7 +16,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from jndmap import tableio
+from jndmap.config import RunConfig
 from jndmap.errors import CorpusError
+from jndmap.mapping import FitReport, _FitJson
+from jndmap.ranges import Explicit, FixedWidth, _RangesJson
+from jndmap.screening import ObserverStats, ScreeningReport
+from jndmap.simulate import SimSpec
 
 #: Every fault a row can have: an empty text cell, a non-integer or an
 #: out-of-range level, and an id with a colon.
@@ -295,3 +300,42 @@ def test_from_json_names_the_key_path(value, message):
     with pytest.raises(ValueError) as info:
         tableio.from_json(_Outer, value, "top")
     assert str(info.value) == ("top: " if message.startswith("expected") else "top/") + message
+
+
+def test_to_json_writes_what_from_json_reads():
+    """A dataclass is an object of its fields, led by the strategy its class
+    names; a field that holds its empty default is left out; tuples are lists."""
+    value = _Outer(_Inner(0.5, True), (("a", 2),), {"k": (1.0, 2.5)}, _Span(hi=3.0))
+    data = {"inner": {"x": 0.5, "flag": True}, "pairs": [["a", 2]], "named": {"k": [1.0, 2.5]},
+            "shape": {"strategy": "span", "lo": 0.0, "hi": 3.0}}
+    assert tableio.to_json(value) == data
+    assert tableio.from_json(_Outer, data) == value
+    bare = _Outer(_Inner(1.0))
+    assert tableio.to_json(bare) == {"inner": {"x": 1.0, "flag": False},
+                                     "shape": {"strategy": "dot"}}
+    assert tableio.from_json(_Outer, tableio.to_json(bare)) == bare
+
+
+_STATS = {"o1": ObserverStats(3, 1, 0.2, 0.5), "o2": ObserverStats(0, 0, 0.0, 0.0)}
+
+
+@pytest.mark.parametrize("value", [
+    RunConfig(),
+    RunConfig(alpha=0.01, decomposition=FixedWidth(20.0), families=("glm",), chain_orders=False),
+    RunConfig(decomposition=Explicit((40.0, 80.0, 90.0, 100.0)), thresholds=(0.5,)),
+    ScreeningReport("none", (), _STATS),
+    ScreeningReport("bt500", ("o1",), _STATS),
+    SimSpec(),
+    SimSpec(n_contents=3, ladder=(("r1", 90.0), ("r2", 80.0), ("r3", 70.0)), seed=7),
+    _FitJson((-3.0, 0.5), (0.0, 14.0), FitReport(0.1, True, 3)),
+    _FitJson((1.0, 2.0), (0.0, 9.5), FitReport(0.25, False, 7, ("budget", "flat"),
+                                                {"deviance": 1.5})),
+    _RangesJson("explicit", (0.0, 50.0, 100.0), {"(0,50]": ("c:a:b",), "(50,100]": ()}),
+    _RangesJson("balanced", (10.0, 100.0)),
+], ids=["config-balanced", "config-fixed-width", "config-explicit", "screening-none",
+        "screening-removed", "spec-default", "spec-small", "fit-plain", "fit-flags-extras",
+        "ranges", "ranges-no-assignments"])
+def test_each_record_reads_back_from_its_json(value):
+    data = tableio.to_json(value)
+    assert tableio.from_json(type(value), data) == value
+    assert tableio.from_json(type(value), json.loads(tableio.json_text(data))) == value

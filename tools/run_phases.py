@@ -145,7 +145,7 @@ def fresh_src(root: Path, name: str) -> Path:
 
 def main() -> int:
     base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPYCACHEPREFIX", "JNDMAP_SEED")}
+            if k not in ("OPENBLAS_NUM_THREADS", "PYTHONPYCACHEPREFIX")}
     cpus = len(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="run_phases-") as tmp:
         root = Path(tmp)
