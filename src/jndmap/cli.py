@@ -120,9 +120,11 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write(path: Path, artifact: str | dict, written: list[str]) -> None:
-    """Write one artifact: a dict as canonical JSON, text as it is."""
+def _write(path: Path, artifact: str | dict | tableio.Columns, written: list[str]) -> None:
+    """Write one artifact: a table as CSV, a dict as canonical JSON, text as it is."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    if isinstance(artifact, tableio.Columns):
+        artifact = artifact.csv_text()
     if isinstance(artifact, str):
         path.write_text(artifact, encoding="utf-8", newline="")
     else:
@@ -151,7 +153,7 @@ def _classify(
     cfg: config_mod.RunConfig, corpus: corpus_mod.Corpus, out: Path, written: list[str]
 ) -> significance_mod.PairTable:
     pairs = significance_mod.classify_pairs(corpus, cfg.alpha, cfg.test)
-    _write(out, significance_mod.pairs_csv_text(pairs), written)
+    _write(out, pairs, written)
     print(f"[classify] {len(pairs)} pairs, {int(pairs.sig.sum())} significant")
     return pairs
 
@@ -179,9 +181,9 @@ def _fit(
     codists, models = mapping_mod.fit_all(
         decomp, pairs, cfg.families, cfg.bin_width, cfg.glm_mode
     )
-    _write(out_dir / "codist.csv", mapping_mod.codist_csv_text(codists), written)
+    _write(out_dir / "codist.csv", mapping_mod.codist_table(codists), written)
     _write(out_dir / "mf_params.json", mapping_mod.models_to_json_dict(models), written)
-    _write(out_dir / "curve_samples.csv", mapping_mod.curve_samples_csv_text(models), written)
+    _write(out_dir / "curve_samples.csv", mapping_mod.curve_samples(models), written)
     print(f"[fit] {sum(len(f) for f in models.values())} fits over {len(codists)} ranges")
     return models
 
@@ -213,7 +215,7 @@ def _evaluate(
     )
     _write(out, evaluate_mod.metrics_json_dict(grid), written)
     if predictions is not None:
-        _write(predictions, predict_mod.predictions_csv_text(grid.predictions), written)
+        _write(predictions, grid.predictions, written)
     for direction in sorted({t.direction for t in corpus.truths}):
         print()
         print(evaluate_mod.format_grid_table(grid, direction))
@@ -281,9 +283,8 @@ def cmd_simulate(args: argparse.Namespace, written: list[str]) -> None:
         spec = dataclasses.replace(spec, seed=args.seed)
     corpus, info = simulate_mod.simulate_corpus(spec)
     out = Path(args.out_dir)
-    _write(out / "vmaf_scores.csv", corpus_mod.vmaf_csv_text(corpus), written)
-    _write(out / "dcr_ratings.csv", corpus_mod.ratings_csv_text(corpus), written)
-    _write(out / "jnd_truth.csv", corpus_mod.truth_csv_text(corpus), written)
+    for name, table in corpus_mod.corpus_tables(corpus).items():
+        _write(out / name, table, written)
     _write(out / "sim_truth.json", simulate_mod.truth_info_json_dict(info), written)
     print(
         f"[simulate] seed={spec.seed}: {len(corpus.stimuli)} stimuli, "
@@ -333,7 +334,7 @@ def cmd_fit(args: argparse.Namespace, written: list[str]) -> None:
 def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
     if args.anchor_vmaf is not None:
         try:  # the rule of the vmaf column: finite and in [0, 100]
-            corpus_mod.VMAF_TABLE["vmaf"](args.anchor_vmaf)
+            tableio.cell_rule(corpus_mod.Stimulus, "vmaf")(args.anchor_vmaf)
         except ValueError as exc:
             raise ConfigError(f"--anchor-vmaf: {exc}") from None
         if args.vmaf_table:
@@ -359,8 +360,7 @@ def cmd_predict(args: argparse.Namespace, written: list[str]) -> None:
              if key not in ("content_id", "anchor_recipe_id", "direction")}
     print(json.dumps(shown, sort_keys=True))
     if args.out:
-        table = predict_mod.PredictionTable(*zip(dataclasses.astuple(pred)))
-        _write(Path(args.out), predict_mod.predictions_csv_text(table), written)
+        _write(Path(args.out), predict_mod.PredictionTable.of([pred]), written)
 
 
 def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
@@ -368,17 +368,17 @@ def cmd_evaluate(args: argparse.Namespace, written: list[str]) -> None:
     orders = None
     if args.orders:
         try:  # the rule of the order column: integers >= 1
-            orders = tuple(map(corpus_mod.TRUTH_TABLE["order"], args.orders.split(",")))
+            orders = tuple(map(tableio.cell_rule(corpus_mod.JndTruth, "order"),
+                               args.orders.split(",")))
         except ValueError as exc:
             raise ConfigError(f"--orders: {exc}") from None
     corpus = corpus_mod.load_corpus(args.vmaf, None, args.truth)
     models = mapping_mod.read_mf_params_json(args.models)
     decomp = ranges_mod.read_ranges_json(args.ranges)
     if not set(models) <= set(decomp.range_ids()):
-        raise ValueError(
-            f"{Path(args.models).name} range ids {sorted(models)} are not all in "
-            f"{Path(args.ranges).name} range ids {decomp.range_ids()}"
-        )
+        raise CorpusError(f"range ids {sorted(models)} are not all in "
+                          f"{Path(args.ranges).name} range ids {decomp.range_ids()}",
+                          path=Path(args.models).name)
     predictions = Path(args.predictions) if args.predictions else None
     _evaluate(cfg, corpus, models, decomp, Path(args.out), predictions, written, orders)
 

@@ -55,6 +55,12 @@ class RunConfig:
                 raise ValueError(f"{key}: need at least one value, got []")
             if len(set(values)) < len(values):
                 raise ValueError(f"{key}: each may be listed once, got {list(values)}")
+        labels: dict[str, float] = {}  # metrics.json keys each threshold by its label
+        for thr in self.thresholds:
+            first = labels.setdefault(f"{thr:g}", thr)
+            if first != thr:
+                raise ValueError(f"thresholds: {first} and {thr} share the metrics.json key "
+                                 f"'{thr:g}'")
 
 
 def load_config(path: str | Path | None) -> RunConfig:

@@ -1,13 +1,15 @@
 """Data model and CSV ingestion for stimuli, DCR ratings, and JND ground truth.
 
 A *stimulus* is one encoded rendition of a content, identified by
-``(content_id, recipe_id)`` and carrying a VMAF score in [0, 100]: a
-:class:`Stimulus` is one ``vmaf_scores.csv`` row, its fields the columns in
-order, as a :class:`JndTruth` is one ``jnd_truth.csv`` row.  DCR
+``(content_id, recipe_id)`` and carrying a VMAF score in [0, 100].  DCR
 ratings are 5-level degradation-category scores (5 = imperceptible) given by
 named observers.  Optional ground-truth rows record, per content and
 direction, which rendition sits one (or more) just-noticeable difference away
-from an anchor rendition.
+from an anchor rendition.  Each input table is declared once, as the record
+type of its row: :class:`Stimulus` of ``vmaf_scores.csv``,
+:class:`DcrRating` of ``dcr_ratings.csv`` and :class:`JndTruth` of
+``jnd_truth.csv``.  A record's fields, in order, are the table's columns, and
+each carries its column's cell rule (:func:`jndmap.tableio.cell`).
 
 The ratings are held as one columnar table, :class:`RatingTable`: a stimulus
 code, an observer code and a score per rating, in numpy arrays sorted once by
@@ -23,12 +25,13 @@ from the distinct values with numpy, so the table takes no Python step per
 rating.  :func:`load_corpus` gives it the columns as
 :func:`jndmap.tableio.read_table` codes them while parsing
 ``dcr_ratings.csv``, the simulator the columns it draws, and
-:meth:`RatingTable.columns` gives them back in input order for the writer,
-so none of these builds a :class:`DcrRating` per rating.  Two object forms
-stay, because the benchmark under ``perfbench/`` reads them: iterating or
-indexing the table builds the :class:`DcrRating` objects from its columns,
-once, and a :class:`Corpus` may be given its ratings as such objects, whose
-fields are coded as any columns are.
+:meth:`RatingTable.in_input_order` gives them back in input order, as
+:class:`DcrRating` columns, for the writer, so none of these builds a
+:class:`DcrRating` per rating.  Two object forms stay, because the benchmark
+under ``perfbench/`` reads them: iterating or indexing the table builds the
+:class:`DcrRating` objects from its columns, once, and a :class:`Corpus` may
+be given its ratings as such objects, whose fields are coded as any columns
+are.
 
 Ingestion is a pure function of the file bytes: loading the same files twice
 and re-serializing yields identical text.
@@ -42,7 +45,6 @@ import math
 from collections.abc import Collection, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import compress, count
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -57,60 +59,36 @@ DIRECTIONS = ("inc", "dec")
 
 @dataclass(frozen=True)
 class Stimulus:
-    """One encoded rendition of a content; ``resolution`` and ``level`` are
-    carried through for reporting but never interpreted."""
+    """One encoded rendition of a content, a row of ``vmaf_scores.csv``;
+    ``resolution`` and ``level`` are carried through for reporting but never
+    interpreted."""
 
-    content_id: str
-    recipe_id: str
-    resolution: str
-    level: int
-    vmaf: float
-
-
-#: vmaf_scores.csv: the fields of :class:`Stimulus`, in order.
-VMAF_TABLE: tableio.Schema = {
-    "content_id": tableio.ident,
-    "recipe_id": tableio.ident,
-    "resolution": tableio.text,
-    "level": int,
-    "vmaf": tableio.within(tableio.number, 0.0, 100.0),
-}
+    content_id: str = tableio.cell(tableio.ident)
+    recipe_id: str = tableio.cell(tableio.ident)
+    resolution: str = tableio.cell(tableio.text)
+    level: int = tableio.cell(int)
+    vmaf: float = tableio.cell(tableio.within(tableio.number, 0.0, 100.0))
 
 
 @dataclass(frozen=True)
 class DcrRating:
-    content_id: str
-    recipe_id: str
-    observer_id: str
-    score: int
+    """One row of ``dcr_ratings.csv``."""
 
-
-#: dcr_ratings.csv: the fields of :class:`DcrRating`, in order.
-RATING_TABLE: tableio.Schema = {
-    "content_id": tableio.ident,
-    "recipe_id": tableio.ident,
-    "observer_id": tableio.text,
-    "score": tableio.within(int, 1, 5),
-}
+    content_id: str = tableio.cell(tableio.ident)
+    recipe_id: str = tableio.cell(tableio.ident)
+    observer_id: str = tableio.cell(tableio.text)
+    score: int = tableio.cell(tableio.within(int, 1, 5))
 
 
 @dataclass(frozen=True)
 class JndTruth:
-    content_id: str
-    anchor_recipe_id: str
-    direction: str  # "inc" | "dec"
-    jnd_recipe_id: str
-    order: int
+    """One row of ``jnd_truth.csv``."""
 
-
-#: jnd_truth.csv: the fields of :class:`JndTruth`, in order.
-TRUTH_TABLE: tableio.Schema = {
-    "content_id": tableio.ident,
-    "anchor_recipe_id": tableio.ident,
-    "direction": tableio.one_of(*DIRECTIONS),
-    "jnd_recipe_id": tableio.ident,
-    "order": tableio.within(int, 1, math.inf),
-}
+    content_id: str = tableio.cell(tableio.ident)
+    anchor_recipe_id: str = tableio.cell(tableio.ident)
+    direction: str = tableio.cell(tableio.one_of(*DIRECTIONS))  # "inc" | "dec"
+    jnd_recipe_id: str = tableio.cell(tableio.ident)
+    order: int = tableio.cell(tableio.within(int, 1, math.inf))
 
 
 class RatingTable(tableio.RowSequence[DcrRating]):
@@ -131,16 +109,17 @@ class RatingTable(tableio.RowSequence[DcrRating]):
     is their number.
 
     As a sequence, the table is the ratings in input order as
-    :class:`DcrRating` objects, a view built from :meth:`columns` on first
-    use; the benchmark's study writer reads it.
+    :class:`DcrRating` objects, a view built from :meth:`in_input_order` on
+    first use; the benchmark's study writer reads it.
     """
 
-    def __init__(self, stimuli: Sequence[Stimulus], content_ids: tableio.Column,
-                 recipe_ids: tableio.Column, observer_ids: tableio.Column,
-                 scores: tableio.Column) -> None:
-        """The table of the rating columns given in input order, each as
-        :class:`~jndmap.tableio.Column`: a rating's codes are looked up from
-        the distinct values of its column, not from the rating's own cells.
+    def __init__(self, stimuli: Sequence[Stimulus], content_id: tableio.Column,
+                 recipe_id: tableio.Column, observer_id: tableio.Column,
+                 score: tableio.Column) -> None:
+        """The table of the rating columns given in input order, one per
+        :class:`DcrRating` field, each as :class:`~jndmap.tableio.Column`: a
+        rating's codes are looked up from the distinct values of its column,
+        not from the rating's own cells.
 
         Raises :class:`CorpusError` with ``row=("stimuli", index)`` at the
         first repeated stimulus key, and with ``row=("ratings", index)`` at
@@ -158,8 +137,8 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         self.by_code = sorted(stimuli, key=lambda s: (s.content_id, s.recipe_id))
         self.vmaf = np.array([s.vmaf for s in self.by_code], float)
         first: dict[str, int] = {}
-        for code, (content_id, _) in enumerate(self.keys):
-            first.setdefault(content_id, code)
+        for code, (content, _) in enumerate(self.keys):
+            first.setdefault(content, code)
         ends = [*first.values(), len(self.keys)]
         self.content_codes = {c: range(a, b) for c, a, b in zip(first, ends, ends[1:])}
 
@@ -172,12 +151,12 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         ranks = dict(zip(self.content_codes, count())), dict(zip(recipes, count()))
         keyed = np.array([ranks[0][c] * len(recipes) + ranks[1][r] for c, r in self.keys], np.intp)
         content, recipe = (np.array([rank.get(v, -1) for v in column.values], np.intp)[column.codes]
-                           for rank, column in zip(ranks, (content_ids, recipe_ids)))
+                           for rank, column in zip(ranks, (content_id, recipe_id)))
         wanted = np.where((content >= 0) & (recipe >= 0), content * len(recipes) + recipe, -1)
         del content, recipe  # a large table's memory peaks in the sort below
-        ids = sorted(set(observer_ids.values))
+        ids = sorted(set(observer_id.values))
         rank = dict(zip(ids, count()))
-        observer = np.array([rank[v] for v in observer_ids.values], np.intp)[observer_ids.codes]
+        observer = np.array([rank[v] for v in observer_id.values], np.intp)[observer_id.codes]
         row = np.lexsort((observer, wanted))  # stable: repeats keep their input order
         wanted, observer = wanted[row], observer[row]
         place = np.searchsorted(keyed, wanted)
@@ -188,17 +167,16 @@ class RatingTable(tableio.RowSequence[DcrRating]):
         faults = np.concatenate((row[stimulus < 0], row[1:][repeats]))
         if faults.size:
             i = int(faults.min())
-            content_id, recipe_id, observer_id = (
-                column.values[column.codes[i]]
-                for column in (content_ids, recipe_ids, observer_ids))
+            content, recipe, by = (column.values[column.codes[i]]
+                                   for column in (content_id, recipe_id, observer_id))
             message = (
-                f"duplicate rating for {content_id}/{recipe_id} by {observer_id}"
-                if (content_id, recipe_id) in self.codes
-                else f"rating references unknown stimulus {content_id}/{recipe_id}"
+                f"duplicate rating for {content}/{recipe} by {by}"
+                if (content, recipe) in self.codes
+                else f"rating references unknown stimulus {content}/{recipe}"
             )
             raise CorpusError(message, row=("ratings", i))
-        score = np.array(scores.values, np.int64)[scores.codes]
-        self._set(ids, stimulus, observer, score[row], row)
+        scores = np.array(score.values, np.int64)[score.codes]
+        self._set(ids, stimulus, observer, scores[row], row)
 
     def _set(self, observer_ids: list[str], stimulus: np.ndarray, observer: np.ndarray,
              score: np.ndarray, row: np.ndarray) -> None:
@@ -236,15 +214,17 @@ class RatingTable(tableio.RowSequence[DcrRating]):
             codes = np.flatnonzero(self.counts == n)
             yield codes, self.score[self.block(codes, n)].astype(float)
 
-    def columns(self) -> tuple[Sequence, ...]:
-        """The columns of :data:`RATING_TABLE`, in input order."""
+    def in_input_order(self) -> tableio.Columns[DcrRating]:
+        """The ratings as :class:`DcrRating` columns, in input order."""
         order = np.argsort(self.row)
         keys = np.array(self.keys, dtype=object).reshape(-1, 2)[self.stimulus[order]]
-        observer = np.array(self.observer_ids, dtype=object)[self.observer[order]]
-        return keys[:, 0], keys[:, 1], observer, self.score[order].tolist()
+        return tableio.Columns[DcrRating](
+            content_id=keys[:, 0], recipe_id=keys[:, 1],
+            observer_id=np.array(self.observer_ids, dtype=object)[self.observer[order]],
+            score=self.score[order])
 
     def _build(self) -> tuple[DcrRating, ...]:
-        return tuple(map(DcrRating, *self.columns()))
+        return tuple(self.in_input_order().rows())
 
     def __len__(self) -> int:
         return len(self.score)
@@ -270,8 +250,9 @@ class Corpus:
         ratings = self.ratings
         if not (isinstance(ratings, RatingTable) and ratings.stimuli == self.stimuli):
             # a table of other stimuli is coded again, like any sequence
-            columns = map(tableio.Column.of, _fields(RATING_TABLE, ratings))
-            ratings = RatingTable(self.stimuli, *columns)
+            ratings = RatingTable(self.stimuli, **{
+                name: tableio.Column.of([getattr(r, name) for r in ratings])
+                for name in tableio.Columns[DcrRating].names})
         object.__setattr__(self, "ratings", ratings)
         seen: set[JndTruth] = set()
         for i, truth in enumerate(self.truths):
@@ -377,19 +358,19 @@ def load_corpus(
     cell, duplicate key, dangling reference, or out-of-range value.
     """
     tables = {
-        "stimuli": (vmaf_table, VMAF_TABLE),
-        "ratings": (ratings_table, RATING_TABLE),
-        "truths": (truth_table, TRUTH_TABLE),
+        "stimuli": (vmaf_table, Stimulus),
+        "ratings": (ratings_table, DcrRating),
+        "truths": (truth_table, JndTruth),
     }
     read = {
-        name: tableio.Table("", [], [tableio.Column.of(())] * len(schema)) if path is None
-        else tableio.read_table(path, schema)
-        for name, (path, schema) in tables.items()
+        name: tableio.read_table(path, record) if path is not None else tableio.Table(
+            record, "", [], {f: tableio.Column.of(()) for f in tableio.Columns[record].names})
+        for name, (path, record) in tables.items()
     }
     try:
-        stimuli = tuple(map(Stimulus, *read["stimuli"].columns))
-        ratings = RatingTable(stimuli, *read["ratings"].coded)
-        corpus = Corpus(stimuli, ratings, tuple(map(JndTruth, *read["truths"].columns)))
+        stimuli = tuple(read["stimuli"].records())
+        ratings = RatingTable(stimuli, **read["ratings"].coded)
+        corpus = Corpus(stimuli, ratings, tuple(read["truths"].records()))
     except CorpusError as exc:
         raise read[exc.row[0]].error(exc.message, exc.row[1], exc.column) from None
     log.info(
@@ -404,33 +385,22 @@ def load_corpus(
 # -- serialization ----------------------------------------------------------
 
 
-def vmaf_csv_text(corpus: Corpus) -> str:
-    return tableio.csv_text(VMAF_TABLE, _fields(VMAF_TABLE, corpus.stimuli))
-
-
-def ratings_csv_text(corpus: Corpus) -> str:
-    return tableio.csv_text(RATING_TABLE, corpus.ratings.columns())
-
-
-def truth_csv_text(corpus: Corpus) -> str:
-    return tableio.csv_text(TRUTH_TABLE, _fields(TRUTH_TABLE, corpus.truths))
-
-
-def _fields(schema: tableio.Schema, rows: Sequence) -> list[list]:
-    """The columns of ``schema`` read from the fields of the row objects."""
-    return [list(map(attrgetter(name), rows)) for name in schema]
+def corpus_tables(corpus: Corpus) -> dict[str, tableio.Columns]:
+    """The three interchange tables of ``corpus``, by file name."""
+    return {
+        "vmaf_scores.csv": tableio.Columns[Stimulus].of(corpus.stimuli),
+        "dcr_ratings.csv": corpus.ratings.in_input_order(),
+        "jnd_truth.csv": tableio.Columns[JndTruth].of(corpus.truths),
+    }
 
 
 def save_corpus(corpus: Corpus, out_dir: str | Path) -> dict[str, Path]:
-    """Write the three interchange tables under ``out_dir``; returns the paths."""
+    """Write the three interchange tables under ``out_dir``; returns the
+    paths by file stem (``vmaf_scores``, ``dcr_ratings``, ``jnd_truth``)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "vmaf_scores": out / "vmaf_scores.csv",
-        "dcr_ratings": out / "dcr_ratings.csv",
-        "jnd_truth": out / "jnd_truth.csv",
-    }
-    tableio.write_csv_text(paths["vmaf_scores"], vmaf_csv_text(corpus))
-    tableio.write_csv_text(paths["dcr_ratings"], ratings_csv_text(corpus))
-    tableio.write_csv_text(paths["jnd_truth"], truth_csv_text(corpus))
+    paths = {}
+    for name, table in corpus_tables(corpus).items():
+        paths[name.removesuffix(".csv")] = out / name
+        tableio.write_csv_text(out / name, table.csv_text())
     return paths

@@ -193,15 +193,17 @@ def evaluate_grid(
                     skipped=len(members) - len(errors),
                 )
                 n, code = len(errors), code[scored]
-                predictions.append((keys[code, 0], keys[code, 1], np.repeat(direction, n),
-                                    ids[k[scored]], np.repeat(family, n), np.repeat(threshold, n),
-                                    delta[scored], target[scored], clamped[scored]))
+                predictions.append(PredictionTable(
+                    content_id=keys[code, 0], anchor_recipe_id=keys[code, 1],
+                    direction=np.repeat(direction, n), range_id=ids[k[scored]],
+                    family=np.repeat(family, n), threshold=np.repeat(threshold, n),
+                    delta_obj_jnd=delta[scored], target_vmaf=target[scored],
+                    clamped=clamped[scored]))
     index, outside = decomp.locate(table.vmaf)
     for code in np.nonzero(walked & outside)[0].tolist():
         log.warning("anchor %s/%s vmaf %.3f outside coverage %s; using end range %s",
                     *table.keys[code], table.vmaf[code], decomp.coverage, range_ids[index[code]])
-    columns = [np.concatenate(column) for column in zip(*predictions)] or [()] * 9
-    return EvalGrid(spec=spec, cells=cells, predictions=PredictionTable(*columns))
+    return EvalGrid(spec=spec, cells=cells, predictions=PredictionTable.concat(predictions))
 
 
 # -- serialization ----------------------------------------------------------

@@ -57,6 +57,14 @@ MLE, so the fit is a step of slope +-``IRLS_SLOPE_CAP`` that crosses 0.5 at
 the middle of their gap (``separation``, 0 iterations).  Only labels that
 overlap, whose MLE is finite, reach IRLS; its closed-form 2x2 steps over point
 sums call no BLAS, and ``IRLS_MAX_ITER`` bounds its work.
+
+The two CSV artifacts of the fits are each declared once, as the record type
+of a row, whose fields are the columns and carry their cell rules:
+:class:`CodistBin` of ``codist.csv`` and :class:`CurveSample` of
+``curve_samples.csv``.  :func:`codist_table` and :func:`curve_samples` build
+them as :class:`jndmap.tableio.Columns`, which write themselves;
+:func:`read_codist_csv` reads the co-distributions back and
+:func:`read_curve_samples_csv` the samples' table.
 """
 
 from __future__ import annotations
@@ -64,6 +72,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -110,23 +119,28 @@ class CoDistribution:
         return 0.5 * (edges[:-1] + edges[1:])[kept], f_dif[kept] / support[kept], support[kept]
 
 
-#: codist.csv: one row per bin.  ``p_sd`` is f_dif / (f_dif + f_sim), empty
-#: for an empty bin; the reader rebuilds it from the counts.
-CODIST_TABLE: tableio.Schema = {
-    "range_id": tableio.text,
-    "bin_lo": tableio.number,
-    "bin_hi": tableio.number,
-    "f_dif": tableio.within(int, 0, math.inf),
-    "f_sim": tableio.within(int, 0, math.inf),
-    "p_sd": str,
-}
-#: curve_samples.csv: ``CURVE_SAMPLES`` points of each fitted curve.
-CURVE_TABLE: tableio.Schema = {
-    "range_id": tableio.text,
-    "family": tableio.text,
-    "delta_obj": tableio.number,
-    "p_sd": tableio.number,
-}
+@dataclass(frozen=True)
+class CodistBin:
+    """One row of ``codist.csv``: one bin of a range's co-distribution."""
+
+    range_id: str = tableio.cell(tableio.text)
+    bin_lo: float = tableio.cell(tableio.number)
+    bin_hi: float = tableio.cell(tableio.number)
+    f_dif: int = tableio.cell(tableio.within(int, 0, math.inf))
+    f_sim: int = tableio.cell(tableio.within(int, 0, math.inf))
+    #: f_dif / (f_dif + f_sim) as written, empty for an empty bin; the reader
+    #: rebuilds it from the counts
+    p_sd: str = tableio.cell(str)
+
+
+@dataclass(frozen=True)
+class CurveSample:
+    """One row of ``curve_samples.csv``: a point of a fitted curve."""
+
+    range_id: str = tableio.cell(tableio.text)
+    family: str = tableio.cell(tableio.text)
+    delta_obj: float = tableio.cell(tableio.number)
+    p_sd: float = tableio.cell(tableio.number)
 
 
 @dataclass(frozen=True)
@@ -868,15 +882,14 @@ def fit_all(
 # -- serialization ----------------------------------------------------------
 
 
-def codist_csv_text(codists: dict[str, CoDistribution]) -> str:
-    columns: list[list] = [[] for _ in CODIST_TABLE]
-    for range_id in sorted(codists):
-        cd = codists[range_id]
-        p_sd = [d / (d + s) if d + s else "" for d, s in zip(cd.f_dif, cd.f_sim)]
-        for column, cells in zip(columns, ([range_id] * cd.n_bins, cd.bin_edges[:-1],
-                                           cd.bin_edges[1:], cd.f_dif, cd.f_sim, p_sd)):
-            column += cells
-    return tableio.csv_text(CODIST_TABLE, columns)
+def codist_table(codists: dict[str, CoDistribution]) -> tableio.Columns[CodistBin]:
+    """The bins of ``codist.csv``: each range's, in range id order."""
+    return tableio.Columns[CodistBin].concat([
+        tableio.Columns[CodistBin](
+            range_id=[range_id] * cd.n_bins, bin_lo=cd.bin_edges[:-1], bin_hi=cd.bin_edges[1:],
+            f_dif=cd.f_dif, f_sim=cd.f_sim,
+            p_sd=[str(d / (d + s)) if d + s else "" for d, s in zip(cd.f_dif, cd.f_sim)])
+        for range_id, cd in sorted(codists.items())])
 
 
 @dataclass(frozen=True)
@@ -920,43 +933,38 @@ def read_mf_params_json(path: str | Path) -> dict[str, dict[str, MappingFunction
     return tableio.read_json(path, models_from_json_dict)
 
 
-def curve_samples_csv_text(models: dict[str, dict[str, MappingFunction]]) -> str:
-    """``CURVE_SAMPLES`` evenly spaced |dVMAF| over each fit's domain, and the
-    curve at each as :func:`evaluate_mf` gives it, from one call of the curve."""
-    columns: list[list] = [[] for _ in CURVE_TABLE]
+def curve_samples(models: dict[str, dict[str, MappingFunction]]) -> tableio.Columns[CurveSample]:
+    """The points of ``curve_samples.csv``: ``CURVE_SAMPLES`` evenly spaced
+    |dVMAF| over each fit's domain, and the curve at each as
+    :func:`evaluate_mf` gives it, from one call of the curve."""
+    samples = []
     for range_id in sorted(models):
-        for family in sorted(models[range_id]):
-            mf = models[range_id][family]
+        for family, mf in sorted(models[range_id].items()):
             deltas = np.linspace(*mf.domain, CURVE_SAMPLES)
-            p_sd = clipped_curve(family, mf.params, mf.domain, deltas)
-            for column, cells in zip(columns, ([range_id] * CURVE_SAMPLES, [family] * CURVE_SAMPLES,
-                                               deltas.tolist(), p_sd.tolist())):
-                column += cells
-    return tableio.csv_text(CURVE_TABLE, [*columns[:2], *map(np.array, columns[2:])])
+            samples.append(tableio.Columns[CurveSample](
+                range_id=[range_id] * CURVE_SAMPLES, family=[family] * CURVE_SAMPLES,
+                delta_obj=deltas, p_sd=clipped_curve(family, mf.params, mf.domain, deltas)))
+    return tableio.Columns[CurveSample].concat(samples)
 
 
-def read_curve_samples_csv(path: str | Path) -> dict[tuple[str, str], list[tuple[float, float]]]:
-    curves: dict[tuple[str, str], list[tuple[float, float]]] = {}
-    for range_id, family, delta_obj, p_sd in tableio.read_table(path, CURVE_TABLE).rows():
-        curves.setdefault((range_id, family), []).append((delta_obj, p_sd))
-    return curves
+def read_curve_samples_csv(path: str | Path) -> tableio.Columns[CurveSample]:
+    return tableio.Columns[CurveSample](**tableio.read_table(path, CurveSample).columns)
 
 
 def read_codist_csv(path: str | Path) -> dict[str, CoDistribution]:
     """Rebuild co-distributions from codist.csv (used by the SVG renderer)."""
-    grouped: dict[str, list[tuple[float, float, int, int]]] = {}
-    for range_id, lo, hi, f_dif, f_sim, _ in tableio.read_table(path, CODIST_TABLE).rows():
-        grouped.setdefault(range_id, []).append((lo, hi, f_dif, f_sim))
+    grouped: dict[str, list[CodistBin]] = {}
+    for row in tableio.read_table(path, CodistBin).records():
+        grouped.setdefault(row.range_id, []).append(row)
     out = {}
     for range_id, bins in grouped.items():
-        bins.sort()
-        edges = [b[0] for b in bins] + [bins[-1][1]]
-        if any(not math.isclose(a[1], b[0]) for a, b in zip(bins, bins[1:])):
+        bins.sort(key=attrgetter("bin_lo", "bin_hi", "f_dif", "f_sim"))
+        if any(not math.isclose(a.bin_hi, b.bin_lo) for a, b in zip(bins, bins[1:])):
             raise CorpusError(f"non-contiguous bins for range {range_id}", path=Path(path).name)
         out[range_id] = CoDistribution(
             range_id=range_id,
-            bin_edges=tuple(edges),
-            f_dif=tuple(b[2] for b in bins),
-            f_sim=tuple(b[3] for b in bins),
+            bin_edges=(*(b.bin_lo for b in bins), bins[-1].bin_hi),
+            f_dif=tuple(b.f_dif for b in bins),
+            f_sim=tuple(b.f_sim for b in bins),
         )
     return out

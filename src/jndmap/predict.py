@@ -14,13 +14,14 @@ anchor down (``dec``) or up (``inc``) and clipping into [0, 100].  That step
 is one array program over one threshold's column of the table,
 :func:`predict_step`, which :func:`predict_jnd` runs on one anchor and
 :func:`jndmap.evaluate.evaluate_grid` on every chained step.  Many
-predictions are held as one columnar :class:`PredictionTable`, which
-``predictions.csv`` is written from; it has no row view.  A
-:class:`JndPrediction` is what :func:`predict_jnd` returns for its one
-anchor, and its fields are the one statement of a prediction's shape: the
-table holds one column per field under the field's name, ``predictions.csv``
-has the fields as its columns in field order, and ``predict`` prints the
-record through :func:`jndmap.tableio.to_json`.
+predictions are held as one :class:`PredictionTable`, the
+:class:`jndmap.tableio.Columns` of :class:`JndPrediction`, which writes
+``predictions.csv``; it has no row view.  A :class:`JndPrediction` is what
+:func:`predict_jnd` returns for its one anchor, and its fields are the one
+statement of a prediction's shape: the table holds one column per field
+under the field's name, ``predictions.csv`` has the fields as its columns in
+field order, and ``predict`` prints the record through
+:func:`jndmap.tableio.to_json`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,6 +48,8 @@ INVERSION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class JndPrediction:
+    """One prediction, a row of ``predictions.csv``."""
+
     content_id: str
     anchor_recipe_id: str
     direction: str
@@ -58,8 +61,9 @@ class JndPrediction:
     clamped: bool
 
 
-#: The columns of ``predictions.csv``: the fields of :class:`JndPrediction`.
-PREDICTION_COLUMNS = [f.name for f in fields(JndPrediction)]
+#: Predictions as columns: object arrays for the text fields, float arrays
+#: for the numbers and a bool array for ``clamped``, written as 0 or 1.
+PredictionTable = tableio.Columns[JndPrediction]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -194,27 +198,3 @@ def predict_jnd(
         raise fault
     return JndPrediction(anchor.content_id, anchor.recipe_id, direction, range_id, family,
                          threshold, *delta.tolist(), *target.tolist(), *clamped.tolist())
-
-
-# -- serialization ----------------------------------------------------------
-
-
-class PredictionTable:
-    """Predictions as columns, one array per :class:`JndPrediction` field,
-    given in field order and held under the field's name: object arrays for
-    the text fields, float arrays for the numbers and a bool array for
-    ``clamped``."""
-
-    def __init__(self, *columns: Sequence) -> None:
-        for f, column in zip(fields(JndPrediction), columns, strict=True):
-            setattr(self, f.name, np.asarray(column, object if f.type == "str" else f.type))
-
-    def __len__(self) -> int:
-        return len(self.clamped)
-
-
-def predictions_csv_text(predictions: PredictionTable) -> str:
-    """``predictions.csv``: a column per field, ``clamped`` as 0 or 1."""
-    columns = [getattr(predictions, name) for name in PREDICTION_COLUMNS]
-    return tableio.csv_text(PREDICTION_COLUMNS, [column.astype(int) if column.dtype == bool
-                                                 else column for column in columns])

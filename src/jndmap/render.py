@@ -1,13 +1,14 @@
 """Minimal SVG rendering of fitted curves and co-distribution points.
 
 Plot data travels as CSV (curve_samples.csv / codist.csv); this module turns
-it back into a picture with nothing beyond the standard library, so the core
-package stays free of plotting dependencies.
+the tables read back from it into a picture with nothing beyond the standard
+library, so the core package stays free of plotting dependencies.
 """
 
 from __future__ import annotations
 
-from .mapping import CoDistribution
+from .mapping import CoDistribution, CurveSample
+from .tableio import Columns
 
 WIDTH, HEIGHT = 640, 420
 MARGIN = 50
@@ -29,12 +30,17 @@ def _scale(x: float, lo: float, hi: float, out_lo: float, out_hi: float) -> floa
 
 
 def render_svg(
-    curves: dict[tuple[str, str], list[tuple[float, float]]],
+    samples: Columns[CurveSample],
     codists: dict[str, CoDistribution] | None = None,
 ) -> str:
-    """Build an SVG document from ``(range_id, family) -> [(delta, p)]`` series."""
-    if not curves:
+    """Build an SVG document from curve samples: one series per (range_id,
+    family)."""
+    if not samples:
         raise ValueError("no curve samples to render")
+    curves: dict[tuple[str, str], list[tuple[float, float]]] = {}
+    for sample in samples.rows():
+        curves.setdefault((sample.range_id, sample.family), []).append(
+            (sample.delta_obj, sample.p_sd))
     xs = [x for series in curves.values() for x, _ in series]
     x_lo, x_hi = min(xs), max(xs)
     px = lambda x: _scale(x, x_lo, x_hi, MARGIN, WIDTH - MARGIN)

@@ -19,11 +19,13 @@ once; ``welch_t_test``, ``student_t_test`` and ``paired_t_test`` run it on
 one pair of vectors.
 
 The labelled pairs are one columnar :class:`PairTable`: ids, |dVMAF|, p-value
-and sig bit per pair.  A table lists each pair once, whatever the order of its
-two recipes, and finds its endpoints in a corpus by their keys.  Pair
-assignment, the co-distributions, the pairwise GLM and ``pairs.csv`` take
-this table and read its columns; :class:`RatedPair` objects are only a view
-of them, built when the table is iterated or indexed.
+and sig bit per pair.  Its record type, :class:`RatedPair`, is the one
+declaration of ``pairs.csv``: the fields, in order, are its columns, and each
+carries its column's cell rule.  A table lists each pair once, whatever the
+order of its two recipes, and finds its endpoints in a corpus by their keys.
+Pair assignment, the co-distributions, the pairwise GLM and ``pairs.csv``
+take this table and read its columns; :class:`RatedPair` objects are only a
+view of them, built when the table is iterated or indexed.
 """
 
 from __future__ import annotations
@@ -57,32 +59,23 @@ class TestResult:
 
 @dataclass(frozen=True)
 class RatedPair:
-    content_id: str
-    recipe_x: str
-    recipe_y: str
-    delta_obj: float
-    p_value: float
-    sig: int
+    """One row of ``pairs.csv``: a pair of one content's renditions, its
+    |dVMAF|, p-value and sig bit."""
+
+    content_id: str = tableio.cell(tableio.ident)
+    recipe_x: str = tableio.cell(tableio.ident)
+    recipe_y: str = tableio.cell(tableio.ident)
+    delta_obj: float = tableio.cell(tableio.within(tableio.number, 0.0, math.inf))
+    p_value: float = tableio.cell(tableio.within(tableio.number, 0.0, 1.0))
+    sig: int = tableio.cell(tableio.within(int, 0, 1))
 
     @property
     def pair_id(self) -> str:
         return f"{self.content_id}:{self.recipe_x}:{self.recipe_y}"
 
 
-#: pairs.csv: the fields of :class:`RatedPair`, in order.
-PAIR_TABLE: tableio.Schema = {
-    "content_id": tableio.ident,
-    "recipe_x": tableio.ident,
-    "recipe_y": tableio.ident,
-    "delta_obj": tableio.within(tableio.number, 0.0, math.inf),
-    "p_value": tableio.within(tableio.number, 0.0, 1.0),
-    "sig": tableio.within(int, 0, 1),
-}
-
-
-class PairTable(tableio.RowSequence[RatedPair]):
-    """Rated pairs as columns, one entry per pair.
-
+class PairTable(tableio.Columns[RatedPair], tableio.RowSequence[RatedPair]):
+    """Rated pairs as :class:`RatedPair` columns, one entry per pair:
     ``content_id``, ``recipe_x`` and ``recipe_y`` are object arrays of ids,
     ``delta_obj`` and ``p_value`` float arrays and ``sig`` an int array.
 
@@ -90,18 +83,11 @@ class PairTable(tableio.RowSequence[RatedPair]):
     view built from the columns on first use; the benchmark's tracer reads it.
     """
 
-    def __init__(self, content_id: Sequence[str], recipe_x: Sequence[str],
-                 recipe_y: Sequence[str], delta_obj: Sequence[float], p_value: Sequence[float],
-                 sig: Sequence[int]) -> None:
+    def __init__(self, **columns: Sequence) -> None:
         """The table of the given columns.  Raises :class:`CorpusError` with
         ``row=("pairs", index)`` at the first pair listed again: the same
         content and the same two recipes, in either order."""
-        self.content_id, self.recipe_x, self.recipe_y = (
-            np.asarray(ids, dtype=object) for ids in (content_id, recipe_x, recipe_y)
-        )
-        self.delta_obj = np.asarray(delta_obj, dtype=float)
-        self.p_value = np.asarray(p_value, dtype=float)
-        self.sig = np.asarray(sig, dtype=np.int64)
+        super().__init__(**columns)
         lo, hi = np.minimum(self.recipe_x, self.recipe_y), np.maximum(self.recipe_x, self.recipe_y)
         pairs = list(zip(self.content_id.tolist(), lo.tolist(), hi.tolist()))
         if len(set(pairs)) < len(pairs):
@@ -109,16 +95,8 @@ class PairTable(tableio.RowSequence[RatedPair]):
             i = next(i for i, pair in enumerate(pairs) if pair in seen or seen.add(pair))
             raise CorpusError(f"duplicate pair {self.pair_ids[i]}", row=("pairs", i))
 
-    def columns(self) -> tuple[Sequence, ...]:
-        """The columns of :data:`PAIR_TABLE` as Python values."""
-        return (self.content_id, self.recipe_x, self.recipe_y, self.delta_obj.tolist(),
-                self.p_value.tolist(), self.sig.tolist())
-
     def _build(self) -> tuple[RatedPair, ...]:
-        return tuple(map(RatedPair, *self.columns()))
-
-    def __len__(self) -> int:
-        return len(self.sig)
+        return tuple(self.rows())
 
     @functools.cached_property
     def pair_ids(self) -> list[str]:
@@ -345,8 +323,8 @@ def classify_pairs(corpus: Corpus, alpha: float = 0.05, test: str = "welch") -> 
         content_id, rx = table.keys[x[i]]
         raise ValueError(f"pair {content_id}:{rx}:{table.keys[y[i]][1]}: {faults[k][1](i)}")
     keys = np.array(table.keys, dtype=object)
-    pairs = PairTable(keys[x, 0], keys[x, 1], keys[y, 1], np.abs(table.vmaf[x] - table.vmaf[y]),
-                      p, p < alpha)
+    pairs = PairTable(content_id=keys[x, 0], recipe_x=keys[x, 1], recipe_y=keys[y, 1],
+                      delta_obj=np.abs(table.vmaf[x] - table.vmaf[y]), p_value=p, sig=p < alpha)
     n_sig = int(pairs.sig.sum())
     log.info("classified %d pairs (%d significant) at alpha=%g", len(pairs), n_sig, alpha)
     return pairs
@@ -372,23 +350,19 @@ def _paired_differences(
 # -- serialization ----------------------------------------------------------
 
 
-def pairs_csv_text(pairs: PairTable) -> str:
-    return tableio.csv_text(PAIR_TABLE, [pairs.content_id, pairs.recipe_x, pairs.recipe_y,
-                                         pairs.delta_obj, pairs.p_value, pairs.sig])
-
-
 def read_pairs_csv(path: str | Path) -> PairTable:
     """The pairs of a pairs.csv.  Each pair is listed once, with recipe_x <
     recipe_y; a :class:`CorpusError` names the line of the first row that is
     out of order or repeats an earlier one."""
-    table = tableio.read_table(path, PAIR_TABLE)
-    recipes = zip(itertools.count(), table.columns[1], table.columns[2])
-    ordered = next((i for i, x, y in recipes if x >= y), len(table.lines))
+    table = tableio.read_table(path, RatedPair)
+    columns = table.columns
+    x, y = columns["recipe_x"], columns["recipe_y"]
+    ordered = next((i for i, (rx, ry) in enumerate(zip(x, y)) if rx >= ry), len(x))
     try:  # the rows before the first one out of order, which may repeat a pair
-        pairs = PairTable(*(column[:ordered] for column in table.columns))
+        pairs = PairTable(**{name: column[:ordered] for name, column in columns.items()})
     except CorpusError as exc:
         raise table.error(exc.message, exc.row[1]) from None
-    if ordered < len(table.lines):
-        raise table.error(f"recipe_y {table.columns[2][ordered]!r} does not sort after "
-                          f"recipe_x {table.columns[1][ordered]!r}", ordered, "recipe_y")
+    if ordered < len(x):
+        raise table.error(f"recipe_y {y[ordered]!r} does not sort after recipe_x {x[ordered]!r}",
+                          ordered, "recipe_y")
     return pairs

@@ -83,7 +83,7 @@ class SimSpec:
         ids = [r for r, _ in self.ladder]
         for i, recipe_id in enumerate(ids):
             try:
-                tableio.ident(recipe_id)  # the rule of the recipe_id column
+                tableio.cell_rule(Stimulus, "recipe_id")(recipe_id)
             except ValueError as exc:
                 raise ValueError(f"ladder/{i}/0: {exc}") from None
         if len(set(ids)) != len(ids):
@@ -233,12 +233,13 @@ def simulate_corpus(spec: SimSpec) -> tuple[Corpus, dict]:
 
     # the ratings are stimulus-major: each stimulus's ids repeat once per observer
     per_rating = np.repeat(np.arange(len(stimuli)), len(observers))
-    ids = [tableio.Column.of([getattr(s, name) for s in stimuli])
-           for name in ("content_id", "recipe_id")]
-    columns = [*(tableio.Column(c.values, c.codes[per_rating]) for c in ids),
-               tableio.Column(observers, np.tile(np.arange(len(observers)), len(stimuli))),
-               tableio.Column.of(scores)]
-    ratings = RatingTable(tuple(stimuli), *columns)
+    ids = {name: tableio.Column.of([getattr(s, name) for s in stimuli])
+           for name in ("content_id", "recipe_id")}
+    ratings = RatingTable(
+        tuple(stimuli), **{name: tableio.Column(c.values, c.codes[per_rating])
+                           for name, c in ids.items()},
+        observer_id=tableio.Column(observers, np.tile(np.arange(len(observers)), len(stimuli))),
+        score=tableio.Column.of(scores))
     corpus = Corpus(stimuli=ratings.stimuli, ratings=ratings, truths=tuple(truths))
     info = {
         "spec": tableio.to_json(spec),

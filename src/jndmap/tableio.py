@@ -1,39 +1,40 @@
 """Strict CSV and JSON helpers used by every artifact reader/writer in the package.
 
 All interchange tables are plain comma-separated files with an exact header
-row.  Each table that is read back is declared once, next to its row type, as
-a :data:`Schema`: an ordered mapping from column name to a cell parser, which
-returns the cell's value or raises ``ValueError``.  The declarations are built
-from ``int``, :func:`text`, :func:`ident` and the :func:`checked` parsers
-:data:`number`, :func:`within` and :func:`one_of`.  :func:`read_table` is the
-one CSV reader: it checks the header against the schema, skips blank lines,
-and reports a wrong field count, a cell over ``csv.field_size_limit()`` or a
-parser's ``ValueError`` as a :class:`CorpusError` naming the file, line and
-column.  It splits a text without quotes or carriage returns itself, block by
-block, and hands any other text to ``csv.reader``.  It returns a
-:class:`Table`, the values column by column, each a :class:`Column` of the
+row.  Each table is declared once, as its record type: a dataclass whose
+fields, in order, are the table's columns, each declared with :func:`cell`
+and the cell parser of its column, which returns the cell's value or raises
+``ValueError``.  The parsers are built from ``int``, :func:`text`,
+:func:`ident` and the :func:`checked` parsers :data:`number`, :func:`within`
+and :func:`one_of`; :func:`cell_rule` reads one back.  :func:`read_table` is
+the one CSV reader: it checks the header against the record's fields, skips
+blank lines, and reports a wrong field count, a cell over
+``csv.field_size_limit()`` or a parser's ``ValueError`` as a
+:class:`CorpusError` naming the file, line and column.  It splits a text
+without quotes or carriage returns itself, block by block, and hands any
+other text to ``csv.reader``.  It returns a :class:`Table`, the values
+column by column under the field names, each a :class:`Column` of the
 distinct values and one code per row, whose :meth:`Table.error` names the
-line of a row that a check across rows rejects.  :func:`csv_text` is the one
-CSV writer: it takes the header from the same schema and the table as
-columns, and writes the bytes ``csv.writer`` would, a float as its shortest
-round-trip ``repr``, so a value survives a write/read round trip
-bit-for-bit; it also quotes a cell holding a carriage return.  JSON artifacts
-go through :func:`write_json` and JSON inputs through :func:`read_json`,
-whose parsers read a file's decoded data with :func:`from_json` as a type
-expression, most often a dataclass: the type is the schema of a JSON input,
-as a :data:`Schema` is of a table, and an error names the key path.  The
-writer side is its inverse, :func:`to_json`: each JSON artifact is one record
-type, a dataclass or a dict of them, turned into JSON data by its fields, so
-that ``from_json(T, to_json(x)) == x`` and the record's class is the one
-statement of the artifact's shape.
+line of a row that a check across rows rejects.  A table held in memory is a
+:class:`Columns`: one array per field of its record, under the field's
+name.  :meth:`Columns.csv_text` is the one CSV writer: the record's fields
+are the header, and :func:`csv_text` writes the bytes ``csv.writer`` would,
+a float as its shortest round-trip ``repr``, so a value survives a
+write/read round trip bit-for-bit; it also quotes a cell holding a carriage
+return.  JSON artifacts go through :func:`write_json` and JSON inputs
+through :func:`read_json`, whose parsers read a file's decoded data with
+:func:`from_json` as a type expression, most often a dataclass: the type is
+the schema of a JSON input, as the record type is of a table, and an error
+names the key path.  The writer side is its inverse, :func:`to_json`: each
+JSON artifact is one record type, a dataclass or a dict of them, turned into
+JSON data by its fields, so that ``from_json(T, to_json(x)) == x`` and the
+record's class is the one statement of the artifact's shape.
 
-A table held in memory is its columns, the one form the pipeline's stages
-and writers take.  Only the rating and pair tables keep a row view, a
-:class:`RowSequence` built from the columns when it is iterated or indexed:
-the benchmark under ``perfbench/`` reads them as rows (its study writer
-relabels each rating, its tracer counts significant pairs), and its files are
-held fixed so that runs of two commits compare.  The views go once the
-benchmark reads columns.
+Only the rating and pair tables keep a row view, a :class:`RowSequence`
+built from the columns when it is iterated or indexed: the benchmark under
+``perfbench/`` reads them as rows (its study writer relabels each rating,
+its tracer counts significant pairs), and its files are held fixed so that
+runs of two commits compare.  The views go once the benchmark reads columns.
 """
 
 from __future__ import annotations
@@ -48,16 +49,13 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
-from typing import Any, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
+from typing import Any, ClassVar, NamedTuple, TypeVar, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .errors import CorpusError
 
 T = TypeVar("T")
-
-#: Column name -> cell parser, in column order.
-Schema = dict[str, Callable[[str], Any]]
 
 
 def checked(parse: Callable[[str], T], ok: Callable[[T], bool], message: str) -> Callable[[str], T]:
@@ -99,6 +97,16 @@ def within(parse: Callable[[str], float], lo: float, hi: float) -> Callable[[str
 def one_of(*allowed: str) -> Callable[[str], str]:
     """One of the ``allowed`` strings."""
     return checked(str, allowed.__contains__, f"{{!r}} is not one of {allowed}")
+
+
+def cell(parse: Callable[[str], Any]) -> Any:
+    """A record field whose column's cells ``parse`` reads."""
+    return dataclasses.field(metadata={"parse": parse})
+
+
+def cell_rule(record: type, name: str) -> Callable[[str], Any]:
+    """The cell parser of the field ``name`` of ``record``."""
+    return record.__dataclass_fields__[name].metadata["parse"]
 
 
 class RowSequence(Sequence[T]):
@@ -153,6 +161,69 @@ class Column(NamedTuple):
         return list(map(self.values.__getitem__, self.codes.tolist()))
 
 
+class Columns:
+    """A table held as one array per field of its record type, under the
+    field's name.
+
+    ``Columns[R]`` is the table type of the dataclass ``R``: it is built from
+    one sequence per field, by the field's name, and holds a ``str`` field's
+    values as an object array and an ``int``, ``float`` or ``bool`` field's as
+    an array of that type (an ``int`` column beyond int64, as a ``level``
+    may be, as an object array).
+    """
+
+    record: ClassVar[type]
+    names: ClassVar[tuple[str, ...]]  #: the record's field names, in order
+
+    def __class_getitem__(cls, record: type) -> type[Columns]:
+        return _columns_type(record)
+
+    def __init__(self, **columns: Sequence) -> None:
+        if columns.keys() != set(self.names):
+            raise TypeError(f"{type(self).__name__} takes the columns {list(self.names)}, "
+                            f"got {list(columns)}")
+        kinds = _type_hints(self.record)
+        for name in self.names:
+            kind = kinds[name]
+            try:
+                column = np.asarray(columns[name], object if kind is str else kind)
+            except OverflowError:
+                column = np.asarray(columns[name], object)
+            setattr(self, name, column)
+
+    @classmethod
+    def of(cls, rows: Iterable) -> Columns:
+        """The table of the record objects ``rows``."""
+        rows = list(rows)
+        return cls(**{name: [getattr(row, name) for row in rows] for name in cls.names})
+
+    @classmethod
+    def concat(cls, tables: Sequence[Columns]) -> Columns:
+        """The rows of ``tables``, one table after another."""
+        return cls(**{name: np.concatenate([getattr(t, name) for t in tables]) if tables else ()
+                      for name in cls.names})
+
+    def __len__(self) -> int:
+        return len(getattr(self, self.names[0]))
+
+    def rows(self) -> Iterator:
+        """The rows as record objects holding Python scalars."""
+        return map(self.record, *(getattr(self, name).tolist() for name in self.names))
+
+    def csv_text(self) -> str:
+        """The table's CSV text: the field names are the header, and
+        :func:`csv_text` writes the columns, a ``bool`` column as 0 and 1."""
+        columns = [getattr(self, name) for name in self.names]
+        return csv_text(self.names, [c.astype(int) if c.dtype == bool else c for c in columns])
+
+
+@functools.cache
+def _columns_type(record: type) -> type[Columns]:
+    """``Columns[record]``, one class per record type."""
+    names = tuple(f.name for f in dataclasses.fields(record))
+    return type(f"Columns[{record.__name__}]", (Columns,), {"record": record, "names": names})
+
+
 def distinct(values: np.ndarray) -> np.ndarray:
     """The sorted distinct values of a NaN-free array, as ``np.unique(values)``
     gives them.  numpy 2.4's ``np.unique`` without options imports
@@ -167,17 +238,19 @@ def distinct(values: np.ndarray) -> np.ndarray:
 class Table:
     """The data rows of a CSV file read by :func:`read_table`."""
 
+    record: type  #: the record type of a row
     name: str  #: the file's name, for errors
     lines: list[int]  #: the 1-based file line each data row starts on
-    coded: list[Column]  #: the parsed values, one column per schema column
+    coded: dict[str, Column]  #: the parsed values, one column per field, by name
 
     @functools.cached_property
-    def columns(self) -> list[list]:
-        """The parsed values as one list per schema column."""
-        return [column.tolist() for column in self.coded]
+    def columns(self) -> dict[str, list]:
+        """The parsed values as one list per field, by name."""
+        return {name: column.tolist() for name, column in self.coded.items()}
 
-    def rows(self) -> Iterator[tuple]:
-        return zip(*self.columns)
+    def records(self) -> Iterator:
+        """The rows as record objects."""
+        return map(self.record, *self.columns.values())
 
     def error(self, message: str, index: int, column: str | None = None) -> CorpusError:
         """A :class:`CorpusError` naming the line of data row ``index``."""
@@ -209,13 +282,14 @@ BLOCK_CHARS = 1 << 16
 BLOCK_ROWS = 4096
 
 
-def read_table(path: str | Path, schema: Schema) -> Table:
-    """The data rows of a strict CSV, their values parsed by ``schema``.
+def read_table(path: str | Path, record: type) -> Table:
+    """The data rows of a strict CSV whose rows are ``record``s, each cell
+    parsed by its field's :func:`cell` parser.
 
-    The header must equal the schema's columns exactly (same names, same
+    The header must equal the record's field names exactly (same names, same
     order).  The first data row is line 2.  A fault raises at the first row
     that has one, at its first bad column: a cell its parser rejects, a row
-    whose field count is not the schema's, or a cell longer than
+    whose field count is not the record's, or a cell longer than
     ``csv.field_size_limit()``.  Each distinct cell of a column is parsed once
     and its value shared by the cells that repeat it, as ids and scores do.
 
@@ -231,7 +305,7 @@ def read_table(path: str | Path, schema: Schema) -> Table:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    names = list(schema)
+    names = list(Columns[record].names)
     if '"' in text or "\r" in text:
         reader = csv.reader(io.StringIO(text, newline=""))
         _check_header(reader, path.name, names)
@@ -241,7 +315,7 @@ def read_table(path: str | Path, schema: Schema) -> Table:
         end = len(text) if end < 0 else end
         _check_header(csv.reader([text[:end]] if text else []), path.name, names)
         blocks = _split_blocks(text, end + 1, len(names))
-    return _parse(path.name, blocks, schema)
+    return _parse(path.name, blocks, record)
 
 
 def _check_header(reader: Iterator[list[str]], name: str, names: list[str]) -> None:
@@ -313,15 +387,16 @@ def _split_blocks(text: str, start: int, width: int) -> Iterator[Block]:
         start = end + 1
 
 
-def _parse(name: str, blocks: Iterable[Block], schema: Schema) -> Table:
+def _parse(name: str, blocks: Iterable[Block], record: type) -> Table:
     """The :class:`Table` of ``blocks``: each new distinct cell of a column is
     parsed once and given the next free code; the first block with a fault
     raises its first fault in row order."""
-    names, parsers = list(schema), list(schema.values())
+    names = Columns[record].names
+    parsers = [cell_rule(record, column) for column in names]
     index: list[dict[str, int]] = [{} for _ in names]  # cell -> code
     values: list[list] = [[] for _ in names]  # code -> parsed value
     codes: list[list[np.ndarray]] = [[] for _ in names]
-    table = Table(name, [], [])
+    table = Table(record, name, [], {})
     for numbers, columns, stop in blocks:
         first = len(table.lines)
         table.lines += numbers
@@ -341,8 +416,8 @@ def _parse(name: str, blocks: Iterable[Block], schema: Schema) -> Table:
             parts.append(np.fromiter(map(known.__getitem__, cells), np.intp, len(cells)))
         if stop:
             raise CorpusError(stop[1], path=name, line=stop[0])
-    table.coded = [Column(parsed, np.concatenate(parts) if parts else np.empty(0, np.intp))
-                   for parsed, parts in zip(values, codes)]
+    table.coded = {column: Column(parsed, np.concatenate(parts) if parts else np.empty(0, np.intp))
+                   for column, parsed, parts in zip(names, values, codes)}
     return table
 
 

@@ -32,7 +32,7 @@ from jndmap.mapping import (
 from jndmap.predict import invert_at_threshold
 from jndmap.ranges import SubQualityRange, decompose_balanced, decompose_explicit, assign_pairs
 from jndmap.screening import apply_screening, screen_bt500
-from jndmap.significance import PairTable, classify_pairs, welch_t_test
+from jndmap.significance import PairTable, RatedPair, classify_pairs, welch_t_test
 from jndmap.simulate import SimSpec, simulate_corpus
 
 from conftest import build_inverted_observer_corpus, cli_command
@@ -54,10 +54,10 @@ def test_criterion_1_codistribution_conservation():
         n = int(rng.integers(5, 80))
         deltas = rng.uniform(0.05, 29.9, size=n)
         sigs = rng.integers(0, 2, size=n)
-        pairs = PairTable(*zip(*(
+        pairs = PairTable.of(RatedPair(*row) for row in (
             ("c", f"x{i}", f"y{i}", float(d), 0.5, int(s))
             for i, (d, s) in enumerate(zip(deltas, sigs))
-        )))
+        ))
         srange = SubQualityRange(0.0, 50.0, "(0,50]", tuple(pairs.pair_ids))
         cd = build_codistribution(srange, pairs, bin_width=width)
 

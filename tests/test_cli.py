@@ -6,6 +6,7 @@ import collections
 import csv
 import dataclasses
 import gc
+import importlib.util
 import itertools
 import json
 import math
@@ -23,8 +24,7 @@ from jndmap import cli, corpus, mapping, predict, screening, significance, simul
 from jndmap.config import RunConfig, load_config
 from jndmap.ranges import (Balanced, Explicit, FixedWidth, decomposition_to_json_dict,
                            read_ranges_json)
-from jndmap.mapping import CURVE_TABLE
-from jndmap.tableio import csv_text, json_text, to_json, write_json
+from jndmap.tableio import Columns, json_text, to_json, write_json
 
 from conftest import SMALL_SPEC, cli_command, scalar_prediction
 
@@ -137,6 +137,22 @@ def test_each_json_artifact_reads_back_to_the_same_bytes(sim_dir, run_dir, tmp_p
         data = json.loads(path.read_text())
         write_json(tmp_path / key, data[key])
         assert json_text({**data, key: to_json(reader(tmp_path / key))}) == path.read_text()
+
+
+def test_each_csv_artifact_reads_back_to_the_same_bytes(sim_dir, run_dir):
+    """Each CSV artifact of ``run --truth`` that a reader reads, and each table
+    that ``simulate`` writes, read by its reader and written again by
+    ``Columns.csv_text``, gives its bytes."""
+    loaded = corpus.load_corpus(sim_dir / "vmaf_scores.csv", sim_dir / "dcr_ratings.csv",
+                                sim_dir / "jnd_truth.csv")
+    tables = {sim_dir / name: table for name, table in corpus.corpus_tables(loaded).items()}
+    tables[run_dir / "pairs.csv"] = significance.read_pairs_csv(run_dir / "pairs.csv")
+    tables[run_dir / "codist.csv"] = mapping.codist_table(
+        mapping.read_codist_csv(run_dir / "codist.csv"))
+    tables[run_dir / "curve_samples.csv"] = mapping.read_curve_samples_csv(
+        run_dir / "curve_samples.csv")
+    for path, table in tables.items():
+        assert table.csv_text().encode("utf-8") == path.read_bytes(), path.name
 
 
 def test_corrupt_input_exits_2_with_json_error(sim_dir, tmp_path):
@@ -347,6 +363,21 @@ def default_run_dir(tmp_path_factory):
     return out
 
 
+def test_artifact_digests_match_the_committed_file(default_run_dir, run_dir):
+    """The artifacts that read no libm or SIMD result hash as
+    ``tools/artifact_digests.py`` printed them into
+    ``tests/artifact_digests.json``, on the same two runs: a change to their
+    bytes fails here until the file is written again."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "artifact_digests.py"
+    spec = importlib.util.spec_from_file_location("artifact_digests", tool)
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    assert list(digests.STUDIES) == ["default_study", "small_study"]
+    expected = json.loads((Path(__file__).parent / "artifact_digests.json").read_text())
+    assert {"default_study": digests.digests(default_run_dir),
+            "small_study": digests.digests(run_dir)} == expected
+
+
 def test_predict_prints_what_the_scalar_bisection_gives(default_run_dir, capsys):
     """On the default study, ``predict`` prints the record of the scalar
     ``evaluate_mf`` bisection, bit for bit: every family, both directions, an
@@ -415,8 +446,8 @@ def test_render_svg(run_dir, tmp_path):
 def test_render_escapes_range_id_and_family(tmp_path):
     """Markup characters in a range id or a family are text in the SVG."""
     curves = tmp_path / "curve_samples.csv"
-    rows = [("(0,5]<&>", "a<b&c>", x, x / 10.0) for x in (0.0, 5.0, 10.0)]
-    curves.write_text(csv_text(CURVE_TABLE, list(zip(*rows))), encoding="utf-8")
+    rows = [mapping.CurveSample("(0,5]<&>", "a<b&c>", x, x / 10.0) for x in (0.0, 5.0, 10.0)]
+    curves.write_text(Columns[mapping.CurveSample].of(rows).csv_text(), encoding="utf-8")
     out = tmp_path / "curves.svg"
     assert cli.main(["render", "--curves", str(curves), "--out", str(out)]) == 0
     texts = [node.text for node in ElementTree.parse(out).iter("{http://www.w3.org/2000/svg}text")]
@@ -640,6 +671,10 @@ def test_flags_replace_config_values(tmp_path):
          ("ConfigError", "--families: each may be listed once, got ['glm', 'glm']")),
         (["--thresholds", "0.5,0.5", "--truth", "jnd_truth.csv"], None,
          ("ConfigError", "--thresholds: each may be listed once, got [0.5, 0.5]")),
+        # two thresholds of one label would write one metrics.json cell for both
+        (["--families", "logistic2", "--k", "2", "--thresholds", "0.9,0.9000001",
+          "--truth", "jnd_truth.csv"], None,
+         ("ConfigError", "--thresholds: 0.9 and 0.9000001 share the metrics.json key '0.9'")),
         ([], {"thresholds": [0.9, 0.75, 0.9]},
          ("ConfigError",
           "config.json: thresholds: each may be listed once, got [0.9, 0.75, 0.9]")),
@@ -684,7 +719,7 @@ def test_flags_replace_config_values(tmp_path):
     ids=["k", "width", "width-inf", "width-tiny", "bounds-order", "bounds-one", "bounds-inf",
          "bounds-minus-inf", "balance",
          "bin-width-nan", "bin-width-inf", "bin-width-tiny", "families-repeat",
-         "thresholds-repeat", "thresholds-repeat-config", "families-empty-config",
+         "thresholds-repeat", "thresholds-same-label", "thresholds-repeat-config", "families-empty-config",
          "thresholds-empty-config", "alpha", "families-unknown", "bin-width-zero",
          "thresholds-outside", "bounds-reversed", "strategy-drops-config-bounds", "k-config",
          "key-of-another-strategy-config", "unknown-strategy-config", "k-under-fixed-width",
@@ -1300,9 +1335,9 @@ def test_evaluate_names_range_ids_missing_from_ranges(sim_dir, run_dir, tmp_path
     record = _error_record(proc)
     model_ids = sorted(json.loads((run_dir / "mf_params.json").read_text()))
     range_ids = read_ranges_json(ranges).range_ids()
-    assert record["message"] == (
-        f"mf_params.json range ids {model_ids} are not all in ranges.json range ids {range_ids}"
-    )
+    assert (record["error"], record["message"]) == ("CorpusError", (
+        f"mf_params.json: range ids {model_ids} are not all in ranges.json range ids {range_ids}"
+    ))
     assert not (tmp_path / "metrics.json").exists()
 
 

@@ -7,16 +7,13 @@ import pytest
 
 from jndmap import tableio
 from jndmap.corpus import (
-    VMAF_TABLE,
     Corpus,
     DcrRating,
     JndTruth,
     Stimulus,
+    corpus_tables,
     load_corpus,
-    ratings_csv_text,
     save_corpus,
-    truth_csv_text,
-    vmaf_csv_text,
 )
 from jndmap.errors import CorpusError
 
@@ -184,9 +181,18 @@ def test_csv_round_trip_of_an_id_holding_a_carriage_return(tmp_path):
     assert loaded.truths == corpus.truths
 
 
+def test_a_level_beyond_int64_is_written_back_as_read(tmp_path):
+    # a level is any integer; the writer's int64 column cannot hold this one
+    text = "content_id,recipe_id,resolution,level,vmaf\nc1,r0,1080p,100000000000000000000,90.0\n"
+    (tmp_path / "vmaf.csv").write_text(text)
+    loaded = load_corpus(tmp_path / "vmaf.csv", None)
+    assert loaded.stimuli[0].level == 10**20
+    assert corpus_tables(loaded)["vmaf_scores.csv"].csv_text() == text
+
+
 def test_ratings_table_optional(tmp_path):
     corpus = Corpus(make_stimuli("c1", (90.0, 80.0)), (), ())
-    (tmp_path / "vmaf.csv").write_text(vmaf_csv_text(corpus))
+    (tmp_path / "vmaf.csv").write_text(corpus_tables(corpus)["vmaf_scores.csv"].csv_text())
     loaded = load_corpus(tmp_path / "vmaf.csv", None)
     assert loaded.ratings == ()
     assert len(loaded.stimuli) == 2
@@ -195,7 +201,7 @@ def test_ratings_table_optional(tmp_path):
 def test_load_rejects_out_of_scale_score(tmp_path):
     corpus = _corpus_with_ratings()
     paths = save_corpus(corpus, tmp_path)
-    text = ratings_csv_text(corpus).replace("oA,5", "oA,6", 1)
+    text = corpus_tables(corpus)["dcr_ratings.csv"].csv_text().replace("oA,5", "oA,6", 1)
     paths["dcr_ratings"].write_text(text)
     with pytest.raises(CorpusError, match="line"):
         load_corpus(paths["vmaf_scores"], paths["dcr_ratings"])
@@ -240,20 +246,21 @@ def test_read_table_names_the_first_bad_row_in_row_order(tmp_path):
     table = tmp_path / "vmaf.csv"
     header = "content_id,recipe_id,resolution,level,vmaf\n"
     table.write_text(header + '\nc1,"r\n0",1080p,1,90.0\nc1,r1,1080p,2,90.0\n\n')
-    read = tableio.read_table(table, VMAF_TABLE)
+    read = tableio.read_table(table, Stimulus)
     assert read.lines == [3, 5]
-    assert list(read.rows()) == [("c1", "r\n0", "1080p", 1, 90.0), ("c1", "r1", "1080p", 2, 90.0)]
+    assert list(read.records()) == [Stimulus("c1", "r\n0", "1080p", 1, 90.0),
+                                    Stimulus("c1", "r1", "1080p", 2, 90.0)]
     assert read.error("x", 1, "level").args[0] == "vmaf.csv:line 5:level: x"
     # columns are parsed one at a time, but the fault named is the first in row order
     table.write_text(header + "c1,r0,1080p,1,101.0\n,r1,1080p,2,95.0\n")
     with pytest.raises(CorpusError, match="^vmaf.csv:line 2:vmaf: 101.0 outside"):
-        tableio.read_table(table, VMAF_TABLE)
+        tableio.read_table(table, Stimulus)
     table.write_text(header + "c1,r0,1080p,x,101.0\nc1,r1,1080p\n")
     with pytest.raises(CorpusError, match="^vmaf.csv:line 2:level: "):
-        tableio.read_table(table, VMAF_TABLE)
+        tableio.read_table(table, Stimulus)
     table.write_text(header + "c1,r0,1080p\nc1,r0,1080p,x,101.0\n")
     with pytest.raises(CorpusError, match="^vmaf.csv:line 2: expected 5 fields, got 3"):
-        tableio.read_table(table, VMAF_TABLE)
+        tableio.read_table(table, Stimulus)
 
 
 def test_blank_lines_tolerated(tmp_path):
@@ -266,7 +273,7 @@ def test_blank_lines_tolerated(tmp_path):
 
 def test_truth_csv_includes_order():
     corpus = _corpus_with_ratings()
-    assert truth_csv_text(corpus).splitlines()[1] == "c1,r0,dec,r1,1"
+    assert corpus_tables(corpus)["jnd_truth.csv"].csv_text().splitlines()[1] == "c1,r0,dec,r1,1"
 
 
 def test_numpy_scalars_are_written_as_numbers():

@@ -235,8 +235,7 @@ def _assert_matches_scalar_grid(corpus, models, decomp, spec):
     grid = evaluate_grid(corpus, models, decomp, spec)
     cells, predictions = _scalar_grid(corpus, models, decomp, spec)
     assert grid.cells == cells
-    columns = [getattr(grid.predictions, name).tolist() for name in predict_mod.PREDICTION_COLUMNS]
-    assert list(zip(*columns)) == list(map(dataclasses.astuple, predictions))
+    assert list(grid.predictions.rows()) == list(predictions)
     return grid
 
 

@@ -27,8 +27,8 @@ from jndmap.mapping import (
     _irls,
     _sigmoid,
     build_codistribution,
-    codist_csv_text,
-    curve_samples_csv_text,
+    codist_table,
+    curve_samples,
     evaluate_mf,
     fit_all,
     fit_mapping,
@@ -41,7 +41,7 @@ from jndmap.mapping import (
 )
 from jndmap.ranges import assign_pairs, decompose_balanced, decompose_explicit
 from jndmap.screening import apply_screening, screen_bt500
-from jndmap.significance import PairTable, classify_pairs
+from jndmap.significance import PairTable, RatedPair, classify_pairs
 from jndmap.simulate import SimSpec, simulate_corpus
 from jndmap.tableio import json_text, write_json
 
@@ -67,7 +67,7 @@ def _noiseless_points(family: str, n: int = 15) -> tuple[np.ndarray, np.ndarray,
 
 def _take(pairs: PairTable, rows: np.ndarray) -> PairTable:
     """The table of the pairs at positions ``rows``, in that order."""
-    return PairTable(*(np.asarray(column)[rows] for column in pairs.columns()))
+    return PairTable(**{name: getattr(pairs, name)[rows] for name in PairTable.names})
 
 
 def _codist_fixture():
@@ -78,7 +78,7 @@ def _codist_fixture():
         for i, (r, v) in enumerate(vm.items())
     )
     corpus = Corpus(stimuli, (), ())
-    pairs = PairTable(*zip(
+    pairs = PairTable.of(RatedPair(*row) for row in (
         ("c1", "a", "b", 1.0, 0.50, 0),
         ("c1", "a", "c", 1.2, 0.40, 0),
         ("c1", "a", "d", 7.5, 0.001, 1),
@@ -129,10 +129,10 @@ def _pairs_at(deltas, sigs) -> tuple:
     """A range referencing one pair per ``deltas`` value, and their table."""
     from jndmap.ranges import SubQualityRange
 
-    pairs = PairTable(*zip(*(
+    pairs = PairTable.of(RatedPair(*row) for row in (
         ("c1", f"x{i}", f"y{i}", float(d), 0.5, int(s))
         for i, (d, s) in enumerate(zip(deltas, sigs))
-    )))
+    ))
     return SubQualityRange(0.0, 50.0, "(0,50]", tuple(pairs.pair_ids)), pairs
 
 
@@ -178,7 +178,7 @@ def test_codistribution_input_guards():
         with pytest.raises(ValueError, match="bin_width"):
             build_codistribution(srange, pairs, bin_width=width)
     with pytest.raises(ValueError):
-        build_codistribution(srange, PairTable(*[()] * 6))  # referenced pairs missing
+        build_codistribution(srange, PairTable.of(()))  # referenced pairs missing
     from jndmap.ranges import SubQualityRange
 
     empty = SubQualityRange(0.0, 50.0, "(0,50]", ())
@@ -206,7 +206,7 @@ def test_curve_samples_equal_evaluate_mf(family):
     for mf in (fitted, wide):
         deltas = np.linspace(*mf.domain, CURVE_SAMPLES).tolist()
         samples = [(d, evaluate_mf(mf, d)) for d in deltas]
-        text = curve_samples_csv_text({"(0,100]": {family: mf}})
+        text = curve_samples({"(0,100]": {family: mf}}).csv_text()
         assert text.splitlines()[1:] == [f'"(0,100]",{family},{d!r},{p!r}' for d, p in samples]
     if family in ("cubic4", "logistic5"):
         assert {p for _, p in samples} & {0.0, 1.0}
@@ -249,10 +249,10 @@ def test_glm_separated_pairs_hit_slope_cap():
     # Perfect separation with a narrow margin around delta 5: no finite slope
     # fits it, so the fit is a step at the cap whose 0.5-crossing is the
     # middle of the margin.
-    pairs = PairTable(*zip(*(
+    pairs = PairTable.of(RatedPair(*row) for row in (
         ("c1", "a", f"s{i}", d, 0.5, int(d > 5.0))
         for i, d in enumerate((1.0, 3.0, 4.95, 5.05, 7.0, 9.0))
-    )))
+    ))
     pts = _points(pairs.delta_obj, pairs.sig, 1)
     mf = fit_mapping(pts, "glm", pairs_for_glm=pairs)
     assert "separation" in mf.fit_report.flags
@@ -693,9 +693,9 @@ def test_glm_fits_separated_labels_as_a_step_at_the_middle_of_the_gap(x, y, tria
 def test_glm_needs_two_distinct_pair_deltas(deltas):
     # the points are any two; the pairwise GLM fits the pairs' own |dVMAF|,
     # and with one value the slope is not identified
-    pairs = PairTable(*zip(*(
+    pairs = PairTable.of(RatedPair(*row) for row in (
         ("c1", "a", f"s{i}", d, 0.5, i % 2) for i, d in enumerate(deltas)
-    )))
+    ))
     pts = _points([1.0, 5.0], [0.0, 1.0], 1)
     with pytest.raises(FitError, match=r"^glm: need >= 2 distinct \|dVMAF\| values, got 1$"):
         fit_mapping(pts, "glm", pairs_for_glm=pairs)
@@ -760,7 +760,7 @@ def test_fit_all_and_serialization(tmp_path):
             delta = abs(vm[rx] - vm[ry])
             p_true = 1.0 / (1.0 + np.exp(-0.8 * (delta - 6.0)))
             rows.append(("c1", rx, ry, delta, 0.5, int(rng.uniform() < p_true)))
-    pairs = PairTable(*zip(*rows))
+    pairs = PairTable.of(RatedPair(*row) for row in rows)
     decomp = assign_pairs(pairs, decompose_explicit([50.0, 75.0, 100.0]), corpus)
     codists, models = fit_all(decomp, pairs, families=FAMILIES, bin_width=2.0)
     assert set(models) <= set(decomp.range_ids())
@@ -802,7 +802,7 @@ def test_fit_all_skips_empty_ranges(caplog):
 def test_codist_csv_round_trip(tmp_path):
     srange, pairs = _codist_fixture()
     cd = build_codistribution(srange, pairs, bin_width=2.0)
-    text = codist_csv_text({cd.range_id: cd})
+    text = codist_table({cd.range_id: cd}).csv_text()
     lines = text.splitlines()
     assert lines[0] == "range_id,bin_lo,bin_hi,f_dif,f_sim,p_sd"
     # Empty bins keep their counts but publish no probability.
@@ -823,15 +823,16 @@ def test_codist_csv_rejects_a_negative_count(tmp_path):
 def test_curve_samples_round_trip(tmp_path):
     mf = fit_mapping(_noiseless_points("logistic2"), "logistic2")
     models = {"(0,100]": {"logistic2": mf}}
-    text = curve_samples_csv_text(models)
+    text = curve_samples(models).csv_text()
     assert len(text.splitlines()) == 1 + 200
     path = tmp_path / "curves.csv"
     path.write_text(text)
     curves = read_curve_samples_csv(path)
-    xs_ys = curves[("(0,100]", "logistic2")]
-    assert len(xs_ys) == 200
-    x0, y0 = xs_ys[0]
-    assert y0 == pytest.approx(evaluate_mf(mf, x0), abs=1e-9)
+    assert curves.csv_text() == text
+    samples = list(curves.rows())
+    assert {(s.range_id, s.family) for s in samples} == {("(0,100]", "logistic2")}
+    assert len(samples) == 200
+    assert samples[0].p_sd == pytest.approx(evaluate_mf(mf, samples[0].delta_obj), abs=1e-9)
 
 
 def test_family_labels_cover_families():

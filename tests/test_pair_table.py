@@ -24,7 +24,7 @@ from jndmap.corpus import Corpus, Stimulus
 from jndmap.errors import CorpusError, FitError
 from jndmap.mapping import build_codistribution, fit_all
 from jndmap.ranges import assign_pairs, decompose_explicit
-from jndmap.significance import PairTable
+from jndmap.significance import PairTable, RatedPair
 
 from conftest import range_of
 
@@ -61,9 +61,9 @@ def studies(draw) -> tuple[Corpus, PairTable, list[float]]:
         at = draw(st.integers(0, len(rows)))
         again = (content_id, *draw(st.permutations((x, y))), *values)
         with pytest.raises(CorpusError, match="duplicate pair ") as caught:
-            PairTable(*zip(*rows[:at], again, *rows[at:]))
+            PairTable.of(RatedPair(*row) for row in (*rows[:at], again, *rows[at:]))
         assert caught.value.row == ("pairs", first + 1 if at <= first else at)
-    pairs = PairTable(*zip(*rows))
+    pairs = PairTable.of(RatedPair(*row) for row in rows)
     # tenths of a VMAF unit or a stimulus's VMAF, so bounds often fall on one
     edges = st.one_of(st.integers(0, 1000).map(lambda b: b / 10.0),
                       st.sampled_from([s.vmaf for s in stimuli]))
@@ -146,8 +146,9 @@ def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
         for r, v in zip(recipes, (90.0, 70.0, 50.0))
     )
     corpus = Corpus(stimuli, (), ())
-    table = PairTable(["c1", "c1", "c2"], ["r1", "r10", "r10"], ["r10", "r2", "r2"],
-                      [20.0, 20.0, 20.0], [0.5] * 3, [0, 1, 0])
+    table = PairTable(content_id=["c1", "c1", "c2"], recipe_x=["r1", "r10", "r10"],
+                      recipe_y=["r10", "r2", "r2"], delta_obj=[20.0, 20.0, 20.0],
+                      p_value=[0.5] * 3, sig=[0, 1, 0])
     codes = table.endpoint_codes(corpus.ratings)
     assert codes.tolist() == [
         [corpus.code(c, x), corpus.code(c, y)]
@@ -161,10 +162,11 @@ def test_endpoint_codes_are_looked_up_by_id_in_another_corpus():
 @pytest.mark.parametrize("swap", [False, True], ids=["same-order", "recipes-swapped"])
 def test_a_pair_listed_twice_is_refused_at_its_second_copy(swap):
     again = ("r10", "r1") if swap else ("r1", "r10")
-    columns = (["c1", "c2", "c1", "c1"], ["r1", "r1", "r2", again[0]],
-               ["r10", "r10", "r10", again[1]], [5.0] * 4, [0.5] * 4, [0, 1, 0, 1])
+    columns = dict(content_id=["c1", "c2", "c1", "c1"], recipe_x=["r1", "r1", "r2", again[0]],
+                   recipe_y=["r10", "r10", "r10", again[1]], delta_obj=[5.0] * 4,
+                   p_value=[0.5] * 4, sig=[0, 1, 0, 1])
     with pytest.raises(CorpusError, match=f"^duplicate pair c1:{again[0]}:{again[1]}$") as caught:
-        PairTable(*columns)
+        PairTable(**columns)
     assert caught.value.row == ("pairs", 3)
     # the same recipes in another content, or another recipe pair, are other pairs
-    assert len(PairTable(*(column[:3] for column in columns))) == 3
+    assert len(PairTable(**{name: column[:3] for name, column in columns.items()})) == 3

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import logging
 import math
 
@@ -19,7 +18,6 @@ from jndmap.predict import (
     invert_at_threshold,
     invert_family,
     predict_jnd,
-    predictions_csv_text,
 )
 from jndmap.ranges import decompose_explicit
 from jndmap.tableio import write_csv_text
@@ -209,7 +207,7 @@ def test_predictions_csv(tmp_path, ladder_stimuli, single_range_models):
     corpus = Corpus(ladder_stimuli, (), (JndTruth("c1", "r1", "dec", "r3", 1),))
     anchor = corpus.stimulus("c1", "r1")
     pred = predict_jnd(models, decomp, anchor, "dec", 0.75, "logistic2")
-    text = predictions_csv_text(PredictionTable(*zip(dataclasses.astuple(pred))))
+    text = PredictionTable.of([pred]).csv_text()
     header, row = text.splitlines()
     assert header.startswith("content_id,anchor_recipe_id,direction,range_id")
     assert row.startswith("c1,r1,dec,")

@@ -23,7 +23,7 @@ from jndmap.ranges import (
     decomposition_to_json_dict,
     read_ranges_json,
 )
-from jndmap.significance import PairTable
+from jndmap.significance import PairTable, RatedPair
 from jndmap.tableio import write_json
 
 from conftest import make_stimuli, range_of
@@ -264,7 +264,7 @@ def _pairs_and_corpus():
         (),
         (),
     )
-    pairs = PairTable(*zip(
+    pairs = PairTable.of(RatedPair(*row) for row in (
         ("c1", "a", "b", 4.0, 0.2, 0),   # both endpoints in (85,95]
         ("c1", "a", "c", 14.0, 0.01, 1),  # straddles two ranges
         ("c1", "c", "d", 18.0, 0.001, 1),  # straddles two ranges

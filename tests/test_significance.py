@@ -18,7 +18,6 @@ from jndmap.significance import (
     RatedPair,
     classify_pairs,
     paired_t_test,
-    pairs_csv_text,
     read_pairs_csv,
     student_t_test,
     welch_t_test,
@@ -210,9 +209,9 @@ def test_pairs_csv_round_trip(tmp_path):
     corpus = _rated_corpus()
     pairs = classify_pairs(corpus)
     path = tmp_path / "pairs.csv"
-    write_csv_text(path, pairs_csv_text(pairs))
+    write_csv_text(path, pairs.csv_text())
     assert read_pairs_csv(path) == pairs
-    header = pairs_csv_text(pairs).splitlines()[0]
+    header = pairs.csv_text().splitlines()[0]
     assert header == "content_id,recipe_x,recipe_y,delta_obj,p_value,sig"
 
 

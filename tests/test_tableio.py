@@ -8,7 +8,8 @@ import dataclasses
 import io
 import json
 import math
-from typing import ClassVar
+from collections.abc import Callable
+from typing import Any, ClassVar
 
 import numpy as np
 import pytest
@@ -25,11 +26,22 @@ from jndmap.simulate import SimSpec
 
 #: Every fault a row can have: an empty text cell, a non-integer or an
 #: out-of-range level, and an id with a colon.
-SCHEMA: tableio.Schema = {
+SCHEMA: dict[str, Callable[[str], Any]] = {
     "a": tableio.text,
     "b": tableio.within(int, 0, 9),
     "c": tableio.ident,
 }
+
+
+@dataclasses.dataclass(frozen=True)
+class Row:
+    """A row of the drawn tables: its fields carry the rules of :data:`SCHEMA`."""
+
+    a: str = tableio.cell(SCHEMA["a"])
+    b: int = tableio.cell(SCHEMA["b"])
+    c: str = tableio.cell(SCHEMA["c"])
+
+
 #: The field limit while reading drawn files, so that a short cell can pass it.
 LIMIT = 8
 
@@ -37,19 +49,19 @@ LIMIT = 8
 def _outcome(read, path) -> tuple:
     """The table's lines and columns, or the error's message, line and column."""
     try:
-        table = read(path, SCHEMA)
+        table = read(path, Row)
     except CorpusError as exc:
         return ("error", exc.message, exc.line, exc.column)
-    return ("table", table.lines, table.columns)
+    return ("table", table.lines, list(table.columns.values()))
 
 
-def _read_by_csv_reader(path, schema) -> tableio.Table:
+def _read_by_csv_reader(path, record) -> tableio.Table:
     """``read_table`` with the text after the header read by ``csv.reader``,
     whether or not it could be split."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableio, "_split_blocks", lambda text, start, width: [tableio._csv_block(
             csv.reader(io.StringIO(text[start:], newline="")), 1, width)])
-        return tableio.read_table(path, schema)
+        return tableio.read_table(path, record)
 
 
 def _reference(data: bytes) -> tuple:
@@ -151,14 +163,14 @@ def test_split_reader_reads_a_large_table_in_blocks(tmp_path):
             for i in range(12000)]
     path = tmp_path / "table.csv"
     path.write_text("a,b,c\n" + "\n".join(rows[:9000]) + "\n", encoding="utf-8")
-    table = tableio.read_table(path, SCHEMA)
+    table = tableio.read_table(path, Row)
     assert _outcome(tableio.read_table, path) == _outcome(_read_by_csv_reader, path)
     assert table.lines == list(range(2, 9002))
-    assert table.columns[2][8999] == "o8999"
-    assert len(table.coded[0].values) == 97
+    assert table.columns["c"][8999] == "o8999"
+    assert len(table.coded["a"].values) == 97
     path.write_text("a,b,c\n" + "\n".join(rows) + "\n", encoding="utf-8")
     with pytest.raises(CorpusError, match="^table.csv:line 9002:c: id 'o:9000' contains ':'$"):
-        tableio.read_table(path, SCHEMA)
+        tableio.read_table(path, Row)
 
 
 CELLS = st.one_of(
@@ -209,6 +221,30 @@ def test_csv_text_writes_number_arrays_as_csv_writer_writes_their_values(floats,
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tableio, "BLOCK_ROWS", data.draw(st.integers(1, 4)))
         assert tableio.csv_text(["x", "n", "z"], columns) == buf.getvalue()
+
+
+@dataclasses.dataclass(frozen=True)
+class _Record:
+    name: str
+    n: int
+    x: float
+    flag: bool
+
+
+def test_columns_hold_a_records_fields_by_name():
+    """``Columns[R]`` takes one column per field of ``R``, by name, holds each
+    as an array of the field's type (an int beyond int64 as objects), gives
+    the records back, and writes a bool as 0 or 1."""
+    rows = [_Record("a", 1, 0.5, True), _Record("b,c", 2**70, -0.0, False)]
+    table = tableio.Columns[_Record].of(rows)
+    assert type(table) is tableio.Columns[_Record]
+    assert [getattr(table, name).dtype.kind for name in table.names] == ["O", "O", "f", "b"]
+    assert list(table.rows()) == rows
+    assert table.csv_text() == 'name,n,x,flag\na,1,0.5,1\n"b,c",1180591620717411303424,-0.0,0\n'
+    assert list(tableio.Columns[_Record].concat([table, table]).rows()) == rows * 2
+    assert len(tableio.Columns[_Record].concat([])) == 0
+    with pytest.raises(TypeError, match=r"takes the columns \['name', 'n', 'x', 'flag'\], got"):
+        tableio.Columns[_Record](name=["a"], n=[1], x=[0.5])
 
 
 IDS = st.text(alphabet='ab:"\\/é€\x01\n', max_size=5)
